@@ -93,13 +93,8 @@ def cmd_solve(args) -> int:
         width_max=args.width_max, net_constant=args.net_constant,
         round_constant=args.round_constant, xprime=xprime, guard_ids=guard_ids,
         guard_orientations=args.guard_orientations)
-    if args.dump_td and args.algo == "dp":
-        from .hitset import build_auxiliary_graph
-        from .treewidth import decompose, dual_graph, lift_decomposition
-        pix = pixelate(poly)
-        td = decompose(dual_graph(pix))
-        H = build_auxiliary_graph(pix)
-        _write_text(lift_decomposition(td, H, pix).to_text(), args.dump_td)
+    if args.dump_td and sol.decomposition is not None:
+        _write_text(sol.decomposition.to_text(), args.dump_td)
     print(f"n={info['n']} pixels={info['pixels']} crosses={info['crosses']} "
           f"guards={info['guards']} size={sol.size} "
           f"msc_bound={info['msc_bound']} mhsc_bound={info['mhsc_bound']}")

@@ -1,25 +1,33 @@
 """Ground-truth solvers: brute-force minimum cover and a greedy baseline."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .errors import CapExceeded, Infeasible, TooLargeForOracle
-from .geometry import GuardSegment, Pixelation, verify_cover
+from .geometry import GuardSegment, Pixelation, _bits, verify_cover
 from .hitset import HittingInstance
+
+if TYPE_CHECKING:
+    from .treewidth import TreeDecomposition
 
 _ORACLE_LIMIT = 40
 
 
 @dataclass(frozen=True)
 class Solution:
-    """A verified set of cameras together with its coverage certificate."""
+    """A verified set of cameras together with its coverage certificate.
+
+    ``decomposition`` is the lifted tree decomposition a ``dp`` solution was
+    computed on, and None for every other method.
+    """
 
     cameras: Tuple[GuardSegment, ...]
     size: int
     method: str
     certificate: Dict[int, tuple]
     guard_ids: Optional[Tuple[int, ...]] = None
+    decomposition: Optional[TreeDecomposition] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -49,16 +57,25 @@ def make_solution(pix: Pixelation, xprime: Iterable[int], guards, method: str) -
 
 
 def _prepare_masks(inst: HittingInstance):
-    """Cross bitmasks per universe guard, restricted to the instance's crosses."""
+    """Cross bitmasks per universe guard, over positions in ``inst.xprime``.
+
+    Read from each guard's ``hit_set``; when the requested crosses are
+    0..k-1, positions are cross ids and the mask is the hit set itself.
+    """
     pos = {c: i for i, c in enumerate(inst.xprime)}
-    masks = {}
-    for g in inst.universe:
-        m = 0
-        for c in inst.xprime:
-            if g in inst.sets[c]:
-                m |= 1 << pos[c]
-        masks[g] = m
     full = (1 << len(inst.xprime)) - 1
+    hit_sets = {g: inst.pix.guards[g].hit_set for g in inst.universe}
+    if inst.xprime == tuple(range(len(inst.xprime))):
+        return {g: m & full for g, m in hit_sets.items()}, full, pos
+    wanted = 0
+    for c in inst.xprime:
+        wanted |= 1 << c
+    masks = {}
+    for g, hs in hit_sets.items():
+        m = 0
+        for c in _bits(hs & wanted):
+            m |= 1 << pos[c]
+        masks[g] = m
     return masks, full, pos
 
 

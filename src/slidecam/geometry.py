@@ -8,8 +8,9 @@ floating point is used anywhere in this module.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -134,18 +135,71 @@ def _ring_edges(ring: Sequence[Vertex]):
     return vert, horiz
 
 
-def _edges_touch(e1, e2) -> bool:
-    """Closed intersection test between two axis-parallel edges.
+def _first_contact(rings: Sequence[Sequence[Vertex]]):
+    """The first pair of touching edges as ((ring, edge), (ring, edge)), or None.
 
-    Edges are ('V', x, lo, hi) or ('H', y, lo, hi).
+    Edges are ordered ring by ring and, within a ring, in ring order; the
+    pair returned is the first in that order.  Consecutive edges of one
+    ring meet at their shared vertex, which is allowed; every other closed
+    contact counts.  Parallel edges are grouped per line and their sorted
+    spans checked for overlap; perpendicular contacts are found by a sweep
+    over x that keeps the active horizontal edges sorted by y.  The cost is
+    O(E log E) plus the number of contacts.
     """
-    o1, a1, lo1, hi1 = e1
-    o2, a2, lo2, hi2 = e2
-    if o1 == o2:
-        return a1 == a2 and max(lo1, lo2) <= min(hi1, hi2)
-    if o1 == VERTICAL:  # e1 vertical, e2 horizontal
-        return lo1 <= a2 <= hi1 and lo2 <= a1 <= hi2
-    return lo2 <= a1 <= hi2 and lo1 <= a2 <= hi1
+    where: List[Tuple[int, int]] = []  # edge number -> (ring, index in ring)
+    lines: Dict[Tuple[str, int], List[Tuple[int, int, int]]] = {}
+    verts: List[Tuple[int, ...]] = []  # (x, y_lo, y_hi, edge, its two ring neighbours)
+    horiz: List[Tuple[int, int, int, int]] = []  # (x_lo, x_hi, y, edge)
+    for ridx, ring in enumerate(rings):
+        n = len(ring)
+        base = len(where)
+        for i, ((x1, y1), (x2, y2)) in enumerate(zip(ring, ring[1:] + ring[:1])):
+            e = base + i
+            where.append((ridx, i))
+            if x1 == x2:
+                lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
+                lines.setdefault((VERTICAL, x1), []).append((lo, hi, e))
+                verts.append((x1, lo, hi, e, base + (i - 1) % n, base + (i + 1) % n))
+            else:
+                lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
+                lines.setdefault((HORIZONTAL, y1), []).append((lo, hi, e))
+                horiz.append((lo, hi, y1, e))
+
+    # Consecutive edges of a normalized ring are perpendicular, so every
+    # parallel contact counts.
+    contacts: List[Tuple[int, int]] = []
+    for spans in lines.values():
+        if len(spans) > 1:
+            spans.sort()
+            active: List[Tuple[int, int, int]] = []
+            for lo, hi, e in spans:
+                active = [s for s in active if s[1] >= lo]
+                contacts.extend((s[2], e) for s in active)
+                active.append((lo, hi, e))
+
+    # Sweep the verticals by x.  Horizontals with x_lo <= x enter and those
+    # with x_hi < x leave before each query, so contacts at endpoints count;
+    # a vertical's ring neighbours meet it at its ends, which is allowed.
+    verts.sort()
+    enter = sorted(horiz)
+    leave = sorted(horiz, key=itemgetter(1))
+    ys: List[Tuple[int, int]] = []  # active horizontal edges as (y, edge)
+    a = b = 0
+    for x, lo, hi, e, prev, nxt in verts:
+        while a < len(enter) and enter[a][0] <= x:
+            insort(ys, (enter[a][2], enter[a][3]))
+            a += 1
+        while b < len(leave) and leave[b][1] < x:
+            del ys[bisect_left(ys, (leave[b][2], leave[b][3]))]
+            b += 1
+        for k in range(bisect_left(ys, (lo, -1)), bisect_right(ys, (hi, len(where)))):
+            h = ys[k][1]
+            if h != prev and h != nxt:
+                contacts.append((h, e))
+    if not contacts:
+        return None
+    a, b = min((min(p), max(p)) for p in contacts)
+    return where[a], where[b]
 
 
 def _point_in_ring(pt: Vertex, vert_edges) -> bool:
@@ -186,36 +240,23 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     # Simplicity: edges of all rings may only meet where consecutive edges of
     # one ring share their common vertex.  Any other contact is rejected, so
     # rings never touch each other or themselves.
-    all_edges = []
-    for ridx, ring in enumerate([outer, *holes]):
-        vert, horiz = _ring_edges(ring)
-        n = len(ring)
-        for i in range(n):
-            (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % n]
-            if x1 == x2:
-                e = (VERTICAL, x1, min(y1, y2), max(y1, y2))
-            else:
-                e = (HORIZONTAL, y1, min(x1, x2), max(x1, x2))
-            all_edges.append((ridx, i, n, e))
-    for i in range(len(all_edges)):
-        r1, i1, n1, e1 = all_edges[i]
-        for j in range(i + 1, len(all_edges)):
-            r2, i2, n2, e2 = all_edges[j]
-            if r1 == r2 and (i2 - i1) % n1 in (1, n1 - 1):
-                continue  # consecutive edges share exactly one endpoint
-            if _edges_touch(e1, e2):
-                if r1 == r2:
-                    raise SelfIntersection(f"ring {r1}: edges {i1} and {i2} intersect")
-                raise HoleOutsideOuter(f"rings {r1} and {r2} touch or overlap")
+    contact = _first_contact([outer, *holes])
+    if contact is not None:
+        (r1, i1), (r2, i2) = contact
+        if r1 == r2:
+            raise SelfIntersection(f"ring {r1}: edges {i1} and {i2} intersect")
+        raise HoleOutsideOuter(f"rings {r1} and {r2} touch or overlap")
 
+    # No two rings touch, so each hole lies wholly inside or wholly outside
+    # any other ring and one vertex decides which.
     outer_vert, _ = _ring_edges(outer)
     for hidx, hole in enumerate(holes):
-        if not all(_point_in_ring(v, outer_vert) for v in hole):
+        if not _point_in_ring(hole[0], outer_vert):
             raise HoleOutsideOuter(f"hole {hidx} is not strictly inside the outer ring")
     for a in range(len(holes)):
         va, _ = _ring_edges(holes[a])
         for b in range(len(holes)):
-            if a != b and any(_point_in_ring(v, va) for v in holes[b]):
+            if a != b and _point_in_ring(holes[b][0], va):
                 raise HoleOutsideOuter(f"holes {a} and {b} overlap")
 
     return OrthoPolygon(
@@ -293,6 +334,37 @@ class CoverageReport:
         return not self.uncovered
 
 
+def _spans_by_line(edges: Iterable[Tuple[int, int, int]]) -> Dict[int, List[int]]:
+    """Edges (line, lo, hi) as the sorted list [lo0, hi0, lo1, hi1, ...] per line.
+
+    Edges of a valid polygon never touch along one line, so each list is
+    strictly increasing; see :func:`_on_spans`.
+    """
+    out: Dict[int, List[int]] = {}
+    for a, lo, hi in sorted(edges):
+        out.setdefault(a, []).extend((lo, hi))
+    return out
+
+
+def _on_spans(ends: List[int], t: int) -> bool:
+    """Is ``t`` on a closed span of a strictly increasing [lo0, hi0, ...] list?
+
+    It is iff an odd number of span ends lie below it, or it is a span end.
+    """
+    i = bisect_left(ends, t)
+    return i & 1 == 1 or (i < len(ends) and ends[i] == t)
+
+
+def _bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class _DSU:
     def __init__(self, n: int):
         self.p = list(range(n))
@@ -334,24 +406,30 @@ class Pixelation:
         self._xi = {x: i for i, x in enumerate(self.x_cuts)}
         self._yi = {y: j for j, y in enumerate(self.y_cuts)}
 
-        self._vert_edges: List[Tuple[int, int, int]] = []
-        self._horiz_edges: List[Tuple[int, int, int]] = []
+        vert_edges: List[Tuple[int, int, int]] = []
+        horiz_edges: List[Tuple[int, int, int]] = []
         for ring in poly.rings():
             v, h = _ring_edges(ring)
-            self._vert_edges.extend(v)
-            self._horiz_edges.extend(h)
+            vert_edges.extend(v)
+            horiz_edges.extend(h)
+        self._v_spans = _spans_by_line(vert_edges)
+        self._h_spans = _spans_by_line(horiz_edges)
 
+        # Even-odd parity along a downward ray: bit i of toggles[j] flips for
+        # every horizontal edge on grid line j over column i, and row j is
+        # the running XOR of toggles[0..j].
         nx, ny = len(self.x_cuts) - 1, len(self.y_cuts) - 1
-        self.inside = [[False] * ny for _ in range(nx)]
-        for i in range(nx):
-            cx2 = self.x_cuts[i] + self.x_cuts[i + 1]
-            for j in range(ny):
-                cy2 = self.y_cuts[j] + self.y_cuts[j + 1]
-                cnt = 0
-                for x, ylo, yhi in self._vert_edges:
-                    if 2 * x > cx2 and 2 * ylo < cy2 < 2 * yhi:
-                        cnt += 1
-                self.inside[i][j] = cnt % 2 == 1
+        toggles = [0] * ny
+        for y, xlo, xhi in horiz_edges:
+            j = self._yi[y]
+            if j < ny:
+                toggles[j] ^= (1 << self._xi[xhi]) - (1 << self._xi[xlo])
+        rows = []
+        acc = 0
+        for t in toggles:
+            acc ^= t
+            rows.append(format(acc, f"0{nx}b")[::-1])
+        self.inside = [[c == "1" for c in col] for col in zip(*rows)]
 
         self._reflex = self._find_reflex_vertices()
         self.cuts_v = [self._march_ray(v, d, vertical=True) for v, d in self._reflex_rays(vertical=True)]
@@ -399,13 +477,7 @@ class Pixelation:
 
     def on_boundary(self, pt: Vertex) -> bool:
         x, y = pt
-        for ex, ylo, yhi in self._vert_edges:
-            if x == ex and ylo <= y <= yhi:
-                return True
-        for ey, xlo, xhi in self._horiz_edges:
-            if y == ey and xlo <= x <= xhi:
-                return True
-        return False
+        return _on_spans(self._v_spans.get(x, ()), y) or _on_spans(self._h_spans.get(y, ()), x)
 
     def _cell_inside(self, i: int, j: int) -> bool:
         if i < 0 or j < 0 or i >= len(self.inside) or j >= len(self.inside[0]):
@@ -518,6 +590,11 @@ class Pixelation:
                 self._cell_hslice[c] = sid
         self.sigmas: List[SliceSegment] = [s.segment for s in self.slices_v] + [
             s.segment for s in self.slices_h]
+        # per orientation: midlines sorted by anchor2, with their keys for bisect
+        self._sigma_index: Dict[str, Tuple[List[int], List[SliceSegment]]] = {}
+        for o, slices in ((VERTICAL, self.slices_v), (HORIZONTAL, self.slices_h)):
+            segs = sorted((s.segment for s in slices), key=attrgetter("anchor2"))
+            self._sigma_index[o] = ([s.anchor2 for s in segs], segs)
 
     def _build_pixels(self):
         pair_cells: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
@@ -623,11 +700,29 @@ class Pixelation:
         for g in self.raw_guards:
             self._runs_by_line.setdefault((g.orientation, g.anchor), []).append((g.lo, g.hi))
 
+    def sigmas_hit(self, orientation: str, anchor: int, lo: int, hi: int) -> List[SliceSegment]:
+        """Slice-segments that the closed grid-line segment intersects.
+
+        Bisection in the per-orientation index finds the perpendicular
+        midlines with anchor2 in [2 lo, 2 hi], which meet the segment iff
+        their span contains ``anchor``, and the parallel midlines on the
+        segment's own line, which meet it iff the spans overlap.  This is
+        :func:`_segment_intersects_sigma` with its anchor2 test done by the
+        index.
+        """
+        other = VERTICAL if orientation == HORIZONTAL else HORIZONTAL
+        keys, segs = self._sigma_index[other]
+        out = [s for s in segs[bisect_left(keys, 2 * lo):bisect_right(keys, 2 * hi)]
+               if s.lo <= anchor <= s.hi]
+        keys, segs = self._sigma_index[orientation]
+        out += [s for s in segs[bisect_left(keys, 2 * anchor):bisect_right(keys, 2 * anchor)]
+                if max(lo, s.lo) <= min(hi, s.hi)]
+        return out
+
     def _segment_hit_mask(self, orientation: str, anchor: int, lo: int, hi: int) -> int:
         mask = 0
-        for seg in self.sigmas:
-            if _segment_intersects_sigma(orientation, anchor, lo, hi, seg):
-                mask |= self._slice_cross_mask[seg.id]
+        for seg in self.sigmas_hit(orientation, anchor, lo, hi):
+            mask |= self._slice_cross_mask[seg.id]
         return mask
 
     # -- lookups ------------------------------------------------------------
@@ -699,10 +794,6 @@ class Pixelation:
         return GuardSegment(orientation=orientation, anchor=anchor, lo=lo2, hi=hi2,
                             id=-1, hit_set=mask)
 
-    def slice_pixels(self, sigma_id: int) -> List[int]:
-        mask = self._slice_cross_mask[sigma_id]
-        return [i for i in range(len(self.pixels)) if mask >> i & 1]
-
     def is_thin(self) -> bool:
         """No pixel corner lies in the interior of the polygon."""
         for p in self.pixels:
@@ -754,11 +845,7 @@ def hits(g: GuardSegment, cross: Cross, pix: Pixelation) -> bool:
 
 def visible_region(pix: Pixelation, g: GuardSegment) -> set:
     """Pixel ids of all slices whose slice-segment the guard intersects."""
-    out = set()
-    for seg in pix.sigmas:
-        if _segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi, seg):
-            out.update(pix.slice_pixels(seg.id))
-    return out
+    return set(_bits(pix._segment_hit_mask(g.orientation, g.anchor, g.lo, g.hi)))
 
 
 def _resolve_guards(pix: Pixelation, guards) -> List[GuardSegment]:
@@ -776,23 +863,24 @@ def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None
     reported in ascending id order.
     """
     segs = _resolve_guards(pix, guards)
+    first: Dict[int, int] = {}  # slice-segment id -> first guard (in key order) meeting it
+    for k in range(len(segs) - 1, -1, -1):
+        g = segs[k]
+        for seg in pix.sigmas_hit(g.orientation, g.anchor, g.lo, g.hi):
+            first[seg.id] = k
     ids = sorted(xprime) if xprime is not None else range(len(pix.crosses))
     uncovered = []
     certificate = {}
     for cid in ids:
         cross = pix.crosses[cid]
-        hit = None
-        for g in segs:
-            for sid in (cross.h_support, cross.v_support):
-                if _segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi, pix.sigmas[sid]):
-                    hit = (sid, (g.orientation, g.anchor, g.lo, g.hi))
-                    break
-            if hit:
-                break
-        if hit:
-            certificate[cid] = hit
-        else:
+        kh, kv = first.get(cross.h_support), first.get(cross.v_support)
+        if kh is None and kv is None:
             uncovered.append(cid)
+            continue
+        # the first guard hitting either support witnesses, through h if it can
+        sid, k = ((cross.h_support, kh) if kv is None or (kh is not None and kh <= kv)
+                  else (cross.v_support, kv))
+        certificate[cid] = (sid, segs[k].key())
     return CoverageReport(uncovered=tuple(uncovered), certificate=certificate)
 
 

@@ -8,27 +8,29 @@ auxiliary graph used by the treewidth solver.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import PreconditionViolated
-from .geometry import HORIZONTAL, Pixelation, _segment_intersects_sigma
+from .geometry import HORIZONTAL, Pixelation, _bits
 
 Node = Tuple[str, int]  # ("c", cross id) | ("s", sigma id) | ("g", guard id)
 
 
 @dataclass(frozen=True)
 class HittingInstance:
-    """Universe of guard ids plus, per cross, the guards hitting it.
+    """Universe of guard ids over the requested crosses.
 
-    The instance is *infeasible* (a first-class state, not an error) when
-    some cross is hit by no allowed guard.
+    Incidence lives in each guard's ``hit_set`` bitmask over cross ids;
+    ``sets`` (per cross, the guards hitting it) is its transpose, derived
+    on first use.  The instance is *infeasible* (a first-class state, not
+    an error) when some cross is hit by no allowed guard.
     """
 
     pix: Pixelation
     xprime: Tuple[int, ...]
     universe: Tuple[int, ...]
-    sets: Dict[int, FrozenSet[int]]
     weights: Dict[int, object] = field(default_factory=dict)
 
     @property
@@ -37,7 +39,21 @@ class HittingInstance:
 
     @property
     def infeasible_crosses(self) -> Tuple[int, ...]:
-        return tuple(c for c in self.xprime if not self.sets[c])
+        hit = 0
+        for g in self.universe:
+            hit |= self.pix.guards[g].hit_set
+        return tuple(c for c in self.xprime if not hit >> c & 1)
+
+    @functools.cached_property
+    def sets(self) -> Dict[int, FrozenSet[int]]:
+        wanted = 0
+        for c in self.xprime:
+            wanted |= 1 << c
+        out: Dict[int, List[int]] = {c: [] for c in self.xprime}
+        for g in self.universe:
+            for c in _bits(self.pix.guards[g].hit_set & wanted):
+                out[c].append(g)
+        return {c: frozenset(gs) for c, gs in out.items()}
 
     def weight_of(self, gid: int):
         return self.weights.get(gid, 1)
@@ -49,18 +65,18 @@ class HittingInstance:
         return sum(self.weight_of(g) for g in self.sets[cid])
 
     def with_weights(self, weights: Dict[int, object]) -> "HittingInstance":
-        return replace(self, weights=dict(weights))
+        out = replace(self, weights=dict(weights))
+        if "sets" in self.__dict__:  # same crosses and guards: share the transpose
+            out.__dict__["sets"] = self.sets
+        return out
 
     def orientations(self) -> set:
         return {self.pix.guards[g].orientation for g in self.universe}
 
     def restrict_orientation(self, orientation: str) -> "HittingInstance":
         uni = tuple(g for g in self.universe if self.pix.guards[g].orientation == orientation)
-        uset = set(uni)
-        sets = {c: frozenset(s & uset) for c, s in self.sets.items()}
         w = {g: self.weights[g] for g in uni if g in self.weights}
-        return HittingInstance(pix=self.pix, xprime=self.xprime, universe=uni,
-                               sets=sets, weights=w)
+        return HittingInstance(pix=self.pix, xprime=self.xprime, universe=uni, weights=w)
 
     def to_dict(self) -> dict:
         return {
@@ -75,10 +91,7 @@ def build_instance(pix: Pixelation, xprime: Optional[Iterable[int]] = None,
     xp = tuple(sorted(xprime)) if xprime is not None else tuple(range(len(pix.crosses)))
     uni = tuple(sorted(gammaprime)) if gammaprime is not None else tuple(
         g.id for g in pix.guards)
-    sets = {}
-    for c in xp:
-        sets[c] = frozenset(g for g in uni if pix.guards[g].hit_set >> c & 1)
-    return HittingInstance(pix=pix, xprime=xp, universe=uni, sets=sets)
+    return HittingInstance(pix=pix, xprime=xp, universe=uni)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +192,8 @@ def build_auxiliary_graph(pix: Pixelation, xprime: Optional[Iterable[int]] = Non
     for g in gp:
         guard = pix.guards[g]
         adj.setdefault(("g", g), set())
-        for s in pix.sigmas:
-            if _segment_intersects_sigma(guard.orientation, guard.anchor,
-                                         guard.lo, guard.hi, s):
-                link(("g", g), ("s", s.id))
+        for s in pix.sigmas_hit(guard.orientation, guard.anchor, guard.lo, guard.hi):
+            link(("g", g), ("s", s.id))
 
     for c in xp:
         deg = sum(1 for v in adj[("c", c)] if v[0] == "s")

@@ -10,7 +10,7 @@ forgotten unhit kills the branch; so does an unsatisfied forgotten cross.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import Infeasible, WidthExceeded
@@ -448,4 +448,4 @@ def dp_solve(H: AuxiliaryGraph, td_h: TreeDecomposition,
     if picked is None:
         raise Infeasible("no guard set satisfies all requested crosses")
     xp = tuple(sorted(xprime)) if xprime is not None else H.xprime
-    return make_solution(H.pix, xp, sorted(picked), "dp")
+    return replace(make_solution(H.pix, xp, sorted(picked), "dp"), decomposition=td_h)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import slidecam as sc
 from slidecam.cli import main
@@ -145,6 +146,20 @@ def test_solve_dp_dump_td(tmp_path):
     td_path = tmp_path / "td.txt"
     assert main(["solve", poly_path, "--algo", "dp", "--dump-td", str(td_path)]) == 0
     assert td_path.read_text().startswith("s td ")
+
+
+def test_solve_dp_dump_td_is_the_solved_decomposition(tmp_path):
+    """Under mhsc the dump holds only the horizontal guards the DP was given."""
+    p = sc.gen_comb(3)
+    path = tmp_path / "comb.json"
+    path.write_text(json.dumps(p.to_dict()))
+    td_path = tmp_path / "td.txt"
+    assert main(["solve", str(path), "--mode", "mhsc", "--algo", "dp",
+                 "--dump-td", str(td_path)]) == 0
+    dumped = {int(g) for g in re.findall(r"\('g', (\d+)\)", td_path.read_text())}
+    pix = sc.pixelate(p)
+    assert dumped
+    assert dumped <= {g.id for g in pix.guards if g.orientation == "H"}
 
 
 def test_solve_custom_crosses(tmp_path, capsys):

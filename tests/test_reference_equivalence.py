@@ -1,0 +1,396 @@
+"""The indexed geometry and mask-native instance against the plain loops they replace.
+
+The reference loops below are the straightforward versions: a per-cell ray
+cast for ``inside``, an all-pairs edge contact test with every hole vertex
+checked for containment, a linear ``on_boundary`` scan, a scan over every
+slice-segment for each guard, a guard-by-guard ``verify_cover`` and an
+O(crosses * guards) hitting-set transpose.  Every output must agree exactly.
+"""
+import random
+
+import pytest
+
+import slidecam as sc
+from slidecam.errors import HoleOutsideOuter, SelfIntersection
+from slidecam.exact import _prepare_masks
+from slidecam.geometry import (
+    HORIZONTAL,
+    VERTICAL,
+    _normalize_ring,
+    _point_in_ring,
+    _ring_edges,
+    _rotate_to_min,
+    _segment_intersects_sigma,
+    _signed_area2,
+)
+
+from test_fuzz import gen_random_holed
+
+# ---------------------------------------------------------------------------
+# Reference loops
+# ---------------------------------------------------------------------------
+
+
+def _loop_edges_touch(e1, e2) -> bool:
+    o1, a1, lo1, hi1 = e1
+    o2, a2, lo2, hi2 = e2
+    if o1 == o2:
+        return a1 == a2 and max(lo1, lo2) <= min(hi1, hi2)
+    if o1 == VERTICAL:
+        return lo1 <= a2 <= hi1 and lo2 <= a1 <= hi2
+    return lo2 <= a1 <= hi2 and lo1 <= a2 <= hi1
+
+
+def loop_validate(rings):
+    """validate_polygon with the O(E^2) all-pairs contact test."""
+    if not rings:
+        raise sc.DegenerateRing("no rings given")
+    norm = [_normalize_ring(r, f"ring {i}") for i, r in enumerate(rings)]
+    outer = norm[0]
+    if _signed_area2(outer) < 0:
+        outer.reverse()
+    holes = []
+    for h in norm[1:]:
+        if _signed_area2(h) > 0:
+            h.reverse()
+        holes.append(h)
+    all_edges = []
+    for ridx, ring in enumerate([outer, *holes]):
+        n = len(ring)
+        for i in range(n):
+            (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % n]
+            if x1 == x2:
+                e = (VERTICAL, x1, min(y1, y2), max(y1, y2))
+            else:
+                e = (HORIZONTAL, y1, min(x1, x2), max(x1, x2))
+            all_edges.append((ridx, i, n, e))
+    for i in range(len(all_edges)):
+        r1, i1, n1, e1 = all_edges[i]
+        for j in range(i + 1, len(all_edges)):
+            r2, i2, n2, e2 = all_edges[j]
+            if r1 == r2 and (i2 - i1) % n1 in (1, n1 - 1):
+                continue
+            if _loop_edges_touch(e1, e2):
+                if r1 == r2:
+                    raise SelfIntersection(f"ring {r1}: edges {i1} and {i2} intersect")
+                raise HoleOutsideOuter(f"rings {r1} and {r2} touch or overlap")
+    outer_vert, _ = _ring_edges(outer)
+    for hidx, hole in enumerate(holes):
+        if not all(_point_in_ring(v, outer_vert) for v in hole):
+            raise HoleOutsideOuter(f"hole {hidx} is not strictly inside the outer ring")
+    for a in range(len(holes)):
+        va, _ = _ring_edges(holes[a])
+        for b in range(len(holes)):
+            if a != b and any(_point_in_ring(v, va) for v in holes[b]):
+                raise HoleOutsideOuter(f"holes {a} and {b} overlap")
+    return sc.OrthoPolygon(outer=tuple(_rotate_to_min(outer)),
+                           holes=tuple(tuple(_rotate_to_min(h)) for h in holes))
+
+
+def loop_inside(pix):
+    """Per-cell ray cast over every vertical edge: O(cells * edges)."""
+    vert = [e for ring in pix.polygon.rings() for e in _ring_edges(ring)[0]]
+    out = []
+    for i in range(len(pix.x_cuts) - 1):
+        cx2 = pix.x_cuts[i] + pix.x_cuts[i + 1]
+        col = []
+        for j in range(len(pix.y_cuts) - 1):
+            cy2 = pix.y_cuts[j] + pix.y_cuts[j + 1]
+            cnt = sum(1 for x, ylo, yhi in vert if 2 * x > cx2 and 2 * ylo < cy2 < 2 * yhi)
+            col.append(cnt % 2 == 1)
+        out.append(col)
+    return out
+
+
+def loop_on_boundary(poly, pt) -> bool:
+    x, y = pt
+    for ring in poly.rings():
+        vert, horiz = _ring_edges(ring)
+        if any(x == ex and ylo <= y <= yhi for ex, ylo, yhi in vert):
+            return True
+        if any(y == ey and xlo <= x <= xhi for ey, xlo, xhi in horiz):
+            return True
+    return False
+
+
+def loop_sigmas_hit(pix, g):
+    return [s for s in pix.sigmas
+            if _segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi, s)]
+
+
+class LoopPixelation(sc.Pixelation):
+    """The pixelation built with the linear boundary scan and the all-sigma scan."""
+
+    def on_boundary(self, pt):
+        return loop_on_boundary(self.polygon, pt)
+
+    def sigmas_hit(self, orientation, anchor, lo, hi):
+        return loop_sigmas_hit(self, sc.GuardSegment(orientation, anchor, lo, hi))
+
+
+def loop_visible_region(pix, g):
+    out = set()
+    for seg in loop_sigmas_hit(pix, g):
+        mask = pix._slice_cross_mask[seg.id]
+        out.update(i for i in range(len(pix.pixels)) if mask >> i & 1)
+    return out
+
+
+def loop_verify_cover(pix, guards, xprime=None):
+    segs = sorted((pix.guards[g] if isinstance(g, int) else g for g in guards),
+                  key=sc.GuardSegment.key)
+    ids = sorted(xprime) if xprime is not None else range(len(pix.crosses))
+    uncovered, certificate = [], {}
+    for cid in ids:
+        cross = pix.crosses[cid]
+        hit = None
+        for g in segs:
+            for sid in (cross.h_support, cross.v_support):
+                if _segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi, pix.sigmas[sid]):
+                    hit = (sid, g.key())
+                    break
+            if hit:
+                break
+        if hit:
+            certificate[cid] = hit
+        else:
+            uncovered.append(cid)
+    return tuple(uncovered), certificate
+
+
+def loop_sets(pix, xprime, universe):
+    return {c: frozenset(g for g in universe if pix.guards[g].hit_set >> c & 1) for c in xprime}
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+def _gallery():
+    polys = {}
+    for k in (1, 2, 5, 12):
+        polys[f"comb{k}"] = sc.gen_comb(k)
+    for k in (1, 2, 4, 10):
+        polys[f"spiral{k}"] = sc.gen_path_lb(k)
+    for b, s in [(1, 0), (3, 1), (6, 2), (10, 3)]:
+        polys[f"thin{b}_{s}"] = sc.gen_thin_tree(b, s)
+    for n, s in [(4, 0), (10, 1), (16, 2), (24, 3), (40, 4), (60, 5)]:
+        polys[f"rand{n}_{s}"] = sc.gen_random_simple(n, s)
+    return polys
+
+
+def _holed_grid(gx, gy, seed):
+    """A rectangle with a jittered gx-by-gy grid of rectangular holes."""
+    rng = random.Random(f"grid:{gx}:{gy}:{seed}")
+    xs, ys = [1], [1]
+    for _ in range(gx):
+        xs.append(xs[-1] + rng.randint(3, 6))
+    for _ in range(gy):
+        ys.append(ys[-1] + rng.randint(3, 6))
+    holes = []
+    for i in range(gx):
+        for j in range(gy):
+            a = rng.randint(xs[i], xs[i + 1] - 2)
+            b = rng.randint(a + 1, xs[i + 1] - 1)
+            c = rng.randint(ys[j], ys[j + 1] - 2)
+            d = rng.randint(c + 1, ys[j + 1] - 1)
+            holes.append([(a, c), (b, c), (b, d), (a, d)])
+    outer = [(0, 0), (xs[-1], 0), (xs[-1], ys[-1]), (0, ys[-1])]
+    return sc.validate_polygon([outer, *holes])
+
+
+@pytest.fixture(scope="module")
+def polygons(corpus):
+    polys = dict(corpus)
+    polys.update(_gallery())
+    for seed in range(12):
+        polys[f"holed{seed}"] = gen_random_holed(seed)
+    for gx, gy, seed in [(1, 1, 0), (2, 3, 1), (5, 4, 2)]:
+        polys[f"grid{gx}x{gy}"] = _holed_grid(gx, gy, seed)
+    return polys
+
+
+def _ad_hoc_guards(pix, rng, count):
+    """Caller-built guards (id -1): random spans on grid lines, some past the polygon."""
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            o, anchor, cuts = HORIZONTAL, rng.choice(pix.y_cuts), pix.x_cuts
+        else:
+            o, anchor, cuts = VERTICAL, rng.choice(pix.x_cuts), pix.y_cuts
+        lo = rng.randint(cuts[0] - 1, cuts[-1])
+        hi = rng.randint(lo, cuts[-1] + 1)
+        out.append(sc.GuardSegment(orientation=o, anchor=anchor, lo=lo, hi=hi))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Pixelation
+# ---------------------------------------------------------------------------
+
+def test_pixelation_matches_reference_loops(polygons):
+    for name, p in polygons.items():
+        pix = sc.Pixelation(p)
+        ref = LoopPixelation(p)
+        assert pix.inside == loop_inside(pix), name
+        assert pix.cuts_v == ref.cuts_v and pix.cuts_h == ref.cuts_h, name
+        assert pix.pixels == ref.pixels, name
+        assert pix.crosses == ref.crosses, name
+        assert pix.sigmas == ref.sigmas, name
+        assert pix.raw_guards == ref.raw_guards, name
+        assert pix.guards == ref.guards, name  # ids and hit sets included
+        assert pix.dual_edges == ref.dual_edges, name
+        assert pix.is_thin() == ref.is_thin(), name
+
+
+def test_on_boundary_matches_linear_scan():
+    polys = [sc.gen_random_simple(4 + 2 * (s % 8), s) for s in range(12)]
+    polys += [gen_random_holed(s) for s in range(6)]
+    for p in polys:
+        pix = sc.Pixelation(p)
+        xl, yl, xh, yh = p.bbox()
+        for x in range(xl - 1, xh + 2):
+            for y in range(yl - 1, yh + 2):
+                assert pix.on_boundary((x, y)) == loop_on_boundary(p, (x, y)), (p, x, y)
+
+
+def test_lookups_match_all_sigma_scan(polygons):
+    rng = random.Random(5)
+    for name, p in polygons.items():
+        pix = sc.Pixelation(p)
+        guards = list(pix.guards) + _ad_hoc_guards(pix, rng, 20)
+        for g in guards:
+            expect = loop_sigmas_hit(pix, g)
+            assert (sorted(pix.sigmas_hit(g.orientation, g.anchor, g.lo, g.hi),
+                           key=lambda s: s.id) == expect), (name, g)
+            vis = sc.visible_region(pix, g)
+            assert vis == loop_visible_region(pix, g), (name, g)
+            hit_ids = {s.id for s in expect}
+            for cross in pix.crosses:
+                expect_hit = cross.h_support in hit_ids or cross.v_support in hit_ids
+                assert sc.hits(g, cross, pix) == expect_hit, (name, g, cross)
+        H = sc.build_auxiliary_graph(pix)
+        for g in pix.guards:
+            got = {v for v in H.adj[("g", g.id)]}
+            assert got == {("s", s.id) for s in loop_sigmas_hit(pix, g)}, (name, g)
+
+
+def test_verify_cover_matches_guard_by_guard_loop(polygons):
+    rng = random.Random(11)
+    for name, p in polygons.items():
+        pix = sc.Pixelation(p)
+        for _ in range(6):
+            k = rng.randint(0, min(6, len(pix.guards)))
+            picked = rng.sample(range(len(pix.guards)), k)
+            guards = picked + _ad_hoc_guards(pix, rng, rng.randint(0, 2))
+            xprime = None
+            if rng.random() < 0.5:
+                xprime = rng.sample(range(len(pix.crosses)), rng.randint(0, len(pix.crosses)))
+            report = sc.verify_cover(pix, guards, xprime)
+            uncovered, certificate = loop_verify_cover(pix, guards, xprime)
+            assert report.uncovered == uncovered, name
+            assert report.certificate == certificate, name
+
+
+# ---------------------------------------------------------------------------
+# Hitting-set instance
+# ---------------------------------------------------------------------------
+
+def test_instance_sets_and_masks_match_loops(polygons):
+    rng = random.Random(3)
+    for name, p in polygons.items():
+        pix = sc.Pixelation(p)
+        n_c, n_g = len(pix.crosses), len(pix.guards)
+        choices = [(None, None)]
+        for _ in range(3):
+            choices.append((rng.sample(range(n_c), rng.randint(0, n_c)),
+                            rng.sample(range(n_g), rng.randint(0, n_g))))
+        for xprime, gammaprime in choices:
+            inst = sc.build_instance(pix, xprime=xprime, gammaprime=gammaprime)
+            sets = loop_sets(pix, inst.xprime, inst.universe)
+            assert inst.sets == sets, name
+            assert inst.infeasible_crosses == tuple(c for c in inst.xprime if not sets[c]), name
+            masks, full, pos = _prepare_masks(inst)
+            assert full == (1 << len(inst.xprime)) - 1
+            for g in inst.universe:
+                expect = sum(1 << pos[c] for c in inst.xprime if g in sets[c])
+                assert masks[g] == expect, (name, g)
+            for o in (HORIZONTAL, VERTICAL):
+                sub = inst.restrict_orientation(o)
+                uset = set(sub.universe)
+                assert sub.sets == {c: s & uset for c, s in sets.items()}, name
+            weights = {g: 2 for g in inst.universe}
+            winst = inst.with_weights(weights)
+            assert winst.sets == sets and winst.weights == weights, name
+
+
+# ---------------------------------------------------------------------------
+# Validation
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, rings):
+    try:
+        return fn(rings)
+    except sc.PolygonError as e:
+        return (type(e), str(e))
+
+
+def _random_ring(rng, size, k):
+    """A closed staircase walk: alternate x and y moves, then close."""
+    pts = [(rng.randint(0, size), rng.randint(0, size))]
+    for i in range(1, k):
+        x, y = pts[-1]
+        if i % 2:
+            pts.append((rng.randint(0, size), y))
+        else:
+            pts.append((x, rng.randint(0, size)))
+    x, y = pts[-1]
+    if k % 2 == 0:
+        pts.append((pts[0][0], y))
+    return pts
+
+
+def _rect(x0, y0, x1, y1):
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+
+def test_validate_matches_all_pairs_reference(polygons):
+    rng = random.Random(17)
+    cases = [[list(r) for r in p.rings()] for p in polygons.values()]
+    for _ in range(400):  # random staircase rings: mostly self-touching
+        cases.append([_random_ring(rng, 8, rng.randint(4, 12))])
+    for p in list(polygons.values())[:30]:  # random rectangles as holes: touching,
+        xl, yl, xh, yh = p.bbox()         # overlapping, nested, outside
+        for _ in range(8):
+            rings = [list(r) for r in p.rings()]
+            for _ in range(rng.randint(1, 3)):
+                x0, y0 = rng.randint(xl - 2, xh), rng.randint(yl - 2, yh)
+                rings.append(_rect(x0, y0, x0 + rng.randint(1, 4), y0 + rng.randint(1, 4)))
+            cases.append(rings)
+    kinds = set()
+    for rings in cases:
+        got, want = _outcome(sc.validate_polygon, rings), _outcome(loop_validate, rings)
+        assert got == want, rings
+        kinds.add(want[0] if isinstance(want, tuple) else "ok")
+    assert {"ok", SelfIntersection, HoleOutsideOuter} <= kinds
+
+
+@pytest.mark.parametrize("rings, error", [
+    # a hole whose corner meets the outer ring's reflex vertex at one point
+    ([[(0, 0), (10, 0), (10, 10), (5, 10), (5, 5), (0, 5)], _rect(5, 3, 7, 5)],
+     HoleOutsideOuter),
+    # a vertex of the ring lands on another edge of the same ring
+    ([[(0, 0), (6, 0), (6, 4), (3, 4), (3, 0), (2, 0), (2, -2), (0, -2)]], SelfIntersection),
+    # two holes share part of a vertical edge
+    ([_rect(0, 0, 12, 12), _rect(2, 2, 4, 4), _rect(4, 3, 6, 6)], HoleOutsideOuter),
+    # a hole nested in another hole
+    ([_rect(0, 0, 20, 20), _rect(2, 2, 10, 10), _rect(4, 4, 6, 6)], HoleOutsideOuter),
+    # a hole outside the outer ring
+    ([_rect(0, 0, 5, 5), _rect(7, 7, 9, 9)], HoleOutsideOuter),
+    # a hole crossing the outer ring
+    ([_rect(0, 0, 5, 5), _rect(3, 3, 7, 4)], HoleOutsideOuter),
+])
+def test_validate_targeted_contacts(rings, error):
+    with pytest.raises(error) as got:
+        sc.validate_polygon(rings)
+    assert _outcome(loop_validate, rings) == (error, str(got.value))

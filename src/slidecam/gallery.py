@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     GenerationFailed,
@@ -24,9 +24,10 @@ from .geometry import (
     GuardSegment,
     OrthoPolygon,
     Pixelation,
+    Rect,
+    Vertex,
     guard_segments,
     pixelate,
-    segmentation_dual,
     validate_polygon,
     verify_cover,
 )
@@ -43,11 +44,16 @@ def polygon_from_cells(cells: Set[Cell]) -> OrthoPolygon:
     """Trace the boundary of a union of unit cells into a polygon.
 
     The cell set must be connected, simply connected and free of pinch
-    points; the outer ring is walked with the interior on its left.
+    points.
     """
+    return validate_polygon([_boundary_corners(cells)])
+
+
+def _boundary_corners(cells: Set[Cell]) -> List[Cell]:
+    """The corners of a cell set's outer boundary, walked with the interior on the left."""
     if not cells:
         raise GenerationFailed("empty cell set")
-    # directed boundary edges, interior on the left
+    # directed unit boundary edges, interior on the left
     nxt: Dict[Cell, Cell] = {}
     for (x, y) in cells:
         if (x, y - 1) not in cells:
@@ -58,17 +64,21 @@ def polygon_from_cells(cells: Set[Cell]) -> OrthoPolygon:
             _add_step(nxt, (x, y + 1), (x, y))
         if (x + 1, y) not in cells:
             _add_step(nxt, (x + 1, y), (x + 1, y + 1))
-    start = min(nxt)
+    start = min(nxt)  # the lowest-leftmost boundary point is a corner
     ring = [start]
-    cur = nxt[start]
+    prev, cur = start, nxt[start]
+    steps = 1
     while cur != start:
-        ring.append(cur)
         if cur not in nxt:
             raise GenerationFailed("boundary walk left the edge set")
-        cur = nxt[cur]
-    if len(ring) != len(nxt):
+        after = nxt[cur]
+        if (after[0] - cur[0], after[1] - cur[1]) != (cur[0] - prev[0], cur[1] - prev[1]):
+            ring.append(cur)
+        prev, cur = cur, after
+        steps += 1
+    if steps != len(nxt):
         raise GenerationFailed("cell set is not simply connected")
-    return validate_polygon([ring])
+    return ring
 
 
 def _add_step(nxt: Dict[Cell, Cell], a: Cell, b: Cell):
@@ -409,32 +419,42 @@ def _path_order(adj: Dict[int, set]) -> Optional[List[int]]:
     return order if len(order) == len(adj) else None
 
 
-def _subpolygon_of_slices(pix: Pixelation, slice_ids, vertical: bool) -> OrthoPolygon:
-    which = pix._cell_vslice if vertical else pix._cell_hslice
-    wanted = set(slice_ids)
-    cells = {c for c in pix._cells if which[c] in wanted}
-    # work on the compressed grid, then map indices back to coordinates
-    ring_cells = cells
-    nxt: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for (i, j) in ring_cells:
-        if (i, j - 1) not in ring_cells:
-            _add_step(nxt, (i, j), (i + 1, j))
-        if (i, j + 1) not in ring_cells:
-            _add_step(nxt, (i + 1, j + 1), (i, j + 1))
-        if (i - 1, j) not in ring_cells:
-            _add_step(nxt, (i, j + 1), (i, j))
-        if (i + 1, j) not in ring_cells:
-            _add_step(nxt, (i + 1, j), (i + 1, j + 1))
-    start = min(nxt)
-    walk = [start]
-    cur = nxt[start]
-    while cur != start:
-        walk.append(cur)
-        cur = nxt[cur]
-    if len(walk) != len(nxt):
-        raise AssertionError("peeled region is not simply connected")
-    ring = [(pix.x_cuts[i], pix.y_cuts[j]) for i, j in walk]
-    return validate_polygon([ring])
+def _seam(r1: Rect, r2: Rect, vertical: bool) -> Tuple[Vertex, Vertex]:
+    """Ends (p, q) of the side two adjacent slices share, ``r2`` left of p -> q."""
+    if vertical:
+        x = max(r1[0], r2[0])
+        lo, hi = (x, max(r1[1], r2[1])), (x, min(r1[3], r2[3]))
+        return (hi, lo) if r2[0] == x else (lo, hi)
+    y = max(r1[1], r2[1])
+    lo, hi = (max(r1[0], r2[0]), y), (min(r1[2], r2[2]), y)
+    return (lo, hi) if r2[1] == y else (hi, lo)
+
+
+def _inside_edge(t: Vertex, a: Vertex, b: Vertex) -> bool:
+    """Does ``t`` lie on the axis-parallel edge a-b, strictly between its ends?"""
+    if a[0] == b[0] == t[0]:
+        return min(a[1], b[1]) < t[1] < max(a[1], b[1])
+    return a[1] == b[1] == t[1] and min(a[0], b[0]) < t[0] < max(a[0], b[0])
+
+
+def _split_ring(ring: Sequence[Vertex], p: Vertex, q: Vertex):
+    """Cut a ring along the chord between two of its boundary points.
+
+    Returns the arc from p to q and the arc from q to p, both in ring order
+    and with both ends; closing an arc with the chord gives the ring of the
+    part on the left of the chord's direction from the arc's end back to its
+    start.
+    """
+    pts = list(ring)
+    for t in (p, q):
+        if t not in pts:
+            n = len(pts)
+            k = next(k for k in range(n) if _inside_edge(t, pts[k], pts[(k + 1) % n]))
+            pts.insert(k + 1, t)
+    i, j = pts.index(p), pts.index(q)
+    if i < j:
+        return pts[i:j + 1], pts[j:] + pts[:i + 1]
+    return pts[i:] + pts[:j + 1], pts[j:i + 1]
 
 
 def path_guard(poly: OrthoPolygon) -> Solution:
@@ -449,58 +469,55 @@ def path_guard(poly: OrthoPolygon) -> Solution:
 
 
 def path_guard_steps(poly: OrthoPolygon) -> Tuple[Solution, List[PeelStep]]:
+    """:func:`path_guard` together with the peel steps it took.
+
+    Everything about the slices comes from the input's own pixelation: a
+    remainder's slices are the input's slices minus the peeled ones, so its
+    path is what is left of the input's path.  Each peel cuts the current
+    ring along the seam between the last peeled and the first kept slice,
+    which costs O(n); only the pieces are pixelated, by :func:`guard_small`.
+    """
     if poly.holes:
         raise NotPathSegmentation("polygon has holes")
-    orientation = None
-    for cand in (VERTICAL, HORIZONTAL):
-        if _path_order(segmentation_dual(poly, cand)) is not None:
-            orientation = cand
-            break
-    if orientation is None:
-        raise NotPathSegmentation("neither segmentation dual is a path")
-
     pix0 = pixelate(poly)
+    for orientation in (VERTICAL, HORIZONTAL):
+        path = _path_order(pix0.slice_dual(orientation))
+        if path is not None:
+            break
+    else:
+        raise NotPathSegmentation("neither segmentation dual is a path")
+    vertical = orientation == VERTICAL
+    rects = [s.rect for s in (pix0.slices_v if vertical else pix0.slices_h)]
+    reflex = set(pix0.reflex_vertices)
+
     cameras: List[GuardSegment] = []
     steps: List[PeelStep] = []
     cur = poly
-    while True:
-        if cur.n <= 8:
-            g = guard_small(cur)
-            cameras.append(pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi))
-            break
-        pix = pixelate(cur)
-        adj = segmentation_dual(cur, orientation)
-        order = _path_order(adj)
-        if order is None:
-            raise NotPathSegmentation("remainder lost its path segmentation")
-        vertical = orientation == VERTICAL
-        slices = pix.slices_v if vertical else pix.slices_h
-        first, second = order[0], order[1]
-        r1, r2 = slices[first].rect, slices[second].rect
-        if vertical:
-            x = max(r1[0], r2[0])  # shared boundary line of the two slices
-            lo, hi = max(r1[1], r2[1]), min(r1[3], r2[3])
-            endpoints = [(x, lo), (x, hi)]
-        else:
-            y = max(r1[1], r2[1])
-            lo, hi = max(r1[0], r2[0]), min(r1[2], r2[2])
-            endpoints = [(lo, y), (hi, y)]
-        reflex = set(pix.reflex_vertices)
-        take = 2 if all(p in reflex for p in endpoints) else 3
-        take = min(take, len(order) - 1)
-        peeled_ids = order[:take]
-        sub = _subpolygon_of_slices(pix, peeled_ids, vertical)
+    while cur.n > 8:
+        # Slices are numbered by sorted rect, so peel from the end whose
+        # slice has the smaller id, as _path_order on the remainder would.
+        if path[-1] < path[0]:
+            path.reverse()
+        first_seam = _seam(rects[path[0]], rects[path[1]], vertical)
+        take = 2 if all(p in reflex for p in first_seam) else 3
+        take = min(take, len(path) - 1)
+        p, q = _seam(rects[path[take - 1]], rects[path[take]], vertical)
+        piece_ring, rest_ring = _split_ring(cur.outer, p, q)
+        sub = validate_polygon([piece_ring])
         if sub.n > 8:
             raise AssertionError(f"peeled piece has {sub.n} > 8 vertices")
         g = guard_small(sub)
         camera = pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi)
         cameras.append(camera)
-        remainder = _subpolygon_of_slices(pix, order[take:], vertical)
+        remainder = validate_polygon([rest_ring])
         if remainder.n > cur.n - 6:
             raise AssertionError("peel did not remove enough vertices")
         steps.append(PeelStep(slices_removed=take, subpolygon=sub,
                               camera=camera, remainder=remainder))
         cur = remainder
+        path = path[take:]
+    g = guard_small(cur)
+    cameras.append(pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi))
 
     bound = (poly.n + 2) // 6
     if len(cameras) > bound:

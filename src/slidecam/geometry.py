@@ -99,27 +99,27 @@ def _normalize_ring(raw: Sequence[Sequence[int]], name: str) -> List[Vertex]:
     if len(pts) < 4:
         raise DegenerateRing(f"{name}: fewer than 4 distinct vertices")
     # Merge collinear runs; a reversal (spur) means the boundary doubles back.
-    changed = True
-    while changed:
-        changed = False
-        n = len(pts)
-        for i in range(n):
-            a = pts[(i - 1) % n]
-            b = pts[i]
-            c = pts[(i + 1) % n]
-            abx, aby = b[0] - a[0], b[1] - a[1]
-            bcx, bcy = c[0] - b[0], c[1] - b[1]
-            if abx * bcy - aby * bcx == 0:
-                if abx * bcx + aby * bcy < 0:
-                    raise SelfIntersection(f"{name}: boundary doubles back at {b}")
-                del pts[i]
-                changed = True
-                break
-        if len(pts) < 4:
-            raise DegenerateRing(f"{name}: collapses to fewer than 4 vertices")
-    if _signed_area2(pts) == 0:
+    # Dropping a straight-through vertex keeps the directions of both its
+    # neighbours' edges, so every vertex is a turn, straight or a spur in the
+    # input already: one pass drops the straight vertices up to the first spur.
+    turns: List[Vertex] = []
+    spur = None
+    for i in range(n):
+        a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
+        abx, aby = b[0] - a[0], b[1] - a[1]
+        bcx, bcy = c[0] - b[0], c[1] - b[1]
+        if abx * bcy - aby * bcx != 0:
+            turns.append(b)
+        elif abx * bcx + aby * bcy < 0:
+            spur = i
+            break
+    if len(turns) + (n - spur if spur is not None else 0) < 4:
+        raise DegenerateRing(f"{name}: collapses to fewer than 4 vertices")
+    if spur is not None:
+        raise SelfIntersection(f"{name}: boundary doubles back at {pts[spur]}")
+    if _signed_area2(turns) == 0:
         raise DegenerateRing(f"{name}: zero area")
-    return pts
+    return turns
 
 
 def _ring_edges(ring: Sequence[Vertex]):
@@ -794,6 +794,22 @@ class Pixelation:
         return GuardSegment(orientation=orientation, anchor=anchor, lo=lo2, hi=hi2,
                             id=-1, hit_set=mask)
 
+    def slice_dual(self, orientation: str) -> Dict[int, set]:
+        """Slice ids of one segmentation, adjacent iff the slices share part of a side."""
+        if orientation == VERTICAL:
+            n, which = len(self.slices_v), self._cell_vslice
+        else:
+            n, which = len(self.slices_h), self._cell_hslice
+        adj: Dict[int, set] = {i: set() for i in range(n)}
+        for (i, j) in self._cells:
+            for nb in ((i + 1, j), (i, j + 1)):
+                if nb in which:
+                    a, b = which[(i, j)], which[nb]
+                    if a != b:
+                        adj[a].add(b)
+                        adj[b].add(a)
+        return adj
+
     def is_thin(self) -> bool:
         """No pixel corner lies in the interior of the polygon."""
         for p in self.pixels:
@@ -886,19 +902,4 @@ def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None
 
 def segmentation_dual(polygon: OrthoPolygon, orientation: str) -> Dict[int, set]:
     """Weak dual of one segmentation: slices adjacent iff they share part of a side."""
-    pix = pixelate(polygon)
-    if orientation == VERTICAL:
-        n = len(pix.slices_v)
-        which = pix._cell_vslice
-    else:
-        n = len(pix.slices_h)
-        which = pix._cell_hslice
-    adj: Dict[int, set] = {i: set() for i in range(n)}
-    for (i, j) in pix._cells:
-        for nb in ((i + 1, j), (i, j + 1)):
-            if nb in which:
-                a, b = which[(i, j)], which[nb]
-                if a != b:
-                    adj[a].add(b)
-                    adj[b].add(a)
-    return adj
+    return pixelate(polygon).slice_dual(orientation)

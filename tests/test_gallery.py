@@ -3,7 +3,7 @@ import random
 import pytest
 
 import slidecam as sc
-from slidecam.gallery import _path_order
+from slidecam.gallery import _boundary_corners, _path_order, _spiral_cells
 from slidecam.treewidth import dual_graph, is_tree
 
 from conftest import LSHAPE, RECT, oriented_instance
@@ -29,6 +29,23 @@ def test_gen_path_lb_counts_and_optima():
         assert _path_order(sc.segmentation_dual(p, "V")) is not None
         pix = sc.pixelate(p)
         assert sc.brute_force_min_cover(sc.build_instance(pix)).size == k
+
+
+def test_boundary_corners_are_the_polygon_vertices():
+    rng = random.Random(5)
+    cell_sets = [_spiral_cells(k) for k in range(1, 7)]
+    cell_sets += [{(x, y) for x in range(4) for y in range(4) if rng.random() < 0.75}
+                  for _ in range(200)]
+    traced = 0
+    for cells in cell_sets:
+        try:
+            ring = _boundary_corners(cells)
+        except sc.GenerationFailed:  # pinched, holed or disconnected
+            continue
+        poly = sc.validate_polygon([ring])
+        assert len(ring) == poly.n and set(ring) == set(poly.outer)
+        traced += 1
+    assert traced >= 20
 
 
 def test_gen_random_simple_valid():
@@ -203,6 +220,22 @@ def test_path_guard_staircases():
         assert sc.verify_cover(pix, list(sol.cameras)).covered
         oracle = sc.brute_force_min_cover(sc.build_instance(pix)).size
         assert sol.size >= oracle
+
+
+# gen_random_simple(12, seed=0): its vertical slices form a path, but the
+# first peel takes three slices whose union has 10 vertices.
+REFUSED_PATH_SHAPE = [(0, 0), (2, 0), (2, 1), (3, 1), (3, 4), (5, 4), (5, 6),
+                      (2, 6), (2, 4), (1, 4), (1, 6), (0, 6)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="path_guard refuses: peeled piece has 10 > 8 vertices")
+def test_path_guard_known_refusal():
+    p = sc.validate_polygon([REFUSED_PATH_SHAPE])
+    if _path_order(sc.segmentation_dual(p, "V")) is None:
+        pytest.fail("the pinned shape lost its path segmentation")
+    sol = sc.path_guard(p)
+    assert sol.size <= (p.n + 2) // 6
 
 
 def test_peel_soundness():

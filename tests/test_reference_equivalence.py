@@ -3,8 +3,11 @@
 The reference loops below are the straightforward versions: a per-cell ray
 cast for ``inside``, an all-pairs edge contact test with every hole vertex
 checked for containment, a linear ``on_boundary`` scan, a scan over every
-slice-segment for each guard, a guard-by-guard ``verify_cover`` and an
-O(crosses * guards) hitting-set transpose.  Every output must agree exactly.
+slice-segment for each guard, a guard-by-guard ``verify_cover``, an
+O(crosses * guards) hitting-set transpose, a ring normalizer that rescans
+from the start after each merged vertex, and a ``path_guard_steps`` that
+re-validates, re-pixelates and re-segments every remainder and traces each
+piece unit step by unit step.  Every output must agree exactly.
 """
 import random
 
@@ -12,8 +15,10 @@ import pytest
 
 import slidecam as sc
 from slidecam.errors import HoleOutsideOuter, SelfIntersection
-from slidecam.exact import _prepare_masks
+from slidecam.exact import _prepare_masks, make_solution
+from slidecam.gallery import _path_order
 from slidecam.geometry import (
+    _COORD_LIMIT,
     HORIZONTAL,
     VERTICAL,
     _normalize_ring,
@@ -25,6 +30,7 @@ from slidecam.geometry import (
 )
 
 from test_fuzz import gen_random_holed
+from test_gallery import staircase_polygon
 
 # ---------------------------------------------------------------------------
 # Reference loops
@@ -45,7 +51,7 @@ def loop_validate(rings):
     """validate_polygon with the O(E^2) all-pairs contact test."""
     if not rings:
         raise sc.DegenerateRing("no rings given")
-    norm = [_normalize_ring(r, f"ring {i}") for i, r in enumerate(rings)]
+    norm = [loop_normalize_ring(r, f"ring {i}") for i, r in enumerate(rings)]
     outer = norm[0]
     if _signed_area2(outer) < 0:
         outer.reverse()
@@ -160,6 +166,126 @@ def loop_verify_cover(pix, guards, xprime=None):
 
 def loop_sets(pix, xprime, universe):
     return {c: frozenset(g for g in universe if pix.guards[g].hit_set >> c & 1) for c in xprime}
+
+
+def loop_normalize_ring(raw, name):
+    """_normalize_ring that rescans from the start after each merged vertex."""
+    pts = []
+    for p in raw:
+        v = (int(p[0]), int(p[1]))
+        if abs(v[0]) > _COORD_LIMIT or abs(v[1]) > _COORD_LIMIT:
+            raise sc.PolygonError(f"{name}: coordinate outside 32-bit range: {v}")
+        if not pts or pts[-1] != v:
+            pts.append(v)
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    if len(pts) < 3:
+        raise sc.DegenerateRing(f"{name}: fewer than 3 distinct vertices")
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if a[0] != b[0] and a[1] != b[1]:
+            raise sc.NonOrthogonalEdge(f"{name}: edge {a}-{b} is not axis-parallel")
+    if len(pts) < 4:
+        raise sc.DegenerateRing(f"{name}: fewer than 4 distinct vertices")
+    changed = True
+    while changed:
+        changed = False
+        n = len(pts)
+        for i in range(n):
+            a, b, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
+            abx, aby = b[0] - a[0], b[1] - a[1]
+            bcx, bcy = c[0] - b[0], c[1] - b[1]
+            if abx * bcy - aby * bcx == 0:
+                if abx * bcx + aby * bcy < 0:
+                    raise SelfIntersection(f"{name}: boundary doubles back at {b}")
+                del pts[i]
+                changed = True
+                break
+        if len(pts) < 4:
+            raise sc.DegenerateRing(f"{name}: collapses to fewer than 4 vertices")
+    if _signed_area2(pts) == 0:
+        raise sc.DegenerateRing(f"{name}: zero area")
+    return pts
+
+
+def loop_subpolygon_of_slices(pix, slice_ids, vertical):
+    """The union of some slices, traced unit step by unit step over all cells."""
+    which = pix._cell_vslice if vertical else pix._cell_hslice
+    wanted = set(slice_ids)
+    cells = {c for c in pix._cells if which[c] in wanted}
+    nxt = {}
+    for (i, j) in cells:
+        for nb, a, b in (((i, j - 1), (i, j), (i + 1, j)),
+                         ((i, j + 1), (i + 1, j + 1), (i, j + 1)),
+                         ((i - 1, j), (i, j + 1), (i, j)),
+                         ((i + 1, j), (i + 1, j), (i + 1, j + 1))):
+            if nb not in cells:
+                if a in nxt:
+                    raise sc.GenerationFailed("pinch point in cell set")
+                nxt[a] = b
+    start = min(nxt)
+    walk = [start]
+    cur = nxt[start]
+    while cur != start:
+        walk.append(cur)
+        cur = nxt[cur]
+    if len(walk) != len(nxt):
+        raise AssertionError("peeled region is not simply connected")
+    return sc.validate_polygon([[(pix.x_cuts[i], pix.y_cuts[j]) for i, j in walk]])
+
+
+def loop_path_guard_steps(poly):
+    """path_guard_steps re-validating, re-pixelating and re-segmenting every remainder."""
+    if poly.holes:
+        raise sc.NotPathSegmentation("polygon has holes")
+    orientation = None
+    for cand in (VERTICAL, HORIZONTAL):
+        if _path_order(sc.segmentation_dual(poly, cand)) is not None:
+            orientation = cand
+            break
+    if orientation is None:
+        raise sc.NotPathSegmentation("neither segmentation dual is a path")
+    pix0 = sc.pixelate(poly)
+    cameras, steps = [], []
+    cur = poly
+    while True:
+        if cur.n <= 8:
+            g = sc.guard_small(cur)
+            cameras.append(pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi))
+            break
+        pix = sc.pixelate(cur)
+        order = _path_order(sc.segmentation_dual(cur, orientation))
+        if order is None:
+            raise sc.NotPathSegmentation("remainder lost its path segmentation")
+        vertical = orientation == VERTICAL
+        slices = pix.slices_v if vertical else pix.slices_h
+        r1, r2 = slices[order[0]].rect, slices[order[1]].rect
+        if vertical:
+            x, lo, hi = max(r1[0], r2[0]), max(r1[1], r2[1]), min(r1[3], r2[3])
+            endpoints = [(x, lo), (x, hi)]
+        else:
+            y, lo, hi = max(r1[1], r2[1]), max(r1[0], r2[0]), min(r1[2], r2[2])
+            endpoints = [(lo, y), (hi, y)]
+        reflex = set(pix.reflex_vertices)
+        take = 2 if all(p in reflex for p in endpoints) else 3
+        take = min(take, len(order) - 1)
+        sub = loop_subpolygon_of_slices(pix, order[:take], vertical)
+        if sub.n > 8:
+            raise AssertionError(f"peeled piece has {sub.n} > 8 vertices")
+        g = sc.guard_small(sub)
+        camera = pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi)
+        cameras.append(camera)
+        remainder = loop_subpolygon_of_slices(pix, order[take:], vertical)
+        if remainder.n > cur.n - 6:
+            raise AssertionError("peel did not remove enough vertices")
+        steps.append(sc.PeelStep(slices_removed=take, subpolygon=sub,
+                                 camera=camera, remainder=remainder))
+        cur = remainder
+    bound = (poly.n + 2) // 6
+    if len(cameras) > bound:
+        raise AssertionError(f"path guarding used {len(cameras)} > {bound} cameras")
+    return make_solution(pix0, range(len(pix0.crosses)), cameras, "path"), steps
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +520,98 @@ def test_validate_targeted_contacts(rings, error):
     with pytest.raises(error) as got:
         sc.validate_polygon(rings)
     assert _outcome(loop_validate, rings) == (error, str(got.value))
+
+
+def _normalize_outcome(fn, raw):
+    try:
+        return fn(raw, "ring 0")
+    except sc.PolygonError as e:
+        return (type(e), str(e))
+
+
+def _pad_ring(ring, rng):
+    """The ring with extra points inside some edges and some points repeated."""
+    out = []
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        out.extend([a] * rng.randint(1, 2))
+        axis = 1 if a[0] == b[0] else 0
+        lo, hi = sorted((a[axis], b[axis]))
+        inner = sorted(rng.sample(range(lo + 1, hi), min(max(0, hi - lo - 1), rng.randint(0, 2))),
+                       reverse=a[axis] > b[axis])
+        out.extend((a[0], t) if axis else (t, a[1]) for t in inner)
+    return out
+
+
+def _spiked(ring, i, d, length):
+    """The ring with a spur out of vertex i: out by ``length`` along ``d`` and back."""
+    v = ring[i]
+    return ring[:i + 1] + [(v[0] + d[0] * length, v[1] + d[1] * length), v] + ring[i + 1:]
+
+
+def _random_walk(rng, k):
+    """Axis-parallel moves in a 4x4 box, closed orthogonally: runs, spurs, repeats."""
+    pts = [(rng.randint(0, 3), rng.randint(0, 3))]
+    for _ in range(k):
+        x, y = pts[-1]
+        pts.append((rng.randint(0, 3), y) if rng.random() < 0.5 else (x, rng.randint(0, 3)))
+    pts.append((pts[0][0], pts[-1][1]))
+    return pts
+
+
+def test_normalize_ring_matches_rescan_reference(polygons):
+    rng = random.Random(23)
+    rings = []
+    for _ in range(300):  # random staircase rings with collinear and repeated points
+        ring = _random_ring(rng, 10, rng.randint(4, 12))
+        rings += [ring, _pad_ring(ring, rng)]
+    for p in list(polygons.values())[:40]:
+        rings.append(_pad_ring(list(p.outer), rng))
+    for _ in range(400):
+        rings.append(_random_walk(rng, rng.randint(3, 10)))
+    # spurs out of every vertex, along and across its edges, at every rotation:
+    # at index 0, across the wrap-around and mid-ring
+    base = _pad_ring(_rect(0, 0, 6, 4), random.Random(1))
+    for i in range(len(base)):
+        for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            spiked = _spiked(base, i, d, rng.randint(1, 3))
+            rings += [spiked[k:] + spiked[:k] for k in range(len(spiked))]
+    # straight runs that collapse below four vertices before a spur is reached
+    rings += [[(1, 0), (2, 0), (3, 0), (0, 0)],
+              [(0, 0), (1, 0), (2, 0), (2, 2), (2, 1), (2, 0), (5, 0), (0, 0)],
+              [(0, 0), (0, 1), (0, 2), (0, 3), (3, 3), (0, 3)]]
+    kinds = set()
+    for raw in rings:
+        want = _normalize_outcome(loop_normalize_ring, raw)
+        assert _normalize_outcome(_normalize_ring, raw) == want, raw
+        kinds.add(want[1].split(": ")[1][:14] if isinstance(want, tuple) else "ok")
+    assert {"ok", "boundary doubl", "collapses to f", "zero area"} <= kinds
+
+
+def _peel_outcome(fn, poly):
+    try:
+        sol, steps = fn(poly)
+    except Exception as e:
+        return (type(e), str(e))
+    return sol.cameras, [(s.slices_removed, s.subpolygon, s.camera, s.remainder) for s in steps]
+
+
+def test_path_guard_matches_per_peel_reference():
+    polys = [sc.gen_comb(k) for k in range(1, 61)]
+    polys += [sc.gen_path_lb(k) for k in range(1, 27)]
+    rng = random.Random(99)  # the staircases of test_path_guard_staircases
+    polys += [staircase_polygon(rng.randint(1, 10), rng) for _ in range(25)]
+    for n in range(12, 30, 2):  # random shapes whose dual is a path, refused ones too
+        picked, seed = 0, 0
+        while picked < 34:
+            p = sc.gen_random_simple(n, seed)
+            seed += 1
+            if any(_path_order(sc.segmentation_dual(p, o)) is not None
+                   for o in (VERTICAL, HORIZONTAL)):
+                polys.append(p)
+                picked += 1
+    refused = 0
+    for p in polys:
+        want = _peel_outcome(loop_path_guard_steps, p)
+        assert _peel_outcome(sc.path_guard_steps, p) == want, p
+        refused += isinstance(want[0], type)
+    assert 30 <= refused < len(polys) - 300

@@ -3,21 +3,24 @@
 The net finder is weighted random sampling with post-hoc verification and
 resampling, giving nets of size O(r log m) instead of the optimal O(r); any
 verified net preserves the correctness of the reweighting loop, which only
-ever doubles the weights of a light unhit set.  All randomness is derived
-from string seeds, so identical seeds give identical runs.
+ever doubles the weights of a light unhit set.  Incidence is read from each
+guard's ``hit_set`` bitmask over cross ids.  All randomness is derived from
+string seeds, so identical seeds give identical runs.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import logging
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import BudgetInsufficient, Infeasible
 from .exact import Solution, make_solution
-from .geometry import HORIZONTAL, VERTICAL, verify_cover
+from .geometry import HORIZONTAL, VERTICAL, Pixelation, _bits
 from .hitset import HittingInstance
 
 log = logging.getLogger(__name__)
@@ -61,36 +64,59 @@ def _as_fraction(r) -> Fraction:
     return Fraction(r).limit_denominator(10**9)
 
 
+def _hit_mask(pix: Pixelation, guards: Iterable[int]) -> int:
+    """The crosses hit by any of the guards: an OR of their ``hit_set`` masks."""
+    mask = 0
+    for g in guards:
+        mask |= pix.guards[g].hit_set
+    return mask
+
+
 def heavy_sets(inst: HittingInstance, r: Fraction) -> List[int]:
     """Crosses whose set weight is at least W/r (exact rational comparison)."""
+    wanted = sum(1 << c for c in inst.xprime)
+    set_weight = dict.fromkeys(inst.xprime, 0)
+    for g in inst.universe:
+        for c in _bits(inst.pix.guards[g].hit_set & wanted):
+            set_weight[c] += inst.weight_of(g)
     W = inst.total_weight()
     return [c for c in inst.xprime
-            if inst.set_weight(c) * r.numerator >= W * r.denominator]
+            if set_weight[c] * r.numerator >= W * r.denominator]
 
 
 def is_net(inst: HittingInstance, net: FrozenSet[int], r: Fraction) -> bool:
-    return all(inst.sets[c] & net for c in heavy_sets(inst, r))
+    hit = _hit_mask(inst.pix, set(net).intersection(inst.universe))
+    return not sum(1 << c for c in heavy_sets(inst, r)) & ~hit
 
 
 def _weighted_sample(rng: random.Random, items: List[int], weights: List[int], k: int) -> set:
     """k independent weighted draws using exact integer cumulative weights."""
-    cum = []
-    total = 0
-    for w in weights:
-        total += w
-        cum.append(total)
-    picked = set()
-    for _ in range(k):
-        t = rng.randrange(total)
-        lo, hi = 0, len(cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] > t:
-                hi = mid
-            else:
-                lo = mid + 1
-        picked.add(items[lo])
-    return picked
+    cum = list(itertools.accumulate(weights))
+    return {items[bisect.bisect_right(cum, rng.randrange(cum[-1]))] for _ in range(k)}
+
+
+def _sample_net(inst: HittingInstance, req: NetRequest) -> FrozenSet[int]:
+    """The sampling loop behind ``find_net`` and each part of ``combined_net``.
+
+    Weights are positive, so a set that no guard of ``inst`` hits (possible
+    in an orientation part of ``combined_net``) weighs 0 and is never heavy.
+    """
+    r = _as_fraction(req.r)
+    budget = req.budget(len(inst.xprime))
+    universe = sorted(inst.universe)
+    if budget >= len(universe):
+        return frozenset(universe)
+    weights = [inst.weight_of(g) for g in universe]
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
+    heavy = sum(1 << c for c in heavy_sets(inst, r))
+    rng = random.Random(f"net:{req.seed}")
+    for _ in range(_MAX_SAMPLING_ATTEMPTS):
+        net = _weighted_sample(rng, universe, weights, budget)
+        if not heavy & ~_hit_mask(inst.pix, net):
+            return frozenset(net)
+    raise BudgetInsufficient(
+        f"no valid net of size {budget} found in {_MAX_SAMPLING_ATTEMPTS} attempts")
 
 
 def find_net(inst: HittingInstance, req: NetRequest) -> FrozenSet[int]:
@@ -102,24 +128,9 @@ def find_net(inst: HittingInstance, req: NetRequest) -> FrozenSet[int]:
     """
     if not inst.feasible:
         raise Infeasible("net finder needs a feasible instance")
-    r = _as_fraction(req.r)
-    if r < 1:
+    if _as_fraction(req.r) < 1:
         raise ValueError("net parameter r must be at least 1")
-    budget = req.budget(len(inst.xprime))
-    universe = sorted(inst.universe)
-    if budget >= len(universe):
-        return frozenset(universe)
-    weights = [inst.weight_of(g) for g in universe]
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
-    heavy = heavy_sets(inst, r)
-    rng = random.Random(f"net:{req.seed}")
-    for _ in range(_MAX_SAMPLING_ATTEMPTS):
-        net = _weighted_sample(rng, universe, weights, budget)
-        if all(inst.sets[c] & net for c in heavy):
-            return frozenset(net)
-    raise BudgetInsufficient(
-        f"no valid net of size {budget} found in {_MAX_SAMPLING_ATTEMPTS} attempts")
+    return _sample_net(inst, req)
 
 
 def combined_net(inst: HittingInstance, req: NetRequest) -> FrozenSet[int]:
@@ -137,38 +148,11 @@ def combined_net(inst: HittingInstance, req: NetRequest) -> FrozenSet[int]:
             continue
         sub_req = NetRequest(r=2 * r, seed=f"{req.seed}:{tag}",
                              size_budget=req.size_budget, net_constant=req.net_constant)
-        parts.append(_subinstance_net(sub, sub_req))
-    net = frozenset().union(*parts) if parts else frozenset()
+        parts.append(_sample_net(sub, sub_req))
+    net = frozenset().union(*parts)
     if not is_net(inst, net, r):
         raise BudgetInsufficient("combined net failed verification at parameter r")
     return net
-
-
-def _subinstance_net(sub: HittingInstance, req: NetRequest) -> FrozenSet[int]:
-    """Like find_net but tolerates sets that became empty under restriction."""
-    r = _as_fraction(req.r)
-    budget = req.budget(len(sub.xprime))
-    universe = sorted(sub.universe)
-    if budget >= len(universe):
-        return frozenset(universe)
-    weights = [sub.weight_of(g) for g in universe]
-    heavy = [c for c in heavy_sets(sub, r) if sub.sets[c]]
-    rng = random.Random(f"net:{req.seed}")
-    for _ in range(_MAX_SAMPLING_ATTEMPTS):
-        net = _weighted_sample(rng, universe, weights, budget)
-        if all(sub.sets[c] & net for c in heavy):
-            return frozenset(net)
-    raise BudgetInsufficient(
-        f"no valid net of size {budget} found in {_MAX_SAMPLING_ATTEMPTS} attempts")
-
-
-def _net_budget(inst: HittingInstance, r: Fraction, net_constant: float) -> int:
-    """Size bound of the net finder actually used for this instance."""
-    m = len(inst.xprime)
-    single = math.ceil(net_constant * float(r) * math.log(max(2, m)))
-    if len(inst.orientations()) > 1:
-        return 2 * math.ceil(net_constant * float(2 * r) * math.log(max(2, m)))
-    return single
 
 
 def bg_hitting_set(inst: HittingInstance, seed: int = 0,
@@ -177,11 +161,12 @@ def bg_hitting_set(inst: HittingInstance, seed: int = 0,
     """Reweighting hitting-set loop: guess k, find (1/2k)-nets, double light sets.
 
     For each guess k (doubling from 1) weights start at 1; each round finds a
-    verified (1/2k)-net, checks it with the geometric verifier and, if some
-    cross is unhit, doubles the weights of its (necessarily light) set.  The
-    number of rounds per guess is capped at ``round_constant * k *
-    log2(|U|/k)`` before the guess doubles, which suffices whenever an
-    optimal cover of size k exists.
+    verified (1/2k)-net and ORs its guards' ``hit_set`` masks; if some
+    requested cross is unhit, the lowest one is the witness and the weights
+    of its (necessarily light) set double.  The number of rounds per guess is
+    capped at ``round_constant * k * log2(|U|/k)`` before the guess doubles,
+    which suffices whenever an optimal cover of size k exists.  The covering
+    net is verified geometrically once, by ``make_solution``.
     """
     if not inst.feasible:
         raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
@@ -191,6 +176,11 @@ def bg_hitting_set(inst: HittingInstance, seed: int = 0,
         return ApproxReport(solution=sol, opt_guess_history=(), iterations=0,
                             net_sizes=(), terminating_k=0, budget_at_2k=0, budget_at_4k=0)
     mixed = len(inst.orientations()) > 1
+    wanted = sum(1 << c for c in inst.xprime)
+
+    def budget(r: Fraction) -> int:  # of the net finder used: per orientation at 2r if mixed
+        parts = 2 if mixed else 1
+        return parts * NetRequest(r=parts * r, net_constant=net_constant).budget(len(inst.xprime))
 
     guesses: List[int] = []
     net_sizes: List[int] = []
@@ -207,8 +197,8 @@ def bg_hitting_set(inst: HittingInstance, seed: int = 0,
                              net_constant=net_constant)
             net = combined_net(winst, req) if mixed else find_net(winst, req)
             net_sizes.append(len(net))
-            report = verify_cover(inst.pix, sorted(net), inst.xprime)
-            if report.covered:
+            unhit = wanted & ~_hit_mask(inst.pix, net)
+            if not unhit:
                 sol = make_solution(inst.pix, inst.xprime, sorted(net), "bg")
                 return ApproxReport(
                     solution=sol,
@@ -216,18 +206,19 @@ def bg_hitting_set(inst: HittingInstance, seed: int = 0,
                     iterations=iterations,
                     net_sizes=tuple(net_sizes),
                     terminating_k=k,
-                    budget_at_2k=_net_budget(inst, Fraction(2 * k), net_constant),
-                    budget_at_4k=_net_budget(inst, Fraction(4 * k), net_constant),
+                    budget_at_2k=budget(Fraction(2 * k)),
+                    budget_at_4k=budget(Fraction(4 * k)),
                 )
-            witness = report.uncovered[0]
-            w_set = sum(weights[g] for g in inst.sets[witness])
+            witness = (unhit & -unhit).bit_length() - 1
+            hitters = [g for g in universe if inst.pix.guards[g].hit_set >> witness & 1]
+            w_set = sum(weights[g] for g in hitters)
             w_total = sum(weights.values())
             # an unhit set avoided a verified (1/2k)-net, so it must be light
             if w_set * 2 * k > w_total:
                 raise AssertionError("witness set is heavy; net verification is broken")
             log.debug("k=%d round=%d: doubling %d guards of cross %d",
-                      k, rnd, len(inst.sets[witness]), witness)
-            for g in inst.sets[witness]:
+                      k, rnd, len(hitters), witness)
+            for g in hitters:
                 weights[g] *= 2
         k *= 2
         # once the budget reaches |U| the net is the whole universe, which

@@ -834,9 +834,14 @@ def _segment_intersects_sigma(orientation: str, anchor: int, lo: int, hi: int,
 # Public operations
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=1)
 def pixelate(polygon: OrthoPolygon) -> Pixelation:
-    """Build the pixelation of a validated polygon (cached per polygon)."""
+    """Build the pixelation of a validated polygon.
+
+    Only the most recent polygon is cached: repeated lookups of one polygon
+    (the input of a ``path`` solve, or one polygon in several modes) hit it,
+    and pixelations of throwaway polygons are not kept.
+    """
     return Pixelation(polygon)
 
 

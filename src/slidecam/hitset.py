@@ -24,8 +24,9 @@ class HittingInstance:
 
     Incidence lives in each guard's ``hit_set`` bitmask over cross ids;
     ``sets`` (per cross, the guards hitting it) is its transpose, derived
-    on first use.  The instance is *infeasible* (a first-class state, not
-    an error) when some cross is hit by no allowed guard.
+    on first use by ``to_dict`` and ``set_weight``.  The instance is
+    *infeasible* (a first-class state, not an error) when some cross is hit
+    by no allowed guard.
     """
 
     pix: Pixelation
@@ -65,10 +66,7 @@ class HittingInstance:
         return sum(self.weight_of(g) for g in self.sets[cid])
 
     def with_weights(self, weights: Dict[int, object]) -> "HittingInstance":
-        out = replace(self, weights=dict(weights))
-        if "sets" in self.__dict__:  # same crosses and guards: share the transpose
-            out.__dict__["sets"] = self.sets
-        return out
+        return replace(self, weights=dict(weights))
 
     def orientations(self) -> set:
         return {self.pix.guards[g].orientation for g in self.universe}

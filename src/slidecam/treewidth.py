@@ -225,29 +225,27 @@ def _make_nice(td: TreeDecomposition) -> List[_NiceNode]:
         return cur_idx
 
     adj = td.neighbors()
-
-    def build(b: int, parent: int) -> int:
-        bag = set(td.bags[b])
-        kid_idxs = []
-        for nb in sorted(adj[b]):
+    # depth-first from bag 0 with an explicit stack of (bag, parent, children
+    # left, finished child chains); a finished bag chains into its parent's bag
+    stack = [(0, -1, iter(sorted(adj[0])), [])]
+    while True:
+        b, parent, todo, kid_idxs = stack[-1]
+        nb = next(todo, None)
+        if nb is not None:
             if nb != parent:
-                sub = build(nb, b)
-                kid_idxs.append(chain(sub, set(td.bags[nb]), bag))
-        if not kid_idxs:
-            leaf = add(_NiceNode("leaf", (), None, ()))
-            return chain(leaf, set(), bag)
-        cur = kid_idxs[0]
-        for k in kid_idxs[1:]:
-            cur = add(_NiceNode("join", _sorted_bag(bag), None, (cur, k)))
-        return cur
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * len(td.bags) + 100))
-    try:
-        top = build(0, -1)
-    finally:
-        sys.setrecursionlimit(old)
+                stack.append((nb, b, iter(sorted(adj[nb])), []))
+            continue
+        bag = set(td.bags[b])
+        if kid_idxs:
+            top = kid_idxs[0]
+            for k in kid_idxs[1:]:
+                top = add(_NiceNode("join", _sorted_bag(bag), None, (top, k)))
+        else:
+            top = chain(add(_NiceNode("leaf", (), None, ())), set(), bag)
+        stack.pop()
+        if not stack:
+            break
+        stack[-1][3].append(chain(top, bag, set(td.bags[parent])))
     chain(top, set(td.bags[0]), set())
     return nodes
 

@@ -146,3 +146,15 @@ def test_combined_net_comb3_majority_orientation():
         if 2 * len(h_hitters) >= len(hitters):
             # the vertical support is then heavy for the H subinstance at 2r
             assert hitters & net, c
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="bg's sampling budget reaches |U| at k = 1, so its net is the whole universe")
+def test_bg_not_vacuous_when_opt_is_small():
+    # acceptance 5's instances; criterion 5 itself cannot notice a vacuous net
+    for seed in range(200):
+        p = sc.gen_random_simple(4 + 2 * (seed % 5), seed + 20_000)
+        inst = sc.build_instance(sc.pixelate(p))
+        if 4 * sc.brute_force_min_cover(inst).size < len(inst.universe):
+            rep = sc.bg_hitting_set(inst, seed=seed)
+            assert rep.solution.size < len(inst.universe), seed

@@ -1,5 +1,8 @@
+import importlib
 import json
 import re
+
+import pytest
 
 import slidecam as sc
 from slidecam.cli import main
@@ -187,3 +190,33 @@ def test_solve_mvsc_comb(tmp_path, capsys):
     path.write_text(json.dumps(p.to_dict()))
     assert main(["solve", str(path), "--mode", "mvsc"]) == 0
     assert "size=1" in capsys.readouterr().out  # the spine camera
+
+
+def test_solve_bg_report_says_whether_net_is_universe(tmp_path):
+    poly_path = tmp_path / "comb.json"
+    poly_path.write_text(json.dumps(sc.gen_comb(3).to_dict()))
+    report = tmp_path / "report.json"
+    assert main(["solve", str(poly_path), "--algo", "bg", "--report", str(report)]) == 0
+    info = json.loads(report.read_text())
+    assert info["bg"]["net_is_universe"] is (info["size"] == info["universe"])
+
+
+@pytest.mark.parametrize("algo", ["exact", "greedy", "bg", "dp"])
+@pytest.mark.parametrize("shape, mode", [("comb3", "msc"), ("spiral2", "mhsc")])
+def test_each_solve_verifies_its_cover_once(monkeypatch, algo, shape, mode):
+    real = sc.geometry.verify_cover
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # wrapped where each caller looks it up, as a tracer would
+    for name in ("exact", "approx", "solve", "gallery"):
+        module = importlib.import_module(f"slidecam.{name}")
+        if hasattr(module, "verify_cover"):
+            monkeypatch.setattr(module, "verify_cover", counted)
+    poly = sc.gen_comb(3) if shape == "comb3" else sc.gen_path_lb(2)
+    sol, _ = sc.solve_polygon(poly, mode=mode, algo=algo)
+    assert len(calls) == 1
+    assert sorted(calls[0][1]) == sorted(sol.guard_ids)

@@ -274,3 +274,9 @@ def test_check_bounds_holed_skips_msc():
     rep = sc.check_bounds(holed)
     assert not rep.msc_checked
     assert rep.mhsc is not None and rep.ok
+
+
+def test_path_solve_keeps_at_most_one_pixelation():
+    sc.solve_polygon(sc.gen_comb(60), algo="path")
+    # the <= 8-vertex pieces' pixelations are throwaway; none of them is kept
+    assert sc.pixelate.cache_info().currsize <= 1

@@ -7,13 +7,22 @@ slice-segment for each guard, a guard-by-guard ``verify_cover``, an
 O(crosses * guards) hitting-set transpose, a ring normalizer that rescans
 from the start after each merged vertex, and a ``path_guard_steps`` that
 re-validates, re-pixelates and re-segments every remainder and traces each
-piece unit step by unit step.  Every output must agree exactly.
+piece unit step by unit step.  The net finders sample over the per-cross
+guard sets in two copies of one loop (one for orientation parts) with their
+own budget formula, the reweighting loop verifies each net geometrically,
+and the nice decomposition is built by recursion.  Every output must agree
+exactly.
 """
+import collections
+import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
 import slidecam as sc
+from slidecam.approx import NetRequest, _as_fraction, heavy_sets, is_net
 from slidecam.errors import HoleOutsideOuter, SelfIntersection
 from slidecam.exact import _prepare_masks, make_solution
 from slidecam.gallery import _path_order
@@ -28,7 +37,17 @@ from slidecam.geometry import (
     _segment_intersects_sigma,
     _signed_area2,
 )
+from slidecam.treewidth import (
+    _make_nice,
+    _NiceNode,
+    _sorted_bag,
+    decompose,
+    dual_graph,
+    lift_decomposition,
+)
 
+from conftest import oriented_instance
+from test_approx import weighted_instances
 from test_fuzz import gen_random_holed
 from test_gallery import staircase_polygon
 
@@ -615,3 +634,291 @@ def test_path_guard_matches_per_peel_reference():
         assert _peel_outcome(sc.path_guard_steps, p) == want, p
         refused += isinstance(want[0], type)
     assert 30 <= refused < len(polys) - 300
+
+
+# ---------------------------------------------------------------------------
+# Net finders and the reweighting loop
+# ---------------------------------------------------------------------------
+
+def loop_heavy_sets(inst, r):
+    W = inst.total_weight()
+    return [c for c in inst.xprime if inst.set_weight(c) * r.numerator >= W * r.denominator]
+
+
+def loop_weighted_sample(rng, items, weights, k):
+    cum = []
+    total = 0
+    for w in weights:
+        total += w
+        cum.append(total)
+    picked = set()
+    for _ in range(k):
+        t = rng.randrange(total)
+        lo, hi = 0, len(cum) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cum[mid] > t:
+                hi = mid
+            else:
+                lo = mid + 1
+        picked.add(items[lo])
+    return picked
+
+
+def loop_find_net(inst, req):
+    """find_net over the per-cross guard sets, with its own budget and sampling loop."""
+    if not inst.feasible:
+        raise sc.Infeasible("net finder needs a feasible instance")
+    r = _as_fraction(req.r)
+    if r < 1:
+        raise ValueError("net parameter r must be at least 1")
+    budget = req.budget(len(inst.xprime))
+    universe = sorted(inst.universe)
+    if budget >= len(universe):
+        return frozenset(universe)
+    weights = [inst.weight_of(g) for g in universe]
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
+    heavy = loop_heavy_sets(inst, r)
+    rng = random.Random(f"net:{req.seed}")
+    for _ in range(50):
+        net = loop_weighted_sample(rng, universe, weights, budget)
+        if all(inst.sets[c] & net for c in heavy):
+            return frozenset(net)
+    raise sc.BudgetInsufficient(f"no valid net of size {budget} found in 50 attempts")
+
+
+def loop_subinstance_net(sub, req):
+    """The orientation-part copy of the loop, dropping heavy sets left empty."""
+    r = _as_fraction(req.r)
+    budget = req.budget(len(sub.xprime))
+    universe = sorted(sub.universe)
+    if budget >= len(universe):
+        return frozenset(universe)
+    weights = [sub.weight_of(g) for g in universe]
+    heavy = [c for c in loop_heavy_sets(sub, r) if sub.sets[c]]
+    rng = random.Random(f"net:{req.seed}")
+    for _ in range(50):
+        net = loop_weighted_sample(rng, universe, weights, budget)
+        if all(sub.sets[c] & net for c in heavy):
+            return frozenset(net)
+    raise sc.BudgetInsufficient(f"no valid net of size {budget} found in 50 attempts")
+
+
+def loop_combined_net(inst, req):
+    r = _as_fraction(req.r)
+    parts = []
+    for orientation, tag in ((HORIZONTAL, "h"), (VERTICAL, "v")):
+        sub = inst.restrict_orientation(orientation)
+        if not sub.universe:
+            continue
+        sub_req = NetRequest(r=2 * r, seed=f"{req.seed}:{tag}",
+                             size_budget=req.size_budget, net_constant=req.net_constant)
+        parts.append(loop_subinstance_net(sub, sub_req))
+    net = frozenset().union(*parts) if parts else frozenset()
+    if not all(inst.sets[c] & net for c in loop_heavy_sets(inst, r)):
+        raise sc.BudgetInsufficient("combined net failed verification at parameter r")
+    return net
+
+
+def loop_net_budget(inst, r, net_constant):
+    m = len(inst.xprime)
+    single = math.ceil(net_constant * float(r) * math.log(max(2, m)))
+    if len(inst.orientations()) > 1:
+        return 2 * math.ceil(net_constant * float(2 * r) * math.log(max(2, m)))
+    return single
+
+
+def loop_bg(inst, seed=0, net_constant=4.0, round_constant=4.0):
+    """bg_hitting_set with a geometric verify of every net and the witness's guard set."""
+    if not inst.feasible:
+        raise sc.Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
+    universe = sorted(inst.universe)
+    if not inst.xprime:
+        sol = make_solution(inst.pix, inst.xprime, [], "bg")
+        return sc.ApproxReport(solution=sol, opt_guess_history=(), iterations=0,
+                               net_sizes=(), terminating_k=0, budget_at_2k=0, budget_at_4k=0)
+    mixed = len(inst.orientations()) > 1
+    guesses, net_sizes, iterations, k = [], [], 0, 1
+    while True:
+        guesses.append(k)
+        cutoff = max(1, math.ceil(round_constant * k * math.log2(max(2.0, len(universe) / k))))
+        weights = {g: 1 for g in universe}
+        for rnd in range(cutoff):
+            iterations += 1
+            winst = inst.with_weights(weights)
+            req = NetRequest(r=Fraction(2 * k), seed=f"{seed}:{k}:{rnd}",
+                             net_constant=net_constant)
+            net = loop_combined_net(winst, req) if mixed else loop_find_net(winst, req)
+            net_sizes.append(len(net))
+            uncovered, _ = loop_verify_cover(inst.pix, sorted(net), inst.xprime)
+            if not uncovered:
+                return sc.ApproxReport(
+                    solution=make_solution(inst.pix, inst.xprime, sorted(net), "bg"),
+                    opt_guess_history=tuple(guesses), iterations=iterations,
+                    net_sizes=tuple(net_sizes), terminating_k=k,
+                    budget_at_2k=loop_net_budget(inst, Fraction(2 * k), net_constant),
+                    budget_at_4k=loop_net_budget(inst, Fraction(4 * k), net_constant))
+            witness = uncovered[0]
+            w_set = sum(weights[g] for g in inst.sets[witness])
+            if w_set * 2 * k > sum(weights.values()):
+                raise AssertionError("witness set is heavy; net verification is broken")
+            for g in inst.sets[witness]:
+                weights[g] *= 2
+        k *= 2
+        if k > 4 * len(universe) + 4:
+            raise AssertionError("reweighting loop failed to terminate")
+
+
+def _net_outcome(fn, inst, req):
+    try:
+        return fn(inst, req)
+    except (sc.BudgetInsufficient, sc.Infeasible, ValueError) as e:
+        return (type(e), str(e))
+
+
+def _net_corpus():
+    """test_approx's weighted corpora and acceptance 6's 200 weighted instances."""
+    out = [(inst, r, str(seed))
+           for count, tag in ((200, "net"), (10, "det"), (200, "comb"))
+           for inst, r, seed in weighted_instances(count, tag)]
+    for seed in range(200):
+        inst = sc.build_instance(sc.pixelate(
+            sc.gen_random_simple(4 + 2 * (seed % 5), seed + 30_000)))
+        rng = random.Random(f"acc6:{seed}")
+        weights = {g: rng.randint(1, 100) for g in inst.universe}
+        out.append((inst.with_weights(weights), Fraction(rng.randint(1, 8)), f"acc6:{seed}"))
+    return out
+
+
+def test_nets_match_per_cross_set_loops():
+    outcomes = collections.Counter()
+    for inst, r, seed in _net_corpus():
+        uni = len(inst.universe)
+        # the default budget usually takes the whole universe; the fixed ones sample
+        for size_budget in (None, 1, 2, 3, uni // 2):
+            req = NetRequest(r=r, seed=seed, size_budget=size_budget)
+            for fn, ref in ((sc.find_net, loop_find_net), (sc.combined_net, loop_combined_net)):
+                want = _net_outcome(ref, inst, req)
+                assert _net_outcome(fn, inst, req) == want, (seed, size_budget, fn.__name__)
+                outcomes["error" if isinstance(want, tuple) else "net"] += 1
+        # an orientation part, with nets that also hold guards outside its universe
+        for part in (inst, inst.restrict_orientation(HORIZONTAL)):
+            assert heavy_sets(part, r) == loop_heavy_sets(part, r), seed
+            for net in (frozenset(), frozenset(inst.universe[::2]), frozenset(inst.universe)):
+                want = all(part.sets[c] & net for c in loop_heavy_sets(part, r))
+                assert is_net(part, net, r) == want, seed
+    assert outcomes["net"] > 1000 and outcomes["error"] > 100, outcomes
+
+
+def _bg_corpus():
+    """Acceptance 5's 200 instances, a quarter of them also in mhsc and mvsc,
+    and msc / mhsc / mvsc instances of combs, spirals and larger random shapes."""
+    out = []
+    for seed in range(200):
+        pix = sc.pixelate(sc.gen_random_simple(4 + 2 * (seed % 5), seed + 20_000))
+        out.append((sc.build_instance(pix), seed))
+        if seed % 4 == 0:
+            out += [(oriented_instance(pix, (o,)), seed) for o in (HORIZONTAL, VERTICAL)]
+    polys = [sc.gen_comb(k) for k in range(3, 13)] + [sc.gen_path_lb(k) for k in range(1, 5)]
+    polys += [sc.gen_random_simple(n, s) for n in (20, 30, 40) for s in range(5)]
+    for seed, p in enumerate(polys):
+        pix = sc.pixelate(p)
+        out.append((sc.build_instance(pix), seed))
+        out += [(oriented_instance(pix, (o,)), seed) for o in (HORIZONTAL, VERTICAL)]
+    return out
+
+
+def _bg_outcome(fn, inst, **kw):
+    try:
+        return fn(inst, **kw)
+    except (sc.BudgetInsufficient, sc.Infeasible) as e:
+        return (type(e), str(e))
+
+
+def test_bg_reports_match_verify_per_round_loop():
+    rounds = 0
+    for inst, seed in _bg_corpus():
+        # the default constants stop after one round (the net is the whole
+        # universe); a small net constant makes the loop sample and reweight
+        for net_constant in (4.0, 0.5, 0.25):
+            want = _bg_outcome(loop_bg, inst, seed=seed, net_constant=net_constant)
+            got = _bg_outcome(sc.bg_hitting_set, inst, seed=seed, net_constant=net_constant)
+            assert got == want, (seed, net_constant)
+            if isinstance(want, sc.ApproxReport):
+                assert got.solution.guard_ids == want.solution.guard_ids
+                rounds += want.iterations
+    assert rounds > 1500, rounds
+
+
+# ---------------------------------------------------------------------------
+# Nice decomposition
+# ---------------------------------------------------------------------------
+
+def loop_make_nice(td):
+    """_make_nice built by recursion, raising the interpreter's recursion limit."""
+    nodes = []
+
+    def add(node):
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def chain(from_idx, from_bag, to_bag):
+        cur_idx, cur = from_idx, set(from_bag)
+        for v in _sorted_bag(from_bag - to_bag):
+            cur = cur - {v}
+            cur_idx = add(_NiceNode("forget", _sorted_bag(cur), v, (cur_idx,)))
+        for v in _sorted_bag(to_bag - from_bag):
+            cur = cur | {v}
+            cur_idx = add(_NiceNode("introduce", _sorted_bag(cur), v, (cur_idx,)))
+        return cur_idx
+
+    adj = td.neighbors()
+
+    def build(b, parent):
+        bag = set(td.bags[b])
+        kid_idxs = []
+        for nb in sorted(adj[b]):
+            if nb != parent:
+                sub = build(nb, b)
+                kid_idxs.append(chain(sub, set(td.bags[nb]), bag))
+        if not kid_idxs:
+            leaf = add(_NiceNode("leaf", (), None, ()))
+            return chain(leaf, set(), bag)
+        cur = kid_idxs[0]
+        for k in kid_idxs[1:]:
+            cur = add(_NiceNode("join", _sorted_bag(bag), None, (cur, k)))
+        return cur
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 4 * len(td.bags) + 100))
+    try:
+        top = build(0, -1)
+    finally:
+        sys.setrecursionlimit(old)
+    chain(top, set(td.bags[0]), set())
+    return nodes
+
+
+def _acceptance4_polygons():
+    polys = [sc.gen_thin_tree(1 + s % 5, s) for s in range(50)]
+    seed = 0
+    randoms = 0
+    while randoms < 50:
+        p = sc.gen_random_simple(4 + 2 * (seed % 5), seed + 10_000)
+        pix = sc.pixelate(p)
+        if lift_decomposition(decompose(dual_graph(pix)), sc.build_auxiliary_graph(pix), pix).width <= 13:
+            polys.append(p)
+            randoms += 1
+        seed += 1
+    return polys
+
+
+def test_make_nice_matches_recursive_builder():
+    polys = _acceptance4_polygons()
+    polys += [sc.gen_comb(k) for k in range(1, 31)] + [sc.gen_path_lb(k) for k in range(1, 13)]
+    for p in polys:
+        pix = sc.pixelate(p)
+        td = decompose(dual_graph(pix))
+        for t in (td, lift_decomposition(td, sc.build_auxiliary_graph(pix), pix)):
+            assert _make_nice(t) == loop_make_nice(t), p

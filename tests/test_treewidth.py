@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -200,3 +201,12 @@ def test_dp_runtime_scaling_informational(capsys):
         print(f"\n[info] dp runtime vs bags: {points}; "
               f"fit {slope * 1000:.3f} ms/bag (informational)")
     assert all(y < 10.0 for y in ys)  # sanity only, not a scaling assertion
+
+
+def test_dp_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise RuntimeError(f"sys.setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    sol, _ = sc.solve_polygon(sc.gen_comb(30), algo="dp")
+    assert sol.size == 1

@@ -8,6 +8,7 @@ floating point is used anywhere in this module.
 from __future__ import annotations
 
 import functools
+import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
@@ -365,20 +366,24 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
-class _DSU:
-    def __init__(self, n: int):
-        self.p = list(range(n))
+def _run_chains(lines: List[str]) -> List[Tuple[int, int, int, int]]:
+    """Maximal chains of adjacent lines that have the same run of "1" cells.
 
-    def find(self, a: int) -> int:
-        while self.p[a] != a:
-            self.p[a] = self.p[self.p[a]]
-            a = self.p[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[max(ra, rb)] = min(ra, rb)
+    Each chain is (a0, a1, b0, b1): lines a0 .. a1-1 all have the run
+    [b0, b1).  These are the slices cut by the rays parallel to the lines.
+    Two overlapping runs of adjacent lines that differ at an end, say
+    [b0, b1) and [b0', b1') with b0 < b0', have a reflex vertex on their
+    shared side at b0' (three of its quadrants are inside); its ray follows
+    that side across their whole overlap and splits them.  Two equal runs
+    have no boundary point on their shared side, so no ray parts them.
+    """
+    chains = []
+    open_runs: Dict[Tuple[int, int], int] = {}
+    for a, line in enumerate([*lines, ""]):
+        runs = {m.span(): open_runs.get(m.span(), a) for m in re.finditer("1+", line)}
+        chains += [(a0, a, *run) for run, a0 in open_runs.items() if run not in runs]
+        open_runs = runs
+    return chains
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +434,16 @@ class Pixelation:
         for t in toggles:
             acc ^= t
             rows.append(format(acc, f"0{nx}b")[::-1])
-        self.inside = [[c == "1" for c in col] for col in zip(*rows)]
+        cols = ["".join(col) for col in zip(*rows)]
+        self.inside = [[c == "1" for c in col] for col in cols]
 
         self._reflex = self._find_reflex_vertices()
-        self.cuts_v = [self._march_ray(v, d, vertical=True) for v, d in self._reflex_rays(vertical=True)]
-        self.cuts_h = [self._march_ray(v, d, vertical=False) for v, d in self._reflex_rays(vertical=False)]
-        self.cuts_v = [c for c in self.cuts_v if c is not None]
-        self.cuts_h = [c for c in self.cuts_h if c is not None]
-
-        self._build_slices()
+        self._build_slices(cols, rows)
         self._build_pixels()
         self._build_guards()
 
-    def _find_reflex_vertices(self) -> List[Tuple[Vertex, Vertex, Vertex]]:
-        """Reflex vertices as (prev, v, next) triples, both rings included."""
+    def _find_reflex_vertices(self) -> List[Vertex]:
+        """Reflex vertices ring by ring, in ring order, holes included."""
         out = []
         for ring in self.polygon.rings():
             n = len(ring)
@@ -451,29 +452,12 @@ class Pixelation:
                 abx, aby = b[0] - a[0], b[1] - a[1]
                 bcx, bcy = c[0] - b[0], c[1] - b[1]
                 if abx * bcy - aby * bcx < 0:
-                    out.append((a, b, c))
+                    out.append(b)
         return out
 
     @property
     def reflex_vertices(self) -> List[Vertex]:
-        return [b for _, b, _ in self._reflex]
-
-    def _reflex_rays(self, vertical: bool):
-        """For each reflex vertex, the inward extension of its axis edge."""
-        rays = []
-        for a, b, c in self._reflex:
-            if vertical:
-                if a[0] == b[0]:       # incoming edge vertical: continue its direction
-                    d = 1 if b[1] > a[1] else -1
-                else:                  # outgoing edge vertical: extend backwards
-                    d = 1 if b[1] > c[1] else -1
-            else:
-                if a[1] == b[1]:
-                    d = 1 if b[0] > a[0] else -1
-                else:
-                    d = 1 if b[0] > c[0] else -1
-            rays.append((b, d))
-        return rays
+        return list(self._reflex)
 
     def on_boundary(self, pt: Vertex) -> bool:
         x, y = pt
@@ -484,110 +468,36 @@ class Pixelation:
             return False
         return self.inside[i][j]
 
-    def _march_ray(self, v: Vertex, d: int, vertical: bool):
-        """Extend a cut ray from reflex vertex ``v`` until it hits the boundary."""
-        if vertical:
-            ix, iy = self._xi[v[0]], self._yi[v[1]]
-            while True:
-                j = iy if d > 0 else iy - 1
-                if j < 0 or j >= len(self.y_cuts) - 1:
-                    break
-                if not (self._cell_inside(ix - 1, j) and self._cell_inside(ix, j)):
-                    break
-                iy += d
-                if self.on_boundary((v[0], self.y_cuts[iy])):
-                    break
-            end = self.y_cuts[iy]
-            if end == v[1]:
-                return None
-            return (v[0], min(v[1], end), max(v[1], end))
-        ix, iy = self._xi[v[0]], self._yi[v[1]]
-        while True:
-            i = ix if d > 0 else ix - 1
-            if i < 0 or i >= len(self.x_cuts) - 1:
-                break
-            if not (self._cell_inside(i, iy - 1) and self._cell_inside(i, iy)):
-                break
-            ix += d
-            if self.on_boundary((self.x_cuts[ix], v[1])):
-                break
-        end = self.x_cuts[ix]
-        if end == v[0]:
-            return None
-        return (v[1], min(v[0], end), max(v[0], end))
+    def _build_slices(self, cols: List[str], rows: List[str]):
+        """Both segmentations, read off the runs of inside cells.
 
-    def _cut_covers(self, cuts_at: Dict[int, List[Tuple[int, int]]], a: int, lo: int, hi: int) -> bool:
-        for clo, chi in cuts_at.get(a, ()):
-            if clo <= lo and hi <= chi:
-                return True
-        return False
-
-    def _build_slices(self):
-        nx, ny = len(self.x_cuts) - 1, len(self.y_cuts) - 1
-        cells = [(i, j) for i in range(nx) for j in range(ny) if self.inside[i][j]]
-        self._cells = cells
-        cell_idx = {c: k for k, c in enumerate(cells)}
-
-        cuts_v_at: Dict[int, List[Tuple[int, int]]] = {}
-        for x, lo, hi in self.cuts_v:
-            cuts_v_at.setdefault(x, []).append((lo, hi))
-        cuts_h_at: Dict[int, List[Tuple[int, int]]] = {}
-        for y, lo, hi in self.cuts_h:
-            cuts_h_at.setdefault(y, []).append((lo, hi))
-        self._cuts_v_at, self._cuts_h_at = cuts_v_at, cuts_h_at
-
-        def make(dsu_block_vertical: bool):
-            dsu = _DSU(len(cells))
-            for (i, j), k in cell_idx.items():
-                if (i, j + 1) in cell_idx:
-                    # vertical neighbours: blocked only for the H segmentation
-                    blocked = dsu_block_vertical and self._cut_covers(
-                        cuts_h_at, self.y_cuts[j + 1], self.x_cuts[i], self.x_cuts[i + 1])
-                    if not blocked:
-                        dsu.union(k, cell_idx[(i, j + 1)])
-                if (i + 1, j) in cell_idx:
-                    blocked = (not dsu_block_vertical) and self._cut_covers(
-                        cuts_v_at, self.x_cuts[i + 1], self.y_cuts[j], self.y_cuts[j + 1])
-                    if not blocked:
-                        dsu.union(k, cell_idx[(i + 1, j)])
-            comps: Dict[int, List[Tuple[int, int]]] = {}
-            for c, k in cell_idx.items():
-                comps.setdefault(dsu.find(k), []).append(c)
-            rects = []
-            for comp in comps.values():
-                xl = min(self.x_cuts[i] for i, _ in comp)
-                xh = max(self.x_cuts[i + 1] for i, _ in comp)
-                yl = min(self.y_cuts[j] for _, j in comp)
-                yh = max(self.y_cuts[j + 1] for _, j in comp)
-                area = sum(
-                    (self.x_cuts[i + 1] - self.x_cuts[i]) * (self.y_cuts[j + 1] - self.y_cuts[j])
-                    for i, j in comp)
-                if area != (xh - xl) * (yh - yl):
-                    raise AssertionError("segmentation produced a non-rectangular slice")
-                rects.append(((xl, yl, xh, yh), comp))
-            rects.sort(key=lambda rc: rc[0])
-            return rects
-
-        v_rects = make(dsu_block_vertical=False)
-        h_rects = make(dsu_block_vertical=True)
+        ``cols[i]`` / ``rows[j]`` spell column i / row j of ``inside`` as
+        "0"/"1" strings.  A vertical slice is a maximal chain of adjacent
+        columns with the same run [j0, j1) (see :func:`_run_chains`), and a
+        horizontal slice is the same for rows.
+        """
+        xc, yc = self.x_cuts, self.y_cuts
+        self._cells = [(i, j) for i, col in enumerate(cols) for j, c in enumerate(col) if c == "1"]
+        v_rects = sorted(((xc[i0], yc[j0], xc[i1], yc[j1]), range(i0, i1), range(j0, j1))
+                         for i0, i1, j0, j1 in _run_chains(cols))
+        h_rects = sorted(((xc[i0], yc[j0], xc[i1], yc[j1]), range(i0, i1), range(j0, j1))
+                         for j0, j1, i0, i1 in _run_chains(rows))
 
         self.slices_v: List[Slice] = []
         self.slices_h: List[Slice] = []
         self._cell_vslice: Dict[Tuple[int, int], int] = {}
         self._cell_hslice: Dict[Tuple[int, int], int] = {}
-        for sid, (rect, comp) in enumerate(v_rects):
+        for sid, (rect, irange, jrange) in enumerate(v_rects):
             xl, yl, xh, yh = rect
             seg = SliceSegment(id=sid, orientation=VERTICAL, anchor2=xl + xh, lo=yl, hi=yh)
             self.slices_v.append(Slice(id=sid, orientation=VERTICAL, rect=rect, segment=seg))
-            for c in comp:
-                self._cell_vslice[c] = sid
+            self._cell_vslice.update(((i, j), sid) for i in irange for j in jrange)
         nv = len(self.slices_v)
-        for sid, (rect, comp) in enumerate(h_rects):
+        for sid, (rect, irange, jrange) in enumerate(h_rects):
             xl, yl, xh, yh = rect
             seg = SliceSegment(id=nv + sid, orientation=HORIZONTAL, anchor2=yl + yh, lo=xl, hi=xh)
             self.slices_h.append(Slice(id=sid, orientation=HORIZONTAL, rect=rect, segment=seg))
-            for c in comp:
-                self._cell_hslice[c] = sid
+            self._cell_hslice.update(((i, j), sid) for i in irange for j in jrange)
         self.sigmas: List[SliceSegment] = [s.segment for s in self.slices_v] + [
             s.segment for s in self.slices_h]
         # per orientation: midlines sorted by anchor2, with their keys for bisect
@@ -727,19 +637,12 @@ class Pixelation:
 
     # -- lookups ------------------------------------------------------------
 
-    def guard_by_id(self, gid: int) -> GuardSegment:
-        return self.guards[gid]
-
     def canonical_id_for_run(self, orientation: str, anchor: int, lo: int, hi: int) -> int:
         """Canonical guard id of the pixel-edge run containing [lo, hi]."""
         for rlo, rhi in self._runs_by_line.get((orientation, anchor), ()):
             if rlo <= lo and hi <= rhi:
                 return self._canonical_of[(orientation, anchor, rlo, rhi)]
         raise KeyError(f"no pixel-edge run on {orientation} line {anchor} covering [{lo},{hi}]")
-
-    def pixel_side_guards(self, pid: int) -> Tuple[int, ...]:
-        """Canonical ids of the (up to four) guards along a pixel's sides."""
-        return tuple(sorted({self._canonical_of[run] for run in self.pixel_side_runs(pid)}))
 
     def pixel_side_runs(self, pid: int) -> Tuple[Tuple[str, int, int, int], ...]:
         """The maximal pixel-edge runs containing each of a pixel's four sides."""

@@ -85,10 +85,18 @@ class HittingInstance:
 
 def build_instance(pix: Pixelation, xprime: Optional[Iterable[int]] = None,
                    gammaprime: Optional[Iterable[int]] = None) -> HittingInstance:
-    """Assemble the hitting-set instance for the requested crosses and guards."""
+    """Assemble the hitting-set instance for the requested crosses and guards.
+
+    Raises ``ValueError`` for a cross or guard id that the pixelation does
+    not have.
+    """
     xp = tuple(sorted(xprime)) if xprime is not None else tuple(range(len(pix.crosses)))
     uni = tuple(sorted(gammaprime)) if gammaprime is not None else tuple(
         g.id for g in pix.guards)
+    for what, ids, n in (("cross", xp, len(pix.crosses)), ("guard", uni, len(pix.guards))):
+        bad = [i for i in ids if not 0 <= i < n]
+        if bad:
+            raise ValueError(f"{what} ids {bad} are not in 0..{n - 1}")
     return HittingInstance(pix=pix, xprime=xp, universe=uni)
 
 

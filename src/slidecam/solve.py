@@ -37,6 +37,8 @@ def instance_for_mode(pix: Pixelation, mode: str,
             gp = list(guard_ids)
         elif guard_orientations:
             wanted = set(guard_orientations.upper())
+            if not wanted <= {HORIZONTAL, VERTICAL}:
+                raise ValueError(f"guard orientations {guard_orientations!r} are not H, V or HV")
             gp = [g.id for g in guard_segments(pix, wanted)]
         else:
             gp = None

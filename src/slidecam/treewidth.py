@@ -436,7 +436,6 @@ def _dp(nodes: List[_NiceNode], H: AuxiliaryGraph) -> Optional[FrozenSet[int]]:
 
 def dp_solve(H: AuxiliaryGraph, td_h: TreeDecomposition,
              xprime: Optional[Iterable[int]] = None,
-             gammaprime: Optional[Iterable[int]] = None,
              width_max: int = DEFAULT_WIDTH_MAX) -> Solution:
     """Minimum guard set via dynamic programming over the lifted decomposition."""
     if td_h.width > width_max:

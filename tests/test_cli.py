@@ -220,3 +220,18 @@ def test_each_solve_verifies_its_cover_once(monkeypatch, algo, shape, mode):
     sol, _ = sc.solve_polygon(poly, mode=mode, algo=algo)
     assert len(calls) == 1
     assert sorted(calls[0][1]) == sorted(sol.guard_ids)
+
+
+@pytest.mark.parametrize("args", [
+    ["--guard-ids", "999"], ["--guard-ids", "-1"], ["--crosses", "999"], ["--crosses", "-1"],
+    ["--guard-orientations", "X"], ["--guard-orientations", "HX"]])
+def test_custom_mode_rejects_unknown_ids(tmp_path, capsys, args):
+    poly_path = write_poly(tmp_path, LSHAPE)
+    assert main(["solve", poly_path, "--mode", "custom", *args]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_export_rejects_unknown_orientation(tmp_path, capsys):
+    poly_path = write_poly(tmp_path, LSHAPE)
+    assert main(["export", poly_path, "--mode", "custom", "--guard-orientations", "X"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

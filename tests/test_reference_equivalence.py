@@ -1,7 +1,8 @@
 """The indexed geometry and mask-native instance against the plain loops they replace.
 
 The reference loops below are the straightforward versions: a per-cell ray
-cast for ``inside``, an all-pairs edge contact test with every hole vertex
+cast for ``inside``, slices from reflex-vertex cut rays marched cell by cell
+and glued by union-find, an all-pairs edge contact test with every hole vertex
 checked for containment, a linear ``on_boundary`` scan, a scan over every
 slice-segment for each guard, a guard-by-guard ``verify_cover``, an
 O(crosses * guards) hitting-set transpose, a ring normalizer that rescans
@@ -136,6 +137,113 @@ def loop_on_boundary(poly, pt) -> bool:
         if any(y == ey and xlo <= x <= xhi for ey, xlo, xhi in horiz):
             return True
     return False
+
+
+def _loop_cell_inside(pix, i, j):
+    return 0 <= i < len(pix.inside) and 0 <= j < len(pix.inside[0]) and pix.inside[i][j]
+
+
+def loop_cuts(pix, vertical):
+    """Cut rays: each reflex vertex's axis edge extended inward, cell by cell.
+
+    Vertical cuts are (x, y_lo, y_hi), horizontal ones (y, x_lo, x_hi).
+    """
+    xi = {x: i for i, x in enumerate(pix.x_cuts)}
+    yi = {y: j for j, y in enumerate(pix.y_cuts)}
+    triples = [(ring[k - 1], v, ring[(k + 1) % len(ring)])
+               for ring in pix.polygon.rings() for k, v in enumerate(ring)]
+    cuts = []
+    for a, v, c in triples:
+        if (v[0] - a[0]) * (c[1] - v[1]) - (v[1] - a[1]) * (c[0] - v[0]) >= 0:
+            continue  # convex: only reflex vertices cast rays
+        ix, iy = xi[v[0]], yi[v[1]]
+        if vertical:
+            # continue the incoming edge if it is vertical, else extend the outgoing one back
+            d = (1 if v[1] > a[1] else -1) if a[0] == v[0] else (1 if v[1] > c[1] else -1)
+            while True:
+                j = iy if d > 0 else iy - 1
+                if not (0 <= j < len(pix.y_cuts) - 1):
+                    break
+                if not (_loop_cell_inside(pix, ix - 1, j) and _loop_cell_inside(pix, ix, j)):
+                    break
+                iy += d
+                if loop_on_boundary(pix.polygon, (v[0], pix.y_cuts[iy])):
+                    break
+            end = pix.y_cuts[iy]
+            if end != v[1]:
+                cuts.append((v[0], min(v[1], end), max(v[1], end)))
+        else:
+            d = (1 if v[0] > a[0] else -1) if a[1] == v[1] else (1 if v[0] > c[0] else -1)
+            while True:
+                i = ix if d > 0 else ix - 1
+                if not (0 <= i < len(pix.x_cuts) - 1):
+                    break
+                if not (_loop_cell_inside(pix, i, iy - 1) and _loop_cell_inside(pix, i, iy)):
+                    break
+                ix += d
+                if loop_on_boundary(pix.polygon, (pix.x_cuts[ix], v[1])):
+                    break
+            end = pix.x_cuts[ix]
+            if end != v[0]:
+                cuts.append((v[1], min(v[0], end), max(v[0], end)))
+    return cuts
+
+
+def loop_slices(pix, vertical):
+    """One segmentation as (slices, cell -> slice id), by union-find over cells.
+
+    Neighbouring inside cells are glued unless a cut ray covers their shared
+    side; each component must be a rectangle.  Slices are numbered by sorted
+    rect, and horizontal slice-segment ids follow the ``len(pix.slices_v)``
+    vertical ones.
+    """
+    cuts_at = {}
+    for a, lo, hi in loop_cuts(pix, vertical):
+        cuts_at.setdefault(a, []).append((lo, hi))
+
+    def blocked(a, lo, hi):
+        return any(clo <= lo and hi <= chi for clo, chi in cuts_at.get(a, ()))
+
+    xc, yc = pix.x_cuts, pix.y_cuts
+    cells = [(i, j) for i in range(len(xc) - 1) for j in range(len(yc) - 1) if pix.inside[i][j]]
+    parent = {c: c for c in cells}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for i, j in cells:
+        if (i, j + 1) in parent and (vertical or not blocked(yc[j + 1], xc[i], xc[i + 1])):
+            parent[find((i, j))] = find((i, j + 1))
+        if (i + 1, j) in parent and (not vertical or not blocked(xc[i + 1], yc[j], yc[j + 1])):
+            parent[find((i, j))] = find((i + 1, j))
+    comps = {}
+    for c in cells:
+        comps.setdefault(find(c), []).append(c)
+    rects = []
+    for comp in comps.values():
+        xl, xh = min(xc[i] for i, _ in comp), max(xc[i + 1] for i, _ in comp)
+        yl, yh = min(yc[j] for _, j in comp), max(yc[j + 1] for _, j in comp)
+        area = sum((xc[i + 1] - xc[i]) * (yc[j + 1] - yc[j]) for i, j in comp)
+        if area != (xh - xl) * (yh - yl):
+            raise AssertionError("segmentation produced a non-rectangular slice")
+        rects.append(((xl, yl, xh, yh), comp))
+    rects.sort(key=lambda rc: rc[0])
+
+    slices, which = [], {}
+    first = 0 if vertical else len(pix.slices_v)
+    for sid, ((xl, yl, xh, yh), comp) in enumerate(rects):
+        if vertical:
+            seg = sc.SliceSegment(id=sid, orientation=VERTICAL, anchor2=xl + xh, lo=yl, hi=yh)
+        else:
+            seg = sc.SliceSegment(id=first + sid, orientation=HORIZONTAL,
+                                  anchor2=yl + yh, lo=xl, hi=xh)
+        slices.append(sc.Slice(id=sid, orientation=seg.orientation,
+                               rect=(xl, yl, xh, yh), segment=seg))
+        which.update((c, sid) for c in comp)
+    return slices, which
 
 
 def loop_sigmas_hit(pix, g):
@@ -378,7 +486,8 @@ def test_pixelation_matches_reference_loops(polygons):
         pix = sc.Pixelation(p)
         ref = LoopPixelation(p)
         assert pix.inside == loop_inside(pix), name
-        assert pix.cuts_v == ref.cuts_v and pix.cuts_h == ref.cuts_h, name
+        assert (pix.slices_v, pix._cell_vslice) == loop_slices(pix, vertical=True), name
+        assert (pix.slices_h, pix._cell_hslice) == loop_slices(pix, vertical=False), name
         assert pix.pixels == ref.pixels, name
         assert pix.crosses == ref.crosses, name
         assert pix.sigmas == ref.sigmas, name

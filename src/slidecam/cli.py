@@ -179,9 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--net-constant", type=float, default=4.0)
     ps.add_argument("--round-constant", type=float, default=4.0)
     ps.add_argument("--crosses", help="comma-separated pixel ids for custom mode")
-    ps.add_argument("--guard-ids", help="comma-separated guard ids for custom mode")
+    ps.add_argument("--guard-ids", help="comma-separated guard ids for custom mode "
+                                        "(not with --guard-orientations)")
     ps.add_argument("--guard-orientations", help="H, V or HV for custom mode")
-    ps.add_argument("--dump-td", help="write the lifted tree decomposition (dp only)")
+    ps.add_argument("--dump-td", help="write the tree decomposition the DP solved on (dp only)")
     ps.add_argument("--out")
     ps.add_argument("--report", help="write run statistics (incl. reweighting stats) as JSON")
     ps.add_argument("--render")

@@ -18,8 +18,9 @@ _ORACLE_LIMIT = 40
 class Solution:
     """A verified set of cameras together with its coverage certificate.
 
-    ``decomposition`` is the lifted tree decomposition a ``dp`` solution was
-    computed on, and None for every other method.
+    ``decomposition`` is the tree decomposition the DP solved on for a
+    ``dp`` solution, and None for every other method.  ``counters`` holds a
+    solver's own counts (``dp_peak_table`` for ``dp``).
     """
 
     cameras: Tuple[GuardSegment, ...]
@@ -28,6 +29,7 @@ class Solution:
     certificate: Dict[int, tuple]
     guard_ids: Optional[Tuple[int, ...]] = None
     decomposition: Optional[TreeDecomposition] = field(default=None, compare=False, repr=False)
+    counters: Dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {

@@ -26,6 +26,16 @@ def instance_for_mode(pix: Pixelation, mode: str,
                       xprime: Optional[Iterable[int]] = None,
                       guard_ids: Optional[Iterable[int]] = None,
                       guard_orientations: Optional[str] = None) -> HittingInstance:
+    """The hitting-set instance of ``mode`` over the requested crosses.
+
+    Guard ids and guard orientations restrict the guards in custom mode
+    only, and only one of them may be given; raises ``ValueError`` for a
+    restriction another mode would ignore or that conflicts with the other.
+    """
+    if mode != "custom" and (guard_ids is not None or guard_orientations):
+        raise ValueError(f"guard ids and guard orientations apply to mode custom, not {mode!r}")
+    if guard_ids is not None and guard_orientations:
+        raise ValueError("give guard ids or guard orientations, not both")
     if mode == "msc":
         gp = None
     elif mode == "mhsc":
@@ -99,13 +109,19 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
                 "net_is_universe": sol.size == len(inst.universe),
             }
         elif algo == "dp":
-            d = dual_graph(pix)
-            td_d = decompose(d)
+            td_d = decompose(dual_graph(pix))
             H = build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
+            # the lifted decomposition certifies the paper's 7k+6 width bound;
+            # min-fill on the auxiliary graph itself is usually narrower, and
+            # the DP runs on the narrower of the two (the lifted one on ties)
             td_h = lift_decomposition(td_d, H, pix)
+            td_m = decompose(H.adj)
+            td = td_m if td_m.width < td_h.width else td_h
             info["width_d"] = td_d.width
             info["width_h"] = td_h.width
-            sol = dp_solve(H, td_h, xprime=inst.xprime, width_max=width_max)
+            info["width_used"] = td.width
+            sol = dp_solve(H, td, xprime=inst.xprime, width_max=width_max)
+            info["dp_peak_table"] = sol.counters["dp_peak_table"]
         else:
             raise ValueError(f"unknown algo {algo!r}")
 

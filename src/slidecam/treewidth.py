@@ -7,9 +7,14 @@ States per bag vertex: guards are selected/unselected, slice-segments are
 hit / unhit / unhit-but-required (a cross already committed to them), and
 crosses are satisfied/unsatisfied.  A required slice-segment that is
 forgotten unhit kills the branch; so does an unsatisfied forgotten cross.
+The DP runs on any tree decomposition of the auxiliary graph: the lifted
+one, whose width the paper bounds by 7k+6 for a dual graph of width k, or
+min-fill run on the auxiliary graph itself, which is usually narrower.
 """
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -19,11 +24,6 @@ from .hitset import AuxiliaryGraph, Node
 from .geometry import Pixelation
 
 DEFAULT_WIDTH_MAX = 20
-
-# slice-segment states
-_S_FREE = 0      # unhit, nothing depends on it
-_S_HIT = 1       # intersected by a selected guard
-_S_NEEDED = 2    # unhit, but some cross committed to it
 
 
 @dataclass(frozen=True)
@@ -82,46 +82,66 @@ def is_tree(adj: Dict[int, FrozenSet[int]]) -> bool:
     return len(seen) == n
 
 
-def decompose(adj: Dict[int, FrozenSet[int]]) -> TreeDecomposition:
-    """Tree decomposition by min-fill elimination (exact width 1 on trees)."""
-    vertices = sorted(adj)
-    if not vertices:
+def decompose(adj: Dict) -> TreeDecomposition:
+    """Tree decomposition by min-fill elimination (exact width 1 on trees).
+
+    Each step eliminates the vertex whose remaining neighbours miss the
+    fewest edges among themselves (its fill), the smaller vertex on ties.
+    Eliminating ``v`` changes only the fill of ``v``'s neighbours and of the
+    common neighbours of each fill edge it adds, so only those are
+    recounted; a lazy heap keyed ``(fill, vertex)`` yields the next vertex.
+    """
+    if not adj:
         raise ValueError("empty graph")
-    work: Dict[int, set] = {v: set(adj[v]) for v in vertices}
+    work: Dict = {v: set(ns) for v, ns in adj.items()}
 
-    order: List[int] = []
-    bag_of: Dict[int, FrozenSet[int]] = {}
-    while work:
-        def fill(v: int) -> int:
-            ns = sorted(work[v])
-            cnt = 0
-            for i in range(len(ns)):
-                for j in range(i + 1, len(ns)):
-                    if ns[j] not in work[ns[i]]:
-                        cnt += 1
-            return cnt
+    def fill(v) -> int:
+        ns = work[v]
+        d = len(ns)
+        return (d * (d - 1) - sum(len(ns & work[u]) for u in ns)) // 2
 
-        v = min(work, key=lambda u: (fill(u), u))
-        ns = sorted(work[v])
+    fills = {v: fill(v) for v in work}
+    heap = [(f, v) for v, f in fills.items()]
+    heapq.heapify(heap)
+    order: List = []
+    bag_of: Dict = {}
+    while heap:
+        f, v = heapq.heappop(heap)
+        if fills.get(v) != f:
+            continue  # stale entry, or v already eliminated
+        del fills[v]
+        ns = work.pop(v)
         bag_of[v] = frozenset([v, *ns])
         order.append(v)
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                work[ns[i]].add(ns[j])
-                work[ns[j]].add(ns[i])
         for u in ns:
             work[u].discard(v)
-        del work[v]
+        touched = set(ns)
+        rest = list(ns)
+        for i, a in enumerate(rest):
+            wa = work[a]
+            for b in rest[i + 1:]:
+                if b not in wa:
+                    touched |= wa & work[b]
+                    wa.add(b)
+                    work[b].add(a)
+        for u in touched:
+            f = fill(u)
+            if f != fills[u]:
+                fills[u] = f
+                heapq.heappush(heap, (f, u))
 
+    # each bag hangs below the bag of its earliest-eliminated later neighbour;
+    # a vertex without one ends its component, whose bag tree is then chained
+    # to the next bag so that a disconnected graph still gets one tree
     elim_index = {v: i for i, v in enumerate(order)}
-    bags = [bag_of[v] for v in order]
     edges = []
     for i, v in enumerate(order):
-        later = [u for u in bag_of[v] if u != v and elim_index[u] > i]
+        later = [elim_index[u] for u in bag_of[v] if u != v]
         if later:
-            j = elim_index[min(later, key=lambda u: elim_index[u])]
-            edges.append((min(i, j), max(i, j)))
-    return TreeDecomposition(bags=tuple(bags), edges=tuple(sorted(set(edges))))
+            edges.append((i, min(later)))
+        elif i + 1 < len(order):
+            edges.append((i, i + 1))
+    return TreeDecomposition(bags=tuple(bag_of[v] for v in order), edges=tuple(edges))
 
 
 def validate_decomposition(td: TreeDecomposition, vertices: Iterable, edges: Iterable) -> Tuple[bool, Optional[tuple]]:
@@ -215,13 +235,13 @@ def _make_nice(td: TreeDecomposition) -> List[_NiceNode]:
         return len(nodes) - 1
 
     def chain(from_idx: int, from_bag: set, to_bag: set) -> int:
-        cur_idx, cur = from_idx, set(from_bag)
+        cur_idx, cur = from_idx, sorted(from_bag)
         for v in _sorted_bag(from_bag - to_bag):
-            cur = cur - {v}
-            cur_idx = add(_NiceNode("forget", _sorted_bag(cur), v, (cur_idx,)))
+            cur.remove(v)
+            cur_idx = add(_NiceNode("forget", tuple(cur), v, (cur_idx,)))
         for v in _sorted_bag(to_bag - from_bag):
-            cur = cur | {v}
-            cur_idx = add(_NiceNode("introduce", _sorted_bag(cur), v, (cur_idx,)))
+            bisect.insort(cur, v)
+            cur_idx = add(_NiceNode("introduce", tuple(cur), v, (cur_idx,)))
         return cur_idx
 
     adj = td.neighbors()
@@ -254,195 +274,145 @@ def _make_nice(td: TreeDecomposition) -> List[_NiceNode]:
 # DP over the nice decomposition
 # ---------------------------------------------------------------------------
 
-def _dp(nodes: List[_NiceNode], H: AuxiliaryGraph) -> Optional[FrozenSet[int]]:
-    """Minimum guard set or None if infeasible; deterministic tie-breaking."""
+def _dp(nodes: List[_NiceNode], H: AuxiliaryGraph) -> Tuple[Optional[FrozenSet[int]], int]:
+    """Minimum guard set or None if infeasible, and the largest table size.
+
+    Every auxiliary-graph node has one bit, and a bag state is the int
+    ``A | B << N`` over the N nodes.  ``A`` holds "selected" for a guard,
+    "hit" for a slice-segment and "satisfied" for a cross; ``B`` holds
+    "needed" for a slice-segment, so a segment is free when neither bit is
+    set.  Each table maps a state to its least cost and the child state(s)
+    it came from; the first state reaching a cost keeps it, so ties break
+    deterministically.
+    """
     adj = H.adj
+    shift = len(adj)
+    bit = {v: 1 << i for i, v in enumerate(sorted(adj))}
+    low = (1 << shift) - 1
 
-    order: List[int] = []
-    seen = [False] * len(nodes)
+    def bits(vs) -> int:
+        out = 0
+        for u in vs:
+            out |= bit[u]
+        return out
 
-    def post(i: int):
-        stack = [(i, False)]
-        while stack:
-            n, done = stack.pop()
-            if done:
-                order.append(n)
-                continue
-            if seen[n]:
-                continue
-            seen[n] = True
-            stack.append((n, True))
-            for ch in nodes[n].children:
-                stack.append((ch, False))
+    tables: List[Dict[int, tuple]] = []
+    for node in nodes:  # children precede their parent
+        table: Dict[int, tuple] = {}
+        kind, v = node.kind, node.vertex
 
-    root = len(nodes) - 1
-    post(root)
-
-    tables: Dict[int, Dict[tuple, tuple]] = {}
-
-    for idx in order:
-        node = nodes[idx]
-        bag = node.bag
-        pos = {v: i for i, v in enumerate(bag)}
-        table: Dict[tuple, tuple] = {}
-
-        def put(state, cost, back):
+        def put(state: int, cost: int, back) -> None:
             cur = table.get(state)
             if cur is None or cost < cur[0]:
                 table[state] = (cost, back)
 
-        if node.kind == "leaf":
-            table[()] = (0, ("leaf",))
+        if kind == "leaf":
+            table[0] = (0, None)
 
-        elif node.kind == "introduce":
-            child = nodes[node.children[0]]
-            v = node.vertex
-            p = pos[v]
-            cpos = {u: i for i, u in enumerate(child.bag)}
-            nbrs = adj.get(v, frozenset())
-            for cstate, (cost, _) in tables[node.children[0]].items():
-                def insert(val, extra=()):
-                    st = list(cstate)
-                    st.insert(p, val)
-                    for (u, uv) in extra:
-                        st[pos[u]] = uv
-                    return tuple(st)
+        elif kind == "introduce":
+            child = tables[node.children[0]]
+            inbag = set(node.bag)
+            near = [u for u in adj[v] if u in inbag]
+            b = bit[v]
+            if v[0] == "g":
+                # selecting the guard hits its in-bag segments, satisfies the
+                # in-bag crosses on them and drops their "needed"
+                segs = bits(near)
+                sel = b | segs | bits(c for s in near for c in adj[s]
+                                      if c[0] == "c" and c in inbag)
+                keep = ~(segs << shift)
+                for st, (cost, _) in child.items():
+                    put(st, cost, st)
+                    put((st | sel) & keep, cost + 1, st)
+            elif v[0] == "s":
+                guards = bits(u for u in near if u[0] == "g")
+                crosses = bits(u for u in near if u[0] == "c")
+                need = b << shift
+                for st, (cost, _) in child.items():
+                    if st & guards:
+                        put(st | b | crosses, cost, st)
+                        continue
+                    put(st, cost, st)
+                    # commit every unsatisfied in-bag cross to this segment
+                    # in one branch; committing a subset is never better
+                    takers = crosses & ~st
+                    if takers:
+                        put(st | takers | need, cost, st)
+            else:  # cross
+                supports = [bit[s] for s in sorted(near)]
+                covered = bits(near)
+                covered |= covered << shift
+                for st, (cost, _) in child.items():
+                    if st & covered:
+                        put(st | b, cost, st)
+                        continue
+                    put(st, cost, st)
+                    for s in supports:
+                        put(st | b | s << shift, cost, st)
 
-                if v[0] == "g":
-                    put(insert(0), cost, ("intro", cstate))
-                    # selecting the guard upgrades its slice-segments in the
-                    # bag and satisfies crosses adjacent to those segments
-                    upgraded = []
-                    for u in bag:
-                        if u[0] == "s" and u in nbrs and u != v:
-                            old = cstate[cpos[u]]
-                            if old in (_S_FREE, _S_NEEDED):
-                                upgraded.append(u)
-                    extra = [(u, _S_HIT) for u in upgraded]
-                    for u in upgraded:
-                        for c in adj.get(u, ()):
-                            if c[0] == "c" and c in pos and c != v:
-                                if cstate[cpos[c]] == 0:
-                                    extra.append((c, 1))
-                    put(insert(1, extra), cost + 1, ("intro", cstate))
+        elif kind == "forget":
+            b = bit[v]
+            # a needed segment that was never hit, or an unsatisfied cross,
+            # kills the branch
+            dead = b << shift if v[0] == "s" else 0
+            alive = b if v[0] == "c" else 0
+            keep = ~b
+            for st, (cost, _) in tables[node.children[0]].items():
+                if st & dead or alive & ~st:
+                    continue
+                put(st & keep, cost, st)
 
-                elif v[0] == "s":
-                    hit = any(u[0] == "g" and u in nbrs and cstate[cpos[u]] == 1
-                              for u in child.bag)
-                    if hit:
-                        extra = []
-                        for c in adj.get(v, ()):
-                            if c[0] == "c" and c in pos and cstate[cpos[c]] == 0:
-                                extra.append((c, 1))
-                        put(insert(_S_HIT, extra), cost, ("intro", cstate))
-                    else:
-                        put(insert(_S_FREE), cost, ("intro", cstate))
-                        # commit every unsatisfied adjacent cross to this
-                        # segment in one branch; committing a subset is never
-                        # better
-                        takers = [c for c in adj.get(v, ())
-                                  if c[0] == "c" and c in pos and cstate[cpos[c]] == 0]
-                        if takers:
-                            extra = [(c, 1) for c in takers]
-                            put(insert(_S_NEEDED, extra), cost, ("intro", cstate))
+        else:  # join: guards agree; hit and satisfied OR, needed stays unless hit
+            left, right = (tables[i] for i in node.children)
+            gmask = bits(u for u in node.bag if u[0] == "g")
+            groups: Dict[int, List[tuple]] = {}
+            for rst, (rcost, _) in right.items():
+                groups.setdefault(rst & gmask, []).append((rst, rcost))
+            for lst, (lcost, _) in left.items():
+                key = lst & gmask
+                base = lcost - key.bit_count()
+                for rst, rcost in groups.get(key, ()):
+                    full = lst | rst
+                    put(full & ~((full & low) << shift), base + rcost, (lst, rst))
 
-                else:  # cross
-                    done = False
-                    for s in adj.get(v, ()):
-                        if s in pos and s != v and s[0] == "s":
-                            sv = cstate[cpos[s]]
-                            if sv in (_S_HIT, _S_NEEDED):
-                                done = True
-                                break
-                    if done:
-                        put(insert(1), cost, ("intro", cstate))
-                    else:
-                        put(insert(0), cost, ("intro", cstate))
-                        for s in sorted(adj.get(v, ())):
-                            if s in pos and s[0] == "s" and cstate[cpos[s]] == _S_FREE:
-                                put(insert(1, [(s, _S_NEEDED)]), cost, ("intro", cstate))
+        tables.append(table)
 
-        elif node.kind == "forget":
-            child = nodes[node.children[0]]
-            v = node.vertex
-            cp = {u: i for i, u in enumerate(child.bag)}[v]
-            for cstate, (cost, _) in tables[node.children[0]].items():
-                val = cstate[cp]
-                if v[0] == "s" and val == _S_NEEDED:
-                    continue  # promised segment was never hit
-                if v[0] == "c" and val == 0:
-                    continue  # cross left unsatisfied
-                st = cstate[:cp] + cstate[cp + 1:]
-                put(st, cost, ("forget", cstate))
-
-        else:  # join
-            left, right = node.children
-            gpos = [i for i, u in enumerate(bag) if u[0] == "g"]
-            groups: Dict[tuple, List[tuple]] = {}
-            for rstate in tables[right]:
-                groups.setdefault(tuple(rstate[i] for i in gpos), []).append(rstate)
-            for lstate, (lcost, _) in tables[left].items():
-                key = tuple(lstate[i] for i in gpos)
-                dup = sum(key)
-                for rstate in groups.get(key, ()):
-                    rcost = tables[right][rstate][0]
-                    merged = []
-                    for i, u in enumerate(bag):
-                        a, b = lstate[i], rstate[i]
-                        if u[0] == "g":
-                            merged.append(a)
-                        elif u[0] == "c":
-                            merged.append(max(a, b))
-                        else:
-                            if _S_HIT in (a, b):
-                                merged.append(_S_HIT)
-                            elif _S_NEEDED in (a, b):
-                                merged.append(_S_NEEDED)
-                            else:
-                                merged.append(_S_FREE)
-                    put(tuple(merged), lcost + rcost - dup, ("join", lstate, rstate))
-
-        tables[idx] = table
-
-    root_table = tables[root]
-    if () not in root_table:
-        return None
+    peak = max(len(t) for t in tables)
+    if 0 not in tables[-1]:
+        return None, peak
 
     # traceback: collect guards selected at their introduce nodes
     selected = set()
-    stack = [(root, ())]
+    stack = [(len(nodes) - 1, 0)]
     while stack:
-        idx, state = stack.pop()
+        idx, st = stack.pop()
         node = nodes[idx]
-        entry = tables[idx].get(state)
-        back = entry[1]
-        if back[0] == "leaf":
-            continue
-        if back[0] == "intro":
-            child_state = back[1]
+        back = tables[idx][st][1]
+        if node.kind == "join":
+            stack.append((node.children[0], back[0]))
+            stack.append((node.children[1], back[1]))
+        elif node.kind != "leaf":
             v = node.vertex
-            if v[0] == "g":
-                p = {u: i for i, u in enumerate(node.bag)}[v]
-                if state[p] == 1:
-                    selected.add(v[1])
-            stack.append((node.children[0], child_state))
-        elif back[0] == "forget":
-            stack.append((node.children[0], back[1]))
-        else:
-            stack.append((node.children[0], back[1]))
-            stack.append((node.children[1], back[2]))
-    return frozenset(selected)
+            if node.kind == "introduce" and v[0] == "g" and st & bit[v]:
+                selected.add(v[1])
+            stack.append((node.children[0], back))
+    return frozenset(selected), peak
 
 
-def dp_solve(H: AuxiliaryGraph, td_h: TreeDecomposition,
+def dp_solve(H: AuxiliaryGraph, td: TreeDecomposition,
              xprime: Optional[Iterable[int]] = None,
              width_max: int = DEFAULT_WIDTH_MAX) -> Solution:
-    """Minimum guard set via dynamic programming over the lifted decomposition."""
-    if td_h.width > width_max:
-        raise WidthExceeded(f"width {td_h.width} exceeds limit {width_max}")
-    nodes = _make_nice(td_h)
-    picked = _dp(nodes, H)
+    """Minimum guard set via dynamic programming over a decomposition of ``H``.
+
+    ``td`` may be the lifted decomposition or any other valid decomposition
+    of the auxiliary graph.  The solution carries ``td`` and the largest DP
+    table, in states, as the counter ``dp_peak_table``.
+    """
+    if td.width > width_max:
+        raise WidthExceeded(f"width {td.width} exceeds limit {width_max}")
+    picked, peak = _dp(_make_nice(td), H)
     if picked is None:
         raise Infeasible("no guard set satisfies all requested crosses")
     xp = tuple(sorted(xprime)) if xprime is not None else H.xprime
-    return replace(make_solution(H.pix, xp, sorted(picked), "dp"), decomposition=td_h)
+    return replace(make_solution(H.pix, xp, sorted(picked), "dp"), decomposition=td,
+                   counters={"dp_peak_table": peak})

@@ -235,3 +235,65 @@ def test_export_rejects_unknown_orientation(tmp_path, capsys):
     poly_path = write_poly(tmp_path, LSHAPE)
     assert main(["export", poly_path, "--mode", "custom", "--guard-orientations", "X"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "msc", "--guard-orientations", "X"],
+    ["--mode", "msc", "--guard-orientations", "H"],
+    ["--mode", "mhsc", "--guard-ids", "0"],
+    ["--mode", "custom", "--guard-ids", "0", "--guard-orientations", "H"]])
+def test_solve_rejects_ignored_or_conflicting_guard_flags(tmp_path, capsys, args):
+    poly_path = write_poly(tmp_path, LSHAPE)
+    assert main(["solve", poly_path, *args]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_export_rejects_orientations_outside_custom_mode(tmp_path, capsys):
+    poly_path = write_poly(tmp_path, LSHAPE)
+    assert main(["export", poly_path, "--mode", "mvsc", "--guard-orientations", "H"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_TD_NODE = re.compile(r"\('([cgs])', (\d+)\)")
+
+
+def read_td(text):
+    """The TreeDecomposition of a --dump-td file."""
+    bags, edges = [], []
+    for line in text.splitlines()[1:]:
+        if line.startswith("b "):
+            bags.append(frozenset((kind, int(i)) for kind, i in _TD_NODE.findall(line)))
+        else:
+            a, b = map(int, line.split())
+            edges.append((a - 1, b - 1))
+    return sc.TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
+
+
+@pytest.mark.parametrize("shape, mode", [("comb3", "mhsc"), ("spiral3", "msc"), ("rand16", "msc")])
+def test_solve_dp_reports_the_width_it_solved_at(tmp_path, shape, mode):
+    poly = {"comb3": sc.gen_comb(3), "spiral3": sc.gen_path_lb(3),
+            "rand16": sc.gen_random_simple(16, 3)}[shape]
+    poly_path = tmp_path / "poly.json"
+    poly_path.write_text(json.dumps(poly.to_dict()))
+    report, td_path = tmp_path / "report.json", tmp_path / "td.txt"
+    assert main(["solve", str(poly_path), "--algo", "dp", "--mode", mode,
+                 "--report", str(report), "--dump-td", str(td_path)]) == 0
+    info = json.loads(report.read_text())
+    assert info["width_used"] <= info["width_h"]
+    assert info["width_used"] == read_td(td_path.read_text()).width
+    assert info["dp_peak_table"] >= 1
+
+
+def test_solve_dp_random24_within_default_width_max(tmp_path, capsys):
+    """Lifted width 24 exceeds the default --width-max 20; min-fill gives 12."""
+    poly = sc.gen_random_simple(24, 0)
+    poly_path = tmp_path / "rand24.json"
+    poly_path.write_text(json.dumps(poly.to_dict()))
+    td_path = tmp_path / "td.txt"
+    assert main(["solve", str(poly_path), "--algo", "dp", "--dump-td", str(td_path)]) == 0
+    pix = sc.pixelate(poly)
+    opt = sc.brute_force_min_cover(sc.build_instance(pix)).size
+    assert f"size={opt} " in capsys.readouterr().out
+    H = sc.build_auxiliary_graph(pix)
+    ok, wit = sc.validate_decomposition(read_td(td_path.read_text()), H.nodes(), H.edges())
+    assert ok, wit

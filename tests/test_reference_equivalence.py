@@ -11,8 +11,10 @@ re-validates, re-pixelates and re-segments every remainder and traces each
 piece unit step by unit step.  The net finders sample over the per-cross
 guard sets in two copies of one loop (one for orientation parts) with their
 own budget formula, the reweighting loop verifies each net geometrically,
-and the nice decomposition is built by recursion.  Every output must agree
-exactly.
+the nice decomposition is built by recursion, min-fill recounts every
+vertex's fill at each elimination, and the DP keeps one tuple entry per bag
+vertex.  Every output must agree exactly; the DP's guard sets may differ
+between equal-cost optima, so there the optimum cost must agree.
 """
 import collections
 import math
@@ -39,6 +41,7 @@ from slidecam.geometry import (
     _signed_area2,
 )
 from slidecam.treewidth import (
+    _dp,
     _make_nice,
     _NiceNode,
     _sorted_bag,
@@ -1031,3 +1034,297 @@ def test_make_nice_matches_recursive_builder():
         td = decompose(dual_graph(pix))
         for t in (td, lift_decomposition(td, sc.build_auxiliary_graph(pix), pix)):
             assert _make_nice(t) == loop_make_nice(t), p
+
+
+# ---------------------------------------------------------------------------
+# Min-fill elimination and the DP
+# ---------------------------------------------------------------------------
+
+# slice-segment states of loop_dp
+_S_FREE = 0      # unhit, nothing depends on it
+_S_HIT = 1       # intersected by a selected guard
+_S_NEEDED = 2    # unhit, but some cross committed to it
+
+
+def loop_decompose(adj):
+    """decompose recounting the fill of every remaining vertex at each elimination.
+
+    It leaves the components of a disconnected graph as separate trees,
+    where ``decompose`` chains them into one.
+    """
+    vertices = sorted(adj)
+    if not vertices:
+        raise ValueError("empty graph")
+    work = {v: set(adj[v]) for v in vertices}
+
+    order = []
+    bag_of = {}
+    while work:
+        def fill(v):
+            ns = sorted(work[v])
+            cnt = 0
+            for i in range(len(ns)):
+                for j in range(i + 1, len(ns)):
+                    if ns[j] not in work[ns[i]]:
+                        cnt += 1
+            return cnt
+
+        v = min(work, key=lambda u: (fill(u), u))
+        ns = sorted(work[v])
+        bag_of[v] = frozenset([v, *ns])
+        order.append(v)
+        for i in range(len(ns)):
+            for j in range(i + 1, len(ns)):
+                work[ns[i]].add(ns[j])
+                work[ns[j]].add(ns[i])
+        for u in ns:
+            work[u].discard(v)
+        del work[v]
+
+    elim_index = {v: i for i, v in enumerate(order)}
+    bags = [bag_of[v] for v in order]
+    edges = []
+    for i, v in enumerate(order):
+        later = [u for u in bag_of[v] if u != v and elim_index[u] > i]
+        if later:
+            j = elim_index[min(later, key=lambda u: elim_index[u])]
+            edges.append((min(i, j), max(i, j)))
+    return sc.TreeDecomposition(bags=tuple(bags), edges=tuple(sorted(set(edges))))
+
+
+def loop_dp(nodes, H):
+    """_dp on tuple states, one entry per bag vertex in bag order."""
+    adj = H.adj
+
+    order = []
+    seen = [False] * len(nodes)
+
+    def post(i: int):
+        stack = [(i, False)]
+        while stack:
+            n, done = stack.pop()
+            if done:
+                order.append(n)
+                continue
+            if seen[n]:
+                continue
+            seen[n] = True
+            stack.append((n, True))
+            for ch in nodes[n].children:
+                stack.append((ch, False))
+
+    root = len(nodes) - 1
+    post(root)
+
+    tables = {}
+
+    for idx in order:
+        node = nodes[idx]
+        bag = node.bag
+        pos = {v: i for i, v in enumerate(bag)}
+        table = {}
+
+        def put(state, cost, back):
+            cur = table.get(state)
+            if cur is None or cost < cur[0]:
+                table[state] = (cost, back)
+
+        if node.kind == "leaf":
+            table[()] = (0, ("leaf",))
+
+        elif node.kind == "introduce":
+            child = nodes[node.children[0]]
+            v = node.vertex
+            p = pos[v]
+            cpos = {u: i for i, u in enumerate(child.bag)}
+            nbrs = adj.get(v, frozenset())
+            for cstate, (cost, _) in tables[node.children[0]].items():
+                def insert(val, extra=()):
+                    st = list(cstate)
+                    st.insert(p, val)
+                    for (u, uv) in extra:
+                        st[pos[u]] = uv
+                    return tuple(st)
+
+                if v[0] == "g":
+                    put(insert(0), cost, ("intro", cstate))
+                    # selecting the guard upgrades its slice-segments in the
+                    # bag and satisfies crosses adjacent to those segments
+                    upgraded = []
+                    for u in bag:
+                        if u[0] == "s" and u in nbrs and u != v:
+                            old = cstate[cpos[u]]
+                            if old in (_S_FREE, _S_NEEDED):
+                                upgraded.append(u)
+                    extra = [(u, _S_HIT) for u in upgraded]
+                    for u in upgraded:
+                        for c in adj.get(u, ()):
+                            if c[0] == "c" and c in pos and c != v:
+                                if cstate[cpos[c]] == 0:
+                                    extra.append((c, 1))
+                    put(insert(1, extra), cost + 1, ("intro", cstate))
+
+                elif v[0] == "s":
+                    hit = any(u[0] == "g" and u in nbrs and cstate[cpos[u]] == 1
+                              for u in child.bag)
+                    if hit:
+                        extra = []
+                        for c in adj.get(v, ()):
+                            if c[0] == "c" and c in pos and cstate[cpos[c]] == 0:
+                                extra.append((c, 1))
+                        put(insert(_S_HIT, extra), cost, ("intro", cstate))
+                    else:
+                        put(insert(_S_FREE), cost, ("intro", cstate))
+                        # commit every unsatisfied adjacent cross to this
+                        # segment in one branch; committing a subset is never
+                        # better
+                        takers = [c for c in adj.get(v, ())
+                                  if c[0] == "c" and c in pos and cstate[cpos[c]] == 0]
+                        if takers:
+                            extra = [(c, 1) for c in takers]
+                            put(insert(_S_NEEDED, extra), cost, ("intro", cstate))
+
+                else:  # cross
+                    done = False
+                    for s in adj.get(v, ()):
+                        if s in pos and s != v and s[0] == "s":
+                            sv = cstate[cpos[s]]
+                            if sv in (_S_HIT, _S_NEEDED):
+                                done = True
+                                break
+                    if done:
+                        put(insert(1), cost, ("intro", cstate))
+                    else:
+                        put(insert(0), cost, ("intro", cstate))
+                        for s in sorted(adj.get(v, ())):
+                            if s in pos and s[0] == "s" and cstate[cpos[s]] == _S_FREE:
+                                put(insert(1, [(s, _S_NEEDED)]), cost, ("intro", cstate))
+
+        elif node.kind == "forget":
+            child = nodes[node.children[0]]
+            v = node.vertex
+            cp = {u: i for i, u in enumerate(child.bag)}[v]
+            for cstate, (cost, _) in tables[node.children[0]].items():
+                val = cstate[cp]
+                if v[0] == "s" and val == _S_NEEDED:
+                    continue  # promised segment was never hit
+                if v[0] == "c" and val == 0:
+                    continue  # cross left unsatisfied
+                st = cstate[:cp] + cstate[cp + 1:]
+                put(st, cost, ("forget", cstate))
+
+        else:  # join
+            left, right = node.children
+            gpos = [i for i, u in enumerate(bag) if u[0] == "g"]
+            groups = {}
+            for rstate in tables[right]:
+                groups.setdefault(tuple(rstate[i] for i in gpos), []).append(rstate)
+            for lstate, (lcost, _) in tables[left].items():
+                key = tuple(lstate[i] for i in gpos)
+                dup = sum(key)
+                for rstate in groups.get(key, ()):
+                    rcost = tables[right][rstate][0]
+                    merged = []
+                    for i, u in enumerate(bag):
+                        a, b = lstate[i], rstate[i]
+                        if u[0] == "g":
+                            merged.append(a)
+                        elif u[0] == "c":
+                            merged.append(max(a, b))
+                        else:
+                            if _S_HIT in (a, b):
+                                merged.append(_S_HIT)
+                            elif _S_NEEDED in (a, b):
+                                merged.append(_S_NEEDED)
+                            else:
+                                merged.append(_S_FREE)
+                    put(tuple(merged), lcost + rcost - dup, ("join", lstate, rstate))
+
+        tables[idx] = table
+
+    root_table = tables[root]
+    if () not in root_table:
+        return None
+
+    # traceback: collect guards selected at their introduce nodes
+    selected = set()
+    stack = [(root, ())]
+    while stack:
+        idx, state = stack.pop()
+        node = nodes[idx]
+        entry = tables[idx].get(state)
+        back = entry[1]
+        if back[0] == "leaf":
+            continue
+        if back[0] == "intro":
+            child_state = back[1]
+            v = node.vertex
+            if v[0] == "g":
+                p = {u: i for i, u in enumerate(node.bag)}[v]
+                if state[p] == 1:
+                    selected.add(v[1])
+            stack.append((node.children[0], child_state))
+        elif back[0] == "forget":
+            stack.append((node.children[0], back[1]))
+        else:
+            stack.append((node.children[0], back[1]))
+            stack.append((node.children[1], back[2]))
+    return frozenset(selected)
+
+
+def test_decompose_matches_full_recompute(polygons):
+    """Identical output on the connected dual and auxiliary graphs of the corpus."""
+    polys = dict(polygons)
+    polys["comb50"] = sc.gen_comb(50)
+    for n in (40, 60, 80):
+        polys[f"rand{n}_1"] = sc.gen_random_simple(n, 1)
+    for name, p in polys.items():
+        pix = sc.pixelate(p)
+        for graph in (dual_graph(pix), sc.build_auxiliary_graph(pix).adj):
+            assert decompose(graph) == loop_decompose(graph), name
+
+
+def _restricted_instances():
+    """Random X' with orientation-restricted guards or one to three random guards.
+
+    The few-guard ones are often infeasible.
+    """
+    rng = random.Random(23)
+    out = []
+    for seed in range(160):
+        pix = sc.pixelate(sc.gen_random_simple(4 + 2 * (seed % 6), seed + 2500))
+        xs = sorted(rng.sample(range(len(pix.crosses)), rng.randint(1, len(pix.crosses))))
+        if seed % 4 == 3:
+            gids = sorted(rng.sample(range(len(pix.guards)), rng.randint(1, 3)))
+        else:
+            orientation = rng.choice([("H",), ("V",), ("H", "V")])
+            gids = [g.id for g in sc.guard_segments(pix, orientation)]
+        out.append((pix, xs, gids))
+    return out
+
+
+def test_dp_matches_tuple_state_reference():
+    """Same optimum (or None) as loop_dp on lifted and min-fill decompositions."""
+    cases = [(sc.pixelate(p), None, None) for p in _acceptance4_polygons()]
+    cases += _restricted_instances()
+    solved = infeasible = narrower = 0
+    for pix, xs, gids in cases:
+        H = sc.build_auxiliary_graph(pix, xprime=xs, gammaprime=gids)
+        lifted = lift_decomposition(decompose(dual_graph(pix)), H, pix)
+        minfill = decompose(H.adj)
+        narrower += minfill.width < lifted.width
+        for td in (lifted, minfill):
+            if td.width > 13:
+                continue
+            nodes = _make_nice(td)
+            picked, peak = _dp(nodes, H)
+            ref = loop_dp(nodes, H)
+            assert peak >= 1
+            if ref is None:
+                assert picked is None
+                infeasible += 1
+                continue
+            assert len(picked) == len(ref), (pix.polygon, xs, gids)
+            assert sc.verify_cover(pix, sorted(picked), xs).covered
+            solved += 1
+    assert solved > 400 and infeasible > 10 and narrower > 200, (solved, infeasible, narrower)

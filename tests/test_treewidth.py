@@ -39,6 +39,26 @@ def test_decompose_k1_and_path():
     assert ok
 
 
+def test_decompose_disconnected_graph_is_one_tree():
+    adj = {0: frozenset([1]), 1: frozenset([0]), 2: frozenset(),
+           3: frozenset([4]), 4: frozenset([3])}
+    td = decompose(adj)
+    assert is_tree({i: frozenset(ns) for i, ns in td.neighbors().items()})
+    ok, wit = validate_decomposition(td, adj, [(0, 1), (3, 4)])
+    assert ok, wit
+
+
+def test_dp_on_disconnected_auxiliary_graph():
+    """One cross and one guard leave the other slice-segments isolated."""
+    poly = sc.validate_polygon(LSHAPE)
+    sol, info = sc.solve_polygon(poly, mode="custom", algo="dp", xprime=[2], guard_ids=[2])
+    assert sol.size == 1 and sol.guard_ids == (2,)
+    assert info["width_used"] == sol.decomposition.width
+    H = sc.build_auxiliary_graph(sc.pixelate(poly), xprime=[2], gammaprime=[2])
+    ok, wit = validate_decomposition(sol.decomposition, H.nodes(), H.edges())
+    assert ok, wit
+
+
 def test_decompose_grid_heuristic():
     pix = sc.pixelate(sc.validate_polygon(PINWHEEL))
     d = dual_graph(pix)

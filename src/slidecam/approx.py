@@ -16,11 +16,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import BudgetInsufficient, Infeasible
 from .exact import Solution, make_solution
-from .geometry import HORIZONTAL, VERTICAL, Pixelation, _bits
+from .geometry import HORIZONTAL, VERTICAL, _bits
 from .hitset import HittingInstance
 
 log = logging.getLogger(__name__)
@@ -64,20 +64,11 @@ def _as_fraction(r) -> Fraction:
     return Fraction(r).limit_denominator(10**9)
 
 
-def _hit_mask(pix: Pixelation, guards: Iterable[int]) -> int:
-    """The crosses hit by any of the guards: an OR of their ``hit_set`` masks."""
-    mask = 0
-    for g in guards:
-        mask |= pix.guards[g].hit_set
-    return mask
-
-
 def heavy_sets(inst: HittingInstance, r: Fraction) -> List[int]:
     """Crosses whose set weight is at least W/r (exact rational comparison)."""
-    wanted = sum(1 << c for c in inst.xprime)
     set_weight = dict.fromkeys(inst.xprime, 0)
     for g in inst.universe:
-        for c in _bits(inst.pix.guards[g].hit_set & wanted):
+        for c in _bits(inst.pix.guards[g].hit_set & inst.wanted):
             set_weight[c] += inst.weight_of(g)
     W = inst.total_weight()
     return [c for c in inst.xprime
@@ -85,7 +76,7 @@ def heavy_sets(inst: HittingInstance, r: Fraction) -> List[int]:
 
 
 def is_net(inst: HittingInstance, net: FrozenSet[int], r: Fraction) -> bool:
-    hit = _hit_mask(inst.pix, set(net).intersection(inst.universe))
+    hit = inst.hit_mask(set(net).intersection(inst.universe))
     return not sum(1 << c for c in heavy_sets(inst, r)) & ~hit
 
 
@@ -113,7 +104,7 @@ def _sample_net(inst: HittingInstance, req: NetRequest) -> FrozenSet[int]:
     rng = random.Random(f"net:{req.seed}")
     for _ in range(_MAX_SAMPLING_ATTEMPTS):
         net = _weighted_sample(rng, universe, weights, budget)
-        if not heavy & ~_hit_mask(inst.pix, net):
+        if not heavy & ~inst.hit_mask(net):
             return frozenset(net)
     raise BudgetInsufficient(
         f"no valid net of size {budget} found in {_MAX_SAMPLING_ATTEMPTS} attempts")
@@ -176,7 +167,6 @@ def bg_hitting_set(inst: HittingInstance, seed: int = 0,
         return ApproxReport(solution=sol, opt_guess_history=(), iterations=0,
                             net_sizes=(), terminating_k=0, budget_at_2k=0, budget_at_4k=0)
     mixed = len(inst.orientations()) > 1
-    wanted = sum(1 << c for c in inst.xprime)
 
     def budget(r: Fraction) -> int:  # of the net finder used: per orientation at 2r if mixed
         parts = 2 if mixed else 1
@@ -197,7 +187,7 @@ def bg_hitting_set(inst: HittingInstance, seed: int = 0,
                              net_constant=net_constant)
             net = combined_net(winst, req) if mixed else find_net(winst, req)
             net_sizes.append(len(net))
-            unhit = wanted & ~_hit_mask(inst.pix, net)
+            unhit = inst.wanted & ~inst.hit_mask(net)
             if not unhit:
                 sol = make_solution(inst.pix, inst.xprime, sorted(net), "bg")
                 return ApproxReport(

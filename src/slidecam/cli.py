@@ -6,11 +6,13 @@ Exit codes: 0 success, 1 invalid input, 2 infeasible, 3 internal limit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 
+from .approx import DEFAULT_NET_CONSTANT, DEFAULT_ROUND_CONSTANT
 from .errors import (
     BudgetInsufficient,
     CapExceeded,
@@ -24,6 +26,7 @@ from .gallery import check_bounds, gen_comb, gen_path_lb, gen_random_simple, gen
 from .geometry import GuardSegment, OrthoPolygon, pixelate, verify_cover
 from .render import render_svg
 from .solve import ALGOS, MODES, instance_for_mode, solve_polygon
+from .treewidth import DEFAULT_WIDTH_MAX
 
 log = logging.getLogger("slidecam")
 
@@ -175,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--algo", default="exact", choices=list(ALGOS))
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--cap", type=int, default=None)
-    ps.add_argument("--width-max", type=int, default=20)
-    ps.add_argument("--net-constant", type=float, default=4.0)
-    ps.add_argument("--round-constant", type=float, default=4.0)
+    ps.add_argument("--width-max", type=int, default=DEFAULT_WIDTH_MAX)
+    ps.add_argument("--net-constant", type=float, default=DEFAULT_NET_CONSTANT)
+    ps.add_argument("--round-constant", type=float, default=DEFAULT_ROUND_CONSTANT)
     ps.add_argument("--crosses", help="comma-separated pixel ids for custom mode")
     ps.add_argument("--guard-ids", help="comma-separated guard ids for custom mode "
                                         "(not with --guard-orientations)")
@@ -208,10 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     level = os.environ.get("SLIDECAM_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (PolygonError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:

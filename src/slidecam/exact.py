@@ -58,29 +58,6 @@ def make_solution(pix: Pixelation, xprime: Iterable[int], guards, method: str) -
                     certificate=dict(report.certificate), guard_ids=ids)
 
 
-def _prepare_masks(inst: HittingInstance):
-    """Cross bitmasks per universe guard, over positions in ``inst.xprime``.
-
-    Read from each guard's ``hit_set``; when the requested crosses are
-    0..k-1, positions are cross ids and the mask is the hit set itself.
-    """
-    pos = {c: i for i, c in enumerate(inst.xprime)}
-    full = (1 << len(inst.xprime)) - 1
-    hit_sets = {g: inst.pix.guards[g].hit_set for g in inst.universe}
-    if inst.xprime == tuple(range(len(inst.xprime))):
-        return {g: m & full for g, m in hit_sets.items()}, full, pos
-    wanted = 0
-    for c in inst.xprime:
-        wanted |= 1 << c
-    masks = {}
-    for g, hs in hit_sets.items():
-        m = 0
-        for c in _bits(hs & wanted):
-            m |= 1 << pos[c]
-        masks[g] = m
-    return masks, full, pos
-
-
 def _dominance_prune(inst: HittingInstance, masks: Dict[int, int]) -> List[int]:
     """Drop guards whose hit set is contained in another guard's hit set."""
     order = sorted(inst.universe)
@@ -110,9 +87,9 @@ def brute_force_min_cover(inst: HittingInstance, cap: Optional[int] = None) -> S
     """
     if not inst.feasible:
         raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
-    masks, full, _ = _prepare_masks(inst)
-    if full == 0:
+    if not inst.wanted:
         return make_solution(inst.pix, inst.xprime, [], "exact")
+    masks = {g: inst.pix.guards[g].hit_set & inst.wanted for g in inst.universe}
     candidates = _dominance_prune(inst, masks)
     if len(candidates) > _ORACLE_LIMIT:
         raise TooLargeForOracle(
@@ -120,9 +97,7 @@ def brute_force_min_cover(inst: HittingInstance, cap: Optional[int] = None) -> S
     if cap is None:
         cap = len(candidates)
 
-    pos_cross = {1 << i: c for i, c in enumerate(inst.xprime)}
-    by_cross = {c: [g for g in candidates if masks[g] >> i & 1]
-                for i, c in enumerate(inst.xprime)}
+    by_cross = {c: [g for g in candidates if masks[g] >> c & 1] for c in inst.xprime}
 
     def search(uncovered: int, budget: int) -> Optional[List[int]]:
         if uncovered == 0:
@@ -130,15 +105,11 @@ def brute_force_min_cover(inst: HittingInstance, cap: Optional[int] = None) -> S
         if budget == 0:
             return None
         # pick the uncovered cross with the fewest remaining candidates
-        best_c, best_list = None, None
-        m = uncovered
-        while m:
-            bit = m & -m
-            m ^= bit
-            c = pos_cross[bit]
+        best_list = None
+        for c in _bits(uncovered):
             lst = by_cross[c]
             if best_list is None or len(lst) < len(best_list):
-                best_c, best_list = c, lst
+                best_list = lst
         for g in best_list:
             rest = search(uncovered & ~masks[g], budget - 1)
             if rest is not None:
@@ -146,7 +117,7 @@ def brute_force_min_cover(inst: HittingInstance, cap: Optional[int] = None) -> S
         return None
 
     for k in range(0, cap + 1):
-        picked = search(full, k)
+        picked = search(inst.wanted, k)
         if picked is not None:
             return make_solution(inst.pix, inst.xprime, sorted(picked), "exact")
     raise CapExceeded(f"no cover of size <= {cap}")
@@ -156,15 +127,15 @@ def greedy_cover(inst: HittingInstance) -> Solution:
     """Repeatedly pick the guard hitting the most still-uncovered crosses."""
     if not inst.feasible:
         raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
-    masks, full, _ = _prepare_masks(inst)
-    uncovered = full
+    hit_sets = {g: inst.pix.guards[g].hit_set for g in sorted(inst.universe)}
+    uncovered = inst.wanted
     picked: List[int] = []
     while uncovered:
         best, best_gain = None, -1
-        for g in sorted(inst.universe):
-            gain = bin(masks[g] & uncovered).count("1")
+        for g, hs in hit_sets.items():
+            gain = bin(hs & uncovered).count("1")
             if gain > best_gain:
                 best, best_gain = g, gain
         picked.append(best)
-        uncovered &= ~masks[best]
+        uncovered &= ~hit_sets[best]
     return make_solution(inst.pix, inst.xprime, sorted(picked), "greedy")

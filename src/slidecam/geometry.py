@@ -11,7 +11,8 @@ import functools
 import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -549,43 +550,28 @@ class Pixelation:
                         edges.add((min(a, b), max(a, b)))
         self.dual_edges: Tuple[Tuple[int, int], ...] = tuple(sorted(edges))
 
-    def _pixel_edge_unit(self, orientation: str, line_idx: int, cell_idx: int) -> bool:
-        """Is the unit grid segment on a pixel boundary (and inside closed P)?"""
-        if orientation == HORIZONTAL:
-            below = (cell_idx, line_idx - 1)
-            above = (cell_idx, line_idx)
-        else:
-            below = (line_idx - 1, cell_idx)
-            above = (line_idx, cell_idx)
-        b_in = below in self._cell_pixel
-        a_in = above in self._cell_pixel
-        if not (b_in or a_in):
-            return False
-        if b_in and a_in and self._cell_pixel[below] == self._cell_pixel[above]:
-            return False
-        return True
-
     def _build_guards(self):
-        raw: List[Tuple[str, int, int, int]] = []
+        # A unit of grid line lies on a pixel edge when the cells on its two
+        # sides have different pixel ids, -1 marking a cell outside P.
+        # Vertical grid lines separate columns of cells, horizontal ones rows.
         nx, ny = len(self.x_cuts) - 1, len(self.y_cuts) - 1
-        for j in range(len(self.y_cuts)):
-            run = None
-            for i in range(nx + 1):
-                ok = i < nx and self._pixel_edge_unit(HORIZONTAL, j, i)
-                if ok and run is None:
-                    run = i
-                elif not ok and run is not None:
-                    raw.append((HORIZONTAL, self.y_cuts[j], self.x_cuts[run], self.x_cuts[i]))
-                    run = None
-        for i in range(len(self.x_cuts)):
-            run = None
-            for j in range(ny + 1):
-                ok = j < ny and self._pixel_edge_unit(VERTICAL, i, j)
-                if ok and run is None:
-                    run = j
-                elif not ok and run is not None:
-                    raw.append((VERTICAL, self.x_cuts[i], self.y_cuts[run], self.y_cuts[j]))
-                    run = None
+        pid = self._cell_pixel.get
+        cols = [[pid((i, j), -1) for j in range(ny)] for i in range(nx)]
+        rows = list(zip(*cols))
+        raw: List[Tuple[str, int, int, int]] = []
+        for o, lines, anchors, cuts in ((VERTICAL, cols, self.x_cuts, self.y_cuts),
+                                        (HORIZONTAL, rows, self.y_cuts, self.x_cuts)):
+            outside = (-1,) * (len(cuts) - 1)
+            padded = [outside, *lines, outside]
+            for k, anchor in enumerate(anchors):
+                start = None
+                # the trailing False closes a run that reaches the last unit
+                for t, edge in enumerate(chain(map(ne, padded[k], padded[k + 1]), (False,))):
+                    if edge and start is None:
+                        start = t
+                    elif not edge and start is not None:
+                        raw.append((o, anchor, cuts[start], cuts[t]))
+                        start = None
 
         self.raw_guards: List[GuardSegment] = []
         for o, a, lo, hi in sorted(raw):

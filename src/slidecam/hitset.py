@@ -22,11 +22,11 @@ Node = Tuple[str, int]  # ("c", cross id) | ("s", sigma id) | ("g", guard id)
 class HittingInstance:
     """Universe of guard ids over the requested crosses.
 
-    Incidence lives in each guard's ``hit_set`` bitmask over cross ids;
-    ``sets`` (per cross, the guards hitting it) is its transpose, derived
-    on first use by ``to_dict`` and ``set_weight``.  The instance is
-    *infeasible* (a first-class state, not an error) when some cross is hit
-    by no allowed guard.
+    Incidence lives in each guard's ``hit_set`` bitmask over cross ids; the
+    instance owns the mask of the requested crosses (``wanted``) and the OR
+    of guard masks (``hit_mask``), and solvers read both over cross ids.
+    The instance is *infeasible* (a first-class state, not an error) when
+    some cross is hit by no allowed guard.
     """
 
     pix: Pixelation
@@ -34,36 +34,31 @@ class HittingInstance:
     universe: Tuple[int, ...]
     weights: Dict[int, object] = field(default_factory=dict)
 
+    @functools.cached_property
+    def wanted(self) -> int:
+        """The requested crosses as a mask over cross ids."""
+        return sum(1 << c for c in self.xprime)
+
+    def hit_mask(self, guards: Iterable[int]) -> int:
+        """The crosses hit by any of the guards: an OR of their ``hit_set`` masks."""
+        mask = 0
+        for g in guards:
+            mask |= self.pix.guards[g].hit_set
+        return mask
+
     @property
     def feasible(self) -> bool:
         return not self.infeasible_crosses
 
     @property
     def infeasible_crosses(self) -> Tuple[int, ...]:
-        hit = 0
-        for g in self.universe:
-            hit |= self.pix.guards[g].hit_set
-        return tuple(c for c in self.xprime if not hit >> c & 1)
-
-    @functools.cached_property
-    def sets(self) -> Dict[int, FrozenSet[int]]:
-        wanted = 0
-        for c in self.xprime:
-            wanted |= 1 << c
-        out: Dict[int, List[int]] = {c: [] for c in self.xprime}
-        for g in self.universe:
-            for c in _bits(self.pix.guards[g].hit_set & wanted):
-                out[c].append(g)
-        return {c: frozenset(gs) for c, gs in out.items()}
+        return tuple(_bits(self.wanted & ~self.hit_mask(self.universe)))
 
     def weight_of(self, gid: int):
         return self.weights.get(gid, 1)
 
     def total_weight(self):
         return sum(self.weight_of(g) for g in self.universe)
-
-    def set_weight(self, cid: int):
-        return sum(self.weight_of(g) for g in self.sets[cid])
 
     def with_weights(self, weights: Dict[int, object]) -> "HittingInstance":
         return replace(self, weights=dict(weights))
@@ -77,9 +72,14 @@ class HittingInstance:
         return HittingInstance(pix=self.pix, xprime=self.xprime, universe=uni, weights=w)
 
     def to_dict(self) -> dict:
+        """The universe and, per requested cross, the guards that hit it."""
+        sets: Dict[int, List[int]] = {c: [] for c in self.xprime}
+        for g in sorted(self.universe):
+            for c in _bits(self.pix.guards[g].hit_set & self.wanted):
+                sets[c].append(g)
         return {
             "universe": list(self.universe),
-            "sets": [{"cross": c, "guards": sorted(self.sets[c])} for c in self.xprime],
+            "sets": [{"cross": c, "guards": gs} for c, gs in sets.items()],
         }
 
 
@@ -87,10 +87,10 @@ def build_instance(pix: Pixelation, xprime: Optional[Iterable[int]] = None,
                    gammaprime: Optional[Iterable[int]] = None) -> HittingInstance:
     """Assemble the hitting-set instance for the requested crosses and guards.
 
-    Raises ``ValueError`` for a cross or guard id that the pixelation does
-    not have.
+    A repeated cross id counts once.  Raises ``ValueError`` for a cross or
+    guard id that the pixelation does not have.
     """
-    xp = tuple(sorted(xprime)) if xprime is not None else tuple(range(len(pix.crosses)))
+    xp = tuple(sorted(set(xprime))) if xprime is not None else tuple(range(len(pix.crosses)))
     uni = tuple(sorted(gammaprime)) if gammaprime is not None else tuple(
         g.id for g in pix.guards)
     for what, ids, n in (("cross", xp, len(pix.crosses)), ("guard", uni, len(pix.guards))):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from .approx import bg_hitting_set
+from .approx import DEFAULT_NET_CONSTANT, DEFAULT_ROUND_CONSTANT, bg_hitting_set
 from .errors import Infeasible
 from .exact import Solution, brute_force_min_cover, greedy_cover
 from .gallery import path_guard
@@ -16,7 +16,7 @@ from .geometry import (
     pixelate,
 )
 from .hitset import HittingInstance, build_auxiliary_graph, build_instance
-from .treewidth import decompose, dual_graph, dp_solve, lift_decomposition
+from .treewidth import DEFAULT_WIDTH_MAX, decompose, dp_solve, dual_graph, lift_decomposition
 
 MODES = ("msc", "mhsc", "mvsc", "custom")
 ALGOS = ("exact", "dp", "bg", "greedy", "path")
@@ -58,8 +58,10 @@ def instance_for_mode(pix: Pixelation, mode: str,
 
 
 def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
-                  seed: int = 0, cap: Optional[int] = None, width_max: int = 20,
-                  net_constant: float = 4.0, round_constant: float = 4.0,
+                  seed: int = 0, cap: Optional[int] = None,
+                  width_max: int = DEFAULT_WIDTH_MAX,
+                  net_constant: float = DEFAULT_NET_CONSTANT,
+                  round_constant: float = DEFAULT_ROUND_CONSTANT,
                   xprime: Optional[Iterable[int]] = None,
                   guard_ids: Optional[Iterable[int]] = None,
                   guard_orientations: Optional[str] = None,
@@ -71,9 +73,10 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if algo == "path" and (mode != "msc" or xprime is not None):
+    if algo == "path" and (mode != "msc" or xprime is not None or guard_ids is not None
+                           or guard_orientations):
         raise ValueError("the path algorithm guards every cross with any camera; "
-                         "use mode=msc without a cross restriction")
+                         "use mode=msc without a cross or guard restriction")
     pix = pixelate(poly)
     info: Dict = {
         "n": poly.n,
@@ -120,7 +123,7 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
             info["width_d"] = td_d.width
             info["width_h"] = td_h.width
             info["width_used"] = td.width
-            sol = dp_solve(H, td, xprime=inst.xprime, width_max=width_max)
+            sol = dp_solve(H, td, width_max=width_max)
             info["dp_peak_table"] = sol.counters["dp_peak_table"]
         else:
             raise ValueError(f"unknown algo {algo!r}")

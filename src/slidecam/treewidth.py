@@ -400,19 +400,18 @@ def _dp(nodes: List[_NiceNode], H: AuxiliaryGraph) -> Tuple[Optional[FrozenSet[i
 
 
 def dp_solve(H: AuxiliaryGraph, td: TreeDecomposition,
-             xprime: Optional[Iterable[int]] = None,
              width_max: int = DEFAULT_WIDTH_MAX) -> Solution:
     """Minimum guard set via dynamic programming over a decomposition of ``H``.
 
     ``td`` may be the lifted decomposition or any other valid decomposition
-    of the auxiliary graph.  The solution carries ``td`` and the largest DP
-    table, in states, as the counter ``dp_peak_table``.
+    of the auxiliary graph.  The cover is verified on the crosses ``H`` was
+    built over.  The solution carries ``td`` and the largest DP table, in
+    states, as the counter ``dp_peak_table``.
     """
     if td.width > width_max:
         raise WidthExceeded(f"width {td.width} exceeds limit {width_max}")
     picked, peak = _dp(_make_nice(td), H)
     if picked is None:
         raise Infeasible("no guard set satisfies all requested crosses")
-    xp = tuple(sorted(xprime)) if xprime is not None else H.xprime
-    return replace(make_solution(H.pix, xp, sorted(picked), "dp"), decomposition=td,
+    return replace(make_solution(H.pix, H.xprime, sorted(picked), "dp"), decomposition=td,
                    counters={"dp_peak_table": peak})

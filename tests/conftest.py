@@ -193,3 +193,9 @@ def bfs_within_two(adj, sources, targets) -> dict:
 def oriented_instance(pix, orientations=("H", "V")):
     ids = [g.id for g in sc.guard_segments(pix, orientations)]
     return sc.build_instance(pix, gammaprime=ids)
+
+
+def cross_sets(inst):
+    """Per requested cross, the universe guards whose hit set holds it."""
+    return {c: frozenset(g for g in inst.universe if inst.pix.guards[g].hit_set >> c & 1)
+            for c in inst.xprime}

@@ -6,7 +6,7 @@ import pytest
 import slidecam as sc
 from slidecam.approx import NetRequest, heavy_sets, is_net
 
-from conftest import RECT, oriented_instance
+from conftest import RECT, cross_sets, oriented_instance
 
 
 def weighted_instances(count, tag, max_n=12):
@@ -37,12 +37,13 @@ def test_comb_uniform_heavy_sets_all_hit():
     inst = oriented_instance(pix, ("H",))
     r = Fraction(len(inst.xprime))
     # with uniform weights every singleton tooth set is heavy at large r
-    tooth = [c for c in inst.xprime if len(inst.sets[c]) == 1]
+    sets = cross_sets(inst)
+    tooth = [c for c in inst.xprime if len(sets[c]) == 1]
     hv = heavy_sets(inst, r)
     assert set(tooth) <= set(hv)
     net = sc.find_net(inst, NetRequest(r=r, seed="c"))
     for c in tooth:
-        assert inst.sets[c] & net
+        assert sets[c] & net
 
 
 def test_net_property_randomized():
@@ -138,9 +139,8 @@ def test_combined_net_comb3_majority_orientation():
     net = sc.combined_net(inst, req)
     h_part = {g for g in net if pix.guards[g].orientation == "H"}
     W = inst.total_weight()
-    for c in inst.xprime:
-        hitters = inst.sets[c]
-        if inst.set_weight(c) * r.numerator < W * r.denominator:
+    for c, hitters in cross_sets(inst).items():
+        if sum(inst.weight_of(g) for g in hitters) * r.numerator < W * r.denominator:
             continue  # only heavy sets are promised coverage
         h_hitters = {g for g in hitters if pix.guards[g].orientation == "H"}
         if 2 * len(h_hitters) >= len(hitters):

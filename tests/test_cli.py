@@ -241,7 +241,9 @@ def test_export_rejects_unknown_orientation(tmp_path, capsys):
     ["--mode", "msc", "--guard-orientations", "X"],
     ["--mode", "msc", "--guard-orientations", "H"],
     ["--mode", "mhsc", "--guard-ids", "0"],
-    ["--mode", "custom", "--guard-ids", "0", "--guard-orientations", "H"]])
+    ["--mode", "custom", "--guard-ids", "0", "--guard-orientations", "H"],
+    ["--algo", "path", "--guard-orientations", "X"],
+    ["--algo", "path", "--guard-ids", "0"]])
 def test_solve_rejects_ignored_or_conflicting_guard_flags(tmp_path, capsys, args):
     poly_path = write_poly(tmp_path, LSHAPE)
     assert main(["solve", poly_path, *args]) == 1

@@ -4,17 +4,18 @@ import pytest
 
 import slidecam as sc
 
-from conftest import LSHAPE, RECT, oriented_instance
+from conftest import LSHAPE, RECT, cross_sets, oriented_instance
 
 
 def exhaustive_optimum(inst: sc.HittingInstance) -> int:
     """Plain subset enumeration, the oracle for the oracle."""
     uni = list(inst.universe)
+    sets = cross_sets(inst)
     assert 2 ** len(uni) <= 2 ** 20
     for k in range(0, len(uni) + 1):
         for pick in itertools.combinations(uni, k):
             chosen = set(pick)
-            if all(inst.sets[c] & chosen for c in inst.xprime):
+            if all(s & chosen for s in sets.values()):
                 return k
     raise AssertionError("infeasible instance")
 
@@ -52,11 +53,11 @@ def test_brute_force_matches_exhaustive(corpus):
 
 
 def test_dominance_pruning_preserves_optimum(corpus):
-    from slidecam.exact import _dominance_prune, _prepare_masks
+    from slidecam.exact import _dominance_prune
     for name in ("comb3", "spiral2", "rand1", "rand4"):
         pix = sc.pixelate(corpus[name])
         inst = sc.build_instance(pix)
-        masks, full, _ = _prepare_masks(inst)
+        masks = {g: pix.guards[g].hit_set & inst.wanted for g in inst.universe}
         kept = _dominance_prune(inst, masks)
         pruned_inst = sc.build_instance(pix, gammaprime=kept)
         assert (sc.brute_force_min_cover(pruned_inst).size

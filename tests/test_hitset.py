@@ -5,14 +5,14 @@ import pytest
 
 import slidecam as sc
 
-from conftest import LSHAPE, RECT, bfs_within_two, oriented_instance
+from conftest import LSHAPE, RECT, bfs_within_two, cross_sets, oriented_instance
 
 
 def test_build_instance_rectangle():
     pix = sc.pixelate(sc.validate_polygon(RECT))
     inst = sc.build_instance(pix)
     assert len(inst.universe) == 2
-    assert inst.sets[0] == frozenset(inst.universe)
+    assert cross_sets(inst)[0] == frozenset(inst.universe)
     assert inst.feasible
 
 
@@ -21,9 +21,9 @@ def test_build_instance_comb_horizontal_singletons():
     pix = sc.pixelate(p)
     inst = oriented_instance(pix, ("H",))
     tooth_rects = {(1, 0, 2, 1), (1, 2, 2, 3), (1, 4, 2, 5)}
-    for c in inst.xprime:
+    for c, hitters in cross_sets(inst).items():
         if pix.pixels[c].rect in tooth_rects:
-            assert len(inst.sets[c]) == 1
+            assert len(hitters) == 1
 
 
 def test_build_instance_infeasible_flag():
@@ -33,6 +33,15 @@ def test_build_instance_infeasible_flag():
     assert not inst.feasible
     bad_rects = {pix.pixels[c].rect for c in inst.infeasible_crosses}
     assert bad_rects == {(1, 0, 2, 1)}
+
+
+def test_build_instance_counts_repeated_crosses_once():
+    pix = sc.pixelate(sc.gen_comb(4))
+    inst = sc.build_instance(pix, xprime=[3, 1, 1])
+    assert inst.xprime == (1, 3)
+    assert inst.wanted == 0b1010
+    assert sc.brute_force_min_cover(inst).size == 1
+    assert sc.bg_hitting_set(inst).solution.size >= 1
 
 
 def test_instance_monotonicity():

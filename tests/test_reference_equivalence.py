@@ -3,8 +3,8 @@
 The reference loops below are the straightforward versions: a per-cell ray
 cast for ``inside``, slices from reflex-vertex cut rays marched cell by cell
 and glued by union-find, an all-pairs edge contact test with every hole vertex
-checked for containment, a linear ``on_boundary`` scan, a scan over every
-slice-segment for each guard, a guard-by-guard ``verify_cover``, an
+checked for containment, a linear ``on_boundary`` scan, guard runs from one
+mirrored loop per orientation, a scan over every slice-segment for each guard, a guard-by-guard ``verify_cover``, an
 O(crosses * guards) hitting-set transpose, a ring normalizer that rescans
 from the start after each merged vertex, and a ``path_guard_steps`` that
 re-validates, re-pixelates and re-segments every remainder and traces each
@@ -27,7 +27,7 @@ import pytest
 import slidecam as sc
 from slidecam.approx import NetRequest, _as_fraction, heavy_sets, is_net
 from slidecam.errors import HoleOutsideOuter, SelfIntersection
-from slidecam.exact import _prepare_masks, make_solution
+from slidecam.exact import make_solution
 from slidecam.gallery import _path_order
 from slidecam.geometry import (
     _COORD_LIMIT,
@@ -252,6 +252,41 @@ def loop_slices(pix, vertical):
 def loop_sigmas_hit(pix, g):
     return [s for s in pix.sigmas
             if _segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi, s)]
+
+
+def loop_raw_guards(pix):
+    """Maximal pixel-edge runs, one mirrored loop per orientation, as sorted keys."""
+    def edge_unit(orientation, line_idx, cell_idx):
+        if orientation == HORIZONTAL:
+            below, above = (cell_idx, line_idx - 1), (cell_idx, line_idx)
+        else:
+            below, above = (line_idx - 1, cell_idx), (line_idx, cell_idx)
+        b_in, a_in = below in pix._cell_pixel, above in pix._cell_pixel
+        if not (b_in or a_in):
+            return False
+        return not (b_in and a_in and pix._cell_pixel[below] == pix._cell_pixel[above])
+
+    raw = []
+    nx, ny = len(pix.x_cuts) - 1, len(pix.y_cuts) - 1
+    for j in range(len(pix.y_cuts)):
+        run = None
+        for i in range(nx + 1):
+            ok = i < nx and edge_unit(HORIZONTAL, j, i)
+            if ok and run is None:
+                run = i
+            elif not ok and run is not None:
+                raw.append((HORIZONTAL, pix.y_cuts[j], pix.x_cuts[run], pix.x_cuts[i]))
+                run = None
+    for i in range(len(pix.x_cuts)):
+        run = None
+        for j in range(ny + 1):
+            ok = j < ny and edge_unit(VERTICAL, i, j)
+            if ok and run is None:
+                run = j
+            elif not ok and run is not None:
+                raw.append((VERTICAL, pix.x_cuts[i], pix.y_cuts[run], pix.y_cuts[j]))
+                run = None
+    return sorted(raw)
 
 
 class LoopPixelation(sc.Pixelation):
@@ -495,6 +530,7 @@ def test_pixelation_matches_reference_loops(polygons):
         assert pix.crosses == ref.crosses, name
         assert pix.sigmas == ref.sigmas, name
         assert pix.raw_guards == ref.raw_guards, name
+        assert [g.key() for g in pix.raw_guards] == loop_raw_guards(pix), name
         assert pix.guards == ref.guards, name  # ids and hit sets included
         assert pix.dual_edges == ref.dual_edges, name
         assert pix.is_thin() == ref.is_thin(), name
@@ -564,21 +600,25 @@ def test_instance_sets_and_masks_match_loops(polygons):
                             rng.sample(range(n_g), rng.randint(0, n_g))))
         for xprime, gammaprime in choices:
             inst = sc.build_instance(pix, xprime=xprime, gammaprime=gammaprime)
-            sets = loop_sets(pix, inst.xprime, inst.universe)
-            assert inst.sets == sets, name
-            assert inst.infeasible_crosses == tuple(c for c in inst.xprime if not sets[c]), name
-            masks, full, pos = _prepare_masks(inst)
-            assert full == (1 << len(inst.xprime)) - 1
-            for g in inst.universe:
-                expect = sum(1 << pos[c] for c in inst.xprime if g in sets[c])
-                assert masks[g] == expect, (name, g)
-            for o in (HORIZONTAL, VERTICAL):
-                sub = inst.restrict_orientation(o)
-                uset = set(sub.universe)
-                assert sub.sets == {c: s & uset for c, s in sets.items()}, name
             weights = {g: 2 for g in inst.universe}
             winst = inst.with_weights(weights)
-            assert winst.sets == sets and winst.weights == weights, name
+            assert winst.weights == weights, name
+            copies = [inst, winst] + [inst.restrict_orientation(o) for o in (HORIZONTAL, VERTICAL)]
+            for part in copies:
+                sets = loop_sets(pix, part.xprime, part.universe)
+                assert part.to_dict() == {
+                    "universe": list(part.universe),
+                    "sets": [{"cross": c, "guards": sorted(sets[c])} for c in part.xprime],
+                }, name
+                assert part.wanted == sum(1 << c for c in part.xprime), name
+                assert part.infeasible_crosses == tuple(c for c in part.xprime if not sets[c]), name
+                for g in part.universe:
+                    expect = sum(1 << c for c in part.xprime if g in sets[c])
+                    assert pix.guards[g].hit_set & part.wanted == expect, (name, g)
+                some = set(rng.sample(part.universe, len(part.universe) // 2))
+                for guards in (part.universe, some, ()):
+                    expect = sum(1 << c for c in part.xprime if sets[c] & set(guards))
+                    assert part.hit_mask(guards) & part.wanted == expect, name
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +794,9 @@ def test_path_guard_matches_per_peel_reference():
 
 def loop_heavy_sets(inst, r):
     W = inst.total_weight()
-    return [c for c in inst.xprime if inst.set_weight(c) * r.numerator >= W * r.denominator]
+    sets = loop_sets(inst.pix, inst.xprime, inst.universe)
+    return [c for c in inst.xprime
+            if sum(inst.weight_of(g) for g in sets[c]) * r.numerator >= W * r.denominator]
 
 
 def loop_weighted_sample(rng, items, weights, k):
@@ -791,11 +833,12 @@ def loop_find_net(inst, req):
     weights = [inst.weight_of(g) for g in universe]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
+    sets = loop_sets(inst.pix, inst.xprime, inst.universe)
     heavy = loop_heavy_sets(inst, r)
     rng = random.Random(f"net:{req.seed}")
     for _ in range(50):
         net = loop_weighted_sample(rng, universe, weights, budget)
-        if all(inst.sets[c] & net for c in heavy):
+        if all(sets[c] & net for c in heavy):
             return frozenset(net)
     raise sc.BudgetInsufficient(f"no valid net of size {budget} found in 50 attempts")
 
@@ -808,11 +851,12 @@ def loop_subinstance_net(sub, req):
     if budget >= len(universe):
         return frozenset(universe)
     weights = [sub.weight_of(g) for g in universe]
-    heavy = [c for c in loop_heavy_sets(sub, r) if sub.sets[c]]
+    sets = loop_sets(sub.pix, sub.xprime, sub.universe)
+    heavy = [c for c in loop_heavy_sets(sub, r) if sets[c]]
     rng = random.Random(f"net:{req.seed}")
     for _ in range(50):
         net = loop_weighted_sample(rng, universe, weights, budget)
-        if all(sub.sets[c] & net for c in heavy):
+        if all(sets[c] & net for c in heavy):
             return frozenset(net)
     raise sc.BudgetInsufficient(f"no valid net of size {budget} found in 50 attempts")
 
@@ -828,7 +872,8 @@ def loop_combined_net(inst, req):
                              size_budget=req.size_budget, net_constant=req.net_constant)
         parts.append(loop_subinstance_net(sub, sub_req))
     net = frozenset().union(*parts) if parts else frozenset()
-    if not all(inst.sets[c] & net for c in loop_heavy_sets(inst, r)):
+    sets = loop_sets(inst.pix, inst.xprime, inst.universe)
+    if not all(sets[c] & net for c in loop_heavy_sets(inst, r)):
         raise sc.BudgetInsufficient("combined net failed verification at parameter r")
     return net
 
@@ -851,6 +896,7 @@ def loop_bg(inst, seed=0, net_constant=4.0, round_constant=4.0):
         return sc.ApproxReport(solution=sol, opt_guess_history=(), iterations=0,
                                net_sizes=(), terminating_k=0, budget_at_2k=0, budget_at_4k=0)
     mixed = len(inst.orientations()) > 1
+    sets = loop_sets(inst.pix, inst.xprime, inst.universe)
     guesses, net_sizes, iterations, k = [], [], 0, 1
     while True:
         guesses.append(k)
@@ -872,10 +918,10 @@ def loop_bg(inst, seed=0, net_constant=4.0, round_constant=4.0):
                     budget_at_2k=loop_net_budget(inst, Fraction(2 * k), net_constant),
                     budget_at_4k=loop_net_budget(inst, Fraction(4 * k), net_constant))
             witness = uncovered[0]
-            w_set = sum(weights[g] for g in inst.sets[witness])
+            w_set = sum(weights[g] for g in sets[witness])
             if w_set * 2 * k > sum(weights.values()):
                 raise AssertionError("witness set is heavy; net verification is broken")
-            for g in inst.sets[witness]:
+            for g in sets[witness]:
                 weights[g] *= 2
         k *= 2
         if k > 4 * len(universe) + 4:
@@ -918,7 +964,8 @@ def test_nets_match_per_cross_set_loops():
         for part in (inst, inst.restrict_orientation(HORIZONTAL)):
             assert heavy_sets(part, r) == loop_heavy_sets(part, r), seed
             for net in (frozenset(), frozenset(inst.universe[::2]), frozenset(inst.universe)):
-                want = all(part.sets[c] & net for c in loop_heavy_sets(part, r))
+                sets = loop_sets(part.pix, part.xprime, part.universe)
+                want = all(sets[c] & net for c in loop_heavy_sets(part, r))
                 assert is_net(part, net, r) == want, seed
     assert outcomes["net"] > 1000 and outcomes["error"] > 100, outcomes
 

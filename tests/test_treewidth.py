@@ -130,7 +130,7 @@ def dp_pipeline(pix, gammaprime=None, xprime=None, width_max=20):
     td = decompose(dual_graph(pix))
     H = sc.build_auxiliary_graph(pix, xprime=xprime, gammaprime=gammaprime)
     tdh = lift_decomposition(td, H, pix)
-    return dp_solve(H, tdh, xprime=xprime, width_max=width_max)
+    return dp_solve(H, tdh, width_max=width_max)
 
 
 def test_dp_rectangle():
@@ -175,12 +175,12 @@ def test_dp_matches_oracle_random_restricted():
         assert ok, (seed, wit)
         if inst.feasible:
             oracle = sc.brute_force_min_cover(inst).size
-            sol = dp_solve(H, tdh, xprime=xs)
+            sol = dp_solve(H, tdh)
             assert sol.size == oracle, seed
             assert sc.verify_cover(pix, list(sol.guard_ids), xs).covered
         else:
             with pytest.raises(sc.Infeasible):
-                dp_solve(H, tdh, xprime=xs)
+                dp_solve(H, tdh)
         done += 1
     assert done >= 60
 

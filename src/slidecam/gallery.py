@@ -23,13 +23,11 @@ from .geometry import (
     VERTICAL,
     GuardSegment,
     OrthoPolygon,
-    Pixelation,
     Rect,
     Vertex,
     guard_segments,
     pixelate,
     validate_polygon,
-    verify_cover,
 )
 from .hitset import build_instance
 
@@ -268,125 +266,25 @@ def gen_thin_tree(branches: int, seed: int = 0) -> OrthoPolygon:
 # Single-camera guarding of small polygons
 # ---------------------------------------------------------------------------
 
-def _rotate_polygon(poly: OrthoPolygon) -> OrthoPolygon:
-    """Rotate 90 degrees counter-clockwise: (x, y) -> (-y, x)."""
-    rings = [[(-y, x) for x, y in ring] for ring in poly.rings()]
-    return validate_polygon(rings)
-
-
-def _unrotate_guard(g: GuardSegment) -> GuardSegment:
-    """Inverse of :func:`_rotate_polygon` applied to a guard segment."""
-    if g.orientation == HORIZONTAL:
-        # endpoints (lo, a), (hi, a) -> (a, -lo), (a, -hi)
-        return GuardSegment(orientation=VERTICAL, anchor=g.anchor, lo=-g.hi, hi=-g.lo)
-    return GuardSegment(orientation=HORIZONTAL, anchor=-g.anchor, lo=g.lo, hi=g.hi)
-
-
 def guard_small(poly: OrthoPolygon) -> GuardSegment:
     """One camera guarding a hole-free polygon with at most 8 vertices.
 
-    Up to six vertices a horizontal camera along the full-width band works;
-    with eight vertices the polygon is rotated until its two reflex corners
-    have distinct x, and a camera through (or inside) the middle vertical
-    slice does the job.  The candidate implied by the case analysis is tried
-    first and verified before being returned.
+    The polygon is pixelated once and the first canonical guard, in key
+    order, whose hit set is every cross is returned.  A guard's hit set is
+    the set of crosses with a support midline it meets, which is what
+    :func:`verify_cover` tests, so no further check is needed.  The paper
+    shows that such a guard always exists; the AssertionError checks it.
     """
     if poly.holes:
         raise PreconditionViolated("guard_small needs a hole-free polygon")
     if poly.n > 8:
         raise PreconditionViolated(f"guard_small needs n <= 8, got {poly.n}")
     pix = pixelate(poly)
-    reflex = pix.reflex_vertices
-
-    rotated = False
-    if len(reflex) == 2 and reflex[0][0] == reflex[1][0]:
-        rotated = True
-        poly = _rotate_polygon(poly)
-        pix = pixelate(poly)
-
-    candidates: List[GuardSegment] = []
-    if len(reflex) <= 1:
-        candidates.extend(_full_width_band_guards(pix))
-    else:
-        candidates.extend(_middle_slice_guards(pix))
-    # robustness net: any remaining single guard, in canonical order
-    candidates.extend(pix.guards)
-
-    for g in candidates:
-        if verify_cover(pix, [g]).covered:
-            return _unrotate_guard(g) if rotated else g
+    every = (1 << len(pix.crosses)) - 1
+    for g in pix.guards:
+        if g.hit_set == every:
+            return g
     raise AssertionError("no single camera covers this small polygon")
-
-
-def _full_width_band_guards(pix: Pixelation) -> List[GuardSegment]:
-    """Guards along the outer edge of a horizontal slice spanning the full width."""
-    xl, _, xh, _ = pix.polygon.bbox()
-    out = []
-    for s in sorted(pix.slices_h, key=lambda s: -(s.rect[2] - s.rect[0]) * (s.rect[3] - s.rect[1])):
-        if s.rect[0] == xl and s.rect[2] == xh:
-            for anchor in (s.rect[1], s.rect[3]):
-                try:
-                    gid = pix.canonical_id_for_run(HORIZONTAL, anchor, s.rect[0], s.rect[2])
-                    out.append(pix.guards[gid])
-                except KeyError:
-                    pass
-    return out
-
-
-def _middle_slice_guards(pix: Pixelation) -> List[GuardSegment]:
-    """Candidates for the 8-vertex case: through or inside the middle slice."""
-    if len(pix.slices_v) != 3:
-        return []
-    mid = sorted(pix.slices_v, key=lambda s: s.rect[0])[1]
-    xl, yl, xh, yh = mid.rect
-    out = []
-    # a horizontal line inside the slice that reaches the interior on both
-    # sides extends into a camera covering all three slices
-    left_open = _open_side_interval(pix, x=xl, ylo=yl, yhi=yh, left=True)
-    right_open = _open_side_interval(pix, x=xh, ylo=yl, yhi=yh, left=False)
-    for a, b in _interval_overlaps(left_open, right_open):
-        for y in pix.y_cuts:
-            if a <= y <= b:
-                out.append(pix.extend_to_maximal(HORIZONTAL, y, xl, xh))
-    # otherwise a vertical camera inside the slice sees all of it and both
-    # shorter neighbours
-    for anchor in (xl, xh):
-        try:
-            gid = pix.canonical_id_for_run(VERTICAL, anchor, yl, yh)
-            out.append(pix.guards[gid])
-        except KeyError:
-            pass
-    return out
-
-
-def _open_side_interval(pix: Pixelation, x: int, ylo: int, yhi: int, left: bool):
-    """Maximal y-intervals where the vertical line x is interior to the polygon."""
-    i = pix._xi[x]
-    spans = []
-    run = None
-    for j in range(len(pix.y_cuts) - 1):
-        if pix.y_cuts[j] < ylo or pix.y_cuts[j + 1] > yhi:
-            inside = False
-        else:
-            inside = pix._cell_inside(i - 1, j) and pix._cell_inside(i, j)
-        if inside and run is None:
-            run = j
-        elif not inside and run is not None:
-            spans.append((pix.y_cuts[run], pix.y_cuts[j]))
-            run = None
-    if run is not None:
-        spans.append((pix.y_cuts[run], yhi))
-    return spans
-
-
-def _interval_overlaps(a_spans, b_spans):
-    out = []
-    for a1, a2 in a_spans:
-        for b1, b2 in b_spans:
-            lo, hi = max(a1, b1), min(a2, b2)
-            if lo < hi:
-                out.append((lo, hi))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +373,10 @@ def path_guard_steps(poly: OrthoPolygon) -> Tuple[Solution, List[PeelStep]]:
     remainder's slices are the input's slices minus the peeled ones, so its
     path is what is left of the input's path.  Each peel cuts the current
     ring along the seam between the last peeled and the first kept slice,
-    which costs O(n); only the pieces are pixelated, by :func:`guard_small`.
+    which costs O(n); only the pieces are pixelated, once each, by
+    :func:`guard_small`, which returns the piece's first canonical guard
+    that hits every cross; that guard is extended to a maximal camera of
+    the input.
     """
     if poly.holes:
         raise NotPathSegmentation("polygon has holes")

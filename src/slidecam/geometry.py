@@ -623,13 +623,6 @@ class Pixelation:
 
     # -- lookups ------------------------------------------------------------
 
-    def canonical_id_for_run(self, orientation: str, anchor: int, lo: int, hi: int) -> int:
-        """Canonical guard id of the pixel-edge run containing [lo, hi]."""
-        for rlo, rhi in self._runs_by_line.get((orientation, anchor), ()):
-            if rlo <= lo and hi <= rhi:
-                return self._canonical_of[(orientation, anchor, rlo, rhi)]
-        raise KeyError(f"no pixel-edge run on {orientation} line {anchor} covering [{lo},{hi}]")
-
     def pixel_side_runs(self, pid: int) -> Tuple[Tuple[str, int, int, int], ...]:
         """The maximal pixel-edge runs containing each of a pixel's four sides."""
         xl, yl, xh, yh = self.pixels[pid].rect

@@ -87,11 +87,11 @@ def build_instance(pix: Pixelation, xprime: Optional[Iterable[int]] = None,
                    gammaprime: Optional[Iterable[int]] = None) -> HittingInstance:
     """Assemble the hitting-set instance for the requested crosses and guards.
 
-    A repeated cross id counts once.  Raises ``ValueError`` for a cross or
-    guard id that the pixelation does not have.
+    A repeated cross or guard id counts once.  Raises ``ValueError`` for a
+    cross or guard id that the pixelation does not have.
     """
     xp = tuple(sorted(set(xprime))) if xprime is not None else tuple(range(len(pix.crosses)))
-    uni = tuple(sorted(gammaprime)) if gammaprime is not None else tuple(
+    uni = tuple(sorted(set(gammaprime))) if gammaprime is not None else tuple(
         g.id for g in pix.guards)
     for what, ids, n in (("cross", xp, len(pix.crosses)), ("guard", uni, len(pix.guards))):
         bad = [i for i in ids if not 0 <= i < n]

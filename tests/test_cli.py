@@ -201,6 +201,20 @@ def test_solve_bg_report_says_whether_net_is_universe(tmp_path):
     assert info["bg"]["net_is_universe"] is (info["size"] == info["universe"])
 
 
+def test_solve_counts_repeated_guard_ids_once(tmp_path):
+    poly_path = tmp_path / "comb4.json"
+    poly_path.write_text(json.dumps(sc.gen_comb(4).to_dict()))
+    report = tmp_path / "report.json"
+    assert main(["solve", str(poly_path), "--mode", "custom",
+                 "--guard-ids", "0,0,1,2,3,4,5,6,7,8", "--algo", "bg",
+                 "--report", str(report)]) == 0
+    info = json.loads(report.read_text())
+    assert info["universe"] == 9
+    assert info["bg"]["net_is_universe"] is True
+    inst = sc.build_instance(sc.pixelate(sc.gen_comb(4)), gammaprime=[0, 0, *range(1, 9)])
+    assert inst.universe == tuple(range(9))
+
+
 @pytest.mark.parametrize("algo", ["exact", "greedy", "bg", "dp"])
 @pytest.mark.parametrize("shape, mode", [("comb3", "msc"), ("spiral2", "mhsc")])
 def test_each_solve_verifies_its_cover_once(monkeypatch, algo, shape, mode):

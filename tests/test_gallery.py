@@ -120,7 +120,8 @@ def test_guard_small_rectangle_and_lshape():
     p = sc.validate_polygon(LSHAPE)
     g = sc.guard_small(p)
     assert sc.verify_cover(sc.pixelate(p), [g]).covered
-    # the camera lies in the full-width horizontal slice
+    # the first guard in key order that hits every cross is horizontal and
+    # lies on the full-width bottom band
     assert g.orientation == "H" and 0 <= g.anchor <= 1
 
 
@@ -131,7 +132,8 @@ def test_guard_small_staircase():
 
 
 def test_guard_small_rotation_case():
-    # two reflex vertices sharing their x coordinate force the rotated branch
+    # two reflex vertices sharing their x coordinate leave no middle vertical
+    # slice; a single camera covers the polygon all the same
     p = sc.validate_polygon([[(0, 0), (3, 0), (3, 2), (2, 2), (2, 4), (3, 4),
                               (3, 6), (0, 6)]])
     pix = sc.pixelate(p)

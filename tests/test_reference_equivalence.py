@@ -53,7 +53,7 @@ from slidecam.treewidth import (
 from conftest import oriented_instance
 from test_approx import weighted_instances
 from test_fuzz import gen_random_holed
-from test_gallery import staircase_polygon
+from test_gallery import enumerate_small_polygons, staircase_polygon
 
 # ---------------------------------------------------------------------------
 # Reference loops
@@ -398,6 +398,15 @@ def loop_subpolygon_of_slices(pix, slice_ids, vertical):
     if len(walk) != len(nxt):
         raise AssertionError("peeled region is not simply connected")
     return sc.validate_polygon([[(pix.x_cuts[i], pix.y_cuts[j]) for i, j in walk]])
+
+
+def loop_guard_small(poly):
+    """The first canonical guard that verify_cover alone finds covering the polygon."""
+    pix = sc.pixelate(poly)
+    for g in pix.guards:
+        if sc.verify_cover(pix, [g]).covered:
+            return g
+    raise AssertionError("no single camera covers this small polygon")
 
 
 def loop_path_guard_steps(poly):
@@ -756,6 +765,15 @@ def test_normalize_ring_matches_rescan_reference(polygons):
         assert _normalize_outcome(_normalize_ring, raw) == want, raw
         kinds.add(want[1].split(": ")[1][:14] if isinstance(want, tuple) else "ok")
     assert {"ok", "boundary doubl", "collapses to f", "zero area"} <= kinds
+
+
+def test_guard_small_matches_first_verified_guard():
+    polys = list(enumerate_small_polygons())
+    for seed in range(400):
+        n = random.Random(seed).choice([4, 6, 8])
+        polys.append(sc.gen_random_simple(n, seed + 7000))
+    for p in polys:
+        assert sc.guard_small(p).key() == loop_guard_small(p).key(), p.outer
 
 
 def _peel_outcome(fn, poly):

@@ -23,7 +23,7 @@ from .errors import (
     WidthExceeded,
 )
 from .gallery import check_bounds, gen_comb, gen_path_lb, gen_random_simple, gen_thin_tree
-from .geometry import GuardSegment, OrthoPolygon, pixelate, verify_cover
+from .geometry import HORIZONTAL, VERTICAL, GuardSegment, OrthoPolygon, pixelate, verify_cover
 from .render import render_svg
 from .solve import ALGOS, MODES, instance_for_mode, solve_polygon
 from .treewidth import DEFAULT_WIDTH_MAX
@@ -35,6 +35,32 @@ def _read_polygon(path: str) -> OrthoPolygon:
     with open(path) as f:
         data = json.load(f)
     return OrthoPolygon.from_dict(data)
+
+
+def _read_cameras(path: str) -> list[GuardSegment]:
+    """The cameras of a solution file; a malformed record is a ValueError."""
+    with open(path) as f:
+        data = json.load(f)
+    cams = data.get("cameras") if isinstance(data, dict) else None
+    if not isinstance(cams, list):
+        raise ValueError(f'{path}: no "cameras" list')
+    out = []
+    for k, c in enumerate(cams):
+        try:
+            ends = [c["anchor"], *c["span"]]
+            anchor, lo, hi = ints = [int(t) for t in ends]
+            orientation = c["orientation"]
+        except (TypeError, KeyError, ValueError, OverflowError):
+            raise ValueError(f'camera {k}: needs "orientation", an integer "anchor" '
+                             f'and a "span" of two integers') from None
+        if ints != ends:
+            raise ValueError(f"camera {k}: anchor and span ends must be integers, got {ends}")
+        if orientation not in (HORIZONTAL, VERTICAL):
+            raise ValueError(f"camera {k}: orientation {orientation!r} is not H or V")
+        if lo > hi:
+            raise ValueError(f"camera {k}: span [{lo}, {hi}] has lo > hi")
+        out.append(GuardSegment(orientation=orientation, anchor=anchor, lo=lo, hi=hi))
+    return out
 
 
 def _dump_json(obj, path):
@@ -113,12 +139,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     poly = _read_polygon(args.polygon)
     pix = pixelate(poly)
-    with open(args.solution) as f:
-        data = json.load(f)
-    cams = [GuardSegment(orientation=c["orientation"], anchor=c["anchor"],
-                         lo=c["span"][0], hi=c["span"][1])
-            for c in data["cameras"]]
-    report = verify_cover(pix, cams)
+    report = verify_cover(pix, _read_cameras(args.solution))
     if report.covered:
         print(f"covered: all {len(pix.crosses)} crosses")
         return 0

@@ -10,8 +10,8 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter, itemgetter, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -67,8 +67,9 @@ class OrthoPolygon:
 
     @staticmethod
     def from_dict(d: dict) -> "OrthoPolygon":
-        rings = [d["outer"], *d.get("holes", [])]
-        return validate_polygon(rings)
+        if not isinstance(d, dict) or "outer" not in d or not isinstance(d.get("holes", []), list):
+            raise PolygonError('a polygon is {"outer": ring, "holes": [ring, ...]}')
+        return validate_polygon([d["outer"], *d.get("holes", [])])
 
 
 def _signed_area2(ring: Sequence[Vertex]) -> int:
@@ -83,12 +84,17 @@ def _signed_area2(ring: Sequence[Vertex]) -> int:
 
 def _normalize_ring(raw: Sequence[Sequence[int]], name: str) -> List[Vertex]:
     pts: List[Vertex] = []
-    for p in raw:
-        v = (int(p[0]), int(p[1]))
-        if abs(v[0]) > _COORD_LIMIT or abs(v[1]) > _COORD_LIMIT:
-            raise PolygonError(f"{name}: coordinate outside 32-bit range: {v}")
-        if not pts or pts[-1] != v:
-            pts.append(v)
+    try:
+        for x, y in raw:
+            v = (int(x), int(y))
+            if v != (x, y):
+                raise PolygonError(f"{name}: coordinate of ({x!r}, {y!r}) is not an integer")
+            if abs(v[0]) > _COORD_LIMIT or abs(v[1]) > _COORD_LIMIT:
+                raise PolygonError(f"{name}: coordinate outside 32-bit range: {v}")
+            if not pts or pts[-1] != v:
+                pts.append(v)
+    except (TypeError, ValueError, OverflowError):
+        raise PolygonError(f"{name}: not a list of [x, y] integer pairs") from None
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
     if len(pts) < 3:
@@ -396,7 +402,15 @@ class Pixelation:
 
     Pixels are stored against a compressed grid (the vertex coordinates per
     axis); a pixel may span several grid cells, since segmentation cuts stop
-    at the boundary and do not extend across the whole polygon.
+    at the boundary and do not extend across the whole polygon.  Each
+    labelling of the grid cells is kept once, as a column-major grid of ints
+    (``grid[i][j]`` is column i, row j) with -1 for cells outside P:
+    ``vslice`` and ``hslice`` hold each cell's slice ids and ``pixel`` its
+    pixel id.  The rest is derived from those grids: both dual graphs by
+    one scan for labels that differ across a cell side
+    (:func:`_label_edges`), and the guards by one scan for runs of
+    grid-line units along pixel edges, which also records the pixels on
+    each run's two sides (``side_guards``).
     """
 
     def __init__(self, polygon: OrthoPolygon):
@@ -436,7 +450,6 @@ class Pixelation:
             acc ^= t
             rows.append(format(acc, f"0{nx}b")[::-1])
         cols = ["".join(col) for col in zip(*rows)]
-        self.inside = [[c == "1" for c in col] for col in cols]
 
         self._reflex = self._find_reflex_vertices()
         self._build_slices(cols, rows)
@@ -464,41 +477,37 @@ class Pixelation:
         x, y = pt
         return _on_spans(self._v_spans.get(x, ()), y) or _on_spans(self._h_spans.get(y, ()), x)
 
-    def _cell_inside(self, i: int, j: int) -> bool:
-        if i < 0 or j < 0 or i >= len(self.inside) or j >= len(self.inside[0]):
-            return False
-        return self.inside[i][j]
+    def _empty_grid(self) -> List[List[int]]:
+        return [[-1] * (len(self.y_cuts) - 1) for _ in range(len(self.x_cuts) - 1)]
 
     def _build_slices(self, cols: List[str], rows: List[str]):
         """Both segmentations, read off the runs of inside cells.
 
-        ``cols[i]`` / ``rows[j]`` spell column i / row j of ``inside`` as
-        "0"/"1" strings.  A vertical slice is a maximal chain of adjacent
+        ``cols[i]`` / ``rows[j]`` spell column i / row j of the inside cells
+        as "0"/"1" strings.  A vertical slice is a maximal chain of adjacent
         columns with the same run [j0, j1) (see :func:`_run_chains`), and a
-        horizontal slice is the same for rows.
+        horizontal slice is the same for rows.  Slices are numbered by their
+        grid-index box (i0, j0, i1, j1), which orders them as their rects.
         """
         xc, yc = self.x_cuts, self.y_cuts
-        self._cells = [(i, j) for i, col in enumerate(cols) for j, c in enumerate(col) if c == "1"]
-        v_rects = sorted(((xc[i0], yc[j0], xc[i1], yc[j1]), range(i0, i1), range(j0, j1))
-                         for i0, i1, j0, j1 in _run_chains(cols))
-        h_rects = sorted(((xc[i0], yc[j0], xc[i1], yc[j1]), range(i0, i1), range(j0, j1))
-                         for j0, j1, i0, i1 in _run_chains(rows))
-
+        v_boxes = sorted((i0, j0, i1, j1) for i0, i1, j0, j1 in _run_chains(cols))
+        h_boxes = sorted((i0, j0, i1, j1) for j0, j1, i0, i1 in _run_chains(rows))
         self.slices_v: List[Slice] = []
         self.slices_h: List[Slice] = []
-        self._cell_vslice: Dict[Tuple[int, int], int] = {}
-        self._cell_hslice: Dict[Tuple[int, int], int] = {}
-        for sid, (rect, irange, jrange) in enumerate(v_rects):
-            xl, yl, xh, yh = rect
-            seg = SliceSegment(id=sid, orientation=VERTICAL, anchor2=xl + xh, lo=yl, hi=yh)
-            self.slices_v.append(Slice(id=sid, orientation=VERTICAL, rect=rect, segment=seg))
-            self._cell_vslice.update(((i, j), sid) for i in irange for j in jrange)
-        nv = len(self.slices_v)
-        for sid, (rect, irange, jrange) in enumerate(h_rects):
-            xl, yl, xh, yh = rect
-            seg = SliceSegment(id=nv + sid, orientation=HORIZONTAL, anchor2=yl + yh, lo=xl, hi=xh)
-            self.slices_h.append(Slice(id=sid, orientation=HORIZONTAL, rect=rect, segment=seg))
-            self._cell_hslice.update(((i, j), sid) for i in irange for j in jrange)
+        self.vslice: List[List[int]] = self._empty_grid()
+        self.hslice: List[List[int]] = self._empty_grid()
+        for o, boxes, slices, grid in ((VERTICAL, v_boxes, self.slices_v, self.vslice),
+                                       (HORIZONTAL, h_boxes, self.slices_h, self.hslice)):
+            first = len(self.slices_v)  # horizontal segment ids follow the vertical ones
+            for sid, (i0, j0, i1, j1) in enumerate(boxes):
+                rect = xl, yl, xh, yh = xc[i0], yc[j0], xc[i1], yc[j1]
+                if o == VERTICAL:
+                    seg = SliceSegment(id=sid, orientation=o, anchor2=xl + xh, lo=yl, hi=yh)
+                else:
+                    seg = SliceSegment(id=first + sid, orientation=o, anchor2=yl + yh, lo=xl, hi=xh)
+                slices.append(Slice(id=sid, orientation=o, rect=rect, segment=seg))
+                for col in grid[i0:i1]:
+                    col[j0:j1] = [sid] * (j1 - j0)
         self.sigmas: List[SliceSegment] = [s.segment for s in self.slices_v] + [
             s.segment for s in self.slices_h]
         # per orientation: midlines sorted by anchor2, with their keys for bisect
@@ -508,23 +517,22 @@ class Pixelation:
             self._sigma_index[o] = ([s.anchor2 for s in segs], segs)
 
     def _build_pixels(self):
-        pair_cells: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for c in self._cells:
-            pair_cells.setdefault((self._cell_vslice[c], self._cell_hslice[c]), []).append(c)
+        # cells per (vertical, horizontal) slice pair; (-1, -1) is outside P
+        cells: Counter = Counter()
+        for vcol, hcol in zip(self.vslice, self.hslice):
+            cells.update(zip(vcol, hcol))
+        cells.pop((-1, -1), None)
 
         self.pixels: List[Pixel] = []
         self.crosses: List[Cross] = []
-        self._cell_pixel: Dict[Tuple[int, int], int] = {}
-        nv = len(self.slices_v)
-        for pid, (vh, comp) in enumerate(sorted(pair_cells.items())):
-            v, h = vh
+        self.pixel: List[List[int]] = self._empty_grid()
+        for pid, (v, h) in enumerate(sorted(cells)):
             vx = self.slices_v[v].rect
             hx = self.slices_h[h].rect
             rect = (max(vx[0], hx[0]), max(vx[1], hx[1]), min(vx[2], hx[2]), min(vx[3], hx[3]))
-            area = sum(
-                (self.x_cuts[i + 1] - self.x_cuts[i]) * (self.y_cuts[j + 1] - self.y_cuts[j])
-                for i, j in comp)
-            if area != (rect[2] - rect[0]) * (rect[3] - rect[1]):
+            i0, i1 = self._xi[rect[0]], self._xi[rect[2]]
+            j0, j1 = self._yi[rect[1]], self._yi[rect[3]]
+            if cells[v, h] != (i1 - i0) * (j1 - j0):
                 raise AssertionError("pixel does not match its slice intersection")
             self.pixels.append(Pixel(id=pid, rect=rect, v_slice=v, h_slice=h))
             sv, sh = self.slices_v[v].segment, self.slices_h[h].segment
@@ -533,48 +541,37 @@ class Pixelation:
                 raise AssertionError("slice-segments do not cross inside their pixel")
             self.crosses.append(Cross(pixel_id=pid, h_support=sh.id, v_support=sv.id,
                                       point2=(sv.anchor2, sh.anchor2)))
-            for c in comp:
-                self._cell_pixel[c] = pid
+            for col in self.pixel[i0:i1]:
+                col[j0:j1] = [pid] * (j1 - j0)
 
         self._slice_cross_mask: Dict[int, int] = {s.id: 0 for s in self.sigmas}
         for cr in self.crosses:
             self._slice_cross_mask[cr.v_support] |= 1 << cr.pixel_id
             self._slice_cross_mask[cr.h_support] |= 1 << cr.pixel_id
-
-        edges = set()
-        for (i, j) in self._cells:
-            for ni, nj in ((i + 1, j), (i, j + 1)):
-                if (ni, nj) in self._cell_pixel:
-                    a, b = self._cell_pixel[(i, j)], self._cell_pixel[(ni, nj)]
-                    if a != b:
-                        edges.add((min(a, b), max(a, b)))
-        self.dual_edges: Tuple[Tuple[int, int], ...] = tuple(sorted(edges))
+        self.dual_edges: Tuple[Tuple[int, int], ...] = tuple(sorted(_label_edges(self.pixel)))
 
     def _build_guards(self):
         # A unit of grid line lies on a pixel edge when the cells on its two
-        # sides have different pixel ids, -1 marking a cell outside P.
-        # Vertical grid lines separate columns of cells, horizontal ones rows.
-        nx, ny = len(self.x_cuts) - 1, len(self.y_cuts) - 1
-        pid = self._cell_pixel.get
-        cols = [[pid((i, j), -1) for j in range(ny)] for i in range(nx)]
-        rows = list(zip(*cols))
-        raw: List[Tuple[str, int, int, int]] = []
-        for o, lines, anchors, cuts in ((VERTICAL, cols, self.x_cuts, self.y_cuts),
-                                        (HORIZONTAL, rows, self.y_cuts, self.x_cuts)):
+        # sides have different pixel ids.  Vertical grid lines separate
+        # columns of cells, horizontal ones rows; with an outside line padded
+        # on at both ends, grid line k runs between lines k and k + 1.
+        self._lines: Dict[str, Tuple[list, Dict[int, int], List[int]]] = {}
+        sides: Dict[Tuple[str, int, int, int], set] = {}  # run -> pixels along it
+        for o, lines, index, cuts in ((VERTICAL, self.pixel, self._xi, self.y_cuts),
+                                      (HORIZONTAL, list(zip(*self.pixel)), self._yi, self.x_cuts)):
             outside = (-1,) * (len(cuts) - 1)
             padded = [outside, *lines, outside]
-            for k, anchor in enumerate(anchors):
-                start = None
-                # the trailing False closes a run that reaches the last unit
-                for t, edge in enumerate(chain(map(ne, padded[k], padded[k + 1]), (False,))):
-                    if edge and start is None:
-                        start = t
-                    elif not edge and start is not None:
-                        raw.append((o, anchor, cuts[start], cuts[t]))
-                        start = None
+            self._lines[o] = (padded, index, cuts)
+            for anchor, k in index.items():
+                before, after = padded[k], padded[k + 1]
+                for m in re.finditer(b"\x01+", bytes(map(ne, before, after))):
+                    start, t = m.span()
+                    run = {*before[start:t], *after[start:t]}
+                    run.discard(-1)
+                    sides[(o, anchor, cuts[start], cuts[t])] = run
 
         self.raw_guards: List[GuardSegment] = []
-        for o, a, lo, hi in sorted(raw):
+        for o, a, lo, hi in sorted(sides):
             mask = self._segment_hit_mask(o, a, lo, hi)
             self.raw_guards.append(GuardSegment(orientation=o, anchor=a, lo=lo, hi=hi,
                                                 id=-1, hit_set=mask))
@@ -589,12 +586,12 @@ class Pixelation:
             GuardSegment(orientation=g.orientation, anchor=g.anchor, lo=g.lo, hi=g.hi,
                          id=i, hit_set=g.hit_set)
             for i, g in enumerate(reps)]
-        canon_by_group = {(g.orientation, g.hit_set): g.id for g in self.guards}
-        self._canonical_of: Dict[Tuple[str, int, int, int], int] = {
-            g.key(): canon_by_group[(g.orientation, g.hit_set)] for g in self.raw_guards}
-        self._runs_by_line: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
-        for g in self.raw_guards:
-            self._runs_by_line.setdefault((g.orientation, g.anchor), []).append((g.lo, g.hi))
+        # A canonical guard lies along a side of each pixel flanking its own
+        # run (not those of parallel runs merged into it).
+        self.side_guards: List[List[int]] = [[] for _ in self.pixels]
+        for g in self.guards:
+            for pid in sides[g.key()]:
+                self.side_guards[pid].append(g.id)
 
     def sigmas_hit(self, orientation: str, anchor: int, lo: int, hi: int) -> List[SliceSegment]:
         """Slice-segments that the closed grid-line segment intersects.
@@ -602,9 +599,8 @@ class Pixelation:
         Bisection in the per-orientation index finds the perpendicular
         midlines with anchor2 in [2 lo, 2 hi], which meet the segment iff
         their span contains ``anchor``, and the parallel midlines on the
-        segment's own line, which meet it iff the spans overlap.  This is
-        :func:`_segment_intersects_sigma` with its anchor2 test done by the
-        index.
+        segment's own line, which meet it iff the spans overlap.  It is the
+        only segment-versus-midline predicate.
         """
         other = VERTICAL if orientation == HORIZONTAL else HORIZONTAL
         keys, segs = self._sigma_index[other]
@@ -623,55 +619,24 @@ class Pixelation:
 
     # -- lookups ------------------------------------------------------------
 
-    def pixel_side_runs(self, pid: int) -> Tuple[Tuple[str, int, int, int], ...]:
-        """The maximal pixel-edge runs containing each of a pixel's four sides."""
-        xl, yl, xh, yh = self.pixels[pid].rect
-        runs = set()
-        for o, a, lo, hi in ((HORIZONTAL, yl, xl, xh), (HORIZONTAL, yh, xl, xh),
-                             (VERTICAL, xl, yl, yh), (VERTICAL, xh, yl, yh)):
-            for rlo, rhi in self._runs_by_line.get((o, a), ()):
-                if rlo <= lo and hi <= rhi:
-                    runs.add((o, a, rlo, rhi))
-                    break
-            else:
-                raise KeyError(f"pixel {pid} side on {o} line {a} is not on a run")
-        return tuple(sorted(runs))
-
-    def canonical_guard_of_run(self, run: Tuple[str, int, int, int]) -> int:
-        return self._canonical_of[run]
-
     def extend_to_maximal(self, orientation: str, anchor: int, lo: int, hi: int) -> GuardSegment:
         """Extend a grid-line segment inside the closed polygon as far as possible.
 
         Span endpoints may fall between grid cuts; in-polygon membership is
-        uniform within a unit segment, so snapping outward stays inside.
+        uniform within a unit segment, so snapping outward stays inside.  A
+        unit is inside when a cell on either side of it is.
         """
-        if orientation == HORIZONTAL:
-            if anchor not in self._yi:
-                raise ValueError(f"horizontal line y={anchor} is not a grid line")
-            j = self._yi[anchor]
-            ilo = max(0, bisect_right(self.x_cuts, lo) - 1)
-            ihi = min(len(self.x_cuts) - 1, bisect_left(self.x_cuts, hi))
-            def ok(i):
-                return self._cell_inside(i, j - 1) or self._cell_inside(i, j)
-            while ilo > 0 and ok(ilo - 1):
-                ilo -= 1
-            while ihi < len(self.x_cuts) - 1 and ok(ihi):
-                ihi += 1
-            lo2, hi2 = self.x_cuts[ilo], self.x_cuts[ihi]
-        else:
-            if anchor not in self._xi:
-                raise ValueError(f"vertical line x={anchor} is not a grid line")
-            i = self._xi[anchor]
-            jlo = max(0, bisect_right(self.y_cuts, lo) - 1)
-            jhi = min(len(self.y_cuts) - 1, bisect_left(self.y_cuts, hi))
-            def ok(j):
-                return self._cell_inside(i - 1, j) or self._cell_inside(i, j)
-            while jlo > 0 and ok(jlo - 1):
-                jlo -= 1
-            while jhi < len(self.y_cuts) - 1 and ok(jhi):
-                jhi += 1
-            lo2, hi2 = self.y_cuts[jlo], self.y_cuts[jhi]
+        padded, index, cuts = self._lines[orientation]
+        if anchor not in index:
+            raise ValueError(f"{orientation} line at {anchor} is not a grid line")
+        before, after = padded[index[anchor]], padded[index[anchor] + 1]
+        tlo = max(0, bisect_right(cuts, lo) - 1)
+        thi = min(len(cuts) - 1, bisect_left(cuts, hi))
+        while tlo > 0 and (before[tlo - 1] >= 0 or after[tlo - 1] >= 0):
+            tlo -= 1
+        while thi < len(cuts) - 1 and (before[thi] >= 0 or after[thi] >= 0):
+            thi += 1
+        lo2, hi2 = cuts[tlo], cuts[thi]
         mask = self._segment_hit_mask(orientation, anchor, lo2, hi2)
         return GuardSegment(orientation=orientation, anchor=anchor, lo=lo2, hi=hi2,
                             id=-1, hit_set=mask)
@@ -679,17 +644,13 @@ class Pixelation:
     def slice_dual(self, orientation: str) -> Dict[int, set]:
         """Slice ids of one segmentation, adjacent iff the slices share part of a side."""
         if orientation == VERTICAL:
-            n, which = len(self.slices_v), self._cell_vslice
+            n, grid = len(self.slices_v), self.vslice
         else:
-            n, which = len(self.slices_h), self._cell_hslice
+            n, grid = len(self.slices_h), self.hslice
         adj: Dict[int, set] = {i: set() for i in range(n)}
-        for (i, j) in self._cells:
-            for nb in ((i + 1, j), (i, j + 1)):
-                if nb in which:
-                    a, b = which[(i, j)], which[nb]
-                    if a != b:
-                        adj[a].add(b)
-                        adj[b].add(a)
+        for a, b in _label_edges(grid):
+            adj[a].add(b)
+            adj[b].add(a)
         return adj
 
     def is_thin(self) -> bool:
@@ -702,14 +663,14 @@ class Pixelation:
         return True
 
 
-def _segment_intersects_sigma(orientation: str, anchor: int, lo: int, hi: int,
-                              seg: SliceSegment) -> bool:
-    """Closed intersection between a grid-line segment and a slice-segment."""
-    if orientation != seg.orientation:
-        # perpendicular: compare the anchor against the other's span
-        return (2 * seg.lo <= 2 * anchor <= 2 * seg.hi
-                and 2 * lo <= seg.anchor2 <= 2 * hi)
-    return 2 * anchor == seg.anchor2 and max(2 * lo, 2 * seg.lo) <= min(2 * hi, 2 * seg.hi)
+def _label_edges(grid: List[List[int]]) -> set:
+    """Pairs (a, b), a < b, of different labels >= 0 on side-adjacent cells."""
+    pairs = set()
+    for col, nxt in zip(grid, grid[1:]):
+        pairs.update(zip(col, nxt))
+    for col in grid:
+        pairs.update(zip(col, col[1:]))
+    return {(a, b) if a < b else (b, a) for a, b in pairs if a != b and a >= 0 and b >= 0}
 
 
 # ---------------------------------------------------------------------------
@@ -740,10 +701,8 @@ def guard_segments(pix: Pixelation, orientations: Iterable[str] = (HORIZONTAL, V
 
 def hits(g: GuardSegment, cross: Cross, pix: Pixelation) -> bool:
     """Does the guard hit the cross, i.e. intersect one of its supports?"""
-    for sid in (cross.h_support, cross.v_support):
-        if _segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi, pix.sigmas[sid]):
-            return True
-    return False
+    supports = (cross.h_support, cross.v_support)
+    return any(s.id in supports for s in pix.sigmas_hit(g.orientation, g.anchor, g.lo, g.hi))
 
 
 def visible_region(pix: Pixelation, g: GuardSegment) -> set:

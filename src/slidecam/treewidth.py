@@ -197,10 +197,7 @@ def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
             items.add(("s", pix.slices_h[px.h_slice].segment.id))
             if pid in xp:
                 items.add(("c", pid))
-            for run in pix.pixel_side_runs(pid):
-                gid = pix.canonical_guard_of_run(run)
-                if gid in gp and pix.guards[gid].key() == run:
-                    items.add(("g", gid))
+            items.update(("g", gid) for gid in pix.side_guards[pid] if gid in gp)
         bags.append(frozenset(items))
     return TreeDecomposition(bags=tuple(bags), edges=td_d.edges)
 

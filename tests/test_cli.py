@@ -313,3 +313,37 @@ def test_solve_dp_random24_within_default_width_max(tmp_path, capsys):
     H = sc.build_auxiliary_graph(pix)
     ok, wit = sc.validate_decomposition(read_td(td_path.read_text()), H.nodes(), H.edges())
     assert ok, wit
+
+
+@pytest.mark.parametrize("data", [
+    {"outer": [[0, 0], [2.5, 0], [2.5, 2], [0, 2]]},  # not a 2x2 square: 2.5 is no integer
+    {"outer": [[0, 0], ["2", 0], [2, 2], [0, 2]]},
+    {"outer": [[0, 0], [2, 0], [2], [0, 2]]},
+    {"outer": 5},
+    {"holes": []},
+    {"outer": [[0, 0], [4, 0], [4, 4], [0, 4]], "holes": 3},
+    [[0, 0], [2, 0], [2, 2], [0, 2]]])
+def test_validate_rejects_malformed_polygon(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cameras", [
+    [{"orientation": "H", "anchor": 0}],
+    [{"anchor": 0, "span": [0, 2]}],
+    [{"orientation": "Q", "anchor": 0, "span": [0, 2]}],
+    [{"orientation": "H", "anchor": 5.5, "span": [0, 2]}],
+    [{"orientation": "H", "anchor": "0", "span": [0, 2]}],
+    [{"orientation": "V", "anchor": 0, "span": [0, 1.5]}],
+    [{"orientation": "H", "anchor": 0, "span": [2, 0]}],
+    [{"orientation": "H", "anchor": 0, "span": [0]}],
+    ["H 0 0 2"],
+    None])
+def test_verify_rejects_malformed_cameras(tmp_path, capsys, cameras):
+    poly_path = write_poly(tmp_path, LSHAPE)
+    sol_path = tmp_path / "bad.json"
+    sol_path.write_text(json.dumps({} if cameras is None else {"cameras": cameras}))
+    assert main(["verify", poly_path, str(sol_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,14 +1,18 @@
 """The indexed geometry and mask-native instance against the plain loops they replace.
 
 The reference loops below are the straightforward versions: a per-cell ray
-cast for ``inside``, slices from reflex-vertex cut rays marched cell by cell
-and glued by union-find, an all-pairs edge contact test with every hole vertex
-checked for containment, a linear ``on_boundary`` scan, guard runs from one
-mirrored loop per orientation, a scan over every slice-segment for each guard, a guard-by-guard ``verify_cover``, an
-O(crosses * guards) hitting-set transpose, a ring normalizer that rescans
-from the start after each merged vertex, and a ``path_guard_steps`` that
-re-validates, re-pixelates and re-segments every remainder and traces each
-piece unit step by unit step.  The net finders sample over the per-cross
+cast for the inside cells, slices from reflex-vertex cut rays marched cell by
+cell and glued by union-find, pixels grouped from those slices' cells, both
+dual graphs from a neighbour loop over every cell, an all-pairs edge contact
+test with every hole vertex checked for containment, a linear
+``on_boundary`` scan, guard runs from one mirrored loop per orientation,
+lifted side guards looked up among the runs on each pixel side's line,
+``extend_to_maximal`` as a cell walk in one mirrored branch per orientation,
+a scan over every slice-segment for each guard, a guard-by-guard
+``verify_cover``, an O(crosses * guards) hitting-set transpose, a ring
+normalizer that rescans from the start after each merged vertex, and a
+``path_guard_steps`` that re-validates, re-pixelates and re-segments every
+remainder and traces each piece unit step by unit step.  The net finders sample over the per-cross
 guard sets in two copies of one loop (one for orientation parts) with their
 own budget formula, the reweighting loop verifies each net geometrically,
 the nice decomposition is built by recursion, min-fill recounts every
@@ -33,11 +37,11 @@ from slidecam.geometry import (
     _COORD_LIMIT,
     HORIZONTAL,
     VERTICAL,
+    Pixel,
     _normalize_ring,
     _point_in_ring,
     _ring_edges,
     _rotate_to_min,
-    _segment_intersects_sigma,
     _signed_area2,
 )
 from slidecam.treewidth import (
@@ -142,8 +146,13 @@ def loop_on_boundary(poly, pt) -> bool:
     return False
 
 
+def _grid_cells(grid):
+    """A column-major label grid as {(i, j): label} over its cells >= 0."""
+    return {(i, j): v for i, col in enumerate(grid) for j, v in enumerate(col) if v >= 0}
+
+
 def _loop_cell_inside(pix, i, j):
-    return 0 <= i < len(pix.inside) and 0 <= j < len(pix.inside[0]) and pix.inside[i][j]
+    return 0 <= i < len(pix.pixel) and 0 <= j < len(pix.pixel[0]) and pix.pixel[i][j] >= 0
 
 
 def loop_cuts(pix, vertical):
@@ -208,7 +217,8 @@ def loop_slices(pix, vertical):
         return any(clo <= lo and hi <= chi for clo, chi in cuts_at.get(a, ()))
 
     xc, yc = pix.x_cuts, pix.y_cuts
-    cells = [(i, j) for i in range(len(xc) - 1) for j in range(len(yc) - 1) if pix.inside[i][j]]
+    cells = [(i, j) for i in range(len(xc) - 1) for j in range(len(yc) - 1)
+             if _loop_cell_inside(pix, i, j)]
     parent = {c: c for c in cells}
 
     def find(c):
@@ -249,22 +259,149 @@ def loop_slices(pix, vertical):
     return slices, which
 
 
+def loop_pixels(pix, vwhich, hwhich):
+    """Pixels as (pixels, cell -> pixel id): inside cells grouped by slice pair.
+
+    Groups are numbered by sorted (vertical, horizontal) slice pair, and
+    each must fill the bounding box of its cells.
+    """
+    xc, yc = pix.x_cuts, pix.y_cuts
+    groups = {}
+    for c, v in vwhich.items():
+        groups.setdefault((v, hwhich[c]), []).append(c)
+    pixels, which = [], {}
+    for pid, ((v, h), comp) in enumerate(sorted(groups.items())):
+        i0, i1 = min(i for i, _ in comp), max(i for i, _ in comp) + 1
+        j0, j1 = min(j for _, j in comp), max(j for _, j in comp) + 1
+        assert len(comp) == (i1 - i0) * (j1 - j0), "pixel is not a rectangle of cells"
+        pixels.append(Pixel(id=pid, rect=(xc[i0], yc[j0], xc[i1], yc[j1]), v_slice=v, h_slice=h))
+        which.update((c, pid) for c in comp)
+    return pixels, which
+
+
+def loop_cell_adjacency(which):
+    """Label pairs (a, b), a < b, met across a cell side: a neighbour loop per cell."""
+    edges = set()
+    for (i, j), a in which.items():
+        for nb in ((i + 1, j), (i, j + 1)):
+            b = which.get(nb, a)
+            if b != a:
+                edges.add((min(a, b), max(a, b)))
+    return edges
+
+
+def loop_slice_dual(pix, vertical):
+    which = loop_slices(pix, vertical)[1]
+    adj = {i: set() for i in range(len(pix.slices_v if vertical else pix.slices_h))}
+    for a, b in loop_cell_adjacency(which):
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def loop_side_guards(pix):
+    """Per pixel, the canonical guards whose own run contains one of its sides.
+
+    Each side is looked up among the raw runs on its line; the run's
+    canonical guard (the one with its orientation and hit set) counts only
+    when that guard's segment is the run itself.
+    """
+    runs_by_line = {}
+    for g in pix.raw_guards:
+        runs_by_line.setdefault((g.orientation, g.anchor), []).append(g)
+    canonical = {(g.orientation, g.hit_set): g for g in pix.guards}
+    out = []
+    for px in pix.pixels:
+        xl, yl, xh, yh = px.rect
+        gids = set()
+        for o, a, lo, hi in ((HORIZONTAL, yl, xl, xh), (HORIZONTAL, yh, xl, xh),
+                             (VERTICAL, xl, yl, yh), (VERTICAL, xh, yl, yh)):
+            run, = [r for r in runs_by_line[(o, a)] if r.lo <= lo and hi <= r.hi]
+            g = canonical[(run.orientation, run.hit_set)]
+            if g.key() == run.key():
+                gids.add(g.id)
+        out.append(sorted(gids))
+    return out
+
+
+def loop_lift(td, H, pix):
+    """lift_decomposition with the side guards looked up by loop_side_guards."""
+    side = loop_side_guards(pix)
+    bags = []
+    for bag in td.bags:
+        items = set()
+        for pid in bag:
+            px = pix.pixels[pid]
+            items |= {("s", pix.slices_v[px.v_slice].segment.id),
+                      ("s", pix.slices_h[px.h_slice].segment.id)}
+            if pid in H.xprime_set:
+                items.add(("c", pid))
+            items |= {("g", gid) for gid in side[pid] if gid in H.gamma_set}
+        bags.append(frozenset(items))
+    return bags
+
+
+def loop_extend_to_maximal(pix, inside, orientation, anchor, lo, hi):
+    """extend_to_maximal as a cell walk, one mirrored branch per orientation."""
+    def cell(i, j):
+        return 0 <= i < len(inside) and 0 <= j < len(inside[0]) and inside[i][j]
+
+    xc, yc = pix.x_cuts, pix.y_cuts
+    if orientation == HORIZONTAL:
+        if anchor not in yc:
+            raise ValueError("not a grid line")
+        j = yc.index(anchor)
+        ilo = max(0, max((k for k, x in enumerate(xc) if x <= lo), default=0))
+        ihi = min(len(xc) - 1, min((k for k, x in enumerate(xc) if x >= hi), default=len(xc)))
+        while ilo > 0 and (cell(ilo - 1, j - 1) or cell(ilo - 1, j)):
+            ilo -= 1
+        while ihi < len(xc) - 1 and (cell(ihi, j - 1) or cell(ihi, j)):
+            ihi += 1
+        lo2, hi2 = xc[ilo], xc[ihi]
+    else:
+        if anchor not in xc:
+            raise ValueError("not a grid line")
+        i = xc.index(anchor)
+        jlo = max(0, max((k for k, y in enumerate(yc) if y <= lo), default=0))
+        jhi = min(len(yc) - 1, min((k for k, y in enumerate(yc) if y >= hi), default=len(yc)))
+        while jlo > 0 and (cell(i - 1, jlo - 1) or cell(i, jlo - 1)):
+            jlo -= 1
+        while jhi < len(yc) - 1 and (cell(i - 1, jhi) or cell(i, jhi)):
+            jhi += 1
+        lo2, hi2 = yc[jlo], yc[jhi]
+    mask = 0
+    for seg in loop_sigmas_hit(pix, sc.GuardSegment(orientation, anchor, lo2, hi2)):
+        mask |= pix._slice_cross_mask[seg.id]
+    return sc.GuardSegment(orientation=orientation, anchor=anchor, lo=lo2, hi=hi2, hit_set=mask)
+
+
+def loop_segment_intersects_sigma(orientation, anchor, lo, hi, seg) -> bool:
+    """Closed intersection between a grid-line segment and a slice-segment."""
+    if orientation != seg.orientation:
+        # perpendicular: compare the anchor against the other's span
+        return (2 * seg.lo <= 2 * anchor <= 2 * seg.hi
+                and 2 * lo <= seg.anchor2 <= 2 * hi)
+    return 2 * anchor == seg.anchor2 and max(2 * lo, 2 * seg.lo) <= min(2 * hi, 2 * seg.hi)
+
+
 def loop_sigmas_hit(pix, g):
     return [s for s in pix.sigmas
-            if _segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi, s)]
+            if loop_segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi, s)]
 
 
 def loop_raw_guards(pix):
     """Maximal pixel-edge runs, one mirrored loop per orientation, as sorted keys."""
+    cell_pixel = _grid_cells(pix.pixel)
+
     def edge_unit(orientation, line_idx, cell_idx):
         if orientation == HORIZONTAL:
             below, above = (cell_idx, line_idx - 1), (cell_idx, line_idx)
         else:
             below, above = (line_idx - 1, cell_idx), (line_idx, cell_idx)
-        b_in, a_in = below in pix._cell_pixel, above in pix._cell_pixel
+        b_in, a_in = below in cell_pixel, above in cell_pixel
         if not (b_in or a_in):
             return False
-        return not (b_in and a_in and pix._cell_pixel[below] == pix._cell_pixel[above])
+        return not (b_in and a_in and cell_pixel[below] == cell_pixel[above])
 
     raw = []
     nx, ny = len(pix.x_cuts) - 1, len(pix.y_cuts) - 1
@@ -317,7 +454,8 @@ def loop_verify_cover(pix, guards, xprime=None):
         hit = None
         for g in segs:
             for sid in (cross.h_support, cross.v_support):
-                if _segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi, pix.sigmas[sid]):
+                if loop_segment_intersects_sigma(g.orientation, g.anchor, g.lo, g.hi,
+                                                 pix.sigmas[sid]):
                     hit = (sid, g.key())
                     break
             if hit:
@@ -376,9 +514,9 @@ def loop_normalize_ring(raw, name):
 
 def loop_subpolygon_of_slices(pix, slice_ids, vertical):
     """The union of some slices, traced unit step by unit step over all cells."""
-    which = pix._cell_vslice if vertical else pix._cell_hslice
+    which = _grid_cells(pix.vslice if vertical else pix.hslice)
     wanted = set(slice_ids)
-    cells = {c for c in pix._cells if which[c] in wanted}
+    cells = {c for c, sid in which.items() if sid in wanted}
     nxt = {}
     for (i, j) in cells:
         for nb, a, b in (((i, j - 1), (i, j), (i + 1, j)),
@@ -532,17 +670,62 @@ def test_pixelation_matches_reference_loops(polygons):
     for name, p in polygons.items():
         pix = sc.Pixelation(p)
         ref = LoopPixelation(p)
-        assert pix.inside == loop_inside(pix), name
-        assert (pix.slices_v, pix._cell_vslice) == loop_slices(pix, vertical=True), name
-        assert (pix.slices_h, pix._cell_hslice) == loop_slices(pix, vertical=False), name
+        inside = loop_inside(pix)
+        for grid in (pix.vslice, pix.hslice, pix.pixel):
+            assert [[v >= 0 for v in col] for col in grid] == inside, name
+        assert (pix.slices_v, _grid_cells(pix.vslice)) == loop_slices(pix, vertical=True), name
+        assert (pix.slices_h, _grid_cells(pix.hslice)) == loop_slices(pix, vertical=False), name
         assert pix.pixels == ref.pixels, name
         assert pix.crosses == ref.crosses, name
         assert pix.sigmas == ref.sigmas, name
         assert pix.raw_guards == ref.raw_guards, name
         assert [g.key() for g in pix.raw_guards] == loop_raw_guards(pix), name
         assert pix.guards == ref.guards, name  # ids and hit sets included
-        assert pix.dual_edges == ref.dual_edges, name
+        vwhich, hwhich = loop_slices(pix, True)[1], loop_slices(pix, False)[1]
+        pixels, which = loop_pixels(pix, vwhich, hwhich)
+        assert (pix.pixels, _grid_cells(pix.pixel)) == (pixels, which), name
+        assert pix.dual_edges == tuple(sorted(loop_cell_adjacency(which))), name
+        assert pix.slice_dual(VERTICAL) == loop_slice_dual(pix, True), name
+        assert pix.slice_dual(HORIZONTAL) == loop_slice_dual(pix, False), name
         assert pix.is_thin() == ref.is_thin(), name
+
+
+def test_lifted_side_guards_match_run_lookup(polygons):
+    rng = random.Random(13)
+    for name, p in polygons.items():
+        pix = sc.Pixelation(p)
+        assert pix.side_guards == loop_side_guards(pix), name
+        td = decompose(dual_graph(pix))
+        n_c, n_g = len(pix.crosses), len(pix.guards)
+        for H in (sc.build_auxiliary_graph(pix),
+                  sc.build_auxiliary_graph(pix, rng.sample(range(n_c), n_c // 2),
+                                           rng.sample(range(n_g), n_g // 2))):
+            lifted = lift_decomposition(td, H, pix)
+            assert list(lifted.bags) == loop_lift(td, H, pix), name
+            assert lifted.edges == td.edges, name
+
+
+def test_extend_to_maximal_matches_cell_walk(polygons):
+    rng = random.Random(29)
+    for name, p in polygons.items():
+        pix = sc.Pixelation(p)
+        inside = loop_inside(pix)
+        spans = [g.key() for g in pix.raw_guards]
+        for o, a, lo, hi in list(spans):  # sub-spans of every run
+            if hi - lo > 1:
+                lo2 = rng.randint(lo, hi - 1)
+                spans.append((o, a, lo2, rng.randint(lo2 + 1, hi)))
+        spans += [g.key() for g in _ad_hoc_guards(pix, rng, 20)]
+        xl, yl, xh, yh = p.bbox()
+        spans += [(HORIZONTAL, yh + 1, xl, xh), (VERTICAL, xl - 1, yl, yh)]  # off the grid
+        for span in spans:
+            try:
+                want = loop_extend_to_maximal(pix, inside, *span)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    pix.extend_to_maximal(*span)
+                continue
+            assert pix.extend_to_maximal(*span) == want, (name, span)
 
 
 def test_on_boundary_matches_linear_scan():

@@ -67,8 +67,12 @@ class OrthoPolygon:
 
     @staticmethod
     def from_dict(d: dict) -> "OrthoPolygon":
+        shape = 'a polygon is {"outer": ring, "holes": [ring, ...]}'
         if not isinstance(d, dict) or "outer" not in d or not isinstance(d.get("holes", []), list):
-            raise PolygonError('a polygon is {"outer": ring, "holes": [ring, ...]}')
+            raise PolygonError(shape)
+        unknown = sorted(d.keys() - {"outer", "holes"})
+        if unknown:
+            raise PolygonError(f"unknown keys {unknown}: {shape}")
         return validate_polygon([d["outer"], *d.get("holes", [])])
 
 

@@ -3,13 +3,19 @@
 The DP solves the restricted distance-2 domination problem on the tripartite
 auxiliary graph: choose a minimum set of guard vertices such that every
 requested cross has a support slice-segment intersected by a chosen guard.
-States per bag vertex: guards are selected/unselected, slice-segments are
-hit / unhit / unhit-but-required (a cross already committed to them), and
-crosses are satisfied/unsatisfied.  A required slice-segment that is
-forgotten unhit kills the branch; so does an unsatisfied forgotten cross.
-The DP runs on any tree decomposition of the auxiliary graph: the lifted
-one, whose width the paper bounds by 7k+6 for a dual graph of width k, or
+It takes any tree decomposition of the auxiliary graph: the lifted one,
+whose width the paper bounds by 7k+6 for a dual graph of width k, or
 min-fill run on the auxiliary graph itself, which is usually narrower.
+That decomposition is what ``--dump-td`` writes and ``width_used`` counts.
+
+The DP itself runs without cross vertices.  Each cross in a bag is replaced
+by its vertical support (an edge contraction, so the decomposition stays
+valid and no wider), and each bag inside a neighbouring bag is merged into
+it.  A cross is then the constraint "one of my two supports is hit",
+settled when the first of its supports is forgotten.  States per bag
+vertex: guards are selected/unselected and slice-segments hit, unhit or
+unhit-but-needed (a cross partner was forgotten unhit); a needed segment
+forgotten unhit kills the branch.  ``dp_peak_table`` counts these states.
 """
 from __future__ import annotations
 
@@ -202,6 +208,39 @@ def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
     return TreeDecomposition(bags=tuple(bags), edges=td_d.edges)
 
 
+def _cross_free(td: TreeDecomposition, H: AuxiliaryGraph) -> TreeDecomposition:
+    """``td`` with each cross replaced by its vertical support, then merged.
+
+    Replacing a cross by one of its supports contracts the edge between
+    them, so the result decomposes the guard/slice-segment graph with one
+    edge between the two supports of each requested cross, and is no wider.
+    A bag contained in a neighbouring bag is then merged into it; this
+    drops the leaf bags left by crosses that min-fill eliminated first.
+    """
+    vsup = {c: ("s", H.pix.crosses[c[1]].v_support) for c in H.adj if c[0] == "c"}
+    bags = [frozenset(vsup.get(v, v) for v in bag) for bag in td.bags]
+    adj = {i: set(ns) for i, ns in td.neighbors().items()}
+    # merging moves i's tree edges to its host and changes no bag, so only
+    # the host and i's other neighbours can gain a new subset relation
+    todo = sorted(adj, reverse=True)
+    while todo:
+        i = todo.pop()
+        hosts = [j for j in adj.get(i, ()) if bags[i] <= bags[j]]
+        if not hosts:
+            continue
+        host = min(hosts)
+        for k in adj.pop(i):
+            adj[k].discard(i)
+            if k != host:
+                adj[k].add(host)
+                adj[host].add(k)
+                todo.append(k)
+        todo.append(host)
+    index = {old: new for new, old in enumerate(sorted(adj))}
+    edges = sorted((index[a], index[b]) for a in adj for b in adj[a] if a < b)
+    return TreeDecomposition(bags=tuple(bags[i] for i in sorted(adj)), edges=tuple(edges))
+
+
 # ---------------------------------------------------------------------------
 # Nice decomposition
 # ---------------------------------------------------------------------------
@@ -274,26 +313,36 @@ def _make_nice(td: TreeDecomposition) -> List[_NiceNode]:
 def _dp(nodes: List[_NiceNode], H: AuxiliaryGraph) -> Tuple[Optional[FrozenSet[int]], int]:
     """Minimum guard set or None if infeasible, and the largest table size.
 
-    Every auxiliary-graph node has one bit, and a bag state is the int
-    ``A | B << N`` over the N nodes.  ``A`` holds "selected" for a guard,
-    "hit" for a slice-segment and "satisfied" for a cross; ``B`` holds
-    "needed" for a slice-segment, so a segment is free when neither bit is
-    set.  Each table maps a state to its least cost and the child state(s)
-    it came from; the first state reaching a cost keeps it, so ties break
+    ``nodes`` is a nice decomposition without cross vertices (see
+    ``_cross_free``); each requested cross is the constraint "one of its
+    two supports is hit".  Every guard and slice-segment has one bit, and a
+    bag state is the int ``A | B << N`` over the N of them.  ``A`` holds
+    "selected" for a guard and "hit" for a segment; ``B`` holds "needed"
+    for an unhit segment whose cross partner was forgotten unhit.  A
+    segment's hit bit is final when it is forgotten, since every guard on
+    it was introduced below; forgetting it unhit makes its unhit in-bag
+    partners needed, and forgetting it needed kills the branch.  A partner
+    forgotten earlier already ran this rule with the segment in its bag.
+    Each table maps a state to its least cost and the child state(s) it
+    came from; the first state reaching a cost keeps it, so ties break
     deterministically.
     """
     adj = H.adj
-    shift = len(adj)
-    bit = {v: 1 << i for i, v in enumerate(sorted(adj))}
+    verts = sorted(v for v in adj if v[0] != "c")
+    shift = len(verts)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
     low = (1 << shift) - 1
-
-    def bits(vs) -> int:
-        out = 0
-        for u in vs:
-            out |= bit[u]
-        return out
+    guards = sum(bit[v] for v in verts if v[0] == "g")
+    # guard-segment neighbours, and per segment the other supports of its crosses
+    near = {v: sum(bit[u] for u in adj[v] if u[0] != "c") for v in verts}
+    partners = dict.fromkeys(verts, 0)
+    for c in H.xprime:
+        s, t = adj[("c", c)]
+        partners[s] |= bit[t]
+        partners[t] |= bit[s]
 
     tables: List[Dict[int, tuple]] = []
+    masks: List[int] = []  # the bag of each node as a mask
     for node in nodes:  # children precede their parent
         table: Dict[int, tuple] = {}
         kind, v = node.kind, node.vertex
@@ -304,64 +353,41 @@ def _dp(nodes: List[_NiceNode], H: AuxiliaryGraph) -> Tuple[Optional[FrozenSet[i
                 table[state] = (cost, back)
 
         if kind == "leaf":
+            mask = 0
             table[0] = (0, None)
 
         elif kind == "introduce":
             child = tables[node.children[0]]
-            inbag = set(node.bag)
-            near = [u for u in adj[v] if u in inbag]
             b = bit[v]
+            mask = masks[node.children[0]] | b
+            inbag = near[v] & mask
             if v[0] == "g":
-                # selecting the guard hits its in-bag segments, satisfies the
-                # in-bag crosses on them and drops their "needed"
-                segs = bits(near)
-                sel = b | segs | bits(c for s in near for c in adj[s]
-                                      if c[0] == "c" and c in inbag)
-                keep = ~(segs << shift)
+                # selecting the guard hits its in-bag segments and drops
+                # their "needed"
+                keep = ~(inbag << shift)
                 for st, (cost, _) in child.items():
                     put(st, cost, st)
-                    put((st | sel) & keep, cost + 1, st)
-            elif v[0] == "s":
-                guards = bits(u for u in near if u[0] == "g")
-                crosses = bits(u for u in near if u[0] == "c")
-                need = b << shift
-                for st, (cost, _) in child.items():
-                    if st & guards:
-                        put(st | b | crosses, cost, st)
-                        continue
-                    put(st, cost, st)
-                    # commit every unsatisfied in-bag cross to this segment
-                    # in one branch; committing a subset is never better
-                    takers = crosses & ~st
-                    if takers:
-                        put(st | takers | need, cost, st)
-            else:  # cross
-                supports = [bit[s] for s in sorted(near)]
-                covered = bits(near)
-                covered |= covered << shift
-                for st, (cost, _) in child.items():
-                    if st & covered:
-                        put(st | b, cost, st)
-                        continue
-                    put(st, cost, st)
-                    for s in supports:
-                        put(st | b | s << shift, cost, st)
+                    put((st | b | inbag) & keep, cost + 1, st)
+            else:  # a segment is hit iff a selected in-bag guard meets it
+                table = {(st | b if st & inbag else st): (cost, st)
+                         for st, (cost, _) in child.items()}
 
         elif kind == "forget":
             b = bit[v]
-            # a needed segment that was never hit, or an unsatisfied cross,
-            # kills the branch
-            dead = b << shift if v[0] == "s" else 0
-            alive = b if v[0] == "c" else 0
-            keep = ~b
+            mask = masks[node.children[0]] & ~b
+            dead, need = b << shift, partners[v] & mask
             for st, (cost, _) in tables[node.children[0]].items():
-                if st & dead or alive & ~st:
+                if st & dead:
                     continue
-                put(st & keep, cost, st)
+                if st & b or not need:
+                    put(st & ~b, cost, st)
+                else:
+                    put(st & ~b | (need & ~st) << shift, cost, st)
 
-        else:  # join: guards agree; hit and satisfied OR, needed stays unless hit
+        else:  # join: guards agree; hit ORs, needed stays unless hit
             left, right = (tables[i] for i in node.children)
-            gmask = bits(u for u in node.bag if u[0] == "g")
+            mask = masks[node.children[0]]
+            gmask = mask & guards
             groups: Dict[int, List[tuple]] = {}
             for rst, (rcost, _) in right.items():
                 groups.setdefault(rst & gmask, []).append((rst, rcost))
@@ -373,6 +399,7 @@ def _dp(nodes: List[_NiceNode], H: AuxiliaryGraph) -> Tuple[Optional[FrozenSet[i
                     put(full & ~((full & low) << shift), base + rcost, (lst, rst))
 
         tables.append(table)
+        masks.append(mask)
 
     peak = max(len(t) for t in tables)
     if 0 not in tables[-1]:
@@ -401,13 +428,15 @@ def dp_solve(H: AuxiliaryGraph, td: TreeDecomposition,
     """Minimum guard set via dynamic programming over a decomposition of ``H``.
 
     ``td`` may be the lifted decomposition or any other valid decomposition
-    of the auxiliary graph.  The cover is verified on the crosses ``H`` was
-    built over.  The solution carries ``td`` and the largest DP table, in
-    states, as the counter ``dp_peak_table``.
+    of the auxiliary graph; its width is the one checked against
+    ``width_max``, and the DP runs on its cross-free form.  The cover is
+    verified on the crosses ``H`` was built over.  The solution carries
+    ``td`` and the largest cross-free DP table, in states, as the counter
+    ``dp_peak_table``.
     """
     if td.width > width_max:
         raise WidthExceeded(f"width {td.width} exceeds limit {width_max}")
-    picked, peak = _dp(_make_nice(td), H)
+    picked, peak = _dp(_make_nice(_cross_free(td, H)), H)
     if picked is None:
         raise Infeasible("no guard set satisfies all requested crosses")
     return replace(make_solution(H.pix, H.xprime, sorted(picked), "dp"), decomposition=td,

@@ -322,7 +322,9 @@ def test_solve_dp_random24_within_default_width_max(tmp_path, capsys):
     {"outer": 5},
     {"holes": []},
     {"outer": [[0, 0], [4, 0], [4, 4], [0, 4]], "holes": 3},
-    [[0, 0], [2, 0], [2, 2], [0, 2]]])
+    [[0, 0], [2, 0], [2, 2], [0, 2]],
+    # "holes" misspelt: the hole must not be dropped without a word
+    {"outer": [[0, 0], [8, 0], [8, 6], [0, 6]], "hole": [[[2, 2], [2, 4], [3, 4], [3, 2]]]}])
 def test_validate_rejects_malformed_polygon(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

@@ -45,13 +45,16 @@ from slidecam.geometry import (
     _signed_area2,
 )
 from slidecam.treewidth import (
+    _cross_free,
     _dp,
     _make_nice,
     _NiceNode,
     _sorted_bag,
     decompose,
     dual_graph,
+    is_tree,
     lift_decomposition,
+    validate_decomposition,
 )
 
 from conftest import oriented_instance
@@ -1341,7 +1344,12 @@ def loop_decompose(adj):
 
 
 def loop_dp(nodes, H):
-    """_dp on tuple states, one entry per bag vertex in bag order."""
+    """Minimum cover on a decomposition with cross vertices, on tuple states.
+
+    One entry per bag vertex in bag order, and a cross is satisfied or not;
+    the oracle for _dp, which runs on the cross-free form of the same
+    decomposition.
+    """
     adj = H.adj
 
     order = []
@@ -1551,22 +1559,31 @@ def _restricted_instances():
     return out
 
 
-def test_dp_matches_tuple_state_reference():
-    """Same optimum (or None) as loop_dp on lifted and min-fill decompositions."""
+def _dp_cases():
+    """Acceptance polygons and restricted instances with their auxiliary graph
+    and its lifted and min-fill decompositions."""
     cases = [(sc.pixelate(p), None, None) for p in _acceptance4_polygons()]
     cases += _restricted_instances()
-    solved = infeasible = narrower = 0
     for pix, xs, gids in cases:
         H = sc.build_auxiliary_graph(pix, xprime=xs, gammaprime=gids)
         lifted = lift_decomposition(decompose(dual_graph(pix)), H, pix)
-        minfill = decompose(H.adj)
+        yield pix, xs, gids, H, lifted, decompose(H.adj)
+
+
+def test_dp_matches_tuple_state_reference():
+    """The cross-free DP has loop_dp's optimum (or None).
+
+    loop_dp runs on the lifted and min-fill decompositions as they are,
+    cross vertices included; _dp runs on their projected and merged form.
+    """
+    solved = infeasible = narrower = 0
+    for pix, xs, gids, H, lifted, minfill in _dp_cases():
         narrower += minfill.width < lifted.width
         for td in (lifted, minfill):
             if td.width > 13:
                 continue
-            nodes = _make_nice(td)
-            picked, peak = _dp(nodes, H)
-            ref = loop_dp(nodes, H)
+            picked, peak = _dp(_make_nice(_cross_free(td, H)), H)
+            ref = loop_dp(_make_nice(td), H)
             assert peak >= 1
             if ref is None:
                 assert picked is None
@@ -1576,3 +1593,23 @@ def test_dp_matches_tuple_state_reference():
             assert sc.verify_cover(pix, sorted(picked), xs).covered
             solved += 1
     assert solved > 400 and infeasible > 10 and narrower > 200, (solved, infeasible, narrower)
+
+
+def test_cross_free_decomposition_is_valid_for_contracted_graph():
+    """Projecting each cross onto its vertical support and merging bags leaves
+    a tree decomposition of the guard/slice-segment graph plus one edge
+    between the supports of each requested cross, no wider than its input,
+    with no bag inside a neighbouring one."""
+    for pix, xs, gids, H, lifted, minfill in _dp_cases():
+        vertices = [v for v in H.nodes() if v[0] != "c"]
+        edges = [(u, v) for u, v in H.edges() if "c" not in (u[0], v[0])]
+        edges += [(("s", pix.crosses[c].v_support), ("s", pix.crosses[c].h_support))
+                  for c in H.xprime]
+        for td in (lifted, minfill):
+            cf = _cross_free(td, H)
+            ok, wit = validate_decomposition(cf, vertices, edges)
+            assert ok, (wit, pix.polygon, xs, gids)
+            assert is_tree({i: frozenset(ns) for i, ns in cf.neighbors().items()})
+            assert cf.width <= td.width
+            assert not any(cf.bags[a] <= cf.bags[b] or cf.bags[b] <= cf.bags[a]
+                           for a, b in cf.edges)

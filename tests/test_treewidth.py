@@ -230,3 +230,22 @@ def test_dp_leaves_the_recursion_limit_alone(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     sol, _ = sc.solve_polygon(sc.gen_comb(30), algo="dp")
     assert sol.size == 1
+
+
+@pytest.mark.parametrize("k", [15, 20])
+def test_dp_on_spirals_past_the_oracle_limit(k):
+    """path_lb(k) needs exactly k cameras; exact refuses it (over 40 candidates)."""
+    poly = sc.gen_path_lb(k)
+    with pytest.raises(sc.TooLargeForOracle):
+        sc.solve_polygon(poly, algo="exact")
+    sol, _ = sc.solve_polygon(poly, algo="dp")
+    assert sol.size == k
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_dp_matches_exact_on_wide_random_shapes(n):
+    """Min-fill width 17 and 19 at the default width limit."""
+    poly = sc.gen_random_simple(n, 1)
+    sol, info = sc.solve_polygon(poly, algo="dp")
+    assert info["width_used"] >= 17
+    assert sol.size == sc.solve_polygon(poly, algo="exact")[0].size

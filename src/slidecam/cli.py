@@ -110,6 +110,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.dump_td and args.algo != "dp":
+        # only dp has a decomposition; writing nothing would leave a stale
+        # file that looks like this run's
+        raise ValueError(f"--dump-td applies to algo dp, not {args.algo!r}")
     poly = _read_polygon(args.polygon)
     xprime = None
     if args.crosses:
@@ -122,7 +126,7 @@ def cmd_solve(args) -> int:
         width_max=args.width_max, net_constant=args.net_constant,
         round_constant=args.round_constant, xprime=xprime, guard_ids=guard_ids,
         guard_orientations=args.guard_orientations)
-    if args.dump_td and sol.decomposition is not None:
+    if args.dump_td:
         _write_text(sol.decomposition.to_text(), args.dump_td)
     print(f"n={info['n']} pixels={info['pixels']} crosses={info['crosses']} "
           f"guards={info['guards']} size={sol.size} "
@@ -206,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--guard-ids", help="comma-separated guard ids for custom mode "
                                         "(not with --guard-orientations)")
     ps.add_argument("--guard-orientations", help="H, V or HV for custom mode")
-    ps.add_argument("--dump-td", help="write the tree decomposition the DP solved on (dp only)")
+    ps.add_argument("--dump-td", help="write the tree decomposition the DP solved on "
+                                        "(algo dp only; any other algo is invalid input)")
     ps.add_argument("--out")
     ps.add_argument("--report", help="write run statistics (incl. reweighting stats) as JSON")
     ps.add_argument("--render")

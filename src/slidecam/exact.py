@@ -43,15 +43,22 @@ class Solution:
 
 
 def make_solution(pix: Pixelation, xprime: Iterable[int], guards, method: str) -> Solution:
-    """Build a Solution, re-verifying coverage geometrically."""
+    """Build a Solution, re-verifying coverage geometrically.
+
+    Each camera is listed once: repeated guard ids, or segments with the
+    same :meth:`GuardSegment.key`, count as one camera (the first given).
+    """
     xp = tuple(sorted(xprime))
     ids: Optional[Tuple[int, ...]] = None
     if all(isinstance(g, int) for g in guards):
-        ids = tuple(sorted(guards))
+        ids = tuple(sorted(set(guards)))
         cams = tuple(pix.guards[g] for g in ids)
     else:
-        cams = tuple(sorted(guards, key=GuardSegment.key))
-    report = verify_cover(pix, list(guards), xp)
+        unique: Dict[tuple, GuardSegment] = {}
+        for g in guards:
+            unique.setdefault(g.key(), g)
+        cams = tuple(sorted(unique.values(), key=GuardSegment.key))
+    report = verify_cover(pix, list(cams if ids is None else ids), xp)
     if not report.covered:
         raise AssertionError(f"solution does not cover crosses {report.uncovered}")
     return Solution(cameras=cams, size=len(cams), method=method,

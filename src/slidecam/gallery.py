@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -25,6 +26,7 @@ from .geometry import (
     OrthoPolygon,
     Rect,
     Vertex,
+    close_cut_arc,
     guard_segments,
     pixelate,
     validate_polygon,
@@ -336,7 +338,7 @@ def _inside_edge(t: Vertex, a: Vertex, b: Vertex) -> bool:
 
 
 def _split_ring(ring: Sequence[Vertex], p: Vertex, q: Vertex):
-    """Cut a ring along the chord between two of its boundary points.
+    """Cut a ring along the axis-parallel chord between two of its boundary points.
 
     Returns the arc from p to q and the arc from q to p, both in ring order
     and with both ends; closing an arc with the chord gives the ring of the
@@ -344,15 +346,33 @@ def _split_ring(ring: Sequence[Vertex], p: Vertex, q: Vertex):
     start.
     """
     pts = list(ring)
-    for t in (p, q):
-        if t not in pts:
-            n = len(pts)
-            k = next(k for k in range(n) if _inside_edge(t, pts[k], pts[(k + 1) % n]))
-            pts.insert(k + 1, t)
-    i, j = pts.index(p), pts.index(q)
+    axis = 1 if p[0] == q[0] else 0
+    i = _cut_at(pts, p, axis)
+    j = _cut_at(pts, q, axis)
+    if pts[i] != p:  # q went in before p
+        i += 1
     if i < j:
         return pts[i:j + 1], pts[j:] + pts[:i + 1]
     return pts[i:] + pts[:j + 1], pts[j:i + 1]
+
+
+def _cut_at(pts: List[Vertex], t: Vertex, axis: int) -> int:
+    """Index of the chord end ``t`` in ``pts``, inserted first if it is not a vertex.
+
+    A chord end that is not a vertex lies inside an edge that crosses the
+    chord, so both ends of that edge have t's coordinate on ``axis``; only
+    the vertices with that coordinate are tried.
+    """
+    try:
+        return pts.index(t)
+    except ValueError:
+        pass
+    coords = list(map(itemgetter(axis), pts))
+    k = coords.index(t[axis])
+    while not _inside_edge(t, pts[k], pts[(k + 1) % len(pts)]):
+        k = coords.index(t[axis], k + 1)
+    pts.insert(k + 1, t)
+    return k + 1
 
 
 def path_guard(poly: OrthoPolygon) -> Solution:
@@ -372,11 +392,15 @@ def path_guard_steps(poly: OrthoPolygon) -> Tuple[Solution, List[PeelStep]]:
     Everything about the slices comes from the input's own pixelation: a
     remainder's slices are the input's slices minus the peeled ones, so its
     path is what is left of the input's path.  Each peel cuts the current
-    ring along the seam between the last peeled and the first kept slice,
-    which costs O(n); only the pieces are pixelated, once each, by
-    :func:`guard_small`, which returns the piece's first canonical guard
-    that hits every cross; that guard is extended to a maximal camera of
-    the input.
+    ring along the seam between the last peeled and the first kept slice
+    and closes both arcs with :func:`close_cut_arc`, which only looks at
+    the seam's two ends: nothing is validated in full, and a peel costs a
+    few list scans and copies of the ring.  Only the pieces are pixelated,
+    once each, by :func:`guard_small`, which returns the piece's first
+    canonical guard that hits every cross; that guard is extended to a
+    maximal camera of the input by bisection, and the input's pixelation
+    builds each distinct camera once.  ``make_solution`` lists a camera
+    that serves several pieces once.
     """
     if poly.holes:
         raise NotPathSegmentation("polygon has holes")
@@ -404,13 +428,13 @@ def path_guard_steps(poly: OrthoPolygon) -> Tuple[Solution, List[PeelStep]]:
         take = min(take, len(path) - 1)
         p, q = _seam(rects[path[take - 1]], rects[path[take]], vertical)
         piece_ring, rest_ring = _split_ring(cur.outer, p, q)
-        sub = validate_polygon([piece_ring])
+        sub = close_cut_arc(piece_ring)
         if sub.n > 8:
             raise AssertionError(f"peeled piece has {sub.n} > 8 vertices")
         g = guard_small(sub)
         camera = pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi)
         cameras.append(camera)
-        remainder = validate_polygon([rest_ring])
+        remainder = close_cut_arc(rest_ring)
         if remainder.n > cur.n - 6:
             raise AssertionError("peel did not remove enough vertices")
         steps.append(PeelStep(slices_removed=take, subpolygon=sub,

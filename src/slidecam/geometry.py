@@ -12,6 +12,7 @@ import re
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter, itemgetter, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -277,6 +278,25 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     )
 
 
+def close_cut_arc(arc: Sequence[Vertex]) -> OrthoPolygon:
+    """The hole-free polygon that an arc of a valid outer ring closes with a chord.
+
+    ``arc`` runs in ring order from one end of an axis-parallel chord inside
+    the polygon to the other, both ends included; the chord from its last
+    vertex back to its first closes it.  Every inner vertex of the arc is a
+    turn of the valid ring and keeps its turn, so only the two ends can be
+    straight, where the chord continues an edge.  Dropping those and rotating
+    to the smallest vertex gives what :func:`validate_polygon` gives on the
+    closed arc, at the cost of the rotation alone.
+    """
+    ring = list(arc)
+    for k in (len(ring) - 1, 0):
+        (ax, ay), (bx, by), (cx, cy) = ring[k - 1], ring[k], ring[(k + 1) % len(ring)]
+        if (bx - ax) * (cy - by) == (by - ay) * (cx - bx):
+            del ring[k]
+    return OrthoPolygon(outer=tuple(_rotate_to_min(ring)))
+
+
 # ---------------------------------------------------------------------------
 # Pixelation data types
 # ---------------------------------------------------------------------------
@@ -514,11 +534,18 @@ class Pixelation:
                     col[j0:j1] = [sid] * (j1 - j0)
         self.sigmas: List[SliceSegment] = [s.segment for s in self.slices_v] + [
             s.segment for s in self.slices_h]
-        # per orientation: midlines sorted by anchor2, with their keys for bisect
-        self._sigma_index: Dict[str, Tuple[List[int], List[SliceSegment]]] = {}
+        # per orientation: the anchor2 values in order, and for each the
+        # midlines on it sorted by span, with their los and his for bisect;
+        # midlines on one anchor2 have disjoint closed spans (see sigmas_hit)
+        self._sigma_lines: Dict[str, Tuple[List[int], List[tuple]]] = {}
         for o, slices in ((VERTICAL, self.slices_v), (HORIZONTAL, self.slices_h)):
-            segs = sorted((s.segment for s in slices), key=attrgetter("anchor2"))
-            self._sigma_index[o] = ([s.anchor2 for s in segs], segs)
+            segs = sorted((s.segment for s in slices), key=attrgetter("anchor2", "lo"))
+            keys, lines = [], []
+            for a, line in groupby(segs, key=attrgetter("anchor2")):
+                line = list(line)
+                keys.append(a)
+                lines.append(([s.lo for s in line], [s.hi for s in line], line))
+            self._sigma_lines[o] = (keys, lines)
 
     def _build_pixels(self):
         # cells per (vertical, horizontal) slice pair; (-1, -1) is outside P
@@ -560,6 +587,9 @@ class Pixelation:
         # columns of cells, horizontal ones rows; with an outside line padded
         # on at both ends, grid line k runs between lines k and k + 1.
         self._lines: Dict[str, Tuple[list, Dict[int, int], List[int]]] = {}
+        # kept by extend_to_maximal: inside runs per line, cameras per span
+        self._inside_runs: Dict[Tuple[str, int], List[int]] = {}
+        self._maximal: Dict[Tuple[str, int, int, int], GuardSegment] = {}
         sides: Dict[Tuple[str, int, int, int], set] = {}  # run -> pixels along it
         for o, lines, index, cuts in ((VERTICAL, self.pixel, self._xi, self.y_cuts),
                                       (HORIZONTAL, list(zip(*self.pixel)), self._yi, self.x_cuts)):
@@ -601,18 +631,26 @@ class Pixelation:
         """Slice-segments that the closed grid-line segment intersects.
 
         Bisection in the per-orientation index finds the perpendicular
-        midlines with anchor2 in [2 lo, 2 hi], which meet the segment iff
-        their span contains ``anchor``, and the parallel midlines on the
-        segment's own line, which meet it iff the spans overlap.  It is the
-        only segment-versus-midline predicate.
+        midlines' anchor2 values in [2 lo, 2 hi] and the segment's own line
+        2 anchor.  Midlines that share one anchor2 have nested extents
+        across it and disjoint interiors, so their closed spans along it are
+        disjoint and sorted by lo and hi alike: on each perpendicular line,
+        bisection finds the one midline whose span can contain ``anchor``,
+        and on the own line the run of midlines whose spans overlap
+        [lo, hi].  It is the only segment-versus-midline predicate.
         """
         other = VERTICAL if orientation == HORIZONTAL else HORIZONTAL
-        keys, segs = self._sigma_index[other]
-        out = [s for s in segs[bisect_left(keys, 2 * lo):bisect_right(keys, 2 * hi)]
-               if s.lo <= anchor <= s.hi]
-        keys, segs = self._sigma_index[orientation]
-        out += [s for s in segs[bisect_left(keys, 2 * anchor):bisect_right(keys, 2 * anchor)]
-                if max(lo, s.lo) <= min(hi, s.hi)]
+        keys, lines = self._sigma_lines[other]
+        out = []
+        for los, his, line in lines[bisect_left(keys, 2 * lo):bisect_right(keys, 2 * hi)]:
+            k = bisect_right(los, anchor) - 1
+            if k >= 0 and his[k] >= anchor:
+                out.append(line[k])
+        keys, lines = self._sigma_lines[orientation]
+        k = bisect_left(keys, 2 * anchor)
+        if k < len(keys) and keys[k] == 2 * anchor:
+            los, his, line = lines[k]
+            out += line[bisect_left(his, lo):bisect_right(los, hi)]
         return out
 
     def _segment_hit_mask(self, orientation: str, anchor: int, lo: int, hi: int) -> int:
@@ -628,22 +666,39 @@ class Pixelation:
 
         Span endpoints may fall between grid cuts; in-polygon membership is
         uniform within a unit segment, so snapping outward stays inside.  A
-        unit is inside when a cell on either side of it is.
+        unit is inside when a cell on either side of it is.  Each end then
+        moves to the far end of the line's inside run that holds the unit
+        beyond it, found by bisection.  A line's inside runs, as [start0,
+        end0, start1, end1, ...] over its units, are read off its two
+        flanking lines of cells on the line's first use and kept.  The
+        camera on each maximal span, with its hit mask, is built once and
+        kept too: many segments extend to the same one (a comb's spine).
         """
         padded, index, cuts = self._lines[orientation]
         if anchor not in index:
             raise ValueError(f"{orientation} line at {anchor} is not a grid line")
-        before, after = padded[index[anchor]], padded[index[anchor] + 1]
+        runs = self._inside_runs.get((orientation, anchor))
+        if runs is None:
+            k = index[anchor]
+            inside = bytes(map(ne, map(max, padded[k], padded[k + 1]), padded[0]))
+            runs = [i for m in re.finditer(b"\x01+", inside) for i in m.span()]
+            self._inside_runs[orientation, anchor] = runs
         tlo = max(0, bisect_right(cuts, lo) - 1)
         thi = min(len(cuts) - 1, bisect_left(cuts, hi))
-        while tlo > 0 and (before[tlo - 1] >= 0 or after[tlo - 1] >= 0):
-            tlo -= 1
-        while thi < len(cuts) - 1 and (before[thi] >= 0 or after[thi] >= 0):
-            thi += 1
-        lo2, hi2 = cuts[tlo], cuts[thi]
-        mask = self._segment_hit_mask(orientation, anchor, lo2, hi2)
-        return GuardSegment(orientation=orientation, anchor=anchor, lo=lo2, hi=hi2,
-                            id=-1, hit_set=mask)
+        # unit u is inside iff an odd number of run ends are <= u
+        i = bisect_right(runs, tlo - 1)
+        if i & 1:
+            tlo = runs[i - 1]
+        i = bisect_right(runs, thi)
+        if i & 1:
+            thi = runs[i]
+        key = (orientation, anchor, cuts[tlo], cuts[thi])
+        camera = self._maximal.get(key)
+        if camera is None:
+            camera = self._maximal[key] = GuardSegment(
+                orientation=orientation, anchor=anchor, lo=key[2], hi=key[3],
+                id=-1, hit_set=self._segment_hit_mask(*key))
+        return camera
 
     def slice_dual(self, orientation: str) -> Dict[int, set]:
         """Slice ids of one segmentation, adjacent iff the slices share part of a side."""

@@ -20,6 +20,7 @@ forgotten unhit kills the branch.  ``dp_peak_table`` counts these states.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -39,9 +40,9 @@ class TreeDecomposition:
     bags: Tuple[FrozenSet, ...]
     edges: Tuple[Tuple[int, int], ...]
 
-    @property
+    @functools.cached_property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
+        return max(map(len, self.bags), default=0) - 1
 
     def neighbors(self) -> Dict[int, List[int]]:
         adj: Dict[int, List[int]] = {i: [] for i in range(len(self.bags))}
@@ -54,7 +55,7 @@ class TreeDecomposition:
         """Decomposition dump: one bag per line, edges after a blank line."""
         lines = [f"s td {len(self.bags)} {self.width + 1}"]
         for i, bag in enumerate(self.bags):
-            items = " ".join(str(v) for v in sorted(bag, key=repr))
+            items = " ".join(sorted(map(repr, bag)))
             lines.append(f"b {i + 1} {items}".rstrip())
         for a, b in self.edges:
             lines.append(f"{a + 1} {b + 1}")

@@ -264,6 +264,17 @@ def test_solve_rejects_ignored_or_conflicting_guard_flags(tmp_path, capsys, args
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("algo", ["exact", "greedy", "bg", "path"])
+def test_solve_rejects_dump_td_outside_dp(tmp_path, capsys, algo):
+    """Only dp has a decomposition to write; a stale file must stay as it was."""
+    poly_path = write_poly(tmp_path, LSHAPE)
+    td_path = tmp_path / "td.txt"
+    td_path.write_text("stale\n")
+    assert main(["solve", poly_path, "--algo", algo, "--dump-td", str(td_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert td_path.read_text() == "stale\n"
+
+
 def test_export_rejects_orientations_outside_custom_mode(tmp_path, capsys):
     poly_path = write_poly(tmp_path, LSHAPE)
     assert main(["export", poly_path, "--mode", "mvsc", "--guard-orientations", "H"]) == 1

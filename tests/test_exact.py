@@ -110,3 +110,15 @@ def test_solution_json_shape():
     assert d["size"] == 1 and d["method"] == "exact"
     cam = d["cameras"][0]
     assert set(cam) == {"orientation", "anchor", "span"}
+
+
+def test_make_solution_lists_each_camera_once():
+    """Repeated ids, or segments with one key, are one camera of the solution."""
+    pix = sc.pixelate(sc.gen_comb(3))
+    every = range(len(pix.crosses))
+    spine = next(g for g in pix.guards if g.hit_set == (1 << len(pix.crosses)) - 1)
+    by_id = sc.make_solution(pix, every, [spine.id, spine.id], "exact")
+    assert by_id.size == 1 and by_id.guard_ids == (spine.id,)
+    copy = sc.GuardSegment(spine.orientation, spine.anchor, spine.lo, spine.hi)
+    by_key = sc.make_solution(pix, every, [copy, spine, copy], "path")
+    assert by_key.size == 1 and by_key.cameras == (copy,)

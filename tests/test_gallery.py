@@ -3,6 +3,7 @@ import random
 import pytest
 
 import slidecam as sc
+from slidecam import gallery
 from slidecam.gallery import _boundary_corners, _path_order, _spiral_cells
 from slidecam.treewidth import dual_graph, is_tree
 
@@ -252,6 +253,33 @@ def test_peel_soundness():
             assert (_path_order(sc.segmentation_dual(step.remainder, "V")) is not None
                     or _path_order(sc.segmentation_dual(step.remainder, "H")) is not None)
             n = step.remainder.n
+
+
+def test_path_peels_validate_nothing(monkeypatch):
+    """Each cut is normalised at its seam; no part is validated in full."""
+    p = sc.gen_comb(60)  # generated before validate_polygon is counted
+    calls = []
+    validate = gallery.validate_polygon
+
+    def counted(rings):
+        calls.append(rings)
+        return validate(rings)
+
+    monkeypatch.setattr(gallery, "validate_polygon", counted)
+    _, steps = sc.path_guard_steps(p)
+    assert len(steps) > 30
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", [5, 30, 100])
+def test_path_lists_each_camera_once(k):
+    """The comb's spine camera serves every other tooth but is listed once."""
+    p = sc.gen_comb(k)
+    sol, steps = sc.path_guard_steps(p)
+    keys = [c.key() for c in sol.cameras]
+    assert len(set(keys)) == len(keys) == sol.size
+    assert sol.size < len(steps) + 1  # some camera served more than one piece
+    assert sol.size <= (p.n + 2) // 6
 
 
 # ---------------------------------------------------------------------------

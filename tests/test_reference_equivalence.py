@@ -21,6 +21,7 @@ vertex.  Every output must agree exactly; the DP's guard sets may differ
 between equal-cost optima, so there the optimum cost must agree.
 """
 import collections
+import functools
 import math
 import random
 import sys
@@ -32,6 +33,7 @@ import slidecam as sc
 from slidecam.approx import NetRequest, _as_fraction, heavy_sets, is_net
 from slidecam.errors import HoleOutsideOuter, SelfIntersection
 from slidecam.exact import make_solution
+from slidecam import gallery
 from slidecam.gallery import _path_order
 from slidecam.geometry import (
     _COORD_LIMIT,
@@ -43,6 +45,7 @@ from slidecam.geometry import (
     _ring_edges,
     _rotate_to_min,
     _signed_area2,
+    close_cut_arc,
 )
 from slidecam.treewidth import (
     _cross_free,
@@ -665,6 +668,21 @@ def _ad_hoc_guards(pix, rng, count):
     return out
 
 
+def _touching_segments(pix):
+    """Segments that touch a midline's span at one end, on its line and across it."""
+    out = []
+    for s in pix.sigmas:
+        other = VERTICAL if s.orientation == HORIZONTAL else HORIZONTAL
+        if s.anchor2 % 2 == 0:
+            for lo, hi in ((s.lo - 1, s.lo), (s.hi, s.hi + 1), (s.lo + 1, s.lo + 1)):
+                out.append(sc.GuardSegment(orientation=s.orientation, anchor=s.anchor2 // 2,
+                                           lo=lo, hi=hi))
+        for anchor in (s.lo, s.hi):
+            out.append(sc.GuardSegment(orientation=other, anchor=anchor,
+                                       lo=s.anchor2 // 2, hi=(s.anchor2 + 1) // 2))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Pixelation
 # ---------------------------------------------------------------------------
@@ -761,6 +779,9 @@ def test_lookups_match_all_sigma_scan(polygons):
         for g in pix.guards:
             got = {v for v in H.adj[("g", g.id)]}
             assert got == {("s", s.id) for s in loop_sigmas_hit(pix, g)}, (name, g)
+        for g in _touching_segments(pix):
+            assert (sorted(pix.sigmas_hit(g.orientation, g.anchor, g.lo, g.hi),
+                           key=lambda s: s.id) == loop_sigmas_hit(pix, g)), (name, g)
 
 
 def test_verify_cover_matches_guard_by_guard_loop(polygons):
@@ -970,7 +991,8 @@ def _peel_outcome(fn, poly):
     return sol.cameras, [(s.slices_removed, s.subpolygon, s.camera, s.remainder) for s in steps]
 
 
-def test_path_guard_matches_per_peel_reference():
+@functools.lru_cache(maxsize=1)
+def _path_corpus():
     polys = [sc.gen_comb(k) for k in range(1, 61)]
     polys += [sc.gen_path_lb(k) for k in range(1, 27)]
     rng = random.Random(99)  # the staircases of test_path_guard_staircases
@@ -984,12 +1006,41 @@ def test_path_guard_matches_per_peel_reference():
                    for o in (VERTICAL, HORIZONTAL)):
                 polys.append(p)
                 picked += 1
+    return tuple(polys)
+
+
+def test_path_guard_matches_per_peel_reference():
+    polys = _path_corpus()
     refused = 0
     for p in polys:
         want = _peel_outcome(loop_path_guard_steps, p)
         assert _peel_outcome(sc.path_guard_steps, p) == want, p
         refused += isinstance(want[0], type)
     assert 30 <= refused < len(polys) - 300
+
+
+def test_close_cut_arc_matches_validate_polygon(monkeypatch):
+    """Both parts of every cut of the per-peel corpus, refused peels included."""
+    arcs = []
+    split = gallery._split_ring
+
+    def recorded(ring, p, q):
+        parts = split(ring, p, q)
+        arcs.extend(parts)
+        return parts
+
+    monkeypatch.setattr(gallery, "_split_ring", recorded)
+    for p in _path_corpus():
+        try:
+            sc.path_guard_steps(p)
+        except AssertionError:
+            pass
+    merged = collections.Counter()
+    for arc in arcs:
+        want = sc.validate_polygon([arc])
+        assert close_cut_arc(arc) == want, arc
+        merged[len(arc) - want.n] += 1
+    assert sorted(merged) == [0, 1, 2], merged
 
 
 # ---------------------------------------------------------------------------

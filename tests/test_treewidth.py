@@ -1,9 +1,11 @@
+import json
 import random
 import sys
 
 import pytest
 
 import slidecam as sc
+from slidecam.cli import main
 from slidecam.treewidth import (
     TreeDecomposition,
     decompose,
@@ -197,6 +199,33 @@ def test_decomposition_dump_format():
     text = td.to_text()
     assert text.startswith("s td ")
     assert text.count("\nb ") == len(td.bags)
+
+
+def str_of_repr_sorted_dump(td):
+    """The dump as it was first written: items sorted by repr, each written with str."""
+    lines = [f"s td {len(td.bags)} {max((len(b) for b in td.bags), default=0)}"]
+    for i, bag in enumerate(td.bags):
+        items = " ".join(str(v) for v in sorted(bag, key=repr))
+        lines.append(f"b {i + 1} {items}".rstrip())
+    for a, b in td.edges:
+        lines.append(f"{a + 1} {b + 1}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["msc", "mhsc"])
+def test_dump_td_text_is_byte_identical_to_str_of_repr_sorted(tmp_path, mode):
+    """--dump-td bytes for pixel-id bags and for auxiliary-graph bags."""
+    poly = sc.gen_random_simple(16, 3)
+    poly_path, td_path = tmp_path / "poly.json", tmp_path / "td.txt"
+    poly_path.write_text(json.dumps(poly.to_dict()))
+    assert main(["solve", str(poly_path), "--algo", "dp", "--mode", mode,
+                 "--dump-td", str(td_path)]) == 0
+    sol, _ = sc.solve_polygon(poly, mode=mode, algo="dp")
+    assert td_path.read_bytes() == str_of_repr_sorted_dump(sol.decomposition).encode()
+    dual = decompose(dual_graph(sc.pixelate(poly)))
+    assert dual.to_text() == str_of_repr_sorted_dump(dual)
+    empty = sc.TreeDecomposition(bags=(), edges=())
+    assert empty.width == -1 and empty.to_text() == str_of_repr_sorted_dump(empty)
 
 
 def test_dp_runtime_scaling_informational(capsys):

@@ -24,6 +24,7 @@ from .geometry import (
     VERTICAL,
     GuardSegment,
     OrthoPolygon,
+    Pixelation,
     Rect,
     Vertex,
     close_cut_arc,
@@ -268,25 +269,65 @@ def gen_thin_tree(branches: int, seed: int = 0) -> OrthoPolygon:
 # Single-camera guarding of small polygons
 # ---------------------------------------------------------------------------
 
+# Rank ring of a small polygon -> its guard in rank coordinates.  Every
+# hole-free polygon with at most 8 vertices has one of 43 rank types, so
+# this never holds more than 43 entries, whatever the input.
+_SMALL_GUARDS: Dict[Tuple[Vertex, ...], GuardSegment] = {}
+
+
 def guard_small(poly: OrthoPolygon) -> GuardSegment:
     """One camera guarding a hole-free polygon with at most 8 vertices.
 
-    The polygon is pixelated once and the first canonical guard, in key
-    order, whose hit set is every cross is returned.  A guard's hit set is
-    the set of crosses with a support midline it meets, which is what
-    :func:`verify_cover` tests, so no further check is needed.  The paper
-    shows that such a guard always exists; the AssertionError checks it.
+    The answer is the first canonical guard, in key order, whose hit set is
+    every cross.  A guard's hit set is the set of crosses with a support
+    midline it meets, which is what :func:`verify_cover` tests, so no
+    further check is needed.  The paper shows that such a guard always
+    exists; the AssertionError checks it.
+
+    The answer depends only on the order of the coordinates, so it is
+    looked up by rank type.  Each coordinate is replaced by its rank among
+    the polygon's distinct values; with at most 8 vertices there are at
+    most 4 per axis, so the rank polygon is a union of cells of a 3x3 grid,
+    one of 43 types.  A type's guard is found once, on the pixelation of
+    its rank polygon, and mapped back through the sorted coordinates.
+    Slices, pixels, cross ids, the key order and the dedup by hit set are
+    combinatorial in the grid, so a strictly increasing map keeps them.
+    The one metric test is in :meth:`Pixelation.sigmas_hit`: a guard on
+    line ``a`` from ``lo`` to ``hi`` meets a perpendicular midline whose
+    span holds ``a`` iff ``2 lo <= c1 + c2 <= 2 hi``, where [c1, c2] is the
+    extent of the midline's slice along the guard.  The units of line
+    ``a`` beside that slice are all pixel edges or none is: where the line
+    crosses the slice, the cells on its two sides lie in the slice and in
+    the same two perpendicular runs all along it; where the line ends the
+    slice, every cell beyond is outside.  So a raw guard run holds
+    [c1, c2] or meets it at most at an end, and the test is
+    ``lo <= c1 and c2 <= hi``, which the order of the cuts decides.  A
+    midline on the guard's own line lies strictly inside its slice, where
+    no unit is a pixel edge, so that test never fires.  The rank polygon
+    is the input under a strictly increasing map, valid and normalised as
+    the input is, and it is built directly: ``pixelate`` would evict the
+    caller's polygon from its one-slot cache.
     """
     if poly.holes:
         raise PreconditionViolated("guard_small needs a hole-free polygon")
     if poly.n > 8:
         raise PreconditionViolated(f"guard_small needs n <= 8, got {poly.n}")
-    pix = pixelate(poly)
-    every = (1 << len(pix.crosses)) - 1
-    for g in pix.guards:
-        if g.hit_set == every:
-            return g
-    raise AssertionError("no single camera covers this small polygon")
+    xs = sorted({x for x, _ in poly.outer})
+    ys = sorted({y for _, y in poly.outer})
+    xr = {x: i for i, x in enumerate(xs)}
+    yr = {y: j for j, y in enumerate(ys)}
+    ranks = tuple([(xr[x], yr[y]) for x, y in poly.outer])
+    g = _SMALL_GUARDS.get(ranks)
+    if g is None:
+        pix = Pixelation(OrthoPolygon(outer=ranks))
+        every = (1 << len(pix.crosses)) - 1
+        g = next((g for g in pix.guards if g.hit_set == every), None)
+        if g is None:
+            raise AssertionError("no single camera covers this small polygon")
+        _SMALL_GUARDS[ranks] = g
+    along, across = (xs, ys) if g.orientation == VERTICAL else (ys, xs)
+    return GuardSegment(orientation=g.orientation, anchor=along[g.anchor],
+                        lo=across[g.lo], hi=across[g.hi], id=g.id, hit_set=g.hit_set)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +436,12 @@ def path_guard_steps(poly: OrthoPolygon) -> Tuple[Solution, List[PeelStep]]:
     ring along the seam between the last peeled and the first kept slice
     and closes both arcs with :func:`close_cut_arc`, which only looks at
     the seam's two ends: nothing is validated in full, and a peel costs a
-    few list scans and copies of the ring.  Only the pieces are pixelated,
-    once each, by :func:`guard_small`, which returns the piece's first
-    canonical guard that hits every cross; that guard is extended to a
-    maximal camera of the input by bisection, and the input's pixelation
-    builds each distinct camera once.  ``make_solution`` lists a camera
-    that serves several pieces once.
+    few list scans and copies of the ring.  Only the input is pixelated:
+    :func:`guard_small` looks each piece's first canonical guard that hits
+    every cross up by the piece's rank type, one of 43; that guard is
+    extended to a maximal camera of the input by bisection, and the
+    input's pixelation builds each distinct camera once.
+    ``make_solution`` lists a camera that serves several pieces once.
     """
     if poly.holes:
         raise NotPathSegmentation("polygon has holes")

@@ -32,6 +32,10 @@ VERTICAL = "V"
 
 _COORD_LIMIT = 2**31 - 1
 
+# runs of "1" in a "0"/"1" string, and runs of 1 bytes in a 0/1 bytes string
+_ONES = re.compile("1+")
+_ONE_BYTES = re.compile(b"\x01+")
+
 
 # ---------------------------------------------------------------------------
 # Polygon validation
@@ -411,7 +415,7 @@ def _run_chains(lines: List[str]) -> List[Tuple[int, int, int, int]]:
     chains = []
     open_runs: Dict[Tuple[int, int], int] = {}
     for a, line in enumerate([*lines, ""]):
-        runs = {m.span(): open_runs.get(m.span(), a) for m in re.finditer("1+", line)}
+        runs = {m.span(): open_runs.get(m.span(), a) for m in _ONES.finditer(line)}
         chains += [(a0, a, *run) for run, a0 in open_runs.items() if run not in runs]
         open_runs = runs
     return chains
@@ -598,7 +602,7 @@ class Pixelation:
             self._lines[o] = (padded, index, cuts)
             for anchor, k in index.items():
                 before, after = padded[k], padded[k + 1]
-                for m in re.finditer(b"\x01+", bytes(map(ne, before, after))):
+                for m in _ONE_BYTES.finditer(bytes(map(ne, before, after))):
                     start, t = m.span()
                     run = {*before[start:t], *after[start:t]}
                     run.discard(-1)
@@ -681,7 +685,7 @@ class Pixelation:
         if runs is None:
             k = index[anchor]
             inside = bytes(map(ne, map(max, padded[k], padded[k + 1]), padded[0]))
-            runs = [i for m in re.finditer(b"\x01+", inside) for i in m.span()]
+            runs = [i for m in _ONE_BYTES.finditer(inside) for i in m.span()]
             self._inside_runs[orientation, anchor] = runs
         tlo = max(0, bisect_right(cuts, lo) - 1)
         thi = min(len(cuts) - 1, bisect_left(cuts, hi))

@@ -132,6 +132,20 @@ def test_solve_bg_and_path_algos(tmp_path):
     assert main(["solve", str(path), "--algo", "greedy"]) == 0
 
 
+def test_path_solve_keeps_the_input_pixelation_cached(monkeypatch):
+    """solve --algo path --render pixelates the input for the render from cache.
+
+    The rank-type memo starts empty, so each piece's type is pixelated too.
+    """
+    monkeypatch.setattr(sc.gallery, "_SMALL_GUARDS", {})
+    p = sc.gen_comb(12)
+    sc.solve_polygon(p, algo="path")
+    assert sc.gallery._SMALL_GUARDS
+    hits = sc.pixelate.cache_info().hits
+    sc.pixelate(p)
+    assert sc.pixelate.cache_info().hits == hits + 1
+
+
 def test_solve_bg_report(tmp_path):
     p = sc.gen_comb(3)
     path = tmp_path / "comb.json"

@@ -271,6 +271,28 @@ def test_path_peels_validate_nothing(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("make", [lambda: sc.gen_comb(60),
+                                  lambda: sc.gen_random_simple(30, 6)],
+                         ids=["comb60", "random30"])
+def test_path_pixelates_only_its_input(monkeypatch, make):
+    """Once every piece's rank type is known, a solve builds one Pixelation."""
+    p = make()
+    assert any(_path_order(sc.segmentation_dual(p, o)) is not None for o in "VH")
+    sc.path_guard_steps(p)
+    built = []
+    init = sc.geometry.Pixelation.__init__
+
+    def counted(self, polygon):
+        built.append(polygon)
+        init(self, polygon)
+
+    monkeypatch.setattr(sc.geometry.Pixelation, "__init__", counted)
+    sc.pixelate.cache_clear()
+    _, steps = sc.path_guard_steps(p)
+    assert len(steps) >= 4
+    assert built == [p]
+
+
 @pytest.mark.parametrize("k", [5, 30, 100])
 def test_path_lists_each_camera_once(k):
     """The comb's spine camera serves every other tooth but is listed once."""

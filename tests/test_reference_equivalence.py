@@ -12,7 +12,8 @@ a scan over every slice-segment for each guard, a guard-by-guard
 ``verify_cover``, an O(crosses * guards) hitting-set transpose, a ring
 normalizer that rescans from the start after each merged vertex, and a
 ``path_guard_steps`` that re-validates, re-pixelates and re-segments every
-remainder and traces each piece unit step by unit step.  The net finders sample over the per-cross
+remainder, traces each piece unit step by unit step and pixelates each piece
+to find its camera.  The net finders sample over the per-cross
 guard sets in two copies of one loop (one for orientation parts) with their
 own budget formula, the reweighting loop verifies each net geometrically,
 the nice decomposition is built by recursion, min-fill recounts every
@@ -554,7 +555,8 @@ def loop_guard_small(poly):
 
 
 def loop_path_guard_steps(poly):
-    """path_guard_steps re-validating, re-pixelating and re-segmenting every remainder."""
+    """path_guard_steps re-validating, re-pixelating and re-segmenting every
+    remainder, with each piece's camera found on the piece's own pixelation."""
     if poly.holes:
         raise sc.NotPathSegmentation("polygon has holes")
     orientation = None
@@ -569,7 +571,7 @@ def loop_path_guard_steps(poly):
     cur = poly
     while True:
         if cur.n <= 8:
-            g = sc.guard_small(cur)
+            g = loop_guard_small(cur)
             cameras.append(pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi))
             break
         pix = sc.pixelate(cur)
@@ -591,7 +593,7 @@ def loop_path_guard_steps(poly):
         sub = loop_subpolygon_of_slices(pix, order[:take], vertical)
         if sub.n > 8:
             raise AssertionError(f"peeled piece has {sub.n} > 8 vertices")
-        g = sc.guard_small(sub)
+        g = loop_guard_small(sub)
         camera = pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi)
         cameras.append(camera)
         remainder = loop_subpolygon_of_slices(pix, order[take:], vertical)
@@ -974,13 +976,44 @@ def test_normalize_ring_matches_rescan_reference(polygons):
     assert {"ok", "boundary doubl", "collapses to f", "zero area"} <= kinds
 
 
+def _rank_types():
+    """The rank rings of every hole-free polygon with at most 8 vertices.
+
+    Such a polygon has at most 4 distinct x and 4 distinct y values, so
+    its rank polygon is a union of cells of a 3x3 grid.
+    """
+    types = set()
+    for p in enumerate_small_polygons(max_side=3):
+        xr = {x: i for i, x in enumerate(sorted({x for x, _ in p.outer}))}
+        yr = {y: j for j, y in enumerate(sorted({y for _, y in p.outer}))}
+        types.add(tuple((xr[x], yr[y]) for x, y in p.outer))
+    return types
+
+
 def test_guard_small_matches_first_verified_guard():
+    """guard_small's lookup by rank type against pixelating each polygon.
+
+    Every rank type is taken under 100 random strictly increasing maps;
+    narrow coordinate ranges put midlines on grid lines and make sums of
+    cuts collide, where a metric test would tell the maps apart.
+    """
+    types = _rank_types()
+    assert len(types) == 43
     polys = list(enumerate_small_polygons())
+    rng = random.Random(12)
+    for ranks in sorted(types):
+        nx = 1 + max(x for x, _ in ranks)
+        ny = 1 + max(y for _, y in ranks)
+        for trial in range(100):
+            span = (8, 40, 10**6)[trial % 3]
+            xs = sorted(rng.sample(range(-span, span), nx))
+            ys = sorted(rng.sample(range(-span, span), ny))
+            polys.append(sc.validate_polygon([[(xs[i], ys[j]) for i, j in ranks]]))
     for seed in range(400):
         n = random.Random(seed).choice([4, 6, 8])
         polys.append(sc.gen_random_simple(n, seed + 7000))
     for p in polys:
-        assert sc.guard_small(p).key() == loop_guard_small(p).key(), p.outer
+        assert sc.guard_small(p) == loop_guard_small(p), p.outer
 
 
 def _peel_outcome(fn, poly):
@@ -1017,6 +1050,17 @@ def test_path_guard_matches_per_peel_reference():
         assert _peel_outcome(sc.path_guard_steps, p) == want, p
         refused += isinstance(want[0], type)
     assert 30 <= refused < len(polys) - 300
+
+
+def test_small_guard_memo_stays_bounded(monkeypatch):
+    """Every piece of the per-peel corpus is looked up among the 43 rank types."""
+    monkeypatch.setattr(gallery, "_SMALL_GUARDS", {})
+    for p in _path_corpus():
+        try:
+            sc.path_guard_steps(p)
+        except AssertionError:
+            pass
+    assert 10 <= len(gallery._SMALL_GUARDS) <= 43
 
 
 def test_close_cut_arc_matches_validate_polygon(monkeypatch):

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid input, 2 infeasible, 3 internal limit
-(size cap, decomposition width or sampling budget).
+(size cap, decomposition width, sampling budget or generator retries).
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from .approx import DEFAULT_NET_CONSTANT, DEFAULT_ROUND_CONSTANT
 from .errors import (
     BudgetInsufficient,
     CapExceeded,
+    GenerationFailed,
     Infeasible,
     NotPathSegmentation,
     PolygonError,
@@ -23,7 +24,8 @@ from .errors import (
     WidthExceeded,
 )
 from .gallery import check_bounds, gen_comb, gen_path_lb, gen_random_simple, gen_thin_tree
-from .geometry import HORIZONTAL, VERTICAL, GuardSegment, OrthoPolygon, pixelate, verify_cover
+from .geometry import (HORIZONTAL, VERTICAL, GuardSegment, OrthoPolygon, Pixelation, pixelate,
+                       verify_cover)
 from .render import render_svg
 from .solve import ALGOS, MODES, instance_for_mode, solve_polygon
 from .treewidth import DEFAULT_WIDTH_MAX
@@ -37,8 +39,8 @@ def _read_polygon(path: str) -> OrthoPolygon:
     return OrthoPolygon.from_dict(data)
 
 
-def _read_cameras(path: str) -> list[GuardSegment]:
-    """The cameras of a solution file; a malformed record is a ValueError."""
+def _read_cameras(path: str, pix: Pixelation) -> list[GuardSegment]:
+    """A solution file's cameras; a malformed one or one outside ``pix`` is a ValueError."""
     with open(path) as f:
         data = json.load(f)
     cams = data.get("cameras") if isinstance(data, dict) else None
@@ -59,6 +61,8 @@ def _read_cameras(path: str) -> list[GuardSegment]:
             raise ValueError(f"camera {k}: orientation {orientation!r} is not H or V")
         if lo > hi:
             raise ValueError(f"camera {k}: span [{lo}, {hi}] has lo > hi")
+        if not pix.contains_segment(orientation, anchor, lo, hi):
+            raise ValueError(f"camera {k}: {orientation} {anchor} [{lo}, {hi}] leaves the polygon")
         out.append(GuardSegment(orientation=orientation, anchor=anchor, lo=lo, hi=hi))
     return out
 
@@ -143,7 +147,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     poly = _read_polygon(args.polygon)
     pix = pixelate(poly)
-    report = verify_cover(pix, _read_cameras(args.solution))
+    report = verify_cover(pix, _read_cameras(args.solution, pix))
     if report.covered:
         print(f"covered: all {len(pix.crosses)} crosses")
         return 0
@@ -210,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--guard-ids", help="comma-separated guard ids for custom mode "
                                         "(not with --guard-orientations)")
     ps.add_argument("--guard-orientations", help="H, V or HV for custom mode")
-    ps.add_argument("--dump-td", help="write the tree decomposition the DP solved on "
-                                        "(algo dp only; any other algo is invalid input)")
+    ps.add_argument("--dump-td", help="write the DP's tree decomposition of the auxiliary "
+                                        "graph (algo dp only; any other algo is invalid input)")
     ps.add_argument("--out")
     ps.add_argument("--report", help="write run statistics (incl. reweighting stats) as JSON")
     ps.add_argument("--render")
@@ -255,7 +259,8 @@ def main(argv=None) -> int:
     except (Infeasible, NotPathSegmentation) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 2
-    except (CapExceeded, WidthExceeded, BudgetInsufficient, TooLargeForOracle) as e:
+    except (CapExceeded, WidthExceeded, BudgetInsufficient, TooLargeForOracle,
+            GenerationFailed) as e:
         print(f"limit: {e}", file=sys.stderr)
         return 3
 

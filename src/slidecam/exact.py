@@ -18,8 +18,8 @@ _ORACLE_LIMIT = 40
 class Solution:
     """A verified set of cameras together with its coverage certificate.
 
-    ``decomposition`` is the tree decomposition the DP solved on for a
-    ``dp`` solution, and None for every other method.  ``counters`` holds a
+    ``decomposition`` is the DP's tree decomposition of the auxiliary graph
+    for a ``dp`` solution, and None for every other method.  ``counters`` holds a
     solver's own counts (``dp_peak_table`` for ``dp``).
     """
 

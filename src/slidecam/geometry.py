@@ -704,6 +704,18 @@ class Pixelation:
                 id=-1, hit_set=self._segment_hit_mask(*key))
         return camera
 
+    def contains_segment(self, orientation: str, anchor: int, lo: int, hi: int) -> bool:
+        """Whether the segment lies in the closed polygon: each unit of its span
+        (its point, if of length 0) needs an inside cell beside it, on either
+        side of a grid line, or in the line of cells containing it otherwise."""
+        padded, index, cuts = self._lines[orientation]
+        k = bisect_left(self.x_cuts if orientation == VERTICAL else self.y_cuts, anchor)
+        beside = padded[k:k + 1 + (anchor in index)]
+        t0, t1 = bisect_right(cuts, lo) - 1, bisect_left(cuts, hi)
+        found = [0 <= t < len(cuts) - 1 and any(line[t] >= 0 for line in beside)
+                 for t in (range(t1 - 1, t0 + 1) if lo == hi else range(t0, t1))]
+        return any(found) if lo == hi else all(found)
+
     def slice_dual(self, orientation: str) -> Dict[int, set]:
         """Slice ids of one segmentation, adjacent iff the slices share part of a side."""
         if orientation == VERTICAL:

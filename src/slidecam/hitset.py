@@ -156,13 +156,13 @@ class AuxiliaryGraph:
     gammaprime: Tuple[int, ...]
     adj: Dict[Node, FrozenSet[Node]]
 
-    @property
-    def xprime_set(self) -> set:
-        return set(self.xprime)
-
-    @property
-    def gamma_set(self) -> set:
-        return set(self.gammaprime)
+    @functools.cached_property
+    def support(self) -> Dict[Node, FrozenSet[Node]]:
+        """The support graph S: guards and slice-segments, each requested cross
+        contracted into an edge between its two supports (a segment's cross
+        neighbour becomes the cross's other support)."""
+        return {v: frozenset(w for u in ns for w in (self.adj[u] - {v} if u[0] == "c" else (u,)))
+                for v, ns in self.adj.items() if v[0] != "c"}
 
     def nodes(self) -> List[Node]:
         return ([("c", c) for c in self.xprime]
@@ -170,12 +170,7 @@ class AuxiliaryGraph:
                 + [("g", g) for g in self.gammaprime])
 
     def edges(self) -> List[Tuple[Node, Node]]:
-        out = []
-        for u, nbrs in self.adj.items():
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return sorted(out)
+        return sorted((u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v)
 
 
 def build_auxiliary_graph(pix: Pixelation, xprime: Optional[Iterable[int]] = None,

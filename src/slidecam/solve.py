@@ -115,16 +115,14 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
             td_d = decompose(dual_graph(pix))
             H = build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
             # the lifted decomposition certifies the paper's 7k+6 width bound;
-            # min-fill on the auxiliary graph itself is usually narrower, and
-            # the DP runs on the narrower of the two (the lifted one on ties)
+            # min-fill on the support graph (crosses contracted) is usually
+            # narrower, and the DP runs on the narrower of the two (the lifted
+            # one on ties); crosses come back as leaf bags in sol.decomposition
             td_h = lift_decomposition(td_d, H, pix)
-            td_m = decompose(H.adj)
-            td = td_m if td_m.width < td_h.width else td_h
-            info["width_d"] = td_d.width
-            info["width_h"] = td_h.width
-            info["width_used"] = td.width
-            sol = dp_solve(H, td, width_max=width_max)
-            info["dp_peak_table"] = sol.counters["dp_peak_table"]
+            td_s = decompose(H.support)
+            sol = dp_solve(H, td_s if td_s.width < td_h.width else td_h, width_max=width_max)
+            info.update(width_d=td_d.width, width_h=td_h.width, width_used=sol.decomposition.width,
+                        dp_peak_table=sol.counters["dp_peak_table"])
         else:
             raise ValueError(f"unknown algo {algo!r}")
 

@@ -1,21 +1,22 @@
 """Tree-decomposition pipeline: dual graph, min-fill, lifting and a direct DP.
 
 The DP solves the restricted distance-2 domination problem on the tripartite
-auxiliary graph: choose a minimum set of guard vertices such that every
+auxiliary graph H: choose a minimum set of guard vertices such that every
 requested cross has a support slice-segment intersected by a chosen guard.
-It takes any tree decomposition of the auxiliary graph: the lifted one,
-whose width the paper bounds by 7k+6 for a dual graph of width k, or
-min-fill run on the auxiliary graph itself, which is usually narrower.
-That decomposition is what ``--dump-td`` writes and ``width_used`` counts.
+It takes any tree decomposition of H, such as the lifted one, whose width
+the paper bounds by 7k+6 for a dual graph of width k, or of its support
+graph S (``AuxiliaryGraph.support``: each cross contracted into an edge
+between its supports), such as min-fill on S, which is usually narrower.
 
-The DP itself runs without cross vertices.  Each cross in a bag is replaced
-by its vertical support (an edge contraction, so the decomposition stays
-valid and no wider), and each bag inside a neighbouring bag is merged into
-it.  A cross is then the constraint "one of my two supports is hit",
+The DP runs without cross vertices.  Each cross in a bag is replaced by its
+vertical support (an edge contraction, so the decomposition stays valid and
+no wider), and a cross is the constraint "one of my two supports is hit",
 settled when the first of its supports is forgotten.  States per bag
 vertex: guards are selected/unselected and slice-segments hit, unhit or
 unhit-but-needed (a cross partner was forgotten unhit); a needed segment
 forgotten unhit kills the branch.  ``dp_peak_table`` counts these states.
+Crosses come back as one leaf bag {c, sv, sh} each: that decomposition of H
+is what ``--dump-td`` writes and ``width_used`` counts.
 """
 from __future__ import annotations
 
@@ -193,8 +194,7 @@ def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
     coverage is unaffected because the graph's intersections are computed
     from that same segment.
     """
-    xp = H.xprime_set
-    gp = H.gamma_set
+    xp, gp = set(H.xprime), set(H.gammaprime)
     bags = []
     for bag in td_d.bags:
         items = set()
@@ -209,37 +209,26 @@ def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
     return TreeDecomposition(bags=tuple(bags), edges=td_d.edges)
 
 
-def _cross_free(td: TreeDecomposition, H: AuxiliaryGraph) -> TreeDecomposition:
-    """``td`` with each cross replaced by its vertical support, then merged.
-
-    Replacing a cross by one of its supports contracts the edge between
-    them, so the result decomposes the guard/slice-segment graph with one
-    edge between the two supports of each requested cross, and is no wider.
-    A bag contained in a neighbouring bag is then merged into it; this
-    drops the leaf bags left by crosses that min-fill eliminated first.
+def _contract(td: TreeDecomposition,
+              H: AuxiliaryGraph) -> Tuple[TreeDecomposition, TreeDecomposition]:
+    """``td`` with each cross replaced by its vertical support (an edge
+    contraction: a decomposition of ``H.support``, no wider), and that with
+    a leaf bag {c, sv, sh} per requested cross below the first bag holding
+    both supports, found by a per-vertex bag index: a decomposition of ``H``.
     """
-    vsup = {c: ("s", H.pix.crosses[c[1]].v_support) for c in H.adj if c[0] == "c"}
+    vsup = {("c", c): ("s", H.pix.crosses[c].v_support) for c in H.xprime}
     bags = [frozenset(vsup.get(v, v) for v in bag) for bag in td.bags]
-    adj = {i: set(ns) for i, ns in td.neighbors().items()}
-    # merging moves i's tree edges to its host and changes no bag, so only
-    # the host and i's other neighbours can gain a new subset relation
-    todo = sorted(adj, reverse=True)
-    while todo:
-        i = todo.pop()
-        hosts = [j for j in adj.get(i, ()) if bags[i] <= bags[j]]
-        if not hosts:
-            continue
-        host = min(hosts)
-        for k in adj.pop(i):
-            adj[k].discard(i)
-            if k != host:
-                adj[k].add(host)
-                adj[host].add(k)
-                todo.append(k)
-        todo.append(host)
-    index = {old: new for new, old in enumerate(sorted(adj))}
-    edges = sorted((index[a], index[b]) for a in adj for b in adj[a] if a < b)
-    return TreeDecomposition(bags=tuple(bags[i] for i in sorted(adj)), edges=tuple(edges))
+    contracted = replace(td, bags=tuple(bags))
+    where: Dict[Node, List[int]] = {}
+    for i, bag in enumerate(contracted.bags):
+        for v in bag:
+            where.setdefault(v, []).append(i)
+    edges = list(td.edges)
+    for c in H.xprime:
+        s, t = supports = H.adj[("c", c)]
+        edges.append((next(i for i in where[s] if t in bags[i]), len(bags)))
+        bags.append(supports | {("c", c)})
+    return contracted, TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +300,17 @@ def _make_nice(td: TreeDecomposition) -> List[_NiceNode]:
 # DP over the nice decomposition
 # ---------------------------------------------------------------------------
 
-def _dp(nodes: List[_NiceNode], H: AuxiliaryGraph) -> Tuple[Optional[FrozenSet[int]], int]:
+def _dp(nodes: List[_NiceNode],
+        adj: Dict[Node, FrozenSet[Node]]) -> Tuple[Optional[FrozenSet[int]], int]:
     """Minimum guard set or None if infeasible, and the largest table size.
 
-    ``nodes`` is a nice decomposition without cross vertices (see
-    ``_cross_free``); each requested cross is the constraint "one of its
-    two supports is hit".  Every guard and slice-segment has one bit, and a
-    bag state is the int ``A | B << N`` over the N of them.  ``A`` holds
-    "selected" for a guard and "hit" for a segment; ``B`` holds "needed"
-    for an unhit segment whose cross partner was forgotten unhit.  A
-    segment's hit bit is final when it is forgotten, since every guard on
+    ``nodes`` is a nice decomposition of the support graph ``adj``: a guard's
+    neighbours are the segments it meets, a segment's segment neighbours the
+    other supports of its crosses.  Every guard and slice-segment has one
+    bit, and a bag state is the int ``A | B << N`` over the N of them.
+    ``A`` holds "selected" for a guard and "hit" for a segment; ``B`` holds
+    "needed" for an unhit segment whose cross partner was forgotten unhit.
+    A segment's hit bit is final when it is forgotten, since every guard on
     it was introduced below; forgetting it unhit makes its unhit in-bag
     partners needed, and forgetting it needed kills the branch.  A partner
     forgotten earlier already ran this rule with the segment in its bag.
@@ -328,19 +318,14 @@ def _dp(nodes: List[_NiceNode], H: AuxiliaryGraph) -> Tuple[Optional[FrozenSet[i
     came from; the first state reaching a cost keeps it, so ties break
     deterministically.
     """
-    adj = H.adj
-    verts = sorted(v for v in adj if v[0] != "c")
+    verts = sorted(adj)
     shift = len(verts)
     bit = {v: 1 << i for i, v in enumerate(verts)}
     low = (1 << shift) - 1
     guards = sum(bit[v] for v in verts if v[0] == "g")
     # guard-segment neighbours, and per segment the other supports of its crosses
-    near = {v: sum(bit[u] for u in adj[v] if u[0] != "c") for v in verts}
-    partners = dict.fromkeys(verts, 0)
-    for c in H.xprime:
-        s, t = adj[("c", c)]
-        partners[s] |= bit[t]
-        partners[t] |= bit[s]
+    near = {v: sum(bit[u] for u in adj[v] if u[0] != v[0]) for v in verts}
+    partners = {v: sum(bit[u] for u in adj[v] if u[0] == v[0]) for v in verts}
 
     tables: List[Dict[int, tuple]] = []
     masks: List[int] = []  # the bag of each node as a mask
@@ -428,17 +413,19 @@ def dp_solve(H: AuxiliaryGraph, td: TreeDecomposition,
              width_max: int = DEFAULT_WIDTH_MAX) -> Solution:
     """Minimum guard set via dynamic programming over a decomposition of ``H``.
 
-    ``td`` may be the lifted decomposition or any other valid decomposition
-    of the auxiliary graph; its width is the one checked against
-    ``width_max``, and the DP runs on its cross-free form.  The cover is
-    verified on the crosses ``H`` was built over.  The solution carries
-    ``td`` and the largest cross-free DP table, in states, as the counter
-    ``dp_peak_table``.
+    ``td`` may be any valid decomposition of the auxiliary graph, such as
+    the lifted one, or of its support graph ``H.support``.  The DP runs on
+    its contraction, a decomposition of ``H.support``.  That contraction
+    with one leaf bag per requested cross is the decomposition of ``H``
+    whose width is checked against ``width_max`` and that the solution
+    carries.  The cover is verified on the crosses ``H`` was built over,
+    and the largest DP table, in states, is the counter ``dp_peak_table``.
     """
-    if td.width > width_max:
-        raise WidthExceeded(f"width {td.width} exceeds limit {width_max}")
-    picked, peak = _dp(_make_nice(_cross_free(td, H)), H)
+    contracted, full = _contract(td, H)
+    if full.width > width_max:
+        raise WidthExceeded(f"width {full.width} exceeds limit {width_max}")
+    picked, peak = _dp(_make_nice(contracted), H.support)
     if picked is None:
         raise Infeasible("no guard set satisfies all requested crosses")
-    return replace(make_solution(H.pix, H.xprime, sorted(picked), "dp"), decomposition=td,
+    return replace(make_solution(H.pix, H.xprime, sorted(picked), "dp"), decomposition=full,
                    counters={"dp_peak_table": peak})

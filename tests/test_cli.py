@@ -374,3 +374,35 @@ def test_verify_rejects_malformed_cameras(tmp_path, capsys, cameras):
     sol_path.write_text(json.dumps({} if cameras is None else {"cameras": cameras}))
     assert main(["verify", poly_path, str(sol_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_generate_reports_generator_retries_as_a_limit(monkeypatch, capsys):
+    def gives_up(n, seed):
+        raise sc.GenerationFailed(f"could not generate a simple polygon with n={n}")
+
+    monkeypatch.setattr("slidecam.cli.gen_random_simple", gives_up)
+    assert main(["generate", "--shape", "random_simple", "--n", "200"]) == 3
+    assert capsys.readouterr().err.startswith("limit: ")
+
+
+@pytest.mark.parametrize("camera", [
+    {"orientation": "V", "anchor": 1, "span": [-50, 50]},
+    {"orientation": "H", "anchor": 1, "span": [-9, 9]}])
+def test_verify_rejects_cameras_outside_the_polygon(tmp_path, capsys, camera):
+    """comb(4) spans y = 0..7 and x = 0..2: each camera crosses every cross
+    but leaves the closed polygon."""
+    poly_path = tmp_path / "comb4.json"
+    poly_path.write_text(json.dumps(sc.gen_comb(4).to_dict()))
+    sol_path = tmp_path / "out.json"
+    sol_path.write_text(json.dumps({"cameras": [camera]}))
+    assert main(["verify", str(poly_path), str(sol_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: camera 0: ")
+
+
+@pytest.mark.parametrize("span", [[0, 4], [1, 2]])
+def test_verify_accepts_cameras_between_grid_lines(tmp_path, span):
+    """x = 3 is no grid line of [0, 10] x [0, 4]; the camera is inside."""
+    poly_path = write_poly(tmp_path, [[(0, 0), (10, 0), (10, 4), (0, 4)]])
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({"cameras": [{"orientation": "V", "anchor": 3, "span": span}]}))
+    assert main(["verify", poly_path, str(sol_path)]) == 0

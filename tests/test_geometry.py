@@ -386,3 +386,38 @@ def test_closed_semantics_endpoint_touch():
     assert sc.hits(g_top, lower, pix)  # same vertical support, endpoint touch
     # consistency both ways: the visible region contains exactly those pixels
     assert sc.visible_region(pix, g_top) == {upper.pixel_id, lower.pixel_id}
+
+
+def _ref_segment_in_closed_polygon(poly, orientation, anchor, lo, hi):
+    """Every point of the segment at a multiple of 1/2 lies in the closed polygon.
+
+    Membership along a grid-parallel line changes only at integer
+    coordinates, so those points decide it.  A point with half-integer
+    coordinates is in the closed polygon iff one of its four diagonal
+    neighbours at distance 1/4 on each axis is strictly inside.
+    """
+    q = Fraction(1, 4)
+    for t2 in range(2 * lo, 2 * hi + 1):
+        along = Fraction(t2, 2)
+        x, y = (anchor, along) if orientation == "V" else (along, anchor)
+        if not any(ref_point_inside(poly, x + dx, y + dy) for dx in (-q, q) for dy in (-q, q)):
+            return False
+    return True
+
+
+def test_contains_segment_matches_point_sampling(corpus):
+    """Cameras on grid lines and between them, past the polygon, and of length 0."""
+    import random
+
+    rng = random.Random(5)
+    for name, poly in corpus.items():
+        pix = sc.pixelate(poly)
+        x0, y0, x1, y1 = poly.bbox()
+        for _ in range(60):
+            o = rng.choice("HV")
+            a_lo, a_hi, s_lo, s_hi = (y0, y1, x0, x1) if o == "H" else (x0, x1, y0, y1)
+            anchor = rng.randint(a_lo - 1, a_hi + 1)
+            lo = rng.randint(s_lo - 1, s_hi)
+            hi = rng.choice([lo, rng.randint(lo, s_hi + 1)])
+            want = _ref_segment_in_closed_polygon(poly, o, anchor, lo, hi)
+            assert pix.contains_segment(o, anchor, lo, hi) == want, (name, o, anchor, lo, hi)

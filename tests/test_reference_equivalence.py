@@ -49,7 +49,7 @@ from slidecam.geometry import (
     close_cut_arc,
 )
 from slidecam.treewidth import (
-    _cross_free,
+    _contract,
     _dp,
     _make_nice,
     _NiceNode,
@@ -341,9 +341,9 @@ def loop_lift(td, H, pix):
             px = pix.pixels[pid]
             items |= {("s", pix.slices_v[px.v_slice].segment.id),
                       ("s", pix.slices_h[px.h_slice].segment.id)}
-            if pid in H.xprime_set:
+            if pid in H.xprime:
                 items.add(("c", pid))
-            items |= {("g", gid) for gid in side[pid] if gid in H.gamma_set}
+            items |= {("g", gid) for gid in side[pid] if gid in H.gammaprime}
         bags.append(frozenset(items))
     return bags
 
@@ -1442,8 +1442,8 @@ def loop_dp(nodes, H):
     """Minimum cover on a decomposition with cross vertices, on tuple states.
 
     One entry per bag vertex in bag order, and a cross is satisfied or not;
-    the oracle for _dp, which runs on the cross-free form of the same
-    decomposition.
+    the oracle for _dp, which runs on the contraction of the same
+    decomposition, over the support graph.
     """
     adj = H.adj
 
@@ -1624,14 +1624,15 @@ def loop_dp(nodes, H):
 
 
 def test_decompose_matches_full_recompute(polygons):
-    """Identical output on the connected dual and auxiliary graphs of the corpus."""
+    """Identical output on the connected dual, auxiliary and support graphs of the corpus."""
     polys = dict(polygons)
     polys["comb50"] = sc.gen_comb(50)
     for n in (40, 60, 80):
         polys[f"rand{n}_1"] = sc.gen_random_simple(n, 1)
     for name, p in polys.items():
         pix = sc.pixelate(p)
-        for graph in (dual_graph(pix), sc.build_auxiliary_graph(pix).adj):
+        H = sc.build_auxiliary_graph(pix)
+        for graph in (dual_graph(pix), H.adj, H.support):
             assert decompose(graph) == loop_decompose(graph), name
 
 
@@ -1669,7 +1670,8 @@ def test_dp_matches_tuple_state_reference():
     """The cross-free DP has loop_dp's optimum (or None).
 
     loop_dp runs on the lifted and min-fill decompositions as they are,
-    cross vertices included; _dp runs on their projected and merged form.
+    cross vertices included; _dp runs on their contraction, with the
+    support graph.
     """
     solved = infeasible = narrower = 0
     for pix, xs, gids, H, lifted, minfill in _dp_cases():
@@ -1677,7 +1679,7 @@ def test_dp_matches_tuple_state_reference():
         for td in (lifted, minfill):
             if td.width > 13:
                 continue
-            picked, peak = _dp(_make_nice(_cross_free(td, H)), H)
+            picked, peak = _dp(_make_nice(_contract(td, H)[0]), H.support)
             ref = loop_dp(_make_nice(td), H)
             assert peak >= 1
             if ref is None:
@@ -1691,20 +1693,25 @@ def test_dp_matches_tuple_state_reference():
 
 
 def test_cross_free_decomposition_is_valid_for_contracted_graph():
-    """Projecting each cross onto its vertical support and merging bags leaves
-    a tree decomposition of the guard/slice-segment graph plus one edge
-    between the supports of each requested cross, no wider than its input,
-    with no bag inside a neighbouring one."""
+    """Contracting each cross into its vertical support leaves a tree
+    decomposition of the guard/slice-segment graph plus one edge between
+    the supports of each requested cross (the support graph), no wider than
+    its input; one leaf bag per requested cross turns it back into a tree
+    decomposition of the auxiliary graph, of width max(contracted width, 2)."""
     for pix, xs, gids, H, lifted, minfill in _dp_cases():
         vertices = [v for v in H.nodes() if v[0] != "c"]
         edges = [(u, v) for u, v in H.edges() if "c" not in (u[0], v[0])]
-        edges += [(("s", pix.crosses[c].v_support), ("s", pix.crosses[c].h_support))
+        edges += [tuple(sorted([("s", pix.crosses[c].v_support), ("s", pix.crosses[c].h_support)]))
                   for c in H.xprime]
-        for td in (lifted, minfill):
-            cf = _cross_free(td, H)
+        S = H.support
+        assert sorted(S) == sorted(vertices)
+        assert sorted((u, v) for u in S for v in S[u] if u < v) == sorted(edges)
+        for td in (lifted, minfill, decompose(S)):
+            cf, full = _contract(td, H)
             ok, wit = validate_decomposition(cf, vertices, edges)
             assert ok, (wit, pix.polygon, xs, gids)
-            assert is_tree({i: frozenset(ns) for i, ns in cf.neighbors().items()})
             assert cf.width <= td.width
-            assert not any(cf.bags[a] <= cf.bags[b] or cf.bags[b] <= cf.bags[a]
-                           for a, b in cf.edges)
+            ok, wit = validate_decomposition(full, H.nodes(), H.edges())
+            assert ok, (wit, pix.polygon, xs, gids)
+            assert is_tree({i: frozenset(ns) for i, ns in full.neighbors().items()})
+            assert full.width == (max(cf.width, 2) if H.xprime else cf.width)

@@ -278,3 +278,23 @@ def test_dp_matches_exact_on_wide_random_shapes(n):
     sol, info = sc.solve_polygon(poly, algo="dp")
     assert info["width_used"] >= 17
     assert sol.size == sc.solve_polygon(poly, algo="exact")[0].size
+
+
+@pytest.mark.parametrize("poly", [sc.gen_comb(10), sc.gen_random_simple(24, 0)],
+                         ids=["comb10", "rand24"])
+def test_dp_solve_decomposes_no_cross_vertex(monkeypatch, poly):
+    """solve_polygon decomposes the dual and the support graph, never a cross."""
+    graphs = []
+
+    def recorded(adj):
+        graphs.append(adj)
+        return decompose(adj)
+
+    monkeypatch.setattr(sc.solve, "decompose", recorded)
+    sol, info = sc.solve_polygon(poly, algo="dp")
+    assert len(graphs) == 2
+    assert not any(isinstance(v, tuple) and v[0] == "c" for adj in graphs for v in adj)
+    H = sc.build_auxiliary_graph(sc.pixelate(poly))
+    ok, wit = validate_decomposition(sol.decomposition, H.nodes(), H.edges())
+    assert ok, wit
+    assert info["width_used"] == sol.decomposition.width

@@ -140,7 +140,7 @@ def greedy_cover(inst: HittingInstance) -> Solution:
     while uncovered:
         best, best_gain = None, -1
         for g, hs in hit_sets.items():
-            gain = bin(hs & uncovered).count("1")
+            gain = (hs & uncovered).bit_count()
             if gain > best_gain:
                 best, best_gain = g, gain
         picked.append(best)

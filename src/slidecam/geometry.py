@@ -265,15 +265,18 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
         raise HoleOutsideOuter(f"rings {r1} and {r2} touch or overlap")
 
     # No two rings touch, so each hole lies wholly inside or wholly outside
-    # any other ring and one vertex decides which.
+    # any other ring and one vertex decides which.  A point strictly inside
+    # a hole is strictly inside its bounding box, which rules out most pairs.
     outer_vert, _ = _ring_edges(outer)
     for hidx, hole in enumerate(holes):
         if not _point_in_ring(hole[0], outer_vert):
             raise HoleOutsideOuter(f"hole {hidx} is not strictly inside the outer ring")
-    for a in range(len(holes)):
-        va, _ = _ring_edges(holes[a])
-        for b in range(len(holes)):
-            if a != b and _point_in_ring(holes[b][0], va):
+    firsts = [h[0] for h in holes]
+    for a, hole in enumerate(holes):
+        xs, ys = [x for x, _ in hole], [y for _, y in hole]
+        xl, yl, xh, yh = min(xs), min(ys), max(xs), max(ys)
+        for b, (x, y) in enumerate(firsts):
+            if xl < x < xh and yl < y < yh and a != b and _point_in_ring((x, y), _ring_edges(hole)[0]):
                 raise HoleOutsideOuter(f"holes {a} and {b} overlap")
 
     return OrthoPolygon(
@@ -434,11 +437,19 @@ class Pixelation:
     labelling of the grid cells is kept once, as a column-major grid of ints
     (``grid[i][j]`` is column i, row j) with -1 for cells outside P:
     ``vslice`` and ``hslice`` hold each cell's slice ids and ``pixel`` its
-    pixel id.  The rest is derived from those grids: both dual graphs by
-    one scan for labels that differ across a cell side
-    (:func:`_label_edges`), and the guards by one scan for runs of
-    grid-line units along pixel edges, which also records the pixels on
-    each run's two sides (``side_guards``).
+    pixel id.
+
+    The constructor builds what every solve reads: those three grids, the
+    midlines (``sigmas``, indexed for :meth:`sigmas_hit`), the ``crosses``
+    with each midline's cross mask, and the canonical ``guards`` with
+    their hit masks, from one scan for runs of grid-line units along pixel
+    edges.  What only some callers read is derived on first read and kept:
+    ``pixels`` (render, :meth:`is_thin`, the ``dp`` lifting), ``slices_v``
+    and ``slices_h`` (``path``, the lifting, :func:`segmentation`),
+    ``raw_guards`` (every run with its hit mask; tests), and, for ``dp``
+    only, ``dual_edges`` (one scan for pixel labels that differ across a
+    cell side, :func:`_label_edges`) and ``side_guards`` (per pixel, the
+    canonical guards whose own run flanks it).
     """
 
     def __init__(self, polygon: OrthoPolygon):
@@ -518,32 +529,28 @@ class Pixelation:
         grid-index box (i0, j0, i1, j1), which orders them as their rects.
         """
         xc, yc = self.x_cuts, self.y_cuts
-        v_boxes = sorted((i0, j0, i1, j1) for i0, i1, j0, j1 in _run_chains(cols))
-        h_boxes = sorted((i0, j0, i1, j1) for j0, j1, i0, i1 in _run_chains(rows))
-        self.slices_v: List[Slice] = []
-        self.slices_h: List[Slice] = []
+        self._boxes: Dict[str, List[Tuple[int, int, int, int]]] = {
+            VERTICAL: sorted((i0, j0, i1, j1) for i0, i1, j0, j1 in _run_chains(cols)),
+            HORIZONTAL: sorted((i0, j0, i1, j1) for j0, j1, i0, i1 in _run_chains(rows))}
         self.vslice: List[List[int]] = self._empty_grid()
         self.hslice: List[List[int]] = self._empty_grid()
-        for o, boxes, slices, grid in ((VERTICAL, v_boxes, self.slices_v, self.vslice),
-                                       (HORIZONTAL, h_boxes, self.slices_h, self.hslice)):
-            first = len(self.slices_v)  # horizontal segment ids follow the vertical ones
-            for sid, (i0, j0, i1, j1) in enumerate(boxes):
-                rect = xl, yl, xh, yh = xc[i0], yc[j0], xc[i1], yc[j1]
-                if o == VERTICAL:
-                    seg = SliceSegment(id=sid, orientation=o, anchor2=xl + xh, lo=yl, hi=yh)
-                else:
-                    seg = SliceSegment(id=first + sid, orientation=o, anchor2=yl + yh, lo=xl, hi=xh)
-                slices.append(Slice(id=sid, orientation=o, rect=rect, segment=seg))
+        # horizontal segment ids follow the vertical ones
+        self.sigmas: List[SliceSegment] = []
+        for o, grid in ((VERTICAL, self.vslice), (HORIZONTAL, self.hslice)):
+            for sid, (i0, j0, i1, j1) in enumerate(self._boxes[o]):
+                xl, yl, xh, yh = xc[i0], yc[j0], xc[i1], yc[j1]
+                a2, lo, hi = (xl + xh, yl, yh) if o == VERTICAL else (yl + yh, xl, xh)
+                self.sigmas.append(SliceSegment(id=len(self.sigmas), orientation=o,
+                                                anchor2=a2, lo=lo, hi=hi))
                 for col in grid[i0:i1]:
                     col[j0:j1] = [sid] * (j1 - j0)
-        self.sigmas: List[SliceSegment] = [s.segment for s in self.slices_v] + [
-            s.segment for s in self.slices_h]
         # per orientation: the anchor2 values in order, and for each the
         # midlines on it sorted by span, with their los and his for bisect;
         # midlines on one anchor2 have disjoint closed spans (see sigmas_hit)
+        nv = len(self._boxes[VERTICAL])
         self._sigma_lines: Dict[str, Tuple[List[int], List[tuple]]] = {}
-        for o, slices in ((VERTICAL, self.slices_v), (HORIZONTAL, self.slices_h)):
-            segs = sorted((s.segment for s in slices), key=attrgetter("anchor2", "lo"))
+        for o, segs in ((VERTICAL, self.sigmas[:nv]), (HORIZONTAL, self.sigmas[nv:])):
+            segs = sorted(segs, key=attrgetter("anchor2", "lo"))
             keys, lines = [], []
             for a, line in groupby(segs, key=attrgetter("anchor2")):
                 line = list(line)
@@ -558,32 +565,33 @@ class Pixelation:
             cells.update(zip(vcol, hcol))
         cells.pop((-1, -1), None)
 
-        self.pixels: List[Pixel] = []
+        xc, yc = self.x_cuts, self.y_cuts
+        nv = len(self._boxes[VERTICAL])
+        ids = {vh: pid for pid, vh in enumerate(sorted(cells))}
         self.crosses: List[Cross] = []
-        self.pixel: List[List[int]] = self._empty_grid()
-        for pid, (v, h) in enumerate(sorted(cells)):
-            vx = self.slices_v[v].rect
-            hx = self.slices_h[h].rect
-            rect = (max(vx[0], hx[0]), max(vx[1], hx[1]), min(vx[2], hx[2]), min(vx[3], hx[3]))
-            i0, i1 = self._xi[rect[0]], self._xi[rect[2]]
-            j0, j1 = self._yi[rect[1]], self._yi[rect[3]]
+        for (v, h), pid in ids.items():
+            i0, j0, i1, j1 = self._pixel_box(v, h)
             if cells[v, h] != (i1 - i0) * (j1 - j0):
                 raise AssertionError("pixel does not match its slice intersection")
-            self.pixels.append(Pixel(id=pid, rect=rect, v_slice=v, h_slice=h))
-            sv, sh = self.slices_v[v].segment, self.slices_h[h].segment
+            sv, sh = self.sigmas[v], self.sigmas[nv + h]
             # the two midlines must cross inside the closed pixel
-            if not (2 * rect[0] <= sv.anchor2 <= 2 * rect[2] and 2 * rect[1] <= sh.anchor2 <= 2 * rect[3]):
+            if not (2 * xc[i0] <= sv.anchor2 <= 2 * xc[i1] and 2 * yc[j0] <= sh.anchor2 <= 2 * yc[j1]):
                 raise AssertionError("slice-segments do not cross inside their pixel")
             self.crosses.append(Cross(pixel_id=pid, h_support=sh.id, v_support=sv.id,
                                       point2=(sv.anchor2, sh.anchor2)))
-            for col in self.pixel[i0:i1]:
-                col[j0:j1] = [pid] * (j1 - j0)
+        ids[-1, -1] = -1
+        self.pixel: List[List[int]] = [list(map(ids.__getitem__, zip(vcol, hcol)))
+                                       for vcol, hcol in zip(self.vslice, self.hslice)]
 
-        self._slice_cross_mask: Dict[int, int] = {s.id: 0 for s in self.sigmas}
+        self._slice_cross_mask: List[int] = [0] * len(self.sigmas)
         for cr in self.crosses:
             self._slice_cross_mask[cr.v_support] |= 1 << cr.pixel_id
             self._slice_cross_mask[cr.h_support] |= 1 << cr.pixel_id
-        self.dual_edges: Tuple[Tuple[int, int], ...] = tuple(sorted(_label_edges(self.pixel)))
+
+    def _pixel_box(self, v: int, h: int) -> Tuple[int, int, int, int]:
+        """Grid-index box (i0, j0, i1, j1) of the pixel of slices v and h."""
+        a, b = self._boxes[VERTICAL][v], self._boxes[HORIZONTAL][h]
+        return max(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), min(a[3], b[3])
 
     def _build_guards(self):
         # A unit of grid line lies on a pixel edge when the cells on its two
@@ -594,42 +602,76 @@ class Pixelation:
         # kept by extend_to_maximal: inside runs per line, cameras per span
         self._inside_runs: Dict[Tuple[str, int], List[int]] = {}
         self._maximal: Dict[Tuple[str, int, int, int], GuardSegment] = {}
-        sides: Dict[Tuple[str, int, int, int], set] = {}  # run -> pixels along it
+        self._runs: List[Tuple[str, int, int, int]] = []
         for o, lines, index, cuts in ((VERTICAL, self.pixel, self._xi, self.y_cuts),
                                       (HORIZONTAL, list(zip(*self.pixel)), self._yi, self.x_cuts)):
             outside = (-1,) * (len(cuts) - 1)
             padded = [outside, *lines, outside]
             self._lines[o] = (padded, index, cuts)
             for anchor, k in index.items():
-                before, after = padded[k], padded[k + 1]
-                for m in _ONE_BYTES.finditer(bytes(map(ne, before, after))):
+                for m in _ONE_BYTES.finditer(bytes(map(ne, padded[k], padded[k + 1]))):
                     start, t = m.span()
-                    run = {*before[start:t], *after[start:t]}
-                    run.discard(-1)
-                    sides[(o, anchor, cuts[start], cuts[t])] = run
+                    self._runs.append((o, anchor, cuts[start], cuts[t]))
+        self._runs.sort()
 
-        self.raw_guards: List[GuardSegment] = []
-        for o, a, lo, hi in sorted(sides):
-            mask = self._segment_hit_mask(o, a, lo, hi)
-            self.raw_guards.append(GuardSegment(orientation=o, anchor=a, lo=lo, hi=hi,
-                                                id=-1, hit_set=mask))
+        # the first run in key order per (orientation, hit mask) is the guard
+        first: Dict[Tuple[str, int], Tuple[str, int, int, int]] = {}
+        for run in self._runs:
+            first.setdefault((run[0], self._segment_hit_mask(*run)), run)
+        self.guards: List[GuardSegment] = [GuardSegment(*run, id=i, hit_set=mask)
+                                           for i, ((_, mask), run) in enumerate(first.items())]
 
-        groups: Dict[Tuple[str, int], GuardSegment] = {}
-        for g in self.raw_guards:
-            k = (g.orientation, g.hit_set)
-            if k not in groups or g.key() < groups[k].key():
-                groups[k] = g
-        reps = sorted(groups.values(), key=GuardSegment.key)
-        self.guards: List[GuardSegment] = [
-            GuardSegment(orientation=g.orientation, anchor=g.anchor, lo=g.lo, hi=g.hi,
-                         id=i, hit_set=g.hit_set)
-            for i, g in enumerate(reps)]
-        # A canonical guard lies along a side of each pixel flanking its own
-        # run (not those of parallel runs merged into it).
-        self.side_guards: List[List[int]] = [[] for _ in self.pixels]
+    # -- products derived on first read -------------------------------------
+
+    @functools.cached_property
+    def pixels(self) -> List[Pixel]:
+        xc, yc = self.x_cuts, self.y_cuts
+        nv = len(self._boxes[VERTICAL])
+        out = []
+        for cr in self.crosses:
+            v, h = cr.v_support, cr.h_support - nv
+            i0, j0, i1, j1 = self._pixel_box(v, h)
+            out.append(Pixel(id=cr.pixel_id, rect=(xc[i0], yc[j0], xc[i1], yc[j1]),
+                             v_slice=v, h_slice=h))
+        return out
+
+    def _slices(self, orientation: str) -> List[Slice]:
+        xc, yc = self.x_cuts, self.y_cuts
+        first = 0 if orientation == VERTICAL else len(self._boxes[VERTICAL])
+        return [Slice(id=sid, orientation=orientation, rect=(xc[i0], yc[j0], xc[i1], yc[j1]),
+                      segment=self.sigmas[first + sid])
+                for sid, (i0, j0, i1, j1) in enumerate(self._boxes[orientation])]
+
+    @functools.cached_property
+    def slices_v(self) -> List[Slice]:
+        return self._slices(VERTICAL)
+
+    @functools.cached_property
+    def slices_h(self) -> List[Slice]:
+        return self._slices(HORIZONTAL)
+
+    @functools.cached_property
+    def raw_guards(self) -> List[GuardSegment]:
+        """Every maximal run along pixel edges, in key order, with its hit mask."""
+        return [GuardSegment(*run, hit_set=self._segment_hit_mask(*run)) for run in self._runs]
+
+    @functools.cached_property
+    def dual_edges(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(sorted(_label_edges(self.pixel)))
+
+    @functools.cached_property
+    def side_guards(self) -> List[List[int]]:
+        """Per pixel, the canonical guards whose own run (not those of
+        parallel runs merged into it) lies along one of its sides."""
+        out: List[List[int]] = [[] for _ in self.crosses]
         for g in self.guards:
-            for pid in sides[g.key()]:
-                self.side_guards[pid].append(g.id)
+            padded, index, cuts = self._lines[g.orientation]
+            k, start, t = index[g.anchor], bisect_left(cuts, g.lo), bisect_left(cuts, g.hi)
+            run = {*padded[k][start:t], *padded[k + 1][start:t]}
+            run.discard(-1)
+            for pid in run:
+                out[pid].append(g.id)
+        return out
 
     def sigmas_hit(self, orientation: str, anchor: int, lo: int, hi: int) -> List[SliceSegment]:
         """Slice-segments that the closed grid-line segment intersects.
@@ -718,11 +760,8 @@ class Pixelation:
 
     def slice_dual(self, orientation: str) -> Dict[int, set]:
         """Slice ids of one segmentation, adjacent iff the slices share part of a side."""
-        if orientation == VERTICAL:
-            n, grid = len(self.slices_v), self.vslice
-        else:
-            n, grid = len(self.slices_h), self.hslice
-        adj: Dict[int, set] = {i: set() for i in range(n)}
+        grid = self.vslice if orientation == VERTICAL else self.hslice
+        adj: Dict[int, set] = {i: set() for i in range(len(self._boxes[orientation]))}
         for a, b in _label_edges(grid):
             adj[a].add(b)
             adj[b].add(a)

@@ -80,7 +80,7 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
     pix = pixelate(poly)
     info: Dict = {
         "n": poly.n,
-        "pixels": len(pix.pixels),
+        "pixels": len(pix.crosses),  # pixels and crosses are 1:1 by id
         "crosses": len(pix.crosses),
         "guards": len(pix.guards),
         "msc_bound": (3 * poly.n + 4) // 16,

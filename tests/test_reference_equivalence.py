@@ -869,6 +869,10 @@ def _rect(x0, y0, x1, y1):
     return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
 
+# a 3x3 grid of 6x6 holes in [0, 32]^2, row by row; hole 4 is [12, 18]^2
+_GRID9 = [_rect(2 + 10 * i, 2 + 10 * j, 8 + 10 * i, 8 + 10 * j) for j in range(3) for i in range(3)]
+
+
 def test_validate_matches_all_pairs_reference(polygons):
     rng = random.Random(17)
     cases = [[list(r) for r in p.rings()] for p in polygons.values()]
@@ -904,6 +908,12 @@ def test_validate_matches_all_pairs_reference(polygons):
     ([_rect(0, 0, 5, 5), _rect(7, 7, 9, 9)], HoleOutsideOuter),
     # a hole crossing the outer ring
     ([_rect(0, 0, 5, 5), _rect(3, 3, 7, 4)], HoleOutsideOuter),
+    # a 3x3 grid of holes, hole 9 nested in the middle one: "holes 4 and 9 overlap"
+    pytest.param([_rect(0, 0, 32, 32), *_GRID9, _rect(14, 14, 16, 16)], HoleOutsideOuter,
+                 id="grid9-nested-last"),
+    # the same, the nested hole listed first: "holes 5 and 0 overlap"
+    pytest.param([_rect(0, 0, 32, 32), _rect(14, 14, 16, 16), *_GRID9], HoleOutsideOuter,
+                 id="grid9-nested-first"),
 ])
 def test_validate_targeted_contacts(rings, error):
     with pytest.raises(error) as got:

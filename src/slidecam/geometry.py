@@ -444,12 +444,12 @@ class Pixelation:
     with each midline's cross mask, and the canonical ``guards`` with
     their hit masks, from one scan for runs of grid-line units along pixel
     edges.  What only some callers read is derived on first read and kept:
-    ``pixels`` (render, :meth:`is_thin`, the ``dp`` lifting), ``slices_v``
-    and ``slices_h`` (``path``, the lifting, :func:`segmentation`),
-    ``raw_guards`` (every run with its hit mask; tests), and, for ``dp``
-    only, ``dual_edges`` (one scan for pixel labels that differ across a
-    cell side, :func:`_label_edges`) and ``side_guards`` (per pixel, the
-    canonical guards whose own run flanks it).
+    ``pixels`` (render, :meth:`is_thin`), ``slices_v`` and ``slices_h``
+    (``path``, :func:`segmentation`), ``raw_guards`` (every run with its
+    hit mask; tests), and, for ``dp`` only, ``dual_edges`` (one scan for
+    pixel labels that differ across a cell side, :func:`_label_edges`) and
+    ``side_guards`` (per pixel, the canonical guards whose own run flanks
+    it).
     """
 
     def __init__(self, polygon: OrthoPolygon):

@@ -64,8 +64,11 @@ class TreeDecomposition:
 
 
 def dual_graph(pix: Pixelation) -> Dict[int, FrozenSet[int]]:
-    """Weak dual of the pixelation: pixels adjacent iff they share a side."""
-    adj: Dict[int, set] = {p.id: set() for p in pix.pixels}
+    """Weak dual of the pixelation: pixels adjacent iff they share a side.
+
+    Pixel ids are cross ids, so the vertices are ``range(len(pix.crosses))``.
+    """
+    adj: Dict[int, set] = {pid: set() for pid in range(len(pix.crosses))}
     for a, b in pix.dual_edges:
         adj[a].add(b)
         adj[b].add(a)
@@ -95,20 +98,19 @@ def decompose(adj: Dict) -> TreeDecomposition:
 
     Each step eliminates the vertex whose remaining neighbours miss the
     fewest edges among themselves (its fill), the smaller vertex on ties.
-    Eliminating ``v`` changes only the fill of ``v``'s neighbours and of the
-    common neighbours of each fill edge it adds, so only those are
-    recounted; a lazy heap keyed ``(fill, vertex)`` yields the next vertex.
+    Fills are counted once, then updated by exact deltas, never recounted:
+    eliminating ``v`` drops from each neighbour u the missing pairs {v, x}
+    with x in N(u) but not in N(v); each fill edge a-b then completes {a, b}
+    for every common neighbour and adds to a one missing pair per neighbour
+    of a outside N(b), and likewise to b.  Only vertices whose fill changed
+    get a new entry in the lazy heap keyed ``(fill, vertex)`` that yields
+    the next vertex.
     """
     if not adj:
         raise ValueError("empty graph")
     work: Dict = {v: set(ns) for v, ns in adj.items()}
-
-    def fill(v) -> int:
-        ns = work[v]
-        d = len(ns)
-        return (d * (d - 1) - sum(len(ns & work[u]) for u in ns)) // 2
-
-    fills = {v: fill(v) for v in work}
+    fills = {v: (len(ns) * (len(ns) - 1) - sum(len(ns & work[u]) for u in ns)) // 2
+             for v, ns in work.items()}
     heap = [(f, v) for v, f in fills.items()]
     heapq.heapify(heap)
     order: List = []
@@ -121,22 +123,28 @@ def decompose(adj: Dict) -> TreeDecomposition:
         ns = work.pop(v)
         bag_of[v] = frozenset([v, *ns])
         order.append(v)
+        delta: Dict = {}
         for u in ns:
-            work[u].discard(v)
-        touched = set(ns)
+            wu = work[u]
+            wu.discard(v)
+            delta[u] = len(wu & ns) - len(wu)
         rest = list(ns)
         for i, a in enumerate(rest):
             wa = work[a]
             for b in rest[i + 1:]:
                 if b not in wa:
-                    touched |= wa & work[b]
+                    wb = work[b]
+                    common = wa & wb
+                    for w in common:
+                        delta[w] = delta.get(w, 0) - 1
+                    delta[a] += len(wa) - len(common)
+                    delta[b] += len(wb) - len(common)
                     wa.add(b)
-                    work[b].add(a)
-        for u in touched:
-            f = fill(u)
-            if f != fills[u]:
-                fills[u] = f
-                heapq.heappush(heap, (f, u))
+                    wb.add(a)
+        for u, d in delta.items():
+            if d:
+                fills[u] += d
+                heapq.heappush(heap, (fills[u], u))
 
     # each bag hangs below the bag of its earliest-eliminated later neighbour;
     # a vertex without one ends its component, whose bag tree is then chained
@@ -199,9 +207,9 @@ def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
     for bag in td_d.bags:
         items = set()
         for pid in sorted(bag):
-            px = pix.pixels[pid]
-            items.add(("s", pix.slices_v[px.v_slice].segment.id))
-            items.add(("s", pix.slices_h[px.h_slice].segment.id))
+            cross = pix.crosses[pid]
+            items.add(("s", cross.v_support))
+            items.add(("s", cross.h_support))
             if pid in xp:
                 items.add(("c", pid))
             items.update(("g", gid) for gid in pix.side_guards[pid] if gid in gp)
@@ -214,7 +222,8 @@ def _contract(td: TreeDecomposition,
     """``td`` with each cross replaced by its vertical support (an edge
     contraction: a decomposition of ``H.support``, no wider), and that with
     a leaf bag {c, sv, sh} per requested cross below the first bag holding
-    both supports, found by a per-vertex bag index: a decomposition of ``H``.
+    both supports, found in the shorter of the two supports' bag lists of a
+    per-vertex bag index: a decomposition of ``H``.
     """
     vsup = {("c", c): ("s", H.pix.crosses[c].v_support) for c in H.xprime}
     bags = [frozenset(vsup.get(v, v) for v in bag) for bag in td.bags]
@@ -226,6 +235,8 @@ def _contract(td: TreeDecomposition,
     edges = list(td.edges)
     for c in H.xprime:
         s, t = supports = H.adj[("c", c)]
+        if len(where[t]) < len(where[s]):
+            s, t = t, s  # both lists ascend: either gives the same first bag
         edges.append((next(i for i in where[s] if t in bags[i]), len(bags)))
         bags.append(supports | {("c", c)})
     return contracted, TreeDecomposition(bags=tuple(bags), edges=tuple(edges))

@@ -17,9 +17,10 @@ to find its camera.  The net finders sample over the per-cross
 guard sets in two copies of one loop (one for orientation parts) with their
 own budget formula, the reweighting loop verifies each net geometrically,
 the nice decomposition is built by recursion, min-fill recounts every
-vertex's fill at each elimination, and the DP keeps one tuple entry per bag
-vertex.  Every output must agree exactly; the DP's guard sets may differ
-between equal-cost optima, so there the optimum cost must agree.
+vertex's fill at each elimination, each cross's leaf bag is placed by a
+scan over every bag, and the DP keeps one tuple entry per bag vertex.
+Every output must agree exactly; the DP's guard sets may differ between
+equal-cost optima, so there the optimum cost must agree.
 """
 import collections
 import functools
@@ -332,7 +333,8 @@ def loop_side_guards(pix):
 
 
 def loop_lift(td, H, pix):
-    """lift_decomposition with the side guards looked up by loop_side_guards."""
+    """lift_decomposition with the side guards looked up by loop_side_guards
+    and each pixel's supports read from its Pixel and Slice records."""
     side = loop_side_guards(pix)
     bags = []
     for bag in td.bags:
@@ -1633,6 +1635,60 @@ def loop_dp(nodes, H):
     return frozenset(selected)
 
 
+def _synthetic_graphs():
+    """Graphs that stress the fill bookkeeping, by name.
+
+    A star (the comb's base camera is such a hub), a clique, a cycle, a
+    grid, the support graph of comb(30), and random G(n, p), with int and
+    with ("g", i) / ("s", i) labels; several are disconnected.
+    """
+    def from_edges(vertices, edges):
+        adj = {v: set() for v in vertices}
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return {v: frozenset(ns) for v, ns in adj.items()}
+
+    def labelled(adj):
+        name = {v: ("g" if v % 3 == 0 else "s", v) for v in adj}
+        return {name[v]: frozenset(name[u] for u in ns) for v, ns in adj.items()}
+
+    graphs = {
+        "star60": from_edges(range(61), [(0, i) for i in range(1, 61)]),
+        "k8": from_edges(range(8), [(a, b) for a in range(8) for b in range(a + 1, 8)]),
+        "c30": from_edges(range(30), [(i, (i + 1) % 30) for i in range(30)]),
+        "grid6x6": from_edges(range(36), [(6 * r + c, 6 * r + c + 1) for r in range(6) for c in range(5)]
+                              + [(6 * r + c, 6 * r + c + 6) for r in range(5) for c in range(6)]),
+        "comb30_support": sc.build_auxiliary_graph(sc.pixelate(sc.gen_comb(30))).support,
+    }
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(5, 40)
+        p = rng.choice([0.05, 0.1, 0.2, 0.4])
+        graphs[f"gnp{seed}"] = from_edges(range(n), [(a, b) for a in range(n) for b in range(a + 1, n)
+                                                     if rng.random() < p])
+    for name in ("star60", "grid6x6", "gnp0", "gnp1", "gnp2", "gnp3"):
+        graphs[f"{name}_labelled"] = labelled(graphs[name])
+    return graphs
+
+
+def test_decompose_matches_full_recompute_on_synthetic_graphs():
+    """The kept fill counts give loop_decompose's elimination where deltas pile
+    up: a hub losing its leaves, a clique, cycles, grids and random graphs.
+    On a disconnected graph loop_decompose leaves one tree per component,
+    so there only the bags, in elimination order, are compared."""
+    disconnected = 0
+    for name, adj in _synthetic_graphs().items():
+        td, ref = decompose(adj), loop_decompose(adj)
+        connected = len(ref.edges) == len(adj) - 1
+        disconnected += not connected
+        assert (td if connected else td.bags) == (ref if connected else ref.bags), name
+        ok, wit = validate_decomposition(td, adj, [(u, v) for u in adj for v in adj[u]])
+        assert ok, (name, wit)
+        assert is_tree({i: frozenset(ns) for i, ns in td.neighbors().items()}), name
+    assert disconnected >= 3, disconnected
+
+
 def test_decompose_matches_full_recompute(polygons):
     """Identical output on the connected dual, auxiliary and support graphs of the corpus."""
     polys = dict(polygons)
@@ -1644,6 +1700,33 @@ def test_decompose_matches_full_recompute(polygons):
         H = sc.build_auxiliary_graph(pix)
         for graph in (dual_graph(pix), H.adj, H.support):
             assert decompose(graph) == loop_decompose(graph), name
+
+
+def loop_contract_edges(td, H):
+    """_contract's tree edges, each cross's leaf bag hung below the first bag
+    holding both supports, found by scanning every bag of the contraction."""
+    vsup = {("c", c): ("s", H.pix.crosses[c].v_support) for c in H.xprime}
+    bags = [frozenset(vsup.get(v, v) for v in bag) for bag in td.bags]
+    edges = list(td.edges)
+    for k, c in enumerate(H.xprime):
+        supports = H.adj[("c", c)]
+        edges.append((next(i for i, bag in enumerate(bags) if supports <= bag), len(bags) + k))
+    return tuple(edges)
+
+
+def test_contract_matches_scan_over_every_bag(polygons):
+    """Scanning the shorter of the two supports' bag lists finds the same first
+    bag as scanning every bag, on the corpus and on comb(60), whose base
+    midline sits in most bags."""
+    polys = dict(polygons)
+    polys["comb60"] = sc.gen_comb(60)
+    for name, p in polys.items():
+        pix = sc.pixelate(p)
+        H = sc.build_auxiliary_graph(pix)
+        lifted = lift_decomposition(decompose(dual_graph(pix)), H, pix)
+        for td in (lifted, decompose(H.support), decompose(H.adj)):
+            full = _contract(td, H)[1]
+            assert full.edges == loop_contract_edges(td, H), name
 
 
 def _restricted_instances():

@@ -8,12 +8,10 @@ floating point is used anywhere in this module.
 from __future__ import annotations
 
 import functools
-import re
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter, itemgetter, ne
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -31,10 +29,6 @@ HORIZONTAL = "H"
 VERTICAL = "V"
 
 _COORD_LIMIT = 2**31 - 1
-
-# runs of "1" in a "0"/"1" string, and runs of 1 bytes in a 0/1 bytes string
-_ONES = re.compile("1+")
-_ONE_BYTES = re.compile(b"\x01+")
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +269,13 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     for a, hole in enumerate(holes):
         xs, ys = [x for x, _ in hole], [y for _, y in hole]
         xl, yl, xh, yh = min(xs), min(ys), max(xs), max(ys)
+        hole_vert = None  # the hole's vertical edges, built on its first candidate
         for b, (x, y) in enumerate(firsts):
-            if xl < x < xh and yl < y < yh and a != b and _point_in_ring((x, y), _ring_edges(hole)[0]):
-                raise HoleOutsideOuter(f"holes {a} and {b} overlap")
+            if xl < x < xh and yl < y < yh and a != b:
+                if hole_vert is None:
+                    hole_vert, _ = _ring_edges(hole)
+                if _point_in_ring((x, y), hole_vert):
+                    raise HoleOutsideOuter(f"holes {a} and {b} overlap")
 
     return OrthoPolygon(
         outer=tuple(_rotate_to_min(outer)),
@@ -404,24 +402,57 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
-def _run_chains(lines: List[str]) -> List[Tuple[int, int, int, int]]:
-    """Maximal chains of adjacent lines that have the same run of "1" cells.
+def _sweep_slices(spans: Dict[int, List[int]]) -> List[Tuple[int, int, int, int]]:
+    """One segmentation's slices, by a sweep over the grid lines that carry edges.
 
-    Each chain is (a0, a1, b0, b1): lines a0 .. a1-1 all have the run
-    [b0, b1).  These are the slices cut by the rays parallel to the lines.
-    Two overlapping runs of adjacent lines that differ at an end, say
-    [b0, b1) and [b0', b1') with b0 < b0', have a reflex vertex on their
-    shared side at b0' (three of its quadrants are inside); its ray follows
-    that side across their whole overlap and splits them.  Two equal runs
-    have no boundary point on their shared side, so no ray parts them.
+    ``spans`` holds each line's edges as :func:`_spans_by_line` gives them,
+    in line order.  The sweep keeps the inside runs between the current
+    line and the next as a strictly increasing list of run ends.  An edge
+    [lo, hi] on a line closes the runs whose closed spans touch it and
+    opens ``sorted(set(their ends) ^ {lo, hi})`` in their place, since
+    inside-ness flips across the edge.  A run that no edge touches goes on
+    unchanged.  Each closed run that opened on an earlier line is a slice
+    (a0, lo, a1, hi): lines a0 to a1 bound it and its span is [lo, hi].
+    This is exactly the cut by the rays parallel to the lines: two
+    overlapping runs on either side of a line that differ at an end, say
+    at lo' > lo, have a reflex vertex on the line at lo' whose ray follows
+    the line across their overlap and splits them.  The cost is O(log r)
+    plus a list splice per edge, for r open runs.
     """
-    chains = []
-    open_runs: Dict[Tuple[int, int], int] = {}
-    for a, line in enumerate([*lines, ""]):
-        runs = {m.span(): open_runs.get(m.span(), a) for m in _ONES.finditer(line)}
-        chains += [(a0, a, *run) for run, a0 in open_runs.items() if run not in runs]
-        open_runs = runs
-    return chains
+    ends: List[int] = []
+    opened: List[int] = []  # per open run, the line it opened on
+    out = []
+    for a, line in spans.items():
+        for e in range(0, len(line), 2):
+            lo, hi = line[e], line[e + 1]
+            k0 = bisect_left(ends, lo) >> 1
+            k1 = (bisect_right(ends, hi) + 1) >> 1
+            out += [(opened[k], ends[2 * k], a, ends[2 * k + 1])
+                    for k in range(k0, k1) if opened[k] != a]
+            new = sorted(set(ends[2 * k0:2 * k1]).symmetric_difference((lo, hi)))
+            ends[2 * k0:2 * k1] = new
+            opened[k0:k1] = [a] * (len(new) >> 1)
+    return out
+
+
+def _rect(orientation: str, chain: Tuple[int, int, int, int]) -> Rect:
+    """The rect of a slice given as (a0, lo, a1, hi): between the lines a0
+    and a1 of its orientation, and spanning [lo, hi] along them."""
+    a0, lo, a1, hi = chain
+    return chain if orientation == VERTICAL else (lo, a0, hi, a1)
+
+
+def _merge_spans(spans: Iterable[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
+    """Closed spans (line, lo, hi), sorted, merged where they overlap or
+    touch on one line."""
+    out: List[Tuple[int, int, int]] = []
+    for a, lo, hi in spans:
+        if out and out[-1][0] == a and lo <= out[-1][2]:
+            if hi > out[-1][2]:
+                out[-1] = (a, out[-1][1], hi)
+        else:
+            out.append((a, lo, hi))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,25 +462,38 @@ def _run_chains(lines: List[str]) -> List[Tuple[int, int, int, int]]:
 class Pixelation:
     """Both segmentations of a polygon overlaid: pixels, crosses and guards.
 
-    Pixels are stored against a compressed grid (the vertex coordinates per
-    axis); a pixel may span several grid cells, since segmentation cuts stop
-    at the boundary and do not extend across the whole polygon.  Each
-    labelling of the grid cells is kept once, as a column-major grid of ints
-    (``grid[i][j]`` is column i, row j) with -1 for cells outside P:
-    ``vslice`` and ``hslice`` hold each cell's slice ids and ``pixel`` its
-    pixel id.
+    The constructor builds what every solve reads, by sweeps whose cost
+    follows slices, pixels and runs, never the cells of the compressed
+    grid (the vertex coordinates per axis, ``x_cuts`` and ``y_cuts``):
 
-    The constructor builds what every solve reads: those three grids, the
-    midlines (``sigmas``, indexed for :meth:`sigmas_hit`), the ``crosses``
-    with each midline's cross mask, and the canonical ``guards`` with
-    their hit masks, from one scan for runs of grid-line units along pixel
-    edges.  What only some callers read is derived on first read and kept:
-    ``pixels`` (render, :meth:`is_thin`), ``slices_v`` and ``slices_h``
-    (``path``, :func:`segmentation`), ``raw_guards`` (every run with its
-    hit mask; tests), and, for ``dp`` only, ``dual_edges`` (one scan for
-    pixel labels that differ across a cell side, :func:`_label_edges`) and
-    ``side_guards`` (per pixel, the canonical guards whose own run flanks
-    it).
+    - Slices: each orientation sweeps its grid lines, keeping the inside
+      runs between lines (:func:`_sweep_slices`).  Slices are numbered by
+      rect, and horizontal midline ids (``sigmas``) follow the vertical
+      ones.  Cost O(E log E) for E edges.
+    - Pixels and ``crosses``: the vertical slices are walked in rect order
+      while a sweep keeps the horizontal slices over the current x, keyed
+      by their bottom y.  A vertical slice's pixels are those with bottom y
+      in its y-range, numbered by (vertical, horizontal) slice id, so each
+      vertical slice's pixel ids are consecutive.  Cost O((S + P) log S)
+      for S slices and P pixels.
+    - Canonical ``guards``: the runs along pixel edges on a vertical line
+      are the sides of the vertical slices on it, merged where they touch,
+      and likewise for horizontal lines.  A second sweep keeps the
+      perpendicular midlines whose closed span holds the current line,
+      keyed by ``anchor2``, and ORs together the cross masks of those in
+      each run's range; the first run in key order per orientation and hit
+      mask is the guard.  Cost O(R log S) for R runs, plus one mask OR per
+      midline a run hits.
+
+    What only some callers read is derived on first read and kept:
+    ``pixels`` (render, :meth:`is_thin`), ``slices_v``, ``slices_h`` and
+    ``reflex_vertices`` (``path``, :func:`segmentation`), ``raw_guards``
+    (every run with its hit mask; tests), ``dual_edges`` and
+    ``side_guards`` (``dp``), and the cell grids ``vslice``, ``hslice``
+    and ``pixel``: column-major grids of ints (``grid[i][j]`` is column i,
+    row j) holding each cell's slice or pixel id, -1 outside P, built from
+    the slice rects in O(cells).  No solve, render or CLI command reads a
+    cell grid; tests do.
     """
 
     def __init__(self, polygon: OrthoPolygon):
@@ -462,9 +506,6 @@ class Pixelation:
         poly = self.polygon
         self.x_cuts: List[int] = sorted({x for r in poly.rings() for x, _ in r})
         self.y_cuts: List[int] = sorted({y for r in poly.rings() for _, y in r})
-        self._xi = {x: i for i, x in enumerate(self.x_cuts)}
-        self._yi = {y: j for j, y in enumerate(self.y_cuts)}
-
         vert_edges: List[Tuple[int, int, int]] = []
         horiz_edges: List[Tuple[int, int, int]] = []
         for ring in poly.rings():
@@ -473,29 +514,15 @@ class Pixelation:
             horiz_edges.extend(h)
         self._v_spans = _spans_by_line(vert_edges)
         self._h_spans = _spans_by_line(horiz_edges)
-
-        # Even-odd parity along a downward ray: bit i of toggles[j] flips for
-        # every horizontal edge on grid line j over column i, and row j is
-        # the running XOR of toggles[0..j].
-        nx, ny = len(self.x_cuts) - 1, len(self.y_cuts) - 1
-        toggles = [0] * ny
-        for y, xlo, xhi in horiz_edges:
-            j = self._yi[y]
-            if j < ny:
-                toggles[j] ^= (1 << self._xi[xhi]) - (1 << self._xi[xlo])
-        rows = []
-        acc = 0
-        for t in toggles:
-            acc ^= t
-            rows.append(format(acc, f"0{nx}b")[::-1])
-        cols = ["".join(col) for col in zip(*rows)]
-
-        self._reflex = self._find_reflex_vertices()
-        self._build_slices(cols, rows)
+        self._build_slices()
         self._build_pixels()
         self._build_guards()
+        # kept by the lookups: inside runs per line, cameras per span
+        self._inside_runs: Dict[Tuple[str, int], List[int]] = {}
+        self._maximal: Dict[Tuple[str, int, int, int], GuardSegment] = {}
 
-    def _find_reflex_vertices(self) -> List[Vertex]:
+    @functools.cached_property
+    def _reflex(self) -> List[Vertex]:
         """Reflex vertices ring by ring, in ring order, holes included."""
         out = []
         for ring in self.polygon.rings():
@@ -516,38 +543,26 @@ class Pixelation:
         x, y = pt
         return _on_spans(self._v_spans.get(x, ()), y) or _on_spans(self._h_spans.get(y, ()), x)
 
-    def _empty_grid(self) -> List[List[int]]:
-        return [[-1] * (len(self.y_cuts) - 1) for _ in range(len(self.x_cuts) - 1)]
-
-    def _build_slices(self, cols: List[str], rows: List[str]):
-        """Both segmentations, read off the runs of inside cells.
-
-        ``cols[i]`` / ``rows[j]`` spell column i / row j of the inside cells
-        as "0"/"1" strings.  A vertical slice is a maximal chain of adjacent
-        columns with the same run [j0, j1) (see :func:`_run_chains`), and a
-        horizontal slice is the same for rows.  Slices are numbered by their
-        grid-index box (i0, j0, i1, j1), which orders them as their rects.
-        """
-        xc, yc = self.x_cuts, self.y_cuts
-        self._boxes: Dict[str, List[Tuple[int, int, int, int]]] = {
-            VERTICAL: sorted((i0, j0, i1, j1) for i0, i1, j0, j1 in _run_chains(cols)),
-            HORIZONTAL: sorted((i0, j0, i1, j1) for j0, j1, i0, i1 in _run_chains(rows))}
-        self.vslice: List[List[int]] = self._empty_grid()
-        self.hslice: List[List[int]] = self._empty_grid()
-        # horizontal segment ids follow the vertical ones
-        self.sigmas: List[SliceSegment] = []
-        for o, grid in ((VERTICAL, self.vslice), (HORIZONTAL, self.hslice)):
-            for sid, (i0, j0, i1, j1) in enumerate(self._boxes[o]):
-                xl, yl, xh, yh = xc[i0], yc[j0], xc[i1], yc[j1]
-                a2, lo, hi = (xl + xh, yl, yh) if o == VERTICAL else (yl + yh, xl, xh)
-                self.sigmas.append(SliceSegment(id=len(self.sigmas), orientation=o,
-                                                anchor2=a2, lo=lo, hi=hi))
-                for col in grid[i0:i1]:
-                    col[j0:j1] = [sid] * (j1 - j0)
+    def _build_slices(self):
+        """Both segmentations (see :func:`_sweep_slices`) and their midlines."""
+        # each slice as (a0, lo, a1, hi), numbered by rect: (x0, y0, x1, y1)
+        # is (a0, lo, a1, hi) for a vertical slice, (lo, a0, hi, a1) for a
+        # horizontal one
+        self._chains: Dict[str, List[Tuple[int, int, int, int]]] = {
+            VERTICAL: sorted(_sweep_slices(self._v_spans)),
+            HORIZONTAL: sorted(_sweep_slices(self._h_spans), key=itemgetter(1, 0, 3, 2))}
+        sigmas = self.sigmas = []
+        for o in (VERTICAL, HORIZONTAL):
+            for a0, lo, a1, hi in self._chains[o]:
+                # each midline lies inside its slice, so with the pixel check
+                # below the two midlines of a pixel cross inside it
+                if not (a0 < a1 and lo < hi):
+                    raise AssertionError("slice-segments do not cross inside their pixel")
+                sigmas.append(SliceSegment(len(sigmas), o, a0 + a1, lo, hi))
         # per orientation: the anchor2 values in order, and for each the
         # midlines on it sorted by span, with their los and his for bisect;
         # midlines on one anchor2 have disjoint closed spans (see sigmas_hit)
-        nv = len(self._boxes[VERTICAL])
+        nv = len(self._chains[VERTICAL])
         self._sigma_lines: Dict[str, Tuple[List[int], List[tuple]]] = {}
         for o, segs in ((VERTICAL, self.sigmas[:nv]), (HORIZONTAL, self.sigmas[nv:])):
             segs = sorted(segs, key=attrgetter("anchor2", "lo"))
@@ -559,88 +574,116 @@ class Pixelation:
             self._sigma_lines[o] = (keys, lines)
 
     def _build_pixels(self):
-        # cells per (vertical, horizontal) slice pair; (-1, -1) is outside P
-        cells: Counter = Counter()
-        for vcol, hcol in zip(self.vslice, self.hslice):
-            cells.update(zip(vcol, hcol))
-        cells.pop((-1, -1), None)
-
-        xc, yc = self.x_cuts, self.y_cuts
-        nv = len(self._boxes[VERTICAL])
-        ids = {vh: pid for pid, vh in enumerate(sorted(cells))}
+        # a vertical slice is (x0, y0, x1, y1), a horizontal one (y0, x0, y1, x1)
+        V, H = self._chains[VERTICAL], self._chains[HORIZONTAL]
+        nv = len(V)
+        sigmas = self.sigmas
+        masks = self._slice_cross_mask = [0] * len(sigmas)
         self.crosses: List[Cross] = []
-        for (v, h), pid in ids.items():
-            i0, j0, i1, j1 = self._pixel_box(v, h)
-            if cells[v, h] != (i1 - i0) * (j1 - j0):
-                raise AssertionError("pixel does not match its slice intersection")
-            sv, sh = self.sigmas[v], self.sigmas[nv + h]
-            # the two midlines must cross inside the closed pixel
-            if not (2 * xc[i0] <= sv.anchor2 <= 2 * xc[i1] and 2 * yc[j0] <= sh.anchor2 <= 2 * yc[j1]):
-                raise AssertionError("slice-segments do not cross inside their pixel")
-            self.crosses.append(Cross(pixel_id=pid, h_support=sh.id, v_support=sv.id,
-                                      point2=(sv.anchor2, sh.anchor2)))
-        ids[-1, -1] = -1
-        self.pixel: List[List[int]] = [list(map(ids.__getitem__, zip(vcol, hcol)))
-                                       for vcol, hcol in zip(self.vslice, self.hslice)]
-
-        self._slice_cross_mask: List[int] = [0] * len(self.sigmas)
-        for cr in self.crosses:
-            self._slice_cross_mask[cr.v_support] |= 1 << cr.pixel_id
-            self._slice_cross_mask[cr.h_support] |= 1 << cr.pixel_id
-
-    def _pixel_box(self, v: int, h: int) -> Tuple[int, int, int, int]:
-        """Grid-index box (i0, j0, i1, j1) of the pixel of slices v and h."""
-        a, b = self._boxes[VERTICAL][v], self._boxes[HORIZONTAL][h]
-        return max(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), min(a[3], b[3])
+        leave = sorted(range(len(H)), key=lambda h: H[h][3])
+        active: List[Tuple[int, int]] = []  # (bottom y, id) of the slices over x
+        e = l = 0
+        nh = len(H)
+        for v, (x0, y0, x1, y1) in enumerate(V):
+            # H is numbered by left x: slices enter in id order
+            while e < nh and H[e][1] <= x0:
+                insort(active, (H[e][0], e))
+                e += 1
+            while l < nh and H[leave[l]][3] <= x0:
+                h = leave[l]
+                del active[bisect_left(active, (H[h][0], h))]
+                l += 1
+            row = sorted([h for _, h in active[bisect_left(active, (y0,)):bisect_left(active, (y1,))]])
+            first, a2 = len(self.crosses), sigmas[v].anchor2
+            for h in row:
+                # h starts at or before x0 and at or above y0 by the sweep
+                if H[h][3] < x1 or H[h][2] > y1:
+                    raise AssertionError("pixel does not match its slice intersection")
+                pid = len(self.crosses)
+                masks[nv + h] |= 1 << pid
+                self.crosses.append(Cross(pid, nv + h, v, (a2, sigmas[nv + h].anchor2)))
+            masks[v] = ((1 << len(row)) - 1) << first
 
     def _build_guards(self):
-        # A unit of grid line lies on a pixel edge when the cells on its two
-        # sides have different pixel ids.  Vertical grid lines separate
-        # columns of cells, horizontal ones rows; with an outside line padded
-        # on at both ends, grid line k runs between lines k and k + 1.
-        self._lines: Dict[str, Tuple[list, Dict[int, int], List[int]]] = {}
-        # kept by extend_to_maximal: inside runs per line, cameras per span
-        self._inside_runs: Dict[Tuple[str, int], List[int]] = {}
-        self._maximal: Dict[Tuple[str, int, int, int], GuardSegment] = {}
+        # Runs along pixel edges: the sides of the slices on each grid line,
+        # merged where they touch, in key order (orientation, line, span).
         self._runs: List[Tuple[str, int, int, int]] = []
-        for o, lines, index, cuts in ((VERTICAL, self.pixel, self._xi, self.y_cuts),
-                                      (HORIZONTAL, list(zip(*self.pixel)), self._yi, self.x_cuts)):
-            outside = (-1,) * (len(cuts) - 1)
-            padded = [outside, *lines, outside]
-            self._lines[o] = (padded, index, cuts)
-            for anchor, k in index.items():
-                for m in _ONE_BYTES.finditer(bytes(map(ne, padded[k], padded[k + 1]))):
-                    start, t = m.span()
-                    self._runs.append((o, anchor, cuts[start], cuts[t]))
-        self._runs.sort()
+        self._run_masks: List[int] = []
+        for o in (HORIZONTAL, VERTICAL):
+            chains = self._chains[o]
+            runs = _merge_spans(sorted([(a0, lo, hi) for a0, lo, _, hi in chains]
+                                       + [(a1, lo, hi) for _, lo, a1, hi in chains]))
+            self._runs += [(o, *run) for run in runs]
+            self._run_masks += self._sweep_hit_masks(o, runs)
 
         # the first run in key order per (orientation, hit mask) is the guard
-        first: Dict[Tuple[str, int], Tuple[str, int, int, int]] = {}
-        for run in self._runs:
-            first.setdefault((run[0], self._segment_hit_mask(*run)), run)
-        self.guards: List[GuardSegment] = [GuardSegment(*run, id=i, hit_set=mask)
-                                           for i, ((_, mask), run) in enumerate(first.items())]
+        first: Dict[Tuple[str, int], int] = {}
+        for k, run in enumerate(self._runs):
+            first.setdefault((run[0], self._run_masks[k]), k)
+        self.guards: List[GuardSegment] = [
+            GuardSegment(*self._runs[k], id=i, hit_set=mask)
+            for i, ((_, mask), k) in enumerate(first.items())]
+
+    def _sweep_hit_masks(self, orientation: str, runs: List[Tuple[int, int, int]]) -> List[int]:
+        """Hit masks of runs (line, lo, hi) of one orientation, in line order.
+
+        The sweep keeps the perpendicular midlines whose closed span holds
+        the current line, keyed by ``anchor2``: midlines on one anchor2
+        have disjoint closed spans, so at most one per key is over a line.
+        A run hits those with anchor2 in [2 lo, 2 hi] and the midlines on
+        its own line whose spans meet it, as in :meth:`sigmas_hit`.
+        """
+        masks = self._slice_cross_mask
+        nv = len(self._chains[VERTICAL])
+        other, first = (HORIZONTAL, nv) if orientation == VERTICAL else (VERTICAL, 0)
+        enter = sorted((lo, hi, a0 + a1, first + k)
+                       for k, (a0, lo, a1, hi) in enumerate(self._chains[other]))
+        leave = sorted(enter, key=itemgetter(1))
+        keys: List[int] = []  # anchor2 of the midlines over the line, sorted
+        over: Dict[int, int] = {}  # anchor2 -> id of the midline over the line
+        out = []
+        e = l = 0
+        n = len(enter)
+        for a, lo, hi in runs:
+            while e < n and enter[e][0] <= a:
+                _, _, a2, sid = enter[e]
+                if a2 not in over:
+                    insort(keys, a2)
+                over[a2] = sid
+                e += 1
+            while l < n and leave[l][1] < a:
+                _, _, a2, sid = leave[l]
+                if over.get(a2) == sid:  # not already replaced on its key
+                    del over[a2]
+                    del keys[bisect_left(keys, a2)]
+                l += 1
+            mask = 0
+            for k in keys[bisect_left(keys, 2 * lo):bisect_right(keys, 2 * hi)]:
+                mask |= masks[over[k]]
+            for seg in self._own_line_hits(orientation, a, lo, hi):
+                mask |= masks[seg.id]
+            out.append(mask)
+        return out
 
     # -- products derived on first read -------------------------------------
 
+    def _pixel_rect(self, cr: Cross) -> Rect:
+        # a pixel spans its vertical slice's x-range and its horizontal one's y-range
+        x0, _, x1, _ = self._chains[VERTICAL][cr.v_support]
+        y0, _, y1, _ = self._chains[HORIZONTAL][cr.h_support - len(self._chains[VERTICAL])]
+        return (x0, y0, x1, y1)
+
     @functools.cached_property
     def pixels(self) -> List[Pixel]:
-        xc, yc = self.x_cuts, self.y_cuts
-        nv = len(self._boxes[VERTICAL])
-        out = []
-        for cr in self.crosses:
-            v, h = cr.v_support, cr.h_support - nv
-            i0, j0, i1, j1 = self._pixel_box(v, h)
-            out.append(Pixel(id=cr.pixel_id, rect=(xc[i0], yc[j0], xc[i1], yc[j1]),
-                             v_slice=v, h_slice=h))
-        return out
+        nv = len(self._chains[VERTICAL])
+        return [Pixel(id=cr.pixel_id, rect=self._pixel_rect(cr), v_slice=cr.v_support,
+                      h_slice=cr.h_support - nv) for cr in self.crosses]
 
     def _slices(self, orientation: str) -> List[Slice]:
-        xc, yc = self.x_cuts, self.y_cuts
-        first = 0 if orientation == VERTICAL else len(self._boxes[VERTICAL])
-        return [Slice(id=sid, orientation=orientation, rect=(xc[i0], yc[j0], xc[i1], yc[j1]),
+        first = 0 if orientation == VERTICAL else len(self._chains[VERTICAL])
+        return [Slice(id=sid, orientation=orientation, rect=_rect(orientation, chain),
                       segment=self.sigmas[first + sid])
-                for sid, (i0, j0, i1, j1) in enumerate(self._boxes[orientation])]
+                for sid, chain in enumerate(self._chains[orientation])]
 
     @functools.cached_property
     def slices_v(self) -> List[Slice]:
@@ -650,28 +693,97 @@ class Pixelation:
     def slices_h(self) -> List[Slice]:
         return self._slices(HORIZONTAL)
 
+    def _label_grid(self, labelled) -> List[List[int]]:
+        """A cell grid of the labels of (label, rect) pairs, -1 elsewhere."""
+        xi = {x: i for i, x in enumerate(self.x_cuts)}
+        yi = {y: j for j, y in enumerate(self.y_cuts)}
+        grid = [[-1] * (len(self.y_cuts) - 1) for _ in range(len(self.x_cuts) - 1)]
+        for label, (x0, y0, x1, y1) in labelled:
+            j0, j1 = yi[y0], yi[y1]
+            for col in grid[xi[x0]:xi[x1]]:
+                col[j0:j1] = [label] * (j1 - j0)
+        return grid
+
+    @functools.cached_property
+    def vslice(self) -> List[List[int]]:
+        return self._label_grid(enumerate(self._chains[VERTICAL]))
+
+    @functools.cached_property
+    def hslice(self) -> List[List[int]]:
+        return self._label_grid((sid, _rect(HORIZONTAL, chain))
+                                for sid, chain in enumerate(self._chains[HORIZONTAL]))
+
+    @functools.cached_property
+    def pixel(self) -> List[List[int]]:
+        return self._label_grid((cr.pixel_id, self._pixel_rect(cr)) for cr in self.crosses)
+
     @functools.cached_property
     def raw_guards(self) -> List[GuardSegment]:
         """Every maximal run along pixel edges, in key order, with its hit mask."""
-        return [GuardSegment(*run, hit_set=self._segment_hit_mask(*run)) for run in self._runs]
+        return [GuardSegment(*run, hit_set=mask) for run, mask in zip(self._runs, self._run_masks)]
+
+    def _slice_pixels(self, orientation: str) -> List[List[int]]:
+        """Per slice of one orientation, its pixel ids, ordered along the slice."""
+        nv = len(self._chains[VERTICAL])
+        out: List[List[int]] = [[] for _ in self._chains[orientation]]
+        if orientation == HORIZONTAL:
+            # pixel ids follow vertical slice ids, which follow x
+            for cr in self.crosses:
+                out[cr.h_support - nv].append(cr.pixel_id)
+            return out
+        H = self._chains[HORIZONTAL]
+        for cr in self.crosses:
+            out[cr.v_support].append((H[cr.h_support - nv][0], cr.pixel_id))
+        return [[pid for _, pid in sorted(col)] for col in out]
 
     @functools.cached_property
     def dual_edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(_label_edges(self.pixel)))
+        """Pixels that share part of a side.  Such pixels are consecutive
+        pixels of one slice: by y within a vertical slice, by x within a
+        horizontal one, since pixels span their slices across."""
+        edges = [(a, b) if a < b else (b, a)
+                 for o in (VERTICAL, HORIZONTAL) for line in self._slice_pixels(o)
+                 for a, b in zip(line, line[1:])]
+        return tuple(sorted(edges))
+
+    def _slice_sides(self, orientation: str) -> Dict[int, Tuple[list, list]]:
+        """Per grid line, the slices of one orientation that end on it and
+        those that start on it, each as (lo, hi, id) sorted by span."""
+        out: Dict[int, Tuple[list, list]] = {}
+        for sid, (a0, lo, a1, hi) in enumerate(self._chains[orientation]):
+            out.setdefault(a1, ([], []))[0].append((lo, hi, sid))
+            out.setdefault(a0, ([], []))[1].append((lo, hi, sid))
+        for ending, starting in out.values():
+            ending.sort()
+            starting.sort()
+        return out
 
     @functools.cached_property
     def side_guards(self) -> List[List[int]]:
         """Per pixel, the canonical guards whose own run (not those of
-        parallel runs merged into it) lies along one of its sides."""
+        parallel runs merged into it) lies along one of its sides.
+
+        A run is merged from slice sides on its line, and the pixels beside
+        it are all pixels of those slices, since pixels span their slices
+        across."""
         out: List[List[int]] = [[] for _ in self.crosses]
+        sides = {o: self._slice_sides(o) for o in (VERTICAL, HORIZONTAL)}
+        members = {o: self._slice_pixels(o) for o in (VERTICAL, HORIZONTAL)}
         for g in self.guards:
-            padded, index, cuts = self._lines[g.orientation]
-            k, start, t = index[g.anchor], bisect_left(cuts, g.lo), bisect_left(cuts, g.hi)
-            run = {*padded[k][start:t], *padded[k + 1][start:t]}
-            run.discard(-1)
-            for pid in run:
-                out[pid].append(g.id)
+            for line in sides[g.orientation][g.anchor]:
+                for _, _, sid in line[bisect_left(line, (g.lo,)):bisect_left(line, (g.hi,))]:
+                    for pid in members[g.orientation][sid]:
+                        out[pid].append(g.id)
         return out
+
+    def _own_line_hits(self, orientation: str, anchor: int, lo: int, hi: int) -> List[SliceSegment]:
+        """Midlines on the segment's own line whose closed spans meet [lo, hi]."""
+        keys, lines = self._sigma_lines[orientation]
+        k = bisect_left(keys, 2 * anchor)
+        if k < len(keys) and keys[k] == 2 * anchor:
+            los, his, line = lines[k]
+            return line[bisect_left(his, lo):bisect_right(los, hi)]
+        return []
 
     def sigmas_hit(self, orientation: str, anchor: int, lo: int, hi: int) -> List[SliceSegment]:
         """Slice-segments that the closed grid-line segment intersects.
@@ -683,7 +795,9 @@ class Pixelation:
         disjoint and sorted by lo and hi alike: on each perpendicular line,
         bisection finds the one midline whose span can contain ``anchor``,
         and on the own line the run of midlines whose spans overlap
-        [lo, hi].  It is the only segment-versus-midline predicate.
+        [lo, hi].  It is the only segment-versus-midline predicate for
+        single segments; the constructor's sweep gives the same hits for
+        all runs at once.
         """
         other = VERTICAL if orientation == HORIZONTAL else HORIZONTAL
         keys, lines = self._sigma_lines[other]
@@ -692,12 +806,7 @@ class Pixelation:
             k = bisect_right(los, anchor) - 1
             if k >= 0 and his[k] >= anchor:
                 out.append(line[k])
-        keys, lines = self._sigma_lines[orientation]
-        k = bisect_left(keys, 2 * anchor)
-        if k < len(keys) and keys[k] == 2 * anchor:
-            los, his, line = lines[k]
-            out += line[bisect_left(his, lo):bisect_right(los, hi)]
-        return out
+        return out + self._own_line_hits(orientation, anchor, lo, hi)
 
     def _segment_hit_mask(self, orientation: str, anchor: int, lo: int, hi: int) -> int:
         mask = 0
@@ -707,64 +816,82 @@ class Pixelation:
 
     # -- lookups ------------------------------------------------------------
 
+    def _inside(self, orientation: str, anchor: int) -> List[int]:
+        """The closed spans of the line at ``anchor`` that lie in the closed
+        polygon, as [lo0, hi0, lo1, hi1, ...], strictly increasing.
+
+        They are the spans of the slices of the same orientation whose
+        closed range across holds the line, merged.  A line's spans are
+        found by one pass over the slices of its orientation on first use
+        and kept.
+        """
+        runs = self._inside_runs.get((orientation, anchor))
+        if runs is None:
+            spans = sorted((anchor, lo, hi) for a0, lo, a1, hi in self._chains[orientation]
+                           if a0 <= anchor <= a1)
+            runs = [t for _, lo, hi in _merge_spans(spans) for t in (lo, hi)]
+            self._inside_runs[orientation, anchor] = runs
+        return runs
+
     def extend_to_maximal(self, orientation: str, anchor: int, lo: int, hi: int) -> GuardSegment:
         """Extend a grid-line segment inside the closed polygon as far as possible.
 
         Span endpoints may fall between grid cuts; in-polygon membership is
-        uniform within a unit segment, so snapping outward stays inside.  A
-        unit is inside when a cell on either side of it is.  Each end then
-        moves to the far end of the line's inside run that holds the unit
-        beyond it, found by bisection.  A line's inside runs, as [start0,
-        end0, start1, end1, ...] over its units, are read off its two
-        flanking lines of cells on the line's first use and kept.  The
-        camera on each maximal span, with its hit mask, is built once and
-        kept too: many segments extend to the same one (a comb's spine).
+        uniform within a unit segment, so each end first snaps outward to a
+        cut.  Each end then moves to the far end of the line's inside span
+        (see :meth:`_inside`) that holds the unit beyond it, found by
+        bisection.  The camera on each maximal span, with its hit mask, is
+        built once and kept: many segments extend to the same one (a
+        comb's spine).
         """
-        padded, index, cuts = self._lines[orientation]
-        if anchor not in index:
+        lines, cuts = (self.x_cuts, self.y_cuts) if orientation == VERTICAL else (self.y_cuts, self.x_cuts)
+        k = bisect_left(lines, anchor)
+        if k == len(lines) or lines[k] != anchor:
             raise ValueError(f"{orientation} line at {anchor} is not a grid line")
-        runs = self._inside_runs.get((orientation, anchor))
-        if runs is None:
-            k = index[anchor]
-            inside = bytes(map(ne, map(max, padded[k], padded[k + 1]), padded[0]))
-            runs = [i for m in _ONE_BYTES.finditer(inside) for i in m.span()]
-            self._inside_runs[orientation, anchor] = runs
-        tlo = max(0, bisect_right(cuts, lo) - 1)
-        thi = min(len(cuts) - 1, bisect_left(cuts, hi))
-        # unit u is inside iff an odd number of run ends are <= u
-        i = bisect_right(runs, tlo - 1)
+        runs = self._inside(orientation, anchor)
+        lo = cuts[max(0, bisect_right(cuts, lo) - 1)]
+        hi = cuts[min(len(cuts) - 1, bisect_left(cuts, hi))]
+        # the unit below lo is inside iff an odd number of run ends are < lo,
+        # the unit above hi iff an odd number are <= hi
+        i = bisect_left(runs, lo)
         if i & 1:
-            tlo = runs[i - 1]
-        i = bisect_right(runs, thi)
+            lo = runs[i - 1]
+        i = bisect_right(runs, hi)
         if i & 1:
-            thi = runs[i]
-        key = (orientation, anchor, cuts[tlo], cuts[thi])
+            hi = runs[i]
+        key = (orientation, anchor, lo, hi)
         camera = self._maximal.get(key)
         if camera is None:
             camera = self._maximal[key] = GuardSegment(
-                orientation=orientation, anchor=anchor, lo=key[2], hi=key[3],
+                orientation=orientation, anchor=anchor, lo=lo, hi=hi,
                 id=-1, hit_set=self._segment_hit_mask(*key))
         return camera
 
     def contains_segment(self, orientation: str, anchor: int, lo: int, hi: int) -> bool:
-        """Whether the segment lies in the closed polygon: each unit of its span
-        (its point, if of length 0) needs an inside cell beside it, on either
-        side of a grid line, or in the line of cells containing it otherwise."""
-        padded, index, cuts = self._lines[orientation]
-        k = bisect_left(self.x_cuts if orientation == VERTICAL else self.y_cuts, anchor)
-        beside = padded[k:k + 1 + (anchor in index)]
-        t0, t1 = bisect_right(cuts, lo) - 1, bisect_left(cuts, hi)
-        found = [0 <= t < len(cuts) - 1 and any(line[t] >= 0 for line in beside)
-                 for t in (range(t1 - 1, t0 + 1) if lo == hi else range(t0, t1))]
-        return any(found) if lo == hi else all(found)
+        """Whether the segment, on a grid line or between two, lies in the
+        closed polygon: in one inside span of its line (see :meth:`_inside`)."""
+        runs = self._inside(orientation, anchor)
+        i = bisect_right(runs, lo)
+        if i & 1:
+            return hi <= runs[i]
+        return lo == hi and i > 0 and runs[i - 1] == lo
 
     def slice_dual(self, orientation: str) -> Dict[int, set]:
-        """Slice ids of one segmentation, adjacent iff the slices share part of a side."""
-        grid = self.vslice if orientation == VERTICAL else self.hslice
-        adj: Dict[int, set] = {i: set() for i in range(len(self._boxes[orientation]))}
-        for a, b in _label_edges(grid):
-            adj[a].add(b)
-            adj[b].add(a)
+        """Slice ids of one segmentation, adjacent iff the slices share part
+        of a side: a slice ending on a grid line and one starting on it
+        whose spans overlap, found by a merge of both sorted lists."""
+        adj: Dict[int, set] = {i: set() for i in range(len(self._chains[orientation]))}
+        for ending, starting in self._slice_sides(orientation).values():
+            i = j = 0
+            while i < len(ending) and j < len(starting):
+                (lo1, hi1, a), (lo2, hi2, b) = ending[i], starting[j]
+                if max(lo1, lo2) < min(hi1, hi2):
+                    adj[a].add(b)
+                    adj[b].add(a)
+                if hi1 < hi2:
+                    i += 1
+                else:
+                    j += 1
         return adj
 
     def is_thin(self) -> bool:
@@ -775,16 +902,6 @@ class Pixelation:
                 if not self.on_boundary(corner):
                     return False
         return True
-
-
-def _label_edges(grid: List[List[int]]) -> set:
-    """Pairs (a, b), a < b, of different labels >= 0 on side-adjacent cells."""
-    pairs = set()
-    for col, nxt in zip(grid, grid[1:]):
-        pairs.update(zip(col, nxt))
-    for col in grid:
-        pairs.update(zip(col, col[1:]))
-    return {(a, b) if a < b else (b, a) for a, b in pairs if a != b and a >= 0 and b >= 0}
 
 
 # ---------------------------------------------------------------------------

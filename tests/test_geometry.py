@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -368,26 +369,54 @@ def test_multi_hole_pixelation():
     assert sc.brute_force_min_cover(hins).size <= p.n // 4
 
 
-_ON_FIRST_READ = ("pixels", "raw_guards", "dual_edges", "side_guards")
+# the cell grids are built only for tests: no solver reads them
+_ON_FIRST_READ = ("pixels", "raw_guards", "dual_edges", "side_guards", "vslice", "hslice", "pixel")
+
+
+def _lazy_shape(shape):
+    return {"comb10": lambda: sc.gen_comb(10),
+            "spiral4": lambda: sc.gen_path_lb(4),
+            "multi_hole": lambda: sc.validate_polygon(MULTI_HOLE)}[shape]()
 
 
 @pytest.mark.parametrize("shape, algo", [
     *((shape, algo) for shape in ("comb10", "multi_hole") for algo in ("greedy", "exact", "bg", "dp")),
-    ("comb10", "path"),  # path refuses polygons with holes
+    ("comb10", "path"),
+    *(("spiral4", algo) for algo in ("greedy", "exact", "bg", "dp", "path")),
+    ("multi_hole", "path"),  # path refuses polygons with holes
 ])
 def test_solve_builds_no_product_it_does_not_read(shape, algo):
     """Products only some solvers read are derived on first read: after a
     greedy, exact or bg solve neither those nor the slices were built, path
     builds only the slices, and dp only the dual edges and side guards (it
-    reads each pixel's supports from its cross)."""
-    p = sc.gen_comb(10) if shape == "comb10" else sc.validate_polygon(MULTI_HOLE)
+    reads each pixel's supports from its cross).  No solve, nor path's
+    refusal of a holed polygon, builds a cell grid."""
+    p = _lazy_shape(shape)
     sc.geometry.pixelate.cache_clear()
-    sc.solve_polygon(p, algo=algo)
+    if p.holes and algo == "path":
+        with pytest.raises(sc.NotPathSegmentation):
+            sc.solve_polygon(p, algo=algo)
+    else:
+        sc.solve_polygon(p, algo=algo)
     built = vars(sc.pixelate(p))
     dp_reads = ("dual_edges", "side_guards") if algo == "dp" else ()
     assert not [k for k in _ON_FIRST_READ if k in built and k not in dp_reads]
     if algo != "path":
         assert "slices_v" not in built and "slices_h" not in built
+
+
+@pytest.mark.parametrize("shape", ["comb10", "spiral4", "multi_hole"])
+def test_cli_solve_and_verify_read_no_cell_grid(tmp_path, shape):
+    from slidecam.cli import main
+
+    p = _lazy_shape(shape)
+    poly, sol = tmp_path / "poly.json", tmp_path / "sol.json"
+    poly.write_text(json.dumps(p.to_dict()))
+    sc.geometry.pixelate.cache_clear()
+    assert main(["solve", str(poly), "--algo", "greedy", "--out", str(sol)]) == 0
+    assert main(["verify", str(poly), str(sol)]) == 0
+    built = vars(sc.pixelate(p))
+    assert not [k for k in ("vslice", "hslice", "pixel") if k in built]
 
 
 def test_polygon_dict_round_trip(corpus):

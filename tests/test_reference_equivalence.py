@@ -19,13 +19,20 @@ own budget formula, the reweighting loop verifies each net geometrically,
 the nice decomposition is built by recursion, min-fill recounts every
 vertex's fill at each elimination, each cross's leaf bag is placed by a
 scan over every bag, and the DP keeps one tuple entry per bag vertex.
-Every output must agree exactly; the DP's guard sets may differ between
+``CellPixelation`` builds the pixelation by labelling every cell of the
+compressed grid, as the library did before its sweeps, and every product
+of the sweeps is compared with it, at sizes the per-cell loops cannot
+reach too.  Every output must agree exactly; the DP's guard sets may differ between
 equal-cost optima, so there the optimum cost must agree.
 """
+import bisect
 import collections
 import functools
+import itertools
 import math
+import operator
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -47,6 +54,7 @@ from slidecam.geometry import (
     _ring_edges,
     _rotate_to_min,
     _signed_area2,
+    _spans_by_line,
     close_cut_arc,
 )
 from slidecam.treewidth import (
@@ -435,8 +443,245 @@ def loop_raw_guards(pix):
     return sorted(raw)
 
 
-class LoopPixelation(sc.Pixelation):
-    """The pixelation built with the linear boundary scan and the all-sigma scan."""
+_ONES = re.compile("1+")
+_ONE_BYTES = re.compile(b"\x01+")
+
+
+def cell_run_chains(lines):
+    """Maximal chains of adjacent lines of cells that have the same run of "1"
+    cells, as (a0, a1, b0, b1): lines a0 .. a1-1 all have the run [b0, b1)."""
+    chains = []
+    open_runs = {}
+    for a, line in enumerate([*lines, ""]):
+        runs = {m.span(): open_runs.get(m.span(), a) for m in _ONES.finditer(line)}
+        chains += [(a0, a, *run) for run, a0 in open_runs.items() if run not in runs]
+        open_runs = runs
+    return chains
+
+
+def cell_label_edges(grid):
+    """Pairs (a, b), a < b, of different labels >= 0 on side-adjacent cells."""
+    pairs = set()
+    for col, nxt in zip(grid, grid[1:]):
+        pairs.update(zip(col, nxt))
+    for col in grid:
+        pairs.update(zip(col, col[1:]))
+    return {(a, b) if a < b else (b, a) for a, b in pairs if a != b and a >= 0 and b >= 0}
+
+
+class CellPixelation(sc.Pixelation):
+    """The pixelation labelled cell by cell over the compressed grid.
+
+    Inside cells come from an XOR parity scan of the horizontal edges, each
+    grid column and row spelt as a "0"/"1" string; slices are the chains of
+    adjacent lines with the same run (``cell_run_chains``); the ``vslice``,
+    ``hslice`` and ``pixel`` grids are filled eagerly, pixels grouped per
+    (vertical, horizontal) slice pair by counting cells; camera runs are
+    the grid-line units whose two flanking cells differ, each hit mask from
+    one ``sigmas_hit`` call; and ``dual_edges``, ``slice_dual``,
+    ``side_guards``, ``extend_to_maximal`` and ``contains_segment`` read
+    the cell grids.  Its cost follows the (n/2)^2 cells of a spiral.  The
+    midline index and ``sigmas_hit`` are the library's.
+    """
+
+    def _build(self):
+        poly = self.polygon
+        self.x_cuts = sorted({x for r in poly.rings() for x, _ in r})
+        self.y_cuts = sorted({y for r in poly.rings() for _, y in r})
+        self._xi = {x: i for i, x in enumerate(self.x_cuts)}
+        self._yi = {y: j for j, y in enumerate(self.y_cuts)}
+        vert_edges, horiz_edges = [], []
+        for ring in poly.rings():
+            v, h = _ring_edges(ring)
+            vert_edges.extend(v)
+            horiz_edges.extend(h)
+        self._v_spans = _spans_by_line(vert_edges)
+        self._h_spans = _spans_by_line(horiz_edges)
+        nx, ny = len(self.x_cuts) - 1, len(self.y_cuts) - 1
+        toggles = [0] * ny
+        for y, xlo, xhi in horiz_edges:
+            j = self._yi[y]
+            if j < ny:
+                toggles[j] ^= (1 << self._xi[xhi]) - (1 << self._xi[xlo])
+        rows = []
+        acc = 0
+        for t in toggles:
+            acc ^= t
+            rows.append(format(acc, f"0{nx}b")[::-1])
+        cols = ["".join(col) for col in zip(*rows)]
+        self._cell_slices(cols, rows)
+        self._cell_pixels()
+        self._cell_guards()
+        self._inside_runs = {}
+        self._maximal = {}
+
+    def _empty_grid(self):
+        return [[-1] * (len(self.y_cuts) - 1) for _ in range(len(self.x_cuts) - 1)]
+
+    def _cell_slices(self, cols, rows):
+        xc, yc = self.x_cuts, self.y_cuts
+        self._boxes = {
+            VERTICAL: sorted((i0, j0, i1, j1) for i0, i1, j0, j1 in cell_run_chains(cols)),
+            HORIZONTAL: sorted((i0, j0, i1, j1) for j0, j1, i0, i1 in cell_run_chains(rows))}
+        self.vslice = self._empty_grid()
+        self.hslice = self._empty_grid()
+        self.sigmas = []
+        for o, grid in ((VERTICAL, self.vslice), (HORIZONTAL, self.hslice)):
+            for sid, (i0, j0, i1, j1) in enumerate(self._boxes[o]):
+                xl, yl, xh, yh = xc[i0], yc[j0], xc[i1], yc[j1]
+                a2, lo, hi = (xl + xh, yl, yh) if o == VERTICAL else (yl + yh, xl, xh)
+                self.sigmas.append(sc.SliceSegment(id=len(self.sigmas), orientation=o,
+                                                   anchor2=a2, lo=lo, hi=hi))
+                for col in grid[i0:i1]:
+                    col[j0:j1] = [sid] * (j1 - j0)
+        nv = len(self._boxes[VERTICAL])
+        self._sigma_lines = {}
+        for o, segs in ((VERTICAL, self.sigmas[:nv]), (HORIZONTAL, self.sigmas[nv:])):
+            segs = sorted(segs, key=lambda s: (s.anchor2, s.lo))
+            keys, lines = [], []
+            for a, line in itertools.groupby(segs, key=lambda s: s.anchor2):
+                line = list(line)
+                keys.append(a)
+                lines.append(([s.lo for s in line], [s.hi for s in line], line))
+            self._sigma_lines[o] = (keys, lines)
+
+    def _pixel_box(self, v, h):
+        a, b = self._boxes[VERTICAL][v], self._boxes[HORIZONTAL][h]
+        return max(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), min(a[3], b[3])
+
+    def _cell_pixels(self):
+        cells = collections.Counter()
+        for vcol, hcol in zip(self.vslice, self.hslice):
+            cells.update(zip(vcol, hcol))
+        cells.pop((-1, -1), None)
+        xc, yc = self.x_cuts, self.y_cuts
+        nv = len(self._boxes[VERTICAL])
+        ids = {vh: pid for pid, vh in enumerate(sorted(cells))}
+        self.crosses = []
+        for (v, h), pid in ids.items():
+            i0, j0, i1, j1 = self._pixel_box(v, h)
+            assert cells[v, h] == (i1 - i0) * (j1 - j0), "pixel does not match its slice intersection"
+            sv, sh = self.sigmas[v], self.sigmas[nv + h]
+            assert 2 * xc[i0] <= sv.anchor2 <= 2 * xc[i1] and 2 * yc[j0] <= sh.anchor2 <= 2 * yc[j1]
+            self.crosses.append(sc.Cross(pixel_id=pid, h_support=sh.id, v_support=sv.id,
+                                         point2=(sv.anchor2, sh.anchor2)))
+        ids[-1, -1] = -1
+        self.pixel = [list(map(ids.__getitem__, zip(vcol, hcol)))
+                      for vcol, hcol in zip(self.vslice, self.hslice)]
+        self._slice_cross_mask = [0] * len(self.sigmas)
+        for cr in self.crosses:
+            self._slice_cross_mask[cr.v_support] |= 1 << cr.pixel_id
+            self._slice_cross_mask[cr.h_support] |= 1 << cr.pixel_id
+
+    def _cell_guards(self):
+        # grid line k runs between lines of cells k and k + 1 of the padded grid
+        self._lines = {}
+        self._runs = []
+        for o, lines, index, cuts in ((VERTICAL, self.pixel, self._xi, self.y_cuts),
+                                      (HORIZONTAL, list(zip(*self.pixel)), self._yi, self.x_cuts)):
+            outside = (-1,) * (len(cuts) - 1)
+            padded = [outside, *lines, outside]
+            self._lines[o] = (padded, index, cuts)
+            for anchor, k in index.items():
+                for m in _ONE_BYTES.finditer(bytes(map(operator.ne, padded[k], padded[k + 1]))):
+                    start, t = m.span()
+                    self._runs.append((o, anchor, cuts[start], cuts[t]))
+        self._runs.sort()
+        first = {}
+        for run in self._runs:
+            first.setdefault((run[0], self._segment_hit_mask(*run)), run)
+        self.guards = [sc.GuardSegment(*run, id=i, hit_set=mask)
+                       for i, ((_, mask), run) in enumerate(first.items())]
+
+    @functools.cached_property
+    def pixels(self):
+        xc, yc = self.x_cuts, self.y_cuts
+        nv = len(self._boxes[VERTICAL])
+        out = []
+        for cr in self.crosses:
+            v, h = cr.v_support, cr.h_support - nv
+            i0, j0, i1, j1 = self._pixel_box(v, h)
+            out.append(Pixel(id=cr.pixel_id, rect=(xc[i0], yc[j0], xc[i1], yc[j1]),
+                             v_slice=v, h_slice=h))
+        return out
+
+    def _cell_slice_list(self, orientation):
+        xc, yc = self.x_cuts, self.y_cuts
+        first = 0 if orientation == VERTICAL else len(self._boxes[VERTICAL])
+        return [sc.Slice(id=sid, orientation=orientation, rect=(xc[i0], yc[j0], xc[i1], yc[j1]),
+                         segment=self.sigmas[first + sid])
+                for sid, (i0, j0, i1, j1) in enumerate(self._boxes[orientation])]
+
+    @functools.cached_property
+    def slices_v(self):
+        return self._cell_slice_list(VERTICAL)
+
+    @functools.cached_property
+    def slices_h(self):
+        return self._cell_slice_list(HORIZONTAL)
+
+    @functools.cached_property
+    def raw_guards(self):
+        return [sc.GuardSegment(*run, hit_set=self._segment_hit_mask(*run)) for run in self._runs]
+
+    @functools.cached_property
+    def dual_edges(self):
+        return tuple(sorted(cell_label_edges(self.pixel)))
+
+    @functools.cached_property
+    def side_guards(self):
+        out = [[] for _ in self.crosses]
+        for g in self.guards:
+            padded, index, cuts = self._lines[g.orientation]
+            k, start, t = index[g.anchor], bisect.bisect_left(cuts, g.lo), bisect.bisect_left(cuts, g.hi)
+            run = {*padded[k][start:t], *padded[k + 1][start:t]}
+            run.discard(-1)
+            for pid in run:
+                out[pid].append(g.id)
+        return out
+
+    def slice_dual(self, orientation):
+        grid = self.vslice if orientation == VERTICAL else self.hslice
+        adj = {i: set() for i in range(len(self._boxes[orientation]))}
+        for a, b in cell_label_edges(grid):
+            adj[a].add(b)
+            adj[b].add(a)
+        return adj
+
+    def extend_to_maximal(self, orientation, anchor, lo, hi):
+        padded, index, cuts = self._lines[orientation]
+        if anchor not in index:
+            raise ValueError(f"{orientation} line at {anchor} is not a grid line")
+        runs = self._inside_runs.get((orientation, anchor))
+        if runs is None:
+            k = index[anchor]
+            inside = bytes(map(operator.ne, map(max, padded[k], padded[k + 1]), padded[0]))
+            runs = [i for m in _ONE_BYTES.finditer(inside) for i in m.span()]
+            self._inside_runs[orientation, anchor] = runs
+        tlo = max(0, bisect.bisect_right(cuts, lo) - 1)
+        thi = min(len(cuts) - 1, bisect.bisect_left(cuts, hi))
+        i = bisect.bisect_right(runs, tlo - 1)
+        if i & 1:
+            tlo = runs[i - 1]
+        i = bisect.bisect_right(runs, thi)
+        if i & 1:
+            thi = runs[i]
+        key = (orientation, anchor, cuts[tlo], cuts[thi])
+        return sc.GuardSegment(orientation=orientation, anchor=anchor, lo=key[2], hi=key[3],
+                               id=-1, hit_set=self._segment_hit_mask(*key))
+
+    def contains_segment(self, orientation, anchor, lo, hi):
+        padded, index, cuts = self._lines[orientation]
+        k = bisect.bisect_left(self.x_cuts if orientation == VERTICAL else self.y_cuts, anchor)
+        beside = padded[k:k + 1 + (anchor in index)]
+        t0, t1 = bisect.bisect_right(cuts, lo) - 1, bisect.bisect_left(cuts, hi)
+        found = [0 <= t < len(cuts) - 1 and any(line[t] >= 0 for line in beside)
+                 for t in (range(t1 - 1, t0 + 1) if lo == hi else range(t0, t1))]
+        return any(found) if lo == hi else all(found)
+
+
+class LoopPixelation(CellPixelation):
+    """The cell-grid pixelation with the linear boundary scan and the all-sigma scan."""
 
     def on_boundary(self, pt):
         return loop_on_boundary(self.polygon, pt)
@@ -713,6 +958,59 @@ def test_pixelation_matches_reference_loops(polygons):
         assert pix.slice_dual(VERTICAL) == loop_slice_dual(pix, True), name
         assert pix.slice_dual(HORIZONTAL) == loop_slice_dual(pix, False), name
         assert pix.is_thin() == ref.is_thin(), name
+
+
+_EAGER = ("sigmas", "crosses", "_slice_cross_mask", "_runs", "guards")
+_LAZY = ("pixels", "slices_v", "slices_h", "raw_guards", "dual_edges", "side_guards",
+         "vslice", "hslice", "pixel")
+
+
+def assert_matches_cell_oracle(p, name, rng):
+    """Every product of the sweep pixelation equals the cell-grid oracle's:
+    the eager ones, those derived on first read, both slice duals, and
+    ``extend_to_maximal`` and ``contains_segment`` on runs, sub-runs,
+    ad-hoc spans and lines between the grid lines."""
+    pix, cell = sc.Pixelation(p), CellPixelation(p)
+    for attr in _EAGER + _LAZY:
+        assert getattr(pix, attr) == getattr(cell, attr), (name, attr)
+    for o in (VERTICAL, HORIZONTAL):
+        assert pix.slice_dual(o) == cell.slice_dual(o), (name, o)
+    assert pix.is_thin() == cell.is_thin(), name
+    spans = [g.key() for g in pix.raw_guards]
+    for o, a, lo, hi in list(spans):
+        if hi - lo > 1:
+            lo2 = rng.randint(lo, hi - 1)
+            spans.append((o, a, lo2, rng.randint(lo2 + 1, hi)))
+    spans += [g.key() for g in _ad_hoc_guards(pix, rng, 40)]
+    for span in spans:
+        assert pix.extend_to_maximal(*span) == cell.extend_to_maximal(*span), (name, span)
+    xl, yl, xh, yh = p.bbox()
+    for _ in range(200):
+        o = rng.choice((HORIZONTAL, VERTICAL))
+        a_lo, a_hi, s_lo, s_hi = (yl, yh, xl, xh) if o == HORIZONTAL else (xl, xh, yl, yh)
+        anchor = rng.randint(a_lo - 1, a_hi + 1)
+        lo = rng.randint(s_lo - 1, s_hi)
+        hi = rng.choice([lo, rng.randint(lo, s_hi + 1)])
+        assert (pix.contains_segment(o, anchor, lo, hi)
+                == cell.contains_segment(o, anchor, lo, hi)), (name, o, anchor, lo, hi)
+
+
+def test_pixelation_matches_cell_grid_oracle(polygons):
+    rng = random.Random(17)
+    for name, p in polygons.items():
+        assert_matches_cell_oracle(p, name, rng)
+
+
+@pytest.mark.parametrize("name", ["path_lb48", "comb200", "thin160", "rand120", "grid8x9"])
+def test_pixelation_matches_cell_grid_oracle_at_bench_size(name):
+    """Sizes where the per-cell loop references are out of reach: path_lb(48)
+    has about 20,000 grid cells for 283 pixels."""
+    poly = {"path_lb48": lambda: sc.gen_path_lb(48),
+            "comb200": lambda: sc.gen_comb(200),
+            "thin160": lambda: sc.gen_thin_tree(160, 4),
+            "rand120": lambda: sc.gen_random_simple(120, 1),
+            "grid8x9": lambda: _holed_grid(8, 9, 3)}[name]()
+    assert_matches_cell_oracle(poly, name, random.Random(name))
 
 
 def test_lifted_side_guards_match_run_lookup(polygons):

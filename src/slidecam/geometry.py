@@ -489,11 +489,11 @@ class Pixelation:
     ``pixels`` (render, :meth:`is_thin`), ``slices_v``, ``slices_h`` and
     ``reflex_vertices`` (``path``, :func:`segmentation`), ``raw_guards``
     (every run with its hit mask; tests), ``dual_edges`` and
-    ``side_guards`` (``dp``), and the cell grids ``vslice``, ``hslice``
-    and ``pixel``: column-major grids of ints (``grid[i][j]`` is column i,
-    row j) holding each cell's slice or pixel id, -1 outside P, built from
-    the slice rects in O(cells).  No solve, render or CLI command reads a
-    cell grid; tests do.
+    ``side_guards`` (``dp``'s lifted fallback and tests; the former also
+    :func:`gen_thin_tree`), and the cell grids ``vslice``, ``hslice`` and
+    ``pixel``: column-major grids of ints (``grid[i][j]`` is column i, row
+    j) holding each cell's slice or pixel id, -1 outside P, built from the
+    slice rects in O(cells) and read only by tests, not by a solve.
     """
 
     def __init__(self, polygon: OrthoPolygon):

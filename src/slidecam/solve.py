@@ -4,7 +4,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 from .approx import DEFAULT_NET_CONSTANT, DEFAULT_ROUND_CONSTANT, bg_hitting_set
-from .errors import Infeasible
+from .errors import Infeasible, WidthExceeded
 from .exact import Solution, brute_force_min_cover, greedy_cover
 from .gallery import path_guard
 from .geometry import (
@@ -112,17 +112,19 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
                 "net_is_universe": sol.size == len(inst.universe),
             }
         elif algo == "dp":
-            td_d = decompose(dual_graph(pix))
             H = build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
-            # the lifted decomposition certifies the paper's 7k+6 width bound;
-            # min-fill on the support graph (crosses contracted) is usually
-            # narrower, and the DP runs on the narrower of the two (the lifted
-            # one on ties); crosses come back as leaf bags in sol.decomposition
-            td_h = lift_decomposition(td_d, H, pix)
-            td_s = decompose(H.support)
-            sol = dp_solve(H, td_s if td_s.width < td_h.width else td_h, width_max=width_max)
-            info.update(width_d=td_d.width, width_h=td_h.width, width_used=sol.decomposition.width,
-                        dp_peak_table=sol.counters["dp_peak_table"])
+            # min-fill on the support graph, or past width_max the paper's lifted 7k+6 certificate
+            try:
+                sol = dp_solve(H, decompose(H.support), width_max=width_max)
+            except WidthExceeded as narrow:
+                td_d = decompose(dual_graph(pix))
+                td_h = lift_decomposition(td_d, H, pix)
+                info.update(width_d=td_d.width, width_h=td_h.width)
+                try:
+                    sol = dp_solve(H, td_h, width_max=width_max)
+                except WidthExceeded as lifted:
+                    raise WidthExceeded(f"min-fill {narrow}; lifted {lifted}") from None
+            info.update(width_used=sol.decomposition.width, dp_peak_table=sol.counters["dp_peak_table"])
         else:
             raise ValueError(f"unknown algo {algo!r}")
 

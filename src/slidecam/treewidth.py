@@ -3,20 +3,19 @@
 The DP solves the restricted distance-2 domination problem on the tripartite
 auxiliary graph H: choose a minimum set of guard vertices such that every
 requested cross has a support slice-segment intersected by a chosen guard.
-It takes any tree decomposition of H, such as the lifted one, whose width
-the paper bounds by 7k+6 for a dual graph of width k, or of its support
-graph S (``AuxiliaryGraph.support``: each cross contracted into an edge
-between its supports), such as min-fill on S, which is usually narrower.
+A solve builds one decomposition, min-fill on H's support graph S
+(``AuxiliaryGraph.support``: each cross contracted into an edge between its
+supports).  Only past the width limit does it lift min-fill on the dual
+graph, whose width the paper bounds by 7k+6 for dual width k, and retry.
 
-The DP runs without cross vertices.  Each cross in a bag is replaced by its
-vertical support (an edge contraction, so the decomposition stays valid and
-no wider), and a cross is the constraint "one of my two supports is hit",
-settled when the first of its supports is forgotten.  States per bag
-vertex: guards are selected/unselected and slice-segments hit, unhit or
-unhit-but-needed (a cross partner was forgotten unhit); a needed segment
-forgotten unhit kills the branch.  ``dp_peak_table`` counts these states.
-Crosses come back as one leaf bag {c, sv, sh} each: that decomposition of H
-is what ``--dump-td`` writes and ``width_used`` counts.
+The DP runs on S: a cross in a bag (only the lift has them) becomes its
+vertical support, an edge contraction, and a cross is the constraint "one
+of my two supports is hit", settled when the first is forgotten.  States
+per bag vertex: guards are selected/unselected and slice-segments hit,
+unhit or unhit-but-needed (a cross partner was forgotten unhit); a needed
+segment forgotten unhit kills the branch.  ``dp_peak_table`` counts these
+states.  Crosses come back as one leaf bag {c, sv, sh} each: that
+decomposition of H is what ``--dump-td`` writes and ``width_used`` counts.
 """
 from __future__ import annotations
 
@@ -424,13 +423,12 @@ def dp_solve(H: AuxiliaryGraph, td: TreeDecomposition,
              width_max: int = DEFAULT_WIDTH_MAX) -> Solution:
     """Minimum guard set via dynamic programming over a decomposition of ``H``.
 
-    ``td`` may be any valid decomposition of the auxiliary graph, such as
-    the lifted one, or of its support graph ``H.support``.  The DP runs on
-    its contraction, a decomposition of ``H.support``.  That contraction
-    with one leaf bag per requested cross is the decomposition of ``H``
+    ``td`` decomposes ``H.support`` (min-fill, as a solve builds it) or ``H``
+    (the lift); the DP runs on its contraction, which decomposes ``H.support``.
+    That plus a leaf bag per requested cross is the decomposition of ``H``
     whose width is checked against ``width_max`` and that the solution
-    carries.  The cover is verified on the crosses ``H`` was built over,
-    and the largest DP table, in states, is the counter ``dp_peak_table``.
+    carries.  The cover is verified on the crosses ``H`` was built over;
+    the largest DP table, in states, is the counter ``dp_peak_table``.
     """
     contracted, full = _contract(td, H)
     if full.width > width_max:

@@ -320,9 +320,61 @@ def test_solve_dp_reports_the_width_it_solved_at(tmp_path, shape, mode):
     assert main(["solve", str(poly_path), "--algo", "dp", "--mode", mode,
                  "--report", str(report), "--dump-td", str(td_path)]) == 0
     info = json.loads(report.read_text())
-    assert info["width_used"] <= info["width_h"]
+    assert "width_d" not in info and "width_h" not in info  # min-fill on S fits: no lift
+    pix = sc.pixelate(poly)
+    inst = sc.solve.instance_for_mode(pix, mode)
+    H = sc.build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
+    assert info["width_used"] <= sc.lift_decomposition(sc.decompose(sc.dual_graph(pix)), H, pix).width
     assert info["width_used"] == read_td(td_path.read_text()).width
     assert info["dp_peak_table"] >= 1
+
+
+@pytest.mark.parametrize("shape, mode", [("comb10", "msc"), ("spiral5", "mhsc")])
+def test_solve_dp_falls_back_to_the_lifted_decomposition(tmp_path, monkeypatch, shape, mode):
+    """Min-fill on the support graph S made one bag of all its vertices, wider
+    than --width-max: the solve lifts the dual graph's decomposition and runs
+    the DP on that, and the report says so with width_d and width_h."""
+    poly = {"comb10": sc.gen_comb(10), "spiral5": sc.gen_path_lb(5)}[shape]
+
+    def one_bag_for_s(adj):
+        if all(isinstance(v, int) for v in adj):  # the dual graph: pixel ids
+            return sc.decompose(adj)
+        assert len(adj) > 21  # one bag is wider than the default --width-max
+        return sc.TreeDecomposition(bags=(frozenset(adj),), edges=())
+
+    monkeypatch.setattr(sc.solve, "decompose", one_bag_for_s)
+    poly_path = tmp_path / "poly.json"
+    poly_path.write_text(json.dumps(poly.to_dict()))
+    report, td_path = tmp_path / "report.json", tmp_path / "td.txt"
+    assert main(["solve", str(poly_path), "--algo", "dp", "--mode", mode,
+                 "--report", str(report), "--dump-td", str(td_path)]) == 0
+    info = json.loads(report.read_text())
+    pix = sc.pixelate(poly)
+    inst = sc.solve.instance_for_mode(pix, mode)
+    H = sc.build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
+    dual = sc.decompose(sc.dual_graph(pix))
+    assert info["width_d"] == dual.width
+    assert info["width_h"] == sc.lift_decomposition(dual, H, pix).width
+    td = read_td(td_path.read_text())
+    assert info["width_used"] == td.width <= info["width_h"]
+    ok, wit = sc.validate_decomposition(td, H.nodes(), H.edges())
+    assert ok, wit
+    assert info["size"] == sc.brute_force_min_cover(inst).size
+
+
+def test_solve_dp_width_exceeded_names_both_widths(tmp_path, capsys):
+    """Past --width-max on min-fill and on the lift: exit 3, both widths named."""
+    poly_path = tmp_path / "rand24.json"
+    poly_path.write_text(json.dumps(sc.gen_random_simple(24, 0).to_dict()))
+    report = tmp_path / "report.json"
+    assert main(["solve", str(poly_path), "--algo", "dp", "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(poly_path), "--algo", "dp", "--width-max", "5"]) == 3
+    err = capsys.readouterr().err
+    m = re.fullmatch(r"limit: min-fill width (\d+) exceeds limit 5; "
+                     r"lifted width (\d+) exceeds limit 5\n", err)
+    assert m, err
+    assert int(m[1]) == json.loads(report.read_text())["width_used"] < int(m[2])
 
 
 def test_solve_dp_random24_within_default_width_max(tmp_path, capsys):

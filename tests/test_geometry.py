@@ -387,10 +387,11 @@ def _lazy_shape(shape):
 ])
 def test_solve_builds_no_product_it_does_not_read(shape, algo):
     """Products only some solvers read are derived on first read: after a
-    greedy, exact or bg solve neither those nor the slices were built, path
-    builds only the slices, and dp only the dual edges and side guards (it
-    reads each pixel's supports from its cross).  No solve, nor path's
-    refusal of a holed polygon, builds a cell grid."""
+    greedy, exact, bg or dp solve neither those nor the slices were built,
+    and path builds only the slices.  dp reads the dual edges and side
+    guards only when it falls back to the lifted decomposition, which none
+    of these shapes needs.  No solve, nor path's refusal of a holed
+    polygon, builds a cell grid."""
     p = _lazy_shape(shape)
     sc.geometry.pixelate.cache_clear()
     if p.holes and algo == "path":
@@ -399,8 +400,7 @@ def test_solve_builds_no_product_it_does_not_read(shape, algo):
     else:
         sc.solve_polygon(p, algo=algo)
     built = vars(sc.pixelate(p))
-    dp_reads = ("dual_edges", "side_guards") if algo == "dp" else ()
-    assert not [k for k in _ON_FIRST_READ if k in built and k not in dp_reads]
+    assert not [k for k in _ON_FIRST_READ if k in built]
     if algo != "path":
         assert "slices_v" not in built and "slices_h" not in built
 

@@ -283,7 +283,8 @@ def test_dp_matches_exact_on_wide_random_shapes(n):
 @pytest.mark.parametrize("poly", [sc.gen_comb(10), sc.gen_random_simple(24, 0)],
                          ids=["comb10", "rand24"])
 def test_dp_solve_decomposes_no_cross_vertex(monkeypatch, poly):
-    """solve_polygon decomposes the dual and the support graph, never a cross."""
+    """solve_polygon decomposes the support graph once, and never a cross;
+    the dual graph is left to the fallback, which neither shape needs."""
     graphs = []
 
     def recorded(adj):
@@ -292,9 +293,9 @@ def test_dp_solve_decomposes_no_cross_vertex(monkeypatch, poly):
 
     monkeypatch.setattr(sc.solve, "decompose", recorded)
     sol, info = sc.solve_polygon(poly, algo="dp")
-    assert len(graphs) == 2
-    assert not any(isinstance(v, tuple) and v[0] == "c" for adj in graphs for v in adj)
     H = sc.build_auxiliary_graph(sc.pixelate(poly))
+    assert graphs == [H.support]
+    assert "width_d" not in info and "width_h" not in info
     ok, wit = validate_decomposition(sol.decomposition, H.nodes(), H.edges())
     assert ok, wit
     assert info["width_used"] == sol.decomposition.width

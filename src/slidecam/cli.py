@@ -132,8 +132,10 @@ def cmd_solve(args) -> int:
         guard_orientations=args.guard_orientations)
     if args.dump_td:
         _write_text(sol.decomposition.to_text(), args.dump_td)
+    # path never builds the canonical cameras, so it reports no guard count
+    guards = f"guards={info['guards']} " if "guards" in info else ""
     print(f"n={info['n']} pixels={info['pixels']} crosses={info['crosses']} "
-          f"guards={info['guards']} size={sol.size} "
+          f"{guards}size={sol.size} "
           f"msc_bound={info['msc_bound']} mhsc_bound={info['mhsc_bound']}")
     if args.out:
         _dump_json(sol.to_dict(), args.out)

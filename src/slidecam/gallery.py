@@ -8,9 +8,10 @@ brute-force solver.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
     GenerationFailed,
@@ -27,6 +28,8 @@ from .geometry import (
     Pixelation,
     Rect,
     Vertex,
+    _rotate_to_min,
+    _straight,
     close_cut_arc,
     guard_segments,
     pixelate,
@@ -339,7 +342,7 @@ class PeelStep:
     slices_removed: int
     subpolygon: OrthoPolygon
     camera: GuardSegment
-    remainder: Optional[OrthoPolygon]
+    remainder: Optional[OrthoPolygon]  # None unless the caller asked for remainders
 
 
 def _path_order(adj: Dict[int, set]) -> Optional[List[int]]:
@@ -378,42 +381,83 @@ def _inside_edge(t: Vertex, a: Vertex, b: Vertex) -> bool:
     return a[1] == b[1] == t[1] and min(a[0], b[0]) < t[0] < max(a[0], b[0])
 
 
-def _split_ring(ring: Sequence[Vertex], p: Vertex, q: Vertex):
-    """Cut a ring along the axis-parallel chord between two of its boundary points.
-
-    Returns the arc from p to q and the arc from q to p, both in ring order
-    and with both ends; closing an arc with the chord gives the ring of the
-    part on the left of the chord's direction from the arc's end back to its
-    start.
-    """
-    pts = list(ring)
-    axis = 1 if p[0] == q[0] else 0
-    i = _cut_at(pts, p, axis)
-    j = _cut_at(pts, q, axis)
-    if pts[i] != p:  # q went in before p
-        i += 1
-    if i < j:
-        return pts[i:j + 1], pts[j:] + pts[:i + 1]
-    return pts[i:] + pts[:j + 1], pts[j:i + 1]
-
-
-def _cut_at(pts: List[Vertex], t: Vertex, axis: int) -> int:
-    """Index of the chord end ``t`` in ``pts``, inserted first if it is not a vertex.
+def _edge_at(ring: List[Vertex], t: Vertex, axis: int) -> int:
+    """Index of ``t`` in ``ring``, or of the edge ring[k] -> ring[k + 1] that
+    holds it strictly inside.
 
     A chord end that is not a vertex lies inside an edge that crosses the
     chord, so both ends of that edge have t's coordinate on ``axis``; only
     the vertices with that coordinate are tried.
     """
     try:
-        return pts.index(t)
+        return ring.index(t)
     except ValueError:
         pass
-    coords = list(map(itemgetter(axis), pts))
+    coords = list(map(itemgetter(axis), ring))
     k = coords.index(t[axis])
-    while not _inside_edge(t, pts[k], pts[(k + 1) % len(pts)]):
+    while not _inside_edge(t, ring[k], ring[(k + 1) % len(ring)]):
         k = coords.index(t[axis], k + 1)
-    pts.insert(k + 1, t)
-    return k + 1
+    return k
+
+
+def _cut(arcs: List[deque], cut: List[bool], end: int, p: Vertex, q: Vertex, axis: int,
+         rest: bool) -> Tuple[List[Vertex], Optional[List[Vertex]]]:
+    """Cut the live ring along the seam p -> q that peels ``end`` of the path.
+
+    The live ring is ``arcs[0] + arcs[1]``, cyclically, with only turns in
+    it.  Once both ends are cut, ``arcs[e]`` runs from the chord of end e
+    to the chord of the other end; while only end e is cut, ``arcs[e]``
+    is the whole ring, from its chord round to it, and the other arc is
+    empty.  Seams and chords all lie on lines of one orientation, and a
+    seam's end never lies strictly inside an edge parallel to it (the
+    seam would run along the boundary), so neither end lies inside an
+    edge that continues a chord.  So p is found by popping the arc before
+    the chord from its end, and q by popping the arc after the chord from
+    its start, each over the piece's vertices only.  An end's first cut
+    looks q up in the whole ring once and starts the arc after it at q's
+    vertex or edge.  The new chord's ends go back unless
+    :func:`close_cut_arc` would drop them as straight.
+
+    Returns the piece's arc from p to q and, if ``rest``, the remainder's
+    arc from q to p, both as :func:`close_cut_arc` takes them.
+    """
+    other = 1 - end
+    if not cut[end]:
+        flat = [*arcs[other], *arcs[end]]  # from the other end's chord, if it has one
+        k = _edge_at(flat, q, axis)
+        if cut[other]:
+            arcs[other], arcs[end] = deque(flat[:k]), deque(flat[k:])
+        else:
+            arcs[other], arcs[end] = deque(), deque(flat[k:] + flat[:k])
+        cut[end] = True
+    after = arcs[end]
+    before = arcs[other] if cut[other] else after
+    tail = []  # the piece's vertices from the chord back to p, p excluded
+    while True:
+        v = before.pop()
+        if v == p:
+            break
+        tail.append(v)
+        if _inside_edge(p, before[-1], v):
+            break
+    head = []  # from the chord on to q, q excluded
+    while True:
+        v = after.popleft()
+        if v == q:
+            break
+        head.append(v)
+        if _inside_edge(q, v, after[0]):
+            break
+    tail.reverse()
+    piece = [p, *tail, *head, q]
+    remainder = [q, *after, *(before if before is not after else ()), p] if rest else None
+    prev = before[-1] if before else after[-1]
+    keep_p = not _straight(prev, p, q)
+    if keep_p:
+        before.append(p)
+    if not _straight(p if keep_p else prev, q, after[0] if after else before[0]):
+        after.appendleft(q)
+    return piece, remainder
 
 
 def path_guard(poly: OrthoPolygon) -> Solution:
@@ -423,20 +467,26 @@ def path_guard(poly: OrthoPolygon) -> Solution:
     cut line connects two reflex vertices), guards the peeled piece with a
     single camera and recurses on the remainder.
     """
-    sol, _ = path_guard_steps(poly)
+    sol, _ = path_guard_steps(poly, remainders=False)
     return sol
 
 
-def path_guard_steps(poly: OrthoPolygon) -> Tuple[Solution, List[PeelStep]]:
+def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
+                     ) -> Tuple[Solution, List[PeelStep]]:
     """:func:`path_guard` together with the peel steps it took.
 
     Everything about the slices comes from the input's own pixelation: a
     remainder's slices are the input's slices minus the peeled ones, so its
-    path is what is left of the input's path.  Each peel cuts the current
-    ring along the seam between the last peeled and the first kept slice
-    and closes both arcs with :func:`close_cut_arc`, which only looks at
-    the seam's two ends: nothing is validated in full, and a peel costs a
-    few list scans and copies of the ring.  Only the input is pixelated:
+    path is a window ``path[lo..hi]`` of the input's path.  The live ring
+    is two arcs, one on each side of the path between the chords of its
+    two ends (see :func:`_cut`).  Each peel pops the piece's vertices off
+    the arcs at the chord of the end it peels, counts the vertices left
+    instead of building the remainder, and closes the piece with
+    :func:`close_cut_arc`: nothing is validated in full, and a peel costs
+    time in the piece's size, apart from one scan of the ring at each
+    end's first cut.  A step's
+    ``remainder`` polygon is built only if ``remainders`` is true;
+    :func:`path_guard` asks for none.  Only the input is pixelated:
     :func:`guard_small` looks each piece's first canonical guard that hits
     every cross up by the piece's rank type, one of 43; that guard is
     extended to a maximal camera of the input by bisection, and the
@@ -455,34 +505,40 @@ def path_guard_steps(poly: OrthoPolygon) -> Tuple[Solution, List[PeelStep]]:
     vertical = orientation == VERTICAL
     rects = [s.rect for s in (pix0.slices_v if vertical else pix0.slices_h)]
     reflex = set(pix0.reflex_vertices)
+    axis = 1 if vertical else 0  # seam ends not at a vertex lie on edges across this axis
 
     cameras: List[GuardSegment] = []
     steps: List[PeelStep] = []
-    cur = poly
-    while cur.n > 8:
+    arcs, cut = [deque(poly.outer), deque()], [False, False]
+    lo, hi = 0, len(path) - 1  # the live slices are path[lo..hi]
+    n = poly.n
+    while n > 8:
         # Slices are numbered by sorted rect, so peel from the end whose
         # slice has the smaller id, as _path_order on the remainder would.
-        if path[-1] < path[0]:
-            path.reverse()
-        first_seam = _seam(rects[path[0]], rects[path[1]], vertical)
+        end, first, step = (1, hi, -1) if path[hi] < path[lo] else (0, lo, 1)
+        first_seam = _seam(rects[path[first]], rects[path[first + step]], vertical)
         take = 2 if all(p in reflex for p in first_seam) else 3
-        take = min(take, len(path) - 1)
-        p, q = _seam(rects[path[take - 1]], rects[path[take]], vertical)
-        piece_ring, rest_ring = _split_ring(cur.outer, p, q)
+        take = min(take, hi - lo)
+        p, q = _seam(rects[path[first + step * (take - 1)]], rects[path[first + step * take]],
+                     vertical)
+        piece_ring, rest_ring = _cut(arcs, cut, end, p, q, axis, remainders)
         sub = close_cut_arc(piece_ring)
         if sub.n > 8:
             raise AssertionError(f"peeled piece has {sub.n} > 8 vertices")
         g = guard_small(sub)
         camera = pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi)
         cameras.append(camera)
-        remainder = close_cut_arc(rest_ring)
-        if remainder.n > cur.n - 6:
+        left = len(arcs[0]) + len(arcs[1])
+        if left > n - 6:
             raise AssertionError("peel did not remove enough vertices")
-        steps.append(PeelStep(slices_removed=take, subpolygon=sub,
-                              camera=camera, remainder=remainder))
-        cur = remainder
-        path = path[take:]
-    g = guard_small(cur)
+        steps.append(PeelStep(slices_removed=take, subpolygon=sub, camera=camera,
+                              remainder=close_cut_arc(rest_ring) if remainders else None))
+        n = left
+        if end:
+            hi -= take
+        else:
+            lo += take
+    g = guard_small(OrthoPolygon(outer=tuple(_rotate_to_min([*arcs[0], *arcs[1]]))))
     cameras.append(pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi))
 
     bound = (poly.n + 2) // 6

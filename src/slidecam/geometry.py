@@ -296,10 +296,14 @@ def close_cut_arc(arc: Sequence[Vertex]) -> OrthoPolygon:
     """
     ring = list(arc)
     for k in (len(ring) - 1, 0):
-        (ax, ay), (bx, by), (cx, cy) = ring[k - 1], ring[k], ring[(k + 1) % len(ring)]
-        if (bx - ax) * (cy - by) == (by - ay) * (cx - bx):
+        if _straight(ring[k - 1], ring[k], ring[(k + 1) % len(ring)]):
             del ring[k]
     return OrthoPolygon(outer=tuple(_rotate_to_min(ring)))
+
+
+def _straight(a: Vertex, b: Vertex, c: Vertex) -> bool:
+    """Do a -> b and b -> c lie on one line?"""
+    return (b[0] - a[0]) * (c[1] - b[1]) == (b[1] - a[1]) * (c[0] - b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +468,9 @@ class Pixelation:
 
     The constructor builds what every solve reads, by sweeps whose cost
     follows slices, pixels and runs, never the cells of the compressed
-    grid (the vertex coordinates per axis, ``x_cuts`` and ``y_cuts``):
+    grid (the vertex coordinates per axis, ``x_cuts`` and ``y_cuts``);
+    the canonical guards, which every solve but ``path`` reads, are built
+    by the same kind of sweep on first read:
 
     - Slices: each orientation sweeps its grid lines, keeping the inside
       runs between lines (:func:`_sweep_slices`).  Slices are numbered by
@@ -476,19 +482,22 @@ class Pixelation:
       in its y-range, numbered by (vertical, horizontal) slice id, so each
       vertical slice's pixel ids are consecutive.  Cost O((S + P) log S)
       for S slices and P pixels.
-    - Canonical ``guards``: the runs along pixel edges on a vertical line
-      are the sides of the vertical slices on it, merged where they touch,
-      and likewise for horizontal lines.  A second sweep keeps the
-      perpendicular midlines whose closed span holds the current line,
-      keyed by ``anchor2``, and ORs together the cross masks of those in
-      each run's range; the first run in key order per orientation and hit
-      mask is the guard.  Cost O(R log S) for R runs, plus one mask OR per
-      midline a run hits.
+    - Canonical ``guards`` (on first read): the runs along pixel edges on
+      a vertical line (``_runs``) are the sides of the vertical slices on
+      it, merged where they touch, and likewise for horizontal lines.  A
+      second sweep keeps the perpendicular midlines whose closed span
+      holds the current line, keyed by ``anchor2``, and ORs together the
+      cross masks of those in each run's range (``_run_masks``); the first
+      run in key order per orientation and hit mask is the guard.  Cost
+      O(R log S) for R runs, plus one mask OR per midline a run hits.
 
     What only some callers read is derived on first read and kept:
-    ``pixels`` (render, :meth:`is_thin`), ``slices_v``, ``slices_h`` and
-    ``reflex_vertices`` (``path``, :func:`segmentation`), ``raw_guards``
-    (every run with its hit mask; tests), ``dual_edges`` and
+    ``guards`` with the runs and masks behind them (every solve but
+    ``path``), ``pixels`` (render, :meth:`is_thin`), ``slices_v``,
+    ``slices_h`` and ``reflex_vertices`` (``path``, :func:`segmentation`),
+    the stabbing index behind :meth:`_inside` (per orientation; ``path``
+    and ``verify``), ``raw_guards`` (every run with its hit mask; tests),
+    ``dual_edges`` and
     ``side_guards`` (``dp``'s lifted fallback and tests; the former also
     :func:`gen_thin_tree`), and the cell grids ``vslice``, ``hslice`` and
     ``pixel``: column-major grids of ints (``grid[i][j]`` is column i, row
@@ -516,8 +525,9 @@ class Pixelation:
         self._h_spans = _spans_by_line(horiz_edges)
         self._build_slices()
         self._build_pixels()
-        self._build_guards()
-        # kept by the lookups: inside runs per line, cameras per span
+        # kept by the lookups: the stabbing index per orientation, inside
+        # runs per line, cameras per span
+        self._stabbing: Dict[str, Tuple[List[int], int, Dict[int, list]]] = {}
         self._inside_runs: Dict[Tuple[str, int], List[int]] = {}
         self._maximal: Dict[Tuple[str, int, int, int], GuardSegment] = {}
 
@@ -604,26 +614,6 @@ class Pixelation:
                 self.crosses.append(Cross(pid, nv + h, v, (a2, sigmas[nv + h].anchor2)))
             masks[v] = ((1 << len(row)) - 1) << first
 
-    def _build_guards(self):
-        # Runs along pixel edges: the sides of the slices on each grid line,
-        # merged where they touch, in key order (orientation, line, span).
-        self._runs: List[Tuple[str, int, int, int]] = []
-        self._run_masks: List[int] = []
-        for o in (HORIZONTAL, VERTICAL):
-            chains = self._chains[o]
-            runs = _merge_spans(sorted([(a0, lo, hi) for a0, lo, _, hi in chains]
-                                       + [(a1, lo, hi) for _, lo, a1, hi in chains]))
-            self._runs += [(o, *run) for run in runs]
-            self._run_masks += self._sweep_hit_masks(o, runs)
-
-        # the first run in key order per (orientation, hit mask) is the guard
-        first: Dict[Tuple[str, int], int] = {}
-        for k, run in enumerate(self._runs):
-            first.setdefault((run[0], self._run_masks[k]), k)
-        self.guards: List[GuardSegment] = [
-            GuardSegment(*self._runs[k], id=i, hit_set=mask)
-            for i, ((_, mask), k) in enumerate(first.items())]
-
     def _sweep_hit_masks(self, orientation: str, runs: List[Tuple[int, int, int]]) -> List[int]:
         """Hit masks of runs (line, lo, hi) of one orientation, in line order.
 
@@ -666,6 +656,33 @@ class Pixelation:
         return out
 
     # -- products derived on first read -------------------------------------
+
+    @functools.cached_property
+    def _runs(self) -> List[Tuple[str, int, int, int]]:
+        """Runs along pixel edges: the sides of the slices on each grid line,
+        merged where they touch, in key order (orientation, line, span)."""
+        out = []
+        for o in (HORIZONTAL, VERTICAL):
+            chains = self._chains[o]
+            out += [(o, *run) for run in _merge_spans(sorted(
+                [(a0, lo, hi) for a0, lo, _, hi in chains] + [(a1, lo, hi) for _, lo, a1, hi in chains]))]
+        return out
+
+    @functools.cached_property
+    def _run_masks(self) -> List[int]:
+        """The hit mask of each run, in the order of :attr:`_runs`."""
+        return [mask for o in (HORIZONTAL, VERTICAL)
+                for mask in self._sweep_hit_masks(o, [run[1:] for run in self._runs if run[0] == o])]
+
+    @functools.cached_property
+    def guards(self) -> List[GuardSegment]:
+        """The canonical cameras: the first run in key order per
+        (orientation, hit mask), numbered in that order."""
+        first: Dict[Tuple[str, int], int] = {}
+        for k, run in enumerate(self._runs):
+            first.setdefault((run[0], self._run_masks[k]), k)
+        return [GuardSegment(*self._runs[k], id=i, hit_set=mask)
+                for i, ((_, mask), k) in enumerate(first.items())]
 
     def _pixel_rect(self, cr: Cross) -> Rect:
         # a pixel spans its vertical slice's x-range and its horizontal one's y-range
@@ -816,20 +833,60 @@ class Pixelation:
 
     # -- lookups ------------------------------------------------------------
 
+    def _stabbing_index(self, orientation: str) -> Tuple[List[int], int, Dict[int, list]]:
+        """A segment tree over one orientation's grid lines, built on first
+        read: (lines, leaves, nodes).
+
+        Leaf 2k + 1 is line k and leaf 2k the open gap below it, so any
+        coordinate falls in one of the 2m + 1 leaves of m lines.  The tree
+        is the bottom-up one over the leaves (node i has children 2i and
+        2i + 1, leaf t is node leaves + t); each slice's span (lo, hi) is
+        kept in the O(log m) nodes whose leaf ranges make up its range
+        across [a0, a1], and only nodes that hold a span are stored.  See
+        de Berg et al., *Computational Geometry*, 3rd ed., section 10.3.
+        """
+        index = self._stabbing.get(orientation)
+        if index is None:
+            lines = self.x_cuts if orientation == VERTICAL else self.y_cuts
+            at = {a: k for k, a in enumerate(lines)}
+            leaves = 2 * len(lines) + 1
+            nodes: Dict[int, list] = {}
+            for a0, lo, a1, hi in self._chains[orientation]:
+                i, j = leaves + 2 * at[a0] + 1, leaves + 2 * at[a1] + 2
+                while i < j:
+                    if i & 1:
+                        nodes.setdefault(i, []).append((lo, hi))
+                        i += 1
+                    if j & 1:
+                        j -= 1
+                        nodes.setdefault(j, []).append((lo, hi))
+                    i >>= 1
+                    j >>= 1
+            index = self._stabbing[orientation] = (lines, leaves, nodes)
+        return index
+
     def _inside(self, orientation: str, anchor: int) -> List[int]:
         """The closed spans of the line at ``anchor`` that lie in the closed
         polygon, as [lo0, hi0, lo1, hi1, ...], strictly increasing.
 
         They are the spans of the slices of the same orientation whose
-        closed range across holds the line, merged.  A line's spans are
-        found by one pass over the slices of its orientation on first use
-        and kept.
+        closed range across holds the line, merged.  The line need not be a
+        grid line.  Its slices are read off the nodes on the path from its
+        leaf to the root of :meth:`_stabbing_index`, in O(log m + k log k)
+        for m grid lines and the k slices that hold it, and its spans are
+        kept.
         """
         runs = self._inside_runs.get((orientation, anchor))
         if runs is None:
-            spans = sorted((anchor, lo, hi) for a0, lo, a1, hi in self._chains[orientation]
-                           if a0 <= anchor <= a1)
-            runs = [t for _, lo, hi in _merge_spans(spans) for t in (lo, hi)]
+            lines, leaves, nodes = self._stabbing_index(orientation)
+            k = bisect_left(lines, anchor)
+            i = leaves + 2 * k + (k < len(lines) and lines[k] == anchor)
+            spans = []
+            while i:
+                spans += nodes.get(i, ())
+                i >>= 1
+            merged = _merge_spans(sorted((anchor, lo, hi) for lo, hi in spans))
+            runs = [t for _, lo, hi in merged for t in (lo, hi)]
             self._inside_runs[orientation, anchor] = runs
         return runs
 

@@ -70,6 +70,8 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
 
     Every solver builds its solution through ``make_solution``, which
     verifies the cover geometrically once; nothing here verifies it again.
+    ``guards`` (the canonical camera count) is reported by every algo but
+    ``path``, which never builds the canonical cameras.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -82,7 +84,6 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
         "n": poly.n,
         "pixels": len(pix.crosses),  # pixels and crosses are 1:1 by id
         "crosses": len(pix.crosses),
-        "guards": len(pix.guards),
         "msc_bound": (3 * poly.n + 4) // 16,
         "mhsc_bound": poly.n // 4,
     }
@@ -90,6 +91,7 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
     if algo == "path":
         sol = path_guard(poly)
     else:
+        info["guards"] = len(pix.guards)
         inst = instance_for_mode(pix, mode, xprime=xprime, guard_ids=guard_ids,
                                  guard_orientations=guard_orientations)
         info["universe"] = len(inst.universe)

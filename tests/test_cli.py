@@ -132,6 +132,25 @@ def test_solve_bg_and_path_algos(tmp_path):
     assert main(["solve", str(path), "--algo", "greedy"]) == 0
 
 
+def test_solve_reports_guards_only_when_it_built_them(tmp_path, capsys):
+    """path never builds the canonical cameras: its report and stdout have no
+    guard count, while greedy's have one, and the path cover still verifies."""
+    p = sc.gen_comb(12)
+    poly = tmp_path / "comb.json"
+    poly.write_text(json.dumps(p.to_dict()))
+    sol, report = tmp_path / "sol.json", tmp_path / "r.json"
+    assert main(["solve", str(poly), "--algo", "greedy", "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["guards"] == len(sc.Pixelation(p).guards)
+    assert "guards=" in capsys.readouterr().out
+    assert main(["solve", str(poly), "--algo", "path", "--out", str(sol),
+                 "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert "guards" not in data
+    assert data["size"] <= (data["n"] + 2) // 6
+    assert "guards=" not in capsys.readouterr().out
+    assert main(["verify", str(poly), str(sol)]) == 0
+
+
 def test_path_solve_keeps_the_input_pixelation_cached(monkeypatch):
     """solve --algo path --render pixelates the input for the render from cache.
 

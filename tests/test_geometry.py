@@ -388,10 +388,11 @@ def _lazy_shape(shape):
 def test_solve_builds_no_product_it_does_not_read(shape, algo):
     """Products only some solvers read are derived on first read: after a
     greedy, exact, bg or dp solve neither those nor the slices were built,
-    and path builds only the slices.  dp reads the dual edges and side
-    guards only when it falls back to the lifted decomposition, which none
-    of these shapes needs.  No solve, nor path's refusal of a holed
-    polygon, builds a cell grid."""
+    and path builds only the slices, never the canonical guards or the runs
+    behind them.  dp reads the dual edges and side guards only when it
+    falls back to the lifted decomposition, which none of these shapes
+    needs.  No solve, nor path's refusal of a holed polygon, builds a cell
+    grid."""
     p = _lazy_shape(shape)
     sc.geometry.pixelate.cache_clear()
     if p.holes and algo == "path":
@@ -403,6 +404,8 @@ def test_solve_builds_no_product_it_does_not_read(shape, algo):
     assert not [k for k in _ON_FIRST_READ if k in built]
     if algo != "path":
         assert "slices_v" not in built and "slices_h" not in built
+    else:
+        assert "guards" not in built and "_runs" not in built
 
 
 @pytest.mark.parametrize("shape", ["comb10", "spiral4", "multi_hole"])

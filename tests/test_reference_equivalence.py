@@ -8,6 +8,7 @@ test with every hole vertex checked for containment, a linear
 ``on_boundary`` scan, guard runs from one mirrored loop per orientation,
 lifted side guards looked up among the runs on each pixel side's line,
 ``extend_to_maximal`` as a cell walk in one mirrored branch per orientation,
+a line's inside spans from a scan over every slice of its orientation,
 a scan over every slice-segment for each guard, a guard-by-guard
 ``verify_cover``, an O(crosses * guards) hitting-set transpose, a ring
 normalizer that rescans from the start after each merged vertex, and a
@@ -356,6 +357,19 @@ def loop_lift(td, H, pix):
             items |= {("g", gid) for gid in side[pid] if gid in H.gammaprime}
         bags.append(frozenset(items))
     return bags
+
+
+def loop_inside_spans(pix, orientation, anchor):
+    """The merged spans of the slices of one orientation whose closed range
+    across holds the line at ``anchor``, by one pass over all of them."""
+    spans = sorted((lo, hi) for a0, lo, a1, hi in pix._chains[orientation] if a0 <= anchor <= a1)
+    runs = []
+    for lo, hi in spans:
+        if runs and lo <= runs[-1]:
+            runs[-1] = max(runs[-1], hi)
+        else:
+            runs += [lo, hi]
+    return runs
 
 
 def loop_extend_to_maximal(pix, inside, orientation, anchor, lo, hi):
@@ -960,9 +974,9 @@ def test_pixelation_matches_reference_loops(polygons):
         assert pix.is_thin() == ref.is_thin(), name
 
 
-_EAGER = ("sigmas", "crosses", "_slice_cross_mask", "_runs", "guards")
-_LAZY = ("pixels", "slices_v", "slices_h", "raw_guards", "dual_edges", "side_guards",
-         "vslice", "hslice", "pixel")
+_EAGER = ("sigmas", "crosses", "_slice_cross_mask")
+_LAZY = ("_runs", "guards", "pixels", "slices_v", "slices_h", "raw_guards", "dual_edges",
+         "side_guards", "vslice", "hslice", "pixel")
 
 
 def assert_matches_cell_oracle(p, name, rng):
@@ -1001,16 +1015,40 @@ def test_pixelation_matches_cell_grid_oracle(polygons):
         assert_matches_cell_oracle(p, name, rng)
 
 
-@pytest.mark.parametrize("name", ["path_lb48", "comb200", "thin160", "rand120", "grid8x9"])
+_BENCH_SIZE = {"path_lb48": lambda: sc.gen_path_lb(48),
+               "comb200": lambda: sc.gen_comb(200),
+               "thin160": lambda: sc.gen_thin_tree(160, 4),
+               "rand120": lambda: sc.gen_random_simple(120, 1),
+               "grid8x9": lambda: _holed_grid(8, 9, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_SIZE))
 def test_pixelation_matches_cell_grid_oracle_at_bench_size(name):
     """Sizes where the per-cell loop references are out of reach: path_lb(48)
     has about 20,000 grid cells for 283 pixels."""
-    poly = {"path_lb48": lambda: sc.gen_path_lb(48),
-            "comb200": lambda: sc.gen_comb(200),
-            "thin160": lambda: sc.gen_thin_tree(160, 4),
-            "rand120": lambda: sc.gen_random_simple(120, 1),
-            "grid8x9": lambda: _holed_grid(8, 9, 3)}[name]()
-    assert_matches_cell_oracle(poly, name, random.Random(name))
+    assert_matches_cell_oracle(_BENCH_SIZE[name](), name, random.Random(name))
+
+
+def assert_inside_matches_line_scan(p, name):
+    """``_inside`` from the stabbing index equals the scan over every slice,
+    in both orientations, on every grid line, on one anchor between each
+    two adjacent lines that have one, and past both outer lines."""
+    pix = sc.Pixelation(p)
+    for o, lines in ((VERTICAL, pix.x_cuts), (HORIZONTAL, pix.y_cuts)):
+        anchors = [lines[0] - 1, *lines, lines[-1] + 1]
+        anchors += [(a + b) // 2 for a, b in zip(lines, lines[1:]) if b - a > 1]
+        for a in anchors:
+            assert pix._inside(o, a) == loop_inside_spans(pix, o, a), (name, o, a)
+
+
+def test_inside_spans_match_line_scan(polygons):
+    for name, p in polygons.items():
+        assert_inside_matches_line_scan(p, name)
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_SIZE))
+def test_inside_spans_match_line_scan_at_bench_size(name):
+    assert_inside_matches_line_scan(_BENCH_SIZE[name](), name)
 
 
 def test_lifted_side_guards_match_run_lookup(polygons):
@@ -1362,6 +1400,27 @@ def test_path_guard_matches_per_peel_reference():
     assert 30 <= refused < len(polys) - 300
 
 
+def test_path_guard_matches_its_steps():
+    """path_guard asks for no remainders; its cameras, or the exception it
+    raises, are path_guard_steps' on every shape, refused ones included,
+    and the steps without remainders are the same steps with none."""
+    refused = 0
+    for p in _path_corpus():
+        want = _peel_outcome(sc.path_guard_steps, p)
+        try:
+            got = sc.path_guard(p).cameras
+        except Exception as e:
+            got = (type(e), str(e))
+        bare = _peel_outcome(lambda p: sc.path_guard_steps(p, remainders=False), p)
+        if isinstance(want[0], type):
+            assert got == bare == want, p
+            refused += 1
+        else:
+            assert got == want[0], p
+            assert bare == (want[0], [(*step[:3], None) for step in want[1]]), p
+    assert refused >= 30
+
+
 def test_small_guard_memo_stays_bounded(monkeypatch):
     """Every piece of the per-peel corpus is looked up among the 43 rank types."""
     monkeypatch.setattr(gallery, "_SMALL_GUARDS", {})
@@ -1376,14 +1435,15 @@ def test_small_guard_memo_stays_bounded(monkeypatch):
 def test_close_cut_arc_matches_validate_polygon(monkeypatch):
     """Both parts of every cut of the per-peel corpus, refused peels included."""
     arcs = []
-    split = gallery._split_ring
+    cut = gallery._cut
 
-    def recorded(ring, p, q):
-        parts = split(ring, p, q)
+    def recorded(*args):
+        parts = cut(*args)
+        assert parts[1] is not None  # path_guard_steps builds remainders by default
         arcs.extend(parts)
         return parts
 
-    monkeypatch.setattr(gallery, "_split_ring", recorded)
+    monkeypatch.setattr(gallery, "_cut", recorded)
     for p in _path_corpus():
         try:
             sc.path_guard_steps(p)

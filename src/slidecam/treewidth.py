@@ -13,15 +13,22 @@ vertical support, an edge contraction, and a cross is the constraint "one
 of my two supports is hit", settled when the first is forgotten.  States
 per bag vertex: guards are selected/unselected and slice-segments hit,
 unhit or unhit-but-needed (a cross partner was forgotten unhit); a needed
-segment forgotten unhit kills the branch.  ``dp_peak_table`` counts these
-states.  Crosses come back as one leaf bag {c, sv, sh} each: that
-decomposition of H is what ``--dump-td`` writes and ``width_used`` counts.
+segment forgotten unhit kills the branch.  Each vertex has a fixed slot,
+coloured top-down over the rooted bag tree: a vertex new to a bag takes the
+smallest slot its retained vertices leave free, so a bag's vertices hold
+distinct slots below width + 1 and a state is one int of 2 * (width + 1)
+bits that no step remaps.  There is one table per tree edge, built from
+the child's table in one pass per state (forget the child's vertices the
+parent lacks, then introduce the parent's new ones), and sibling tables are
+joined at the parent.  ``dp_peak_table`` is the largest of these tables.
+Crosses come back as one leaf bag {c, sv, sh} each: that decomposition of H
+is what ``--dump-td`` writes and ``width_used`` counts.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
+import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -54,8 +61,9 @@ class TreeDecomposition:
     def to_text(self) -> str:
         """Decomposition dump: one bag per line, edges after a blank line."""
         lines = [f"s td {len(self.bags)} {self.width + 1}"]
+        name = {v: repr(v) for v in frozenset().union(*self.bags)}
         for i, bag in enumerate(self.bags):
-            items = " ".join(sorted(map(repr, bag)))
+            items = " ".join(sorted(map(name.__getitem__, bag)))
             lines.append(f"b {i + 1} {items}".rstrip())
         for a, b in self.edges:
             lines.append(f"{a + 1} {b + 1}")
@@ -97,41 +105,44 @@ def decompose(adj: Dict) -> TreeDecomposition:
 
     Each step eliminates the vertex whose remaining neighbours miss the
     fewest edges among themselves (its fill), the smaller vertex on ties.
+    Min-fill runs on integer ids, each vertex's index in sorted order, so
+    ties break the same way, and the bags are mapped back at the end.
     Fills are counted once, then updated by exact deltas, never recounted:
     eliminating ``v`` drops from each neighbour u the missing pairs {v, x}
     with x in N(u) but not in N(v); each fill edge a-b then completes {a, b}
     for every common neighbour and adds to a one missing pair per neighbour
     of a outside N(b), and likewise to b.  Only vertices whose fill changed
-    get a new entry in the lazy heap keyed ``(fill, vertex)`` that yields
-    the next vertex.
+    get a new entry in the lazy heap keyed ``fill * n + vertex`` that yields
+    the next vertex.  A vertex's neighbour set is left as it was when the
+    vertex was eliminated: its bag.
     """
     if not adj:
         raise ValueError("empty graph")
-    work: Dict = {v: set(ns) for v, ns in adj.items()}
-    fills = {v: (len(ns) * (len(ns) - 1) - sum(len(ns & work[u]) for u in ns)) // 2
-             for v, ns in work.items()}
-    heap = [(f, v) for v, f in fills.items()]
+    names = sorted(adj)
+    n = len(names)
+    num = {v: i for i, v in enumerate(names)}
+    work: List[set] = [set(map(num.__getitem__, adj[v])) for v in names]
+    fills = [(len(ns) * (len(ns) - 1) - sum([len(ns & work[u]) for u in ns])) // 2
+             for ns in work]
+    heap = [f * n + v for v, f in enumerate(fills)]
     heapq.heapify(heap)
-    order: List = []
-    bag_of: Dict = {}
+    order: List[int] = []
     while heap:
-        f, v = heapq.heappop(heap)
-        if fills.get(v) != f:
-            continue  # stale entry, or v already eliminated
-        del fills[v]
-        ns = work.pop(v)
-        bag_of[v] = frozenset([v, *ns])
+        f, v = divmod(heapq.heappop(heap), n)
+        if fills[v] != f:
+            continue  # stale entry, or v already eliminated (fill -1)
+        fills[v] = -1
+        ns = work[v]
         order.append(v)
-        delta: Dict = {}
+        delta: Dict[int, int] = {}
         for u in ns:
             wu = work[u]
             wu.discard(v)
             delta[u] = len(wu & ns) - len(wu)
-        rest = list(ns)
-        for i, a in enumerate(rest):
+        for a in ns:
             wa = work[a]
-            for b in rest[i + 1:]:
-                if b not in wa:
+            for b in ns - wa:  # a's missing pairs, each taken from its smaller end
+                if b > a:
                     wb = work[b]
                     common = wa & wb
                     for w in common:
@@ -143,20 +154,22 @@ def decompose(adj: Dict) -> TreeDecomposition:
         for u, d in delta.items():
             if d:
                 fills[u] += d
-                heapq.heappush(heap, (fills[u], u))
+                heapq.heappush(heap, fills[u] * n + u)
 
     # each bag hangs below the bag of its earliest-eliminated later neighbour;
     # a vertex without one ends its component, whose bag tree is then chained
     # to the next bag so that a disconnected graph still gets one tree
-    elim_index = {v: i for i, v in enumerate(order)}
+    elim_index = [0] * n
+    for i, v in enumerate(order):
+        elim_index[v] = i
     edges = []
     for i, v in enumerate(order):
-        later = [elim_index[u] for u in bag_of[v] if u != v]
-        if later:
-            edges.append((i, min(later)))
-        elif i + 1 < len(order):
+        if work[v]:
+            edges.append((i, min([elim_index[u] for u in work[v]])))
+        elif i + 1 < n:
             edges.append((i, i + 1))
-    return TreeDecomposition(bags=tuple(bag_of[v] for v in order), edges=tuple(edges))
+    bags = tuple(frozenset([names[v], *map(names.__getitem__, work[v])]) for v in order)
+    return TreeDecomposition(bags=bags, edges=tuple(edges))
 
 
 def validate_decomposition(td: TreeDecomposition, vertices: Iterable, edges: Iterable) -> Tuple[bool, Optional[tuple]]:
@@ -219,16 +232,20 @@ def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
 def _contract(td: TreeDecomposition,
               H: AuxiliaryGraph) -> Tuple[TreeDecomposition, TreeDecomposition]:
     """``td`` with each cross replaced by its vertical support (an edge
-    contraction: a decomposition of ``H.support``, no wider), and that with
-    a leaf bag {c, sv, sh} per requested cross below the first bag holding
-    both supports, found in the shorter of the two supports' bag lists of a
-    per-vertex bag index: a decomposition of ``H``.
+    contraction: a decomposition of ``H.support``, no wider; ``td`` itself
+    when no bag holds a cross), and that with a leaf bag {c, sv, sh} per
+    requested cross below the first bag holding both supports, found in the
+    shorter of the two supports' bag lists of a per-vertex bag index: a
+    decomposition of ``H``.
     """
     vsup = {("c", c): ("s", H.pix.crosses[c].v_support) for c in H.xprime}
-    bags = [frozenset(vsup.get(v, v) for v in bag) for bag in td.bags]
-    contracted = replace(td, bags=tuple(bags))
+    contracted = td
+    if not all(map(vsup.keys().isdisjoint, td.bags)):
+        contracted = replace(td, bags=tuple(frozenset(vsup.get(v, v) for v in bag)
+                                            for bag in td.bags))
+    bags = list(contracted.bags)
     where: Dict[Node, List[int]] = {}
-    for i, bag in enumerate(contracted.bags):
+    for i, bag in enumerate(bags):
         for v in bag:
             where.setdefault(v, []).append(i)
     edges = list(td.edges)
@@ -242,181 +259,195 @@ def _contract(td: TreeDecomposition,
 
 
 # ---------------------------------------------------------------------------
-# Nice decomposition
+# DP over the bag tree
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _NiceNode:
-    kind: str                      # leaf | introduce | forget | join
-    bag: Tuple[Node, ...]          # sorted
-    vertex: Optional[Node] = None
-    children: Tuple[int, ...] = ()
+def _slots(td: TreeDecomposition) -> Tuple[List[int], List[int], Dict[Node, int]]:
+    """The bags in breadth-first order from the root, bag 0, with children
+    in ascending order; each bag's parent (-1 at the root); and each
+    vertex's slot.
 
-
-def _sorted_bag(bag) -> Tuple[Node, ...]:
-    return tuple(sorted(bag))
-
-
-def _make_nice(td: TreeDecomposition) -> List[_NiceNode]:
-    """Binary nice decomposition with an empty root bag.
-
-    Children are binarized into joins over the parent bag; between bags,
-    forgets run before introduces.  The list is ordered so that children
-    always precede their parent; the last node is the empty root.
+    A vertex takes its slot in the topmost bag holding it: the smallest
+    slot that the vertices the bag shares with its parent do not use, new
+    vertices in sorted order.  The bags holding a vertex form a subtree, so
+    where one of two vertices sharing a bag takes its slot, the other holds
+    one already or takes one with it: a bag's slots are distinct, and all
+    are below width + 1 (compare colouring a chordal graph, Gavril 1972).
     """
-    nodes: List[_NiceNode] = []
-
-    def add(node: _NiceNode) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
-
-    def chain(from_idx: int, from_bag: set, to_bag: set) -> int:
-        cur_idx, cur = from_idx, sorted(from_bag)
-        for v in _sorted_bag(from_bag - to_bag):
-            cur.remove(v)
-            cur_idx = add(_NiceNode("forget", tuple(cur), v, (cur_idx,)))
-        for v in _sorted_bag(to_bag - from_bag):
-            bisect.insort(cur, v)
-            cur_idx = add(_NiceNode("introduce", tuple(cur), v, (cur_idx,)))
-        return cur_idx
-
-    adj = td.neighbors()
-    # depth-first from bag 0 with an explicit stack of (bag, parent, children
-    # left, finished child chains); a finished bag chains into its parent's bag
-    stack = [(0, -1, iter(sorted(adj[0])), [])]
-    while True:
-        b, parent, todo, kid_idxs = stack[-1]
-        nb = next(todo, None)
-        if nb is not None:
-            if nb != parent:
-                stack.append((nb, b, iter(sorted(adj[nb])), []))
-            continue
-        bag = set(td.bags[b])
-        if kid_idxs:
-            top = kid_idxs[0]
-            for k in kid_idxs[1:]:
-                top = add(_NiceNode("join", _sorted_bag(bag), None, (top, k)))
-        else:
-            top = chain(add(_NiceNode("leaf", (), None, ())), set(), bag)
-        stack.pop()
-        if not stack:
-            break
-        stack[-1][3].append(chain(top, bag, set(td.bags[parent])))
-    chain(top, set(td.bags[0]), set())
-    return nodes
+    nbrs = td.neighbors()
+    order, parent = [0], [-1] * len(td.bags)
+    slot = {v: i for i, v in enumerate(sorted(td.bags[0]))}
+    for b in order:  # grows while it is read: a breadth-first walk
+        bag = td.bags[b]
+        for c in sorted(nbrs[b]):
+            if c != parent[b]:
+                parent[c] = b
+                order.append(c)
+                used = set(map(slot.__getitem__, td.bags[c] & bag))
+                free = itertools.filterfalse(used.__contains__, itertools.count())
+                slot.update(zip(sorted(td.bags[c] - bag), free))
+    return order, parent, slot
 
 
-# ---------------------------------------------------------------------------
-# DP over the nice decomposition
-# ---------------------------------------------------------------------------
+def _bag_dp(td: TreeDecomposition, adj: Dict[Node, FrozenSet[Node]]
+            ) -> Tuple[Optional[FrozenSet[int]], List[Dict[int, int]]]:
+    """Minimum guard set or None if infeasible, and the cost dict of every
+    table it kept.
 
-def _dp(nodes: List[_NiceNode],
-        adj: Dict[Node, FrozenSet[Node]]) -> Tuple[Optional[FrozenSet[int]], int]:
-    """Minimum guard set or None if infeasible, and the largest table size.
-
-    ``nodes`` is a nice decomposition of the support graph ``adj``: a guard's
-    neighbours are the segments it meets, a segment's segment neighbours the
-    other supports of its crosses.  Every guard and slice-segment has one
-    bit, and a bag state is the int ``A | B << N`` over the N of them.
-    ``A`` holds "selected" for a guard and "hit" for a segment; ``B`` holds
+    ``td`` decomposes the support graph ``adj``: a guard's neighbours are
+    the segments it meets, a segment's segment neighbours the other
+    supports of its crosses.  With W = width + 1 and each vertex at its
+    slot s (``_slots``), a state is the int ``A | B << W``: bit s of ``A``
+    is "selected" for a guard and "hit" for a segment, bit s of ``B``
     "needed" for an unhit segment whose cross partner was forgotten unhit.
     A segment's hit bit is final when it is forgotten, since every guard on
     it was introduced below; forgetting it unhit makes its unhit in-bag
     partners needed, and forgetting it needed kills the branch.  A partner
     forgotten earlier already ran this rule with the segment in its bag.
-    Each table maps a state to its least cost and the child state(s) it
-    came from; the first state reaching a cost keeps it, so ties break
-    deterministically.
+    Each tree edge maps the child's table to one over the parent's bag in
+    one pass per state: the child's vertices the parent lacks are forgotten
+    (in any order, which gives the same state), then the parent's new
+    vertices introduced in sorted order, guards first, with masks read off
+    the bags, never off a vertex's adjacency.  A leaf starts from the empty
+    bag and the root ends in it; the tables a bag's children send up are
+    joined there in ascending child order.  A table is two int dicts, a
+    state's least cost and the state it came from (a join's two states
+    packed as ``left << 2W | right``); the first state reaching a cost keeps
+    it, so ties break deterministically.
     """
-    verts = sorted(adj)
-    shift = len(verts)
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    low = (1 << shift) - 1
-    guards = sum(bit[v] for v in verts if v[0] == "g")
-    # guard-segment neighbours, and per segment the other supports of its crosses
-    near = {v: sum(bit[u] for u in adj[v] if u[0] != v[0]) for v in verts}
-    partners = {v: sum(bit[u] for u in adj[v] if u[0] == v[0]) for v in verts}
+    order, parent, slot = _slots(td)
+    # a vertex's slot bit, and that bit only for a guard or only for a
+    # segment: bag vertices hold distinct slots, so sums of bits are ORs
+    bit = {v: 1 << i for v, i in slot.items()}
+    guard_bit = {v: b if v[0] == "g" else 0 for v, b in bit.items()}
+    seg_bit = {v: b if v[0] == "s" else 0 for v, b in bit.items()}
+    width = td.width + 1
+    low, half = (1 << width) - 1, 2 * width
 
-    tables: List[Dict[int, tuple]] = []
-    masks: List[int] = []  # the bag of each node as a mask
-    for node in nodes:  # children precede their parent
-        table: Dict[int, tuple] = {}
-        kind, v = node.kind, node.vertex
-
-        def put(state: int, cost: int, back) -> None:
-            cur = table.get(state)
-            if cur is None or cost < cur[0]:
-                table[state] = (cost, back)
-
-        if kind == "leaf":
-            mask = 0
-            table[0] = (0, None)
-
-        elif kind == "introduce":
-            child = tables[node.children[0]]
-            b = bit[v]
-            mask = masks[node.children[0]] | b
-            inbag = near[v] & mask
+    def step(costs: Dict[int, int], old: FrozenSet[Node], new: FrozenSet[Node]):
+        """The table ``costs`` over bag ``old`` as one over bag ``new``, and
+        the id of each guard it introduces by its bit."""
+        cur = set(old)
+        forgets = []
+        for v in old - new:  # in any order: the state comes out the same
+            cur.discard(v)
+            need = sum(map(seg_bit.__getitem__, cur & adj[v])) if v[0] == "s" else 0
+            forgets.append((bit[v], bit[v] << width, need))
+        # each subset of the new guards, unselected first, as the bits it
+        # sets and keeps: selecting a guard hits its segments in the new bag
+        # and drops their "needed"; a new segment is also hit by a selected
+        # kept guard that meets it
+        picks = [(0, -1, 0)]
+        guards: Dict[int, int] = {}
+        segments = []
+        for v in sorted(new - old):  # guards first; cur now holds the kept vertices
             if v[0] == "g":
-                # selecting the guard hits its in-bag segments and drops
-                # their "needed"
-                keep = ~(inbag << shift)
-                for st, (cost, _) in child.items():
-                    put(st, cost, st)
-                    put((st | b | inbag) & keep, cost + 1, st)
-            else:  # a segment is hit iff a selected in-bag guard meets it
-                table = {(st | b if st & inbag else st): (cost, st)
-                         for st, (cost, _) in child.items()}
-
-        elif kind == "forget":
-            b = bit[v]
-            mask = masks[node.children[0]] & ~b
-            dead, need = b << shift, partners[v] & mask
-            for st, (cost, _) in tables[node.children[0]].items():
+                mask = sum(map(bit.__getitem__, new & adj[v]))
+                guards[bit[v]] = v[1]
+                picks = [p for on, keep, k in picks
+                         for p in ((on, keep, k), (on | bit[v] | mask, keep & ~(mask << width), k + 1))]
+            else:
+                mask = sum(map(guard_bit.__getitem__, cur & adj[v]))
+                if mask:
+                    segments.append((bit[v], mask))
+        out: Dict[int, int] = {}
+        back: Dict[int, int] = {}
+        for st0, cost in costs.items():
+            st = st0
+            for b, dead, need in forgets:
                 if st & dead:
-                    continue
-                if st & b or not need:
-                    put(st & ~b, cost, st)
-                else:
-                    put(st & ~b | (need & ~st) << shift, cost, st)
+                    break
+                if st & b:
+                    st ^= b
+                elif need:
+                    st |= (need & ~st) << width
+            else:
+                for on, keep, k in picks:
+                    s = (st | on) & keep
+                    for b, mask in segments:
+                        if s & mask:
+                            s |= b
+                    best = out.get(s)
+                    if best is None or cost + k < best:
+                        out[s] = cost + k
+                        back[s] = st0
+        return out, back, guards
 
-        else:  # join: guards agree; hit ORs, needed stays unless hit
-            left, right = (tables[i] for i in node.children)
-            mask = masks[node.children[0]]
-            gmask = mask & guards
-            groups: Dict[int, List[tuple]] = {}
-            for rst, (rcost, _) in right.items():
-                groups.setdefault(rst & gmask, []).append((rst, rcost))
-            for lst, (lcost, _) in left.items():
-                key = lst & gmask
-                base = lcost - key.bit_count()
-                for rst, rcost in groups.get(key, ()):
-                    full = lst | rst
-                    put(full & ~((full & low) << shift), base + rcost, (lst, rst))
+    def join(left: Dict[int, int], right: Dict[int, int], gmask: int):
+        """Guards agree; hit ORs, needed stays unless hit."""
+        groups: Dict[int, List[int]] = {}
+        for rst in right:
+            groups.setdefault(rst & gmask, []).append(rst)
+        out: Dict[int, int] = {}
+        back: Dict[int, int] = {}
+        for lst, lcost in left.items():
+            key = lst & gmask
+            base = lcost - key.bit_count()
+            for rst in groups.get(key, ()):
+                full = lst | rst
+                full &= ~((full & low) << width)
+                cost = base + right[rst]
+                best = out.get(full)
+                if best is None or cost < best:
+                    out[full] = cost
+                    back[full] = lst << half | rst
+        return out, back
 
-        tables.append(table)
-        masks.append(mask)
+    empty: FrozenSet[Node] = frozenset()
+    kids: Dict[int, List[int]] = {}
+    for c in order[1:]:
+        kids.setdefault(parent[c], []).append(c)  # ascending: the walk visits them so
+    # the (costs, back, guards) each bag sends up to its parent, each leaf's
+    # start from the empty bag, and the back dicts joining a bag's children
+    # in turn.  Tables are dicts of ints only, which the garbage collector
+    # does not track.
+    sent: List[tuple] = [()] * len(td.bags)
+    starts: Dict[int, tuple] = {}
+    joins: Dict[int, List[Dict[int, int]]] = {}
+    tables: List[Dict[int, int]] = []
+    for b in reversed(order):  # children before their parent
+        bag = td.bags[b]
+        if b in kids:
+            ins = [sent[c] for c in kids[b]]
+        else:
+            ins = [step({0: 0}, empty, bag)]
+            starts[b] = ins[0]
+        costs = ins[0][0]
+        tables.append(costs)
+        if len(ins) > 1:
+            gmask = sum(map(guard_bit.__getitem__, bag))
+            joins[b] = []
+            for other, _, _ in ins[1:]:
+                costs, back = join(costs, other, gmask)
+                joins[b].append(back)
+                tables += (other, costs)
+        if parent[b] >= 0:
+            sent[b] = step(costs, bag, td.bags[parent[b]])
+    final, root_back, _ = step(costs, td.bags[0], empty)
+    if 0 not in final:
+        return None, tables
 
-    peak = max(len(t) for t in tables)
-    if 0 not in tables[-1]:
-        return None, peak
-
-    # traceback: collect guards selected at their introduce nodes
-    selected = set()
-    stack = [(len(nodes) - 1, 0)]
+    # traceback: unwind each bag's joins, then collect the guards each
+    # table it received selected where it introduced them
+    picked = set()
+    rmask = (1 << half) - 1
+    stack = [(0, root_back[0])]
     while stack:
-        idx, st = stack.pop()
-        node = nodes[idx]
-        back = tables[idx][st][1]
-        if node.kind == "join":
-            stack.append((node.children[0], back[0]))
-            stack.append((node.children[1], back[1]))
-        elif node.kind != "leaf":
-            v = node.vertex
-            if node.kind == "introduce" and v[0] == "g" and st & bit[v]:
-                selected.add(v[1])
-            stack.append((node.children[0], back))
-    return frozenset(selected), peak
+        b, st = stack.pop()
+        if b not in kids:
+            picked.update(g for gb, g in starts[b][2].items() if st & gb)
+            continue
+        states = []
+        for back in reversed(joins.get(b, ())):
+            pair = back[st]
+            st = pair >> half
+            states.append(pair & rmask)
+        states.append(st)
+        for c, st in zip(kids[b], reversed(states)):
+            _, back, guards = sent[c]
+            picked.update(g for gb, g in guards.items() if st & gb)
+            stack.append((c, back[st]))
+    return frozenset(picked), tables
 
 
 def dp_solve(H: AuxiliaryGraph, td: TreeDecomposition,
@@ -424,17 +455,20 @@ def dp_solve(H: AuxiliaryGraph, td: TreeDecomposition,
     """Minimum guard set via dynamic programming over a decomposition of ``H``.
 
     ``td`` decomposes ``H.support`` (min-fill, as a solve builds it) or ``H``
-    (the lift); the DP runs on its contraction, which decomposes ``H.support``.
-    That plus a leaf bag per requested cross is the decomposition of ``H``
-    whose width is checked against ``width_max`` and that the solution
-    carries.  The cover is verified on the crosses ``H`` was built over;
-    the largest DP table, in states, is the counter ``dp_peak_table``.
+    (the lift); the DP runs on its contraction, which decomposes ``H.support``
+    (``td`` itself when no bag holds a cross).  That plus a leaf bag per
+    requested cross is the decomposition of ``H`` whose width is checked
+    against ``width_max`` and that the solution carries.  The DP
+    (``_bag_dp``) takes one step per edge of the contraction's tree, on
+    states of 2 * (width + 1) bits, two per vertex slot (``_slots``).  The
+    cover is verified on the crosses ``H`` was built over; the largest DP
+    table, in states, is the counter ``dp_peak_table``.
     """
     contracted, full = _contract(td, H)
     if full.width > width_max:
         raise WidthExceeded(f"width {full.width} exceeds limit {width_max}")
-    picked, peak = _dp(_make_nice(contracted), H.support)
+    picked, tables = _bag_dp(contracted, H.support)
     if picked is None:
         raise Infeasible("no guard set satisfies all requested crosses")
     return replace(make_solution(H.pix, H.xprime, sorted(picked), "dp"), decomposition=full,
-                   counters={"dp_peak_table": peak})
+                   counters={"dp_peak_table": max(map(len, tables))})

@@ -17,9 +17,10 @@ remainder, traces each piece unit step by unit step and pixelates each piece
 to find its camera.  The net finders sample over the per-cross
 guard sets in two copies of one loop (one for orientation parts) with their
 own budget formula, the reweighting loop verifies each net geometrically,
-the nice decomposition is built by recursion, min-fill recounts every
-vertex's fill at each elimination, each cross's leaf bag is placed by a
-scan over every bag, and the DP keeps one tuple entry per bag vertex.
+min-fill recounts every vertex's fill at each elimination, each cross's
+leaf bag is placed by a scan over every bag, and the DP keeps one tuple
+entry per bag vertex on a binary nice decomposition, whose builder is
+itself checked against one built by recursion.
 ``CellPixelation`` builds the pixelation by labelling every cell of the
 compressed grid, as the library did before its sweeps, and every product
 of the sweeps is compared with it, at sizes the per-cell loops cannot
@@ -35,6 +36,7 @@ import operator
 import random
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -59,11 +61,9 @@ from slidecam.geometry import (
     close_cut_arc,
 )
 from slidecam.treewidth import (
+    _bag_dp,
     _contract,
-    _dp,
-    _make_nice,
-    _NiceNode,
-    _sorted_bag,
+    _slots,
     decompose,
     dual_graph,
     is_tree,
@@ -1683,6 +1683,67 @@ def test_bg_reports_match_verify_per_round_loop():
 # Nice decomposition
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _NiceNode:
+    kind: str                      # leaf | introduce | forget | join
+    bag: tuple                     # sorted
+    vertex: object = None
+    children: tuple = ()
+
+
+def _sorted_bag(bag):
+    return tuple(sorted(bag))
+
+
+def _make_nice(td):
+    """Binary nice decomposition with an empty root bag: loop_dp's input.
+
+    Children are binarized into joins over the parent bag; between bags,
+    forgets run before introduces.  The list is ordered so that children
+    always precede their parent; the last node is the empty root.
+    """
+    nodes = []
+
+    def add(node):
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def chain(from_idx, from_bag, to_bag):
+        cur_idx, cur = from_idx, sorted(from_bag)
+        for v in _sorted_bag(from_bag - to_bag):
+            cur.remove(v)
+            cur_idx = add(_NiceNode("forget", tuple(cur), v, (cur_idx,)))
+        for v in _sorted_bag(to_bag - from_bag):
+            bisect.insort(cur, v)
+            cur_idx = add(_NiceNode("introduce", tuple(cur), v, (cur_idx,)))
+        return cur_idx
+
+    adj = td.neighbors()
+    # depth-first from bag 0 with an explicit stack of (bag, parent, children
+    # left, finished child chains); a finished bag chains into its parent's bag
+    stack = [(0, -1, iter(sorted(adj[0])), [])]
+    while True:
+        b, parent, todo, kid_idxs = stack[-1]
+        nb = next(todo, None)
+        if nb is not None:
+            if nb != parent:
+                stack.append((nb, b, iter(sorted(adj[nb])), []))
+            continue
+        bag = set(td.bags[b])
+        if kid_idxs:
+            top = kid_idxs[0]
+            for k in kid_idxs[1:]:
+                top = add(_NiceNode("join", _sorted_bag(bag), None, (top, k)))
+        else:
+            top = chain(add(_NiceNode("leaf", (), None, ())), set(), bag)
+        stack.pop()
+        if not stack:
+            break
+        stack[-1][3].append(chain(top, bag, set(td.bags[parent])))
+    chain(top, set(td.bags[0]), set())
+    return nodes
+
+
 def loop_make_nice(td):
     """_make_nice built by recursion, raising the interpreter's recursion limit."""
     nodes = []
@@ -2075,15 +2136,17 @@ def loop_contract_edges(td, H):
 def test_contract_matches_scan_over_every_bag(polygons):
     """Scanning the shorter of the two supports' bag lists finds the same first
     bag as scanning every bag, on the corpus and on comb(60), whose base
-    midline sits in most bags."""
+    midline sits in most bags.  A decomposition without cross vertices
+    (min-fill on S) is its own contraction; the others are rebuilt."""
     polys = dict(polygons)
     polys["comb60"] = sc.gen_comb(60)
     for name, p in polys.items():
         pix = sc.pixelate(p)
         H = sc.build_auxiliary_graph(pix)
         lifted = lift_decomposition(decompose(dual_graph(pix)), H, pix)
-        for td in (lifted, decompose(H.support), decompose(H.adj)):
-            full = _contract(td, H)[1]
+        for td, has_crosses in ((lifted, True), (decompose(H.support), False), (decompose(H.adj), True)):
+            contracted, full = _contract(td, H)
+            assert (contracted is td) != has_crosses, name
             assert full.edges == loop_contract_edges(td, H), name
 
 
@@ -2118,11 +2181,11 @@ def _dp_cases():
 
 
 def test_dp_matches_tuple_state_reference():
-    """The cross-free DP has loop_dp's optimum (or None).
+    """The bag-by-bag DP has loop_dp's optimum (or None).
 
-    loop_dp runs on the lifted and min-fill decompositions as they are,
-    cross vertices included; _dp runs on their contraction, with the
-    support graph.
+    loop_dp runs on the nice form of the lifted and min-fill decompositions
+    as they are, cross vertices included; _bag_dp runs on their
+    contraction's bag tree, with the support graph.
     """
     solved = infeasible = narrower = 0
     for pix, xs, gids, H, lifted, minfill in _dp_cases():
@@ -2130,9 +2193,9 @@ def test_dp_matches_tuple_state_reference():
         for td in (lifted, minfill):
             if td.width > 13:
                 continue
-            picked, peak = _dp(_make_nice(_contract(td, H)[0]), H.support)
+            picked, tables = _bag_dp(_contract(td, H)[0], H.support)
             ref = loop_dp(_make_nice(td), H)
-            assert peak >= 1
+            assert max(map(len, tables)) >= 1
             if ref is None:
                 assert picked is None
                 infeasible += 1
@@ -2141,6 +2204,27 @@ def test_dp_matches_tuple_state_reference():
             assert sc.verify_cover(pix, sorted(picked), xs).covered
             solved += 1
     assert solved > 400 and infeasible > 10 and narrower > 200, (solved, infeasible, narrower)
+
+
+def test_slots_are_distinct_in_bags_and_states_fit_the_width():
+    """On the contraction of the lifted decomposition and of min-fill on S
+    and on H, each bag's vertices hold distinct slots below width + 1, and
+    every state the DP keeps fits in 2 * (width + 1) bits."""
+    checked = 0
+    for pix, xs, gids, H, lifted, minfill in _dp_cases():
+        for td in (lifted, decompose(H.support), minfill):
+            if td.width > 13:
+                continue
+            cf = _contract(td, H)[0]
+            width = cf.width + 1
+            slot = _slots(cf)[2]
+            for bag in cf.bags:
+                slots = {slot[v] for v in bag}
+                assert len(slots) == len(bag) and max(slots) < width, (pix.polygon, xs, gids, bag)
+            tables = _bag_dp(cf, H.support)[1]
+            assert all(0 <= st < 1 << 2 * width for t in tables for st in t), (pix.polygon, xs, gids)
+            checked += 1
+    assert checked > 600, checked
 
 
 def test_cross_free_decomposition_is_valid_for_contracted_graph():

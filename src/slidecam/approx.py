@@ -4,8 +4,9 @@ The net finder is weighted random sampling with post-hoc verification and
 resampling, giving nets of size O(r log m) instead of the optimal O(r); any
 verified net preserves the correctness of the reweighting loop, which only
 ever doubles the weights of a light unhit set.  Incidence is read from each
-guard's ``hit_set`` bitmask over cross ids.  All randomness is derived from
-string seeds, so identical seeds give identical runs.
+guard's hit mask over cross ids (the pixelation's ``guard_masks``).  All
+randomness is derived from string seeds, so identical seeds give identical
+runs.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ def heavy_sets(inst: HittingInstance, r: Fraction) -> List[int]:
     """Crosses whose set weight is at least W/r (exact rational comparison)."""
     set_weight = dict.fromkeys(inst.xprime, 0)
     for g in inst.universe:
-        for c in _bits(inst.pix.guards[g].hit_set & inst.wanted):
+        for c in _bits(inst.pix.guard_masks[g] & inst.wanted):
             set_weight[c] += inst.weight_of(g)
     W = inst.total_weight()
     return [c for c in inst.xprime
@@ -152,7 +153,7 @@ def bg_hitting_set(inst: HittingInstance, seed: int = 0,
     """Reweighting hitting-set loop: guess k, find (1/2k)-nets, double light sets.
 
     For each guess k (doubling from 1) weights start at 1; each round finds a
-    verified (1/2k)-net and ORs its guards' ``hit_set`` masks; if some
+    verified (1/2k)-net and ORs its guards' hit masks; if some
     requested cross is unhit, the lowest one is the witness and the weights
     of its (necessarily light) set double.  The number of rounds per guess is
     capped at ``round_constant * k * log2(|U|/k)`` before the guess doubles,
@@ -200,7 +201,7 @@ def bg_hitting_set(inst: HittingInstance, seed: int = 0,
                     budget_at_4k=budget(Fraction(4 * k)),
                 )
             witness = (unhit & -unhit).bit_length() - 1
-            hitters = [g for g in universe if inst.pix.guards[g].hit_set >> witness & 1]
+            hitters = [g for g in universe if inst.pix.guard_masks[g] >> witness & 1]
             w_set = sum(weights[g] for g in hitters)
             w_total = sum(weights.values())
             # an unhit set avoided a verified (1/2k)-net, so it must be light

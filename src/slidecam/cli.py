@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     pix = pixelate(poly)
     report = verify_cover(pix, _read_cameras(args.solution, pix))
     if report.covered:
-        print(f"covered: all {len(pix.crosses)} crosses")
+        print(f"covered: all {len(pix.h_supports)} crosses")
         return 0
     print(f"uncovered crosses: {','.join(map(str, report.uncovered))}")
     return 2

@@ -52,7 +52,7 @@ def make_solution(pix: Pixelation, xprime: Iterable[int], guards, method: str) -
     ids: Optional[Tuple[int, ...]] = None
     if all(isinstance(g, int) for g in guards):
         ids = tuple(sorted(set(guards)))
-        cams = tuple(pix.guards[g] for g in ids)
+        cams = tuple(map(pix.guard, ids))
     else:
         unique: Dict[tuple, GuardSegment] = {}
         for g in guards:
@@ -96,7 +96,7 @@ def brute_force_min_cover(inst: HittingInstance, cap: Optional[int] = None) -> S
         raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
     if not inst.wanted:
         return make_solution(inst.pix, inst.xprime, [], "exact")
-    masks = {g: inst.pix.guards[g].hit_set & inst.wanted for g in inst.universe}
+    masks = {g: inst.pix.guard_masks[g] & inst.wanted for g in inst.universe}
     candidates = _dominance_prune(inst, masks)
     if len(candidates) > _ORACLE_LIMIT:
         raise TooLargeForOracle(
@@ -134,7 +134,8 @@ def greedy_cover(inst: HittingInstance) -> Solution:
     """Repeatedly pick the guard hitting the most still-uncovered crosses."""
     if not inst.feasible:
         raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
-    hit_sets = {g: inst.pix.guards[g].hit_set for g in sorted(inst.universe)}
+    masks = inst.pix.guard_masks
+    hit_sets = {g: masks[g] for g in sorted(inst.universe)}
     uncovered = inst.wanted
     picked: List[int] = []
     while uncovered:

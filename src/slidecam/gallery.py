@@ -28,6 +28,7 @@ from .geometry import (
     Pixelation,
     Rect,
     Vertex,
+    _rect,
     _rotate_to_min,
     _straight,
     close_cut_arc,
@@ -323,8 +324,8 @@ def guard_small(poly: OrthoPolygon) -> GuardSegment:
     g = _SMALL_GUARDS.get(ranks)
     if g is None:
         pix = Pixelation(OrthoPolygon(outer=ranks))
-        every = (1 << len(pix.crosses)) - 1
-        g = next((g for g in pix.guards if g.hit_set == every), None)
+        every = (1 << len(pix.h_supports)) - 1
+        g = next((pix.guard(gid) for gid, mask in enumerate(pix.guard_masks) if mask == every), None)
         if g is None:
             raise AssertionError("no single camera covers this small polygon")
         _SMALL_GUARDS[ranks] = g
@@ -503,7 +504,7 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
     else:
         raise NotPathSegmentation("neither segmentation dual is a path")
     vertical = orientation == VERTICAL
-    rects = [s.rect for s in (pix0.slices_v if vertical else pix0.slices_h)]
+    rects = [_rect(orientation, chain) for chain in pix0._chains[orientation]]
     reflex = set(pix0.reflex_vertices)
     axis = 1 if vertical else 0  # seam ends not at a vertex lie on edges across this axis
 
@@ -544,7 +545,7 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
     bound = (poly.n + 2) // 6
     if len(cameras) > bound:
         raise AssertionError(f"path guarding used {len(cameras)} > {bound} cameras")
-    sol = make_solution(pix0, range(len(pix0.crosses)), cameras, "path")
+    sol = make_solution(pix0, range(len(pix0.h_supports)), cameras, "path")
     return sol, steps
 
 

@@ -11,7 +11,7 @@ import functools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -85,7 +85,8 @@ def _signed_area2(ring: Sequence[Vertex]) -> int:
     return s
 
 
-def _normalize_ring(raw: Sequence[Sequence[int]], name: str) -> List[Vertex]:
+def _normalize_ring(raw: Sequence[Sequence[int]], name: str) -> Tuple[List[Vertex], int]:
+    """The ring's turning vertices, and twice its signed area."""
     pts: List[Vertex] = []
     try:
         for x, y in raw:
@@ -128,9 +129,10 @@ def _normalize_ring(raw: Sequence[Sequence[int]], name: str) -> List[Vertex]:
         raise DegenerateRing(f"{name}: collapses to fewer than 4 vertices")
     if spur is not None:
         raise SelfIntersection(f"{name}: boundary doubles back at {pts[spur]}")
-    if _signed_area2(turns) == 0:
+    area2 = _signed_area2(turns)
+    if area2 == 0:
         raise DegenerateRing(f"{name}: zero area")
-    return turns
+    return turns, area2
 
 
 def _ring_edges(ring: Sequence[Vertex]):
@@ -239,12 +241,12 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     if not rings:
         raise DegenerateRing("no rings given")
     norm = [_normalize_ring(r, f"ring {i}") for i, r in enumerate(rings)]
-    outer = norm[0]
-    if _signed_area2(outer) < 0:
+    outer, area2 = norm[0]
+    if area2 < 0:
         outer.reverse()
     holes = []
-    for h in norm[1:]:
-        if _signed_area2(h) > 0:
+    for h, area2 in norm[1:]:
+        if area2 > 0:
             h.reverse()
         holes.append(h)
 
@@ -466,43 +468,55 @@ def _merge_spans(spans: Iterable[Tuple[int, int, int]]) -> List[Tuple[int, int, 
 class Pixelation:
     """Both segmentations of a polygon overlaid: pixels, crosses and guards.
 
-    The constructor builds what every solve reads, by sweeps whose cost
-    follows slices, pixels and runs, never the cells of the compressed
-    grid (the vertex coordinates per axis, ``x_cuts`` and ``y_cuts``);
-    the canonical guards, which every solve but ``path`` reads, are built
-    by the same kind of sweep on first read:
+    The constructor builds int tables, by sweeps whose cost follows slices,
+    pixels and runs, never the cells of the compressed grid (the vertex
+    coordinates per axis, ``x_cuts`` and ``y_cuts``):
 
-    - Slices: each orientation sweeps its grid lines, keeping the inside
-      runs between lines (:func:`_sweep_slices`).  Slices are numbered by
-      rect, and horizontal midline ids (``sigmas``) follow the vertical
-      ones.  Cost O(E log E) for E edges.
-    - Pixels and ``crosses``: the vertical slices are walked in rect order
-      while a sweep keeps the horizontal slices over the current x, keyed
-      by their bottom y.  A vertical slice's pixels are those with bottom y
-      in its y-range, numbered by (vertical, horizontal) slice id, so each
-      vertical slice's pixel ids are consecutive.  Cost O((S + P) log S)
-      for S slices and P pixels.
-    - Canonical ``guards`` (on first read): the runs along pixel edges on
-      a vertical line (``_runs``) are the sides of the vertical slices on
-      it, merged where they touch, and likewise for horizontal lines.  A
-      second sweep keeps the perpendicular midlines whose closed span
-      holds the current line, keyed by ``anchor2``, and ORs together the
-      cross masks of those in each run's range (``_run_masks``); the first
-      run in key order per orientation and hit mask is the guard.  Cost
-      O(R log S) for R runs, plus one mask OR per midline a run hits.
+    - Slices and midlines: each orientation sweeps its grid lines, keeping
+      the inside runs between lines (:func:`_sweep_slices`).  Slices are
+      numbered by rect, and horizontal midline ids follow the vertical
+      ones.  The midline index ``_sigma_lines`` holds, per orientation and
+      ``anchor2``, the lo, hi and id of each midline on it.  Cost
+      O(E log E) for E edges.
+    - Crosses: the vertical slices are walked in rect order while a sweep
+      keeps the horizontal slices over the current x, keyed by their bottom
+      y.  A vertical slice's pixels are those with bottom y in its y-range,
+      numbered by (vertical, horizontal) slice id, so each vertical slice's
+      pixel ids are consecutive.  Per cross (pixel) id, ``h_supports`` and
+      ``v_supports`` hold its two midline ids; per midline id,
+      ``_slice_cross_mask`` holds the mask of the crosses on it.  Cost
+      O((S + P) log S) for S slices and P pixels.
 
-    What only some callers read is derived on first read and kept:
-    ``guards`` with the runs and masks behind them (every solve but
-    ``path``), ``pixels`` (render, :meth:`is_thin`), ``slices_v``,
-    ``slices_h`` and ``reflex_vertices`` (``path``, :func:`segmentation`),
-    the stabbing index behind :meth:`_inside` (per orientation; ``path``
-    and ``verify``), ``raw_guards`` (every run with its hit mask; tests),
-    ``dual_edges`` and
-    ``side_guards`` (``dp``'s lifted fallback and tests; the former also
-    :func:`gen_thin_tree`), and the cell grids ``vslice``, ``hslice`` and
-    ``pixel``: column-major grids of ints (``grid[i][j]`` is column i, row
-    j) holding each cell's slice or pixel id, -1 outside P, built from the
-    slice rects in O(cells) and read only by tests, not by a solve.
+    The canonical cameras, which every solve but ``path`` reads, are int
+    tables built on first read by the same kind of sweep.  The runs along
+    pixel edges on a vertical line (``_runs``) are the sides of the
+    vertical slices on it, merged where they touch, and likewise for
+    horizontal lines.  A second sweep keeps the perpendicular midlines
+    whose closed span holds the current line, keyed by ``anchor2``, and
+    ORs together the cross masks of those in each run's range
+    (``_run_masks``).  The first run in key order per orientation and hit
+    mask is a camera: per camera id, ``guard_runs`` holds its run
+    (orientation, anchor, lo, hi) and ``guard_masks`` its hit mask over
+    cross ids, the incidence that every solver reads.  Cost O(R log S) for
+    R runs, plus one mask OR per midline a run hits.
+
+    No solve reads a record.  The records are derived from the tables on
+    first read and kept: ``sigmas`` (:meth:`sigmas_hit`, render),
+    ``crosses`` (render, callers of :func:`hits`) and ``guards`` (render,
+    :func:`guard_segments`, the ``bounds`` check); :meth:`guard` builds the
+    record of one camera (``make_solution`` and :func:`verify_cover`, for
+    the cameras they are given).  What else only some callers read is
+    derived on first read and kept too: ``pixels`` (render,
+    :meth:`is_thin`), ``slices_v`` and ``slices_h`` (:func:`segmentation`,
+    the ``pixelate`` command), ``reflex_vertices`` (``path``), the
+    stabbing index behind :meth:`_inside` (per orientation; ``path`` and
+    ``verify``), ``raw_guards`` (every run with its hit mask; tests),
+    ``dual_edges`` and ``side_guards`` (``dp``'s lifted fallback and
+    tests; the former also :func:`gen_thin_tree`), and the cell grids
+    ``vslice``, ``hslice`` and ``pixel``: column-major grids of ints
+    (``grid[i][j]`` is column i, row j) holding each cell's slice or pixel
+    id, -1 outside P, built from the slice rects in O(cells) and read only
+    by tests, not by a solve.
     """
 
     def __init__(self, polygon: OrthoPolygon):
@@ -554,46 +568,45 @@ class Pixelation:
         return _on_spans(self._v_spans.get(x, ()), y) or _on_spans(self._h_spans.get(y, ()), x)
 
     def _build_slices(self):
-        """Both segmentations (see :func:`_sweep_slices`) and their midlines."""
+        """Both segmentations (see :func:`_sweep_slices`) and the midline index."""
         # each slice as (a0, lo, a1, hi), numbered by rect: (x0, y0, x1, y1)
         # is (a0, lo, a1, hi) for a vertical slice, (lo, a0, hi, a1) for a
         # horizontal one
         self._chains: Dict[str, List[Tuple[int, int, int, int]]] = {
             VERTICAL: sorted(_sweep_slices(self._v_spans)),
             HORIZONTAL: sorted(_sweep_slices(self._h_spans), key=itemgetter(1, 0, 3, 2))}
-        sigmas = self.sigmas = []
+        # per orientation: the anchor2 values in order, and for each the
+        # los, his and ids of the midlines on it, sorted by span; midlines
+        # on one anchor2 have disjoint closed spans (see sigma_ids_hit)
+        self._sigma_lines: Dict[str, Tuple[List[int], List[tuple]]] = {}
+        sid = 0
         for o in (VERTICAL, HORIZONTAL):
+            segs = []
             for a0, lo, a1, hi in self._chains[o]:
                 # each midline lies inside its slice, so with the pixel check
                 # below the two midlines of a pixel cross inside it
                 if not (a0 < a1 and lo < hi):
                     raise AssertionError("slice-segments do not cross inside their pixel")
-                sigmas.append(SliceSegment(len(sigmas), o, a0 + a1, lo, hi))
-        # per orientation: the anchor2 values in order, and for each the
-        # midlines on it sorted by span, with their los and his for bisect;
-        # midlines on one anchor2 have disjoint closed spans (see sigmas_hit)
-        nv = len(self._chains[VERTICAL])
-        self._sigma_lines: Dict[str, Tuple[List[int], List[tuple]]] = {}
-        for o, segs in ((VERTICAL, self.sigmas[:nv]), (HORIZONTAL, self.sigmas[nv:])):
-            segs = sorted(segs, key=attrgetter("anchor2", "lo"))
+                segs.append((a0 + a1, lo, hi, sid))
+                sid += 1
             keys, lines = [], []
-            for a, line in groupby(segs, key=attrgetter("anchor2")):
-                line = list(line)
+            for a, line in groupby(sorted(segs), key=itemgetter(0)):
+                _, los, his, ids = zip(*line)
                 keys.append(a)
-                lines.append(([s.lo for s in line], [s.hi for s in line], line))
+                lines.append((los, his, ids))
             self._sigma_lines[o] = (keys, lines)
 
     def _build_pixels(self):
         # a vertical slice is (x0, y0, x1, y1), a horizontal one (y0, x0, y1, x1)
         V, H = self._chains[VERTICAL], self._chains[HORIZONTAL]
-        nv = len(V)
-        sigmas = self.sigmas
-        masks = self._slice_cross_mask = [0] * len(sigmas)
-        self.crosses: List[Cross] = []
-        leave = sorted(range(len(H)), key=lambda h: H[h][3])
+        nv, nh = len(V), len(H)
+        masks = self._slice_cross_mask = [0] * (nv + nh)
+        hs: List[int] = []
+        vs: List[int] = []
+        self.h_supports, self.v_supports = hs, vs
+        leave = sorted(range(nh), key=lambda h: H[h][3])
         active: List[Tuple[int, int]] = []  # (bottom y, id) of the slices over x
         e = l = 0
-        nh = len(H)
         for v, (x0, y0, x1, y1) in enumerate(V):
             # H is numbered by left x: slices enter in id order
             while e < nh and H[e][1] <= x0:
@@ -604,14 +617,14 @@ class Pixelation:
                 del active[bisect_left(active, (H[h][0], h))]
                 l += 1
             row = sorted([h for _, h in active[bisect_left(active, (y0,)):bisect_left(active, (y1,))]])
-            first, a2 = len(self.crosses), sigmas[v].anchor2
+            first = len(hs)
             for h in row:
                 # h starts at or before x0 and at or above y0 by the sweep
                 if H[h][3] < x1 or H[h][2] > y1:
                     raise AssertionError("pixel does not match its slice intersection")
-                pid = len(self.crosses)
-                masks[nv + h] |= 1 << pid
-                self.crosses.append(Cross(pid, nv + h, v, (a2, sigmas[nv + h].anchor2)))
+                masks[nv + h] |= 1 << len(hs)
+                hs.append(nv + h)
+            vs += [v] * len(row)
             masks[v] = ((1 << len(row)) - 1) << first
 
     def _sweep_hit_masks(self, orientation: str, runs: List[Tuple[int, int, int]]) -> List[int]:
@@ -621,7 +634,7 @@ class Pixelation:
         the current line, keyed by ``anchor2``: midlines on one anchor2
         have disjoint closed spans, so at most one per key is over a line.
         A run hits those with anchor2 in [2 lo, 2 hi] and the midlines on
-        its own line whose spans meet it, as in :meth:`sigmas_hit`.
+        its own line whose spans meet it, as in :meth:`sigma_ids_hit`.
         """
         masks = self._slice_cross_mask
         nv = len(self._chains[VERTICAL])
@@ -650,8 +663,8 @@ class Pixelation:
             mask = 0
             for k in keys[bisect_left(keys, 2 * lo):bisect_right(keys, 2 * hi)]:
                 mask |= masks[over[k]]
-            for seg in self._own_line_hits(orientation, a, lo, hi):
-                mask |= masks[seg.id]
+            for sid in self._own_line_hits(orientation, a, lo, hi):
+                mask |= masks[sid]
             out.append(mask)
         return out
 
@@ -675,26 +688,56 @@ class Pixelation:
                 for mask in self._sweep_hit_masks(o, [run[1:] for run in self._runs if run[0] == o])]
 
     @functools.cached_property
-    def guards(self) -> List[GuardSegment]:
-        """The canonical cameras: the first run in key order per
-        (orientation, hit mask), numbered in that order."""
-        first: Dict[Tuple[str, int], int] = {}
-        for k, run in enumerate(self._runs):
-            first.setdefault((run[0], self._run_masks[k]), k)
-        return [GuardSegment(*self._runs[k], id=i, hit_set=mask)
-                for i, ((_, mask), k) in enumerate(first.items())]
+    def _cameras(self) -> Dict[Tuple[str, int], Tuple[str, int, int, int]]:
+        """The first run in key order per (orientation, hit mask), in that order."""
+        first: Dict[Tuple[str, int], Tuple[str, int, int, int]] = {}
+        for run, mask in zip(self._runs, self._run_masks):
+            first.setdefault((run[0], mask), run)
+        return first
 
-    def _pixel_rect(self, cr: Cross) -> Rect:
+    @functools.cached_property
+    def guard_runs(self) -> List[Tuple[str, int, int, int]]:
+        """Per canonical camera id, its run (orientation, anchor, lo, hi)."""
+        return list(self._cameras.values())
+
+    @functools.cached_property
+    def guard_masks(self) -> List[int]:
+        """Per canonical camera id, its hit mask over cross ids."""
+        return [mask for _, mask in self._cameras]
+
+    def guard(self, gid: int) -> GuardSegment:
+        """The record of canonical camera ``gid``, built from its tables."""
+        return GuardSegment(*self.guard_runs[gid], id=gid, hit_set=self.guard_masks[gid])
+
+    @functools.cached_property
+    def guards(self) -> List[GuardSegment]:
+        """The records of the canonical cameras, by id (see :meth:`guard`)."""
+        return [self.guard(gid) for gid in range(len(self.guard_masks))]
+
+    @functools.cached_property
+    def sigmas(self) -> List[SliceSegment]:
+        """The records of the midlines, by id."""
+        chains = [(o, *chain) for o in (VERTICAL, HORIZONTAL) for chain in self._chains[o]]
+        return [SliceSegment(sid, o, a0 + a1, lo, hi) for sid, (o, a0, lo, a1, hi) in enumerate(chains)]
+
+    @functools.cached_property
+    def crosses(self) -> List[Cross]:
+        """The records of the crosses, by id: its supports and their crossing point."""
+        anchor2 = [a0 + a1 for o in (VERTICAL, HORIZONTAL) for a0, _, a1, _ in self._chains[o]]
+        return [Cross(cid, h, v, (anchor2[v], anchor2[h]))
+                for cid, (h, v) in enumerate(zip(self.h_supports, self.v_supports))]
+
+    def _pixel_rect(self, cid: int) -> Rect:
         # a pixel spans its vertical slice's x-range and its horizontal one's y-range
-        x0, _, x1, _ = self._chains[VERTICAL][cr.v_support]
-        y0, _, y1, _ = self._chains[HORIZONTAL][cr.h_support - len(self._chains[VERTICAL])]
+        x0, _, x1, _ = self._chains[VERTICAL][self.v_supports[cid]]
+        y0, _, y1, _ = self._chains[HORIZONTAL][self.h_supports[cid] - len(self._chains[VERTICAL])]
         return (x0, y0, x1, y1)
 
     @functools.cached_property
     def pixels(self) -> List[Pixel]:
         nv = len(self._chains[VERTICAL])
-        return [Pixel(id=cr.pixel_id, rect=self._pixel_rect(cr), v_slice=cr.v_support,
-                      h_slice=cr.h_support - nv) for cr in self.crosses]
+        return [Pixel(id=cid, rect=self._pixel_rect(cid), v_slice=v, h_slice=h - nv)
+                for cid, (h, v) in enumerate(zip(self.h_supports, self.v_supports))]
 
     def _slices(self, orientation: str) -> List[Slice]:
         first = 0 if orientation == VERTICAL else len(self._chains[VERTICAL])
@@ -732,7 +775,7 @@ class Pixelation:
 
     @functools.cached_property
     def pixel(self) -> List[List[int]]:
-        return self._label_grid((cr.pixel_id, self._pixel_rect(cr)) for cr in self.crosses)
+        return self._label_grid((cid, self._pixel_rect(cid)) for cid in range(len(self.h_supports)))
 
     @functools.cached_property
     def raw_guards(self) -> List[GuardSegment]:
@@ -745,13 +788,13 @@ class Pixelation:
         out: List[List[int]] = [[] for _ in self._chains[orientation]]
         if orientation == HORIZONTAL:
             # pixel ids follow vertical slice ids, which follow x
-            for cr in self.crosses:
-                out[cr.h_support - nv].append(cr.pixel_id)
+            for cid, h in enumerate(self.h_supports):
+                out[h - nv].append(cid)
             return out
         H = self._chains[HORIZONTAL]
-        for cr in self.crosses:
-            out[cr.v_support].append((H[cr.h_support - nv][0], cr.pixel_id))
-        return [[pid for _, pid in sorted(col)] for col in out]
+        for cid, (h, v) in enumerate(zip(self.h_supports, self.v_supports)):
+            out[v].append((H[h - nv][0], cid))
+        return [[cid for _, cid in sorted(col)] for col in out]
 
     @functools.cached_property
     def dual_edges(self) -> Tuple[Tuple[int, int], ...]:
@@ -783,27 +826,27 @@ class Pixelation:
         A run is merged from slice sides on its line, and the pixels beside
         it are all pixels of those slices, since pixels span their slices
         across."""
-        out: List[List[int]] = [[] for _ in self.crosses]
+        out: List[List[int]] = [[] for _ in self.h_supports]
         sides = {o: self._slice_sides(o) for o in (VERTICAL, HORIZONTAL)}
         members = {o: self._slice_pixels(o) for o in (VERTICAL, HORIZONTAL)}
-        for g in self.guards:
-            for line in sides[g.orientation][g.anchor]:
-                for _, _, sid in line[bisect_left(line, (g.lo,)):bisect_left(line, (g.hi,))]:
-                    for pid in members[g.orientation][sid]:
-                        out[pid].append(g.id)
+        for gid, (o, anchor, lo, hi) in enumerate(self.guard_runs):
+            for line in sides[o][anchor]:
+                for _, _, sid in line[bisect_left(line, (lo,)):bisect_left(line, (hi,))]:
+                    for pid in members[o][sid]:
+                        out[pid].append(gid)
         return out
 
-    def _own_line_hits(self, orientation: str, anchor: int, lo: int, hi: int) -> List[SliceSegment]:
-        """Midlines on the segment's own line whose closed spans meet [lo, hi]."""
+    def _own_line_hits(self, orientation: str, anchor: int, lo: int, hi: int) -> Sequence[int]:
+        """Ids of the midlines on the segment's own line whose closed spans meet [lo, hi]."""
         keys, lines = self._sigma_lines[orientation]
         k = bisect_left(keys, 2 * anchor)
         if k < len(keys) and keys[k] == 2 * anchor:
-            los, his, line = lines[k]
-            return line[bisect_left(his, lo):bisect_right(los, hi)]
-        return []
+            los, his, ids = lines[k]
+            return ids[bisect_left(his, lo):bisect_right(los, hi)]
+        return ()
 
-    def sigmas_hit(self, orientation: str, anchor: int, lo: int, hi: int) -> List[SliceSegment]:
-        """Slice-segments that the closed grid-line segment intersects.
+    def sigma_ids_hit(self, orientation: str, anchor: int, lo: int, hi: int) -> List[int]:
+        """Ids of the slice-segments that the closed grid-line segment intersects.
 
         Bisection in the per-orientation index finds the perpendicular
         midlines' anchor2 values in [2 lo, 2 hi] and the segment's own line
@@ -813,22 +856,30 @@ class Pixelation:
         bisection finds the one midline whose span can contain ``anchor``,
         and on the own line the run of midlines whose spans overlap
         [lo, hi].  It is the only segment-versus-midline predicate for
-        single segments; the constructor's sweep gives the same hits for
-        all runs at once.
+        single segments; the sweep behind ``guard_masks`` gives the same
+        hits for all runs at once.
         """
         other = VERTICAL if orientation == HORIZONTAL else HORIZONTAL
         keys, lines = self._sigma_lines[other]
         out = []
-        for los, his, line in lines[bisect_left(keys, 2 * lo):bisect_right(keys, 2 * hi)]:
+        for los, his, ids in lines[bisect_left(keys, 2 * lo):bisect_right(keys, 2 * hi)]:
             k = bisect_right(los, anchor) - 1
             if k >= 0 and his[k] >= anchor:
-                out.append(line[k])
-        return out + self._own_line_hits(orientation, anchor, lo, hi)
+                out.append(ids[k])
+        out += self._own_line_hits(orientation, anchor, lo, hi)
+        return out
+
+    def sigmas_hit(self, orientation: str, anchor: int, lo: int, hi: int) -> List[SliceSegment]:
+        """The records of the slice-segments that the closed grid-line
+        segment intersects, in the order of :meth:`sigma_ids_hit`; the
+        first call builds ``sigmas``."""
+        sigmas = self.sigmas
+        return [sigmas[sid] for sid in self.sigma_ids_hit(orientation, anchor, lo, hi)]
 
     def _segment_hit_mask(self, orientation: str, anchor: int, lo: int, hi: int) -> int:
         mask = 0
-        for seg in self.sigmas_hit(orientation, anchor, lo, hi):
-            mask |= self._slice_cross_mask[seg.id]
+        for sid in self.sigma_ids_hit(orientation, anchor, lo, hi):
+            mask |= self._slice_cross_mask[sid]
         return mask
 
     # -- lookups ------------------------------------------------------------
@@ -990,7 +1041,7 @@ def guard_segments(pix: Pixelation, orientations: Iterable[str] = (HORIZONTAL, V
 def hits(g: GuardSegment, cross: Cross, pix: Pixelation) -> bool:
     """Does the guard hit the cross, i.e. intersect one of its supports?"""
     supports = (cross.h_support, cross.v_support)
-    return any(s.id in supports for s in pix.sigmas_hit(g.orientation, g.anchor, g.lo, g.hi))
+    return any(sid in supports for sid in pix.sigma_ids_hit(g.orientation, g.anchor, g.lo, g.hi))
 
 
 def visible_region(pix: Pixelation, g: GuardSegment) -> set:
@@ -1001,13 +1052,17 @@ def visible_region(pix: Pixelation, g: GuardSegment) -> set:
 def _resolve_guards(pix: Pixelation, guards) -> List[GuardSegment]:
     out = []
     for g in guards:
-        out.append(pix.guards[g] if isinstance(g, int) else g)
+        out.append(pix.guard(g) if isinstance(g, int) else g)
     return sorted(out, key=GuardSegment.key)
 
 
 def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None) -> CoverageReport:
     """Check whether the guards hit every requested cross.
 
+    Guards are segments or canonical camera ids, whose records
+    :meth:`Pixelation.guard` builds; the walk reads midline ids
+    (:meth:`Pixelation.sigma_ids_hit`) and each cross's supports from the
+    pixelation's tables, so no ``sigmas`` or ``crosses`` record is built.
     For each covered cross the certificate records the support slice-segment
     through which it is hit and the witnessing guard.  Uncovered crosses are
     reported in ascending id order.
@@ -1016,20 +1071,20 @@ def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None
     first: Dict[int, int] = {}  # slice-segment id -> first guard (in key order) meeting it
     for k in range(len(segs) - 1, -1, -1):
         g = segs[k]
-        for seg in pix.sigmas_hit(g.orientation, g.anchor, g.lo, g.hi):
-            first[seg.id] = k
-    ids = sorted(xprime) if xprime is not None else range(len(pix.crosses))
+        for sid in pix.sigma_ids_hit(g.orientation, g.anchor, g.lo, g.hi):
+            first[sid] = k
+    hs, vs = pix.h_supports, pix.v_supports
+    ids = sorted(xprime) if xprime is not None else range(len(hs))
     uncovered = []
     certificate = {}
     for cid in ids:
-        cross = pix.crosses[cid]
-        kh, kv = first.get(cross.h_support), first.get(cross.v_support)
+        h, v = hs[cid], vs[cid]
+        kh, kv = first.get(h), first.get(v)
         if kh is None and kv is None:
             uncovered.append(cid)
             continue
         # the first guard hitting either support witnesses, through h if it can
-        sid, k = ((cross.h_support, kh) if kv is None or (kh is not None and kh <= kv)
-                  else (cross.v_support, kv))
+        sid, k = (h, kh) if kv is None or (kh is not None and kh <= kv) else (v, kv)
         certificate[cid] = (sid, segs[k].key())
     return CoverageReport(uncovered=tuple(uncovered), certificate=certificate)
 

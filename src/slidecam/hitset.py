@@ -22,11 +22,13 @@ Node = Tuple[str, int]  # ("c", cross id) | ("s", sigma id) | ("g", guard id)
 class HittingInstance:
     """Universe of guard ids over the requested crosses.
 
-    Incidence lives in each guard's ``hit_set`` bitmask over cross ids; the
-    instance owns the mask of the requested crosses (``wanted``) and the OR
-    of guard masks (``hit_mask``), and solvers read both over cross ids.
-    The instance is *infeasible* (a first-class state, not an error) when
-    some cross is hit by no allowed guard.
+    Incidence lives in the pixelation's ``guard_masks`` table, each guard's
+    hit mask over cross ids; the instance owns the mask of the requested
+    crosses (``wanted``) and the OR of guard masks (``hit_mask``), and
+    solvers read both over cross ids.  Orientations come from
+    ``guard_runs``.  Nothing here builds a ``guards``, ``crosses`` or
+    ``sigmas`` record.  The instance is *infeasible* (a first-class state,
+    not an error) when some cross is hit by no allowed guard.
     """
 
     pix: Pixelation
@@ -40,10 +42,11 @@ class HittingInstance:
         return sum(1 << c for c in self.xprime)
 
     def hit_mask(self, guards: Iterable[int]) -> int:
-        """The crosses hit by any of the guards: an OR of their ``hit_set`` masks."""
+        """The crosses hit by any of the guards: an OR of their hit masks."""
+        masks = self.pix.guard_masks
         mask = 0
         for g in guards:
-            mask |= self.pix.guards[g].hit_set
+            mask |= masks[g]
         return mask
 
     @property
@@ -64,10 +67,12 @@ class HittingInstance:
         return replace(self, weights=dict(weights))
 
     def orientations(self) -> set:
-        return {self.pix.guards[g].orientation for g in self.universe}
+        runs = self.pix.guard_runs
+        return {runs[g][0] for g in self.universe}
 
     def restrict_orientation(self, orientation: str) -> "HittingInstance":
-        uni = tuple(g for g in self.universe if self.pix.guards[g].orientation == orientation)
+        runs = self.pix.guard_runs
+        uni = tuple(g for g in self.universe if runs[g][0] == orientation)
         w = {g: self.weights[g] for g in uni if g in self.weights}
         return HittingInstance(pix=self.pix, xprime=self.xprime, universe=uni, weights=w)
 
@@ -75,7 +80,7 @@ class HittingInstance:
         """The universe and, per requested cross, the guards that hit it."""
         sets: Dict[int, List[int]] = {c: [] for c in self.xprime}
         for g in sorted(self.universe):
-            for c in _bits(self.pix.guards[g].hit_set & self.wanted):
+            for c in _bits(self.pix.guard_masks[g] & self.wanted):
                 sets[c].append(g)
         return {
             "universe": list(self.universe),
@@ -90,10 +95,10 @@ def build_instance(pix: Pixelation, xprime: Optional[Iterable[int]] = None,
     A repeated cross or guard id counts once.  Raises ``ValueError`` for a
     cross or guard id that the pixelation does not have.
     """
-    xp = tuple(sorted(set(xprime))) if xprime is not None else tuple(range(len(pix.crosses)))
-    uni = tuple(sorted(set(gammaprime))) if gammaprime is not None else tuple(
-        g.id for g in pix.guards)
-    for what, ids, n in (("cross", xp, len(pix.crosses)), ("guard", uni, len(pix.guards))):
+    n_c, n_g = len(pix.h_supports), len(pix.guard_masks)
+    xp = tuple(sorted(set(xprime))) if xprime is not None else tuple(range(n_c))
+    uni = tuple(sorted(set(gammaprime))) if gammaprime is not None else tuple(range(n_g))
+    for what, ids, n in (("cross", xp, n_c), ("guard", uni, n_g)):
         bad = [i for i in ids if not 0 <= i < n]
         if bad:
             raise ValueError(f"{what} ids {bad} are not in 0..{n - 1}")
@@ -125,13 +130,13 @@ def to_segment_covering(pix: Pixelation, xprime: Iterable[int],
     """Reduce a horizontal-cameras-only problem to stabbing vertical supports."""
     horiz = []
     for g in sorted(gammaprime):
-        seg = pix.guards[g]
-        if seg.orientation != HORIZONTAL:
+        orientation, anchor, lo, hi = pix.guard_runs[g]
+        if orientation != HORIZONTAL:
             raise PreconditionViolated("segment covering expects horizontal guards only")
-        horiz.append((g, seg.anchor, seg.lo, seg.hi))
+        horiz.append((g, anchor, lo, hi))
     verts = set()
     for c in sorted(xprime):
-        sv = pix.sigmas[pix.crosses[c].v_support]
+        sv = pix.sigmas[pix.v_supports[c]]
         verts.add((sv.anchor2, sv.lo, sv.hi))
     return SegmentCoveringInstance(horizontals=tuple(horiz), verticals=tuple(sorted(verts)))
 
@@ -175,26 +180,25 @@ class AuxiliaryGraph:
 
 def build_auxiliary_graph(pix: Pixelation, xprime: Optional[Iterable[int]] = None,
                           gammaprime: Optional[Iterable[int]] = None) -> AuxiliaryGraph:
-    xp = tuple(sorted(xprime)) if xprime is not None else tuple(range(len(pix.crosses)))
+    xp = tuple(sorted(xprime)) if xprime is not None else tuple(range(len(pix.h_supports)))
     gp = tuple(sorted(gammaprime)) if gammaprime is not None else tuple(
-        g.id for g in pix.guards)
+        range(len(pix.guard_masks)))
+    sigma_ids = tuple(range(len(pix._slice_cross_mask)))
     adj: Dict[Node, set] = {}
 
     def link(u: Node, v: Node):
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
 
-    for s in pix.sigmas:
-        adj.setdefault(("s", s.id), set())
+    for s in sigma_ids:
+        adj.setdefault(("s", s), set())
     for c in xp:
-        cross = pix.crosses[c]
-        link(("c", c), ("s", cross.h_support))
-        link(("c", c), ("s", cross.v_support))
+        link(("c", c), ("s", pix.h_supports[c]))
+        link(("c", c), ("s", pix.v_supports[c]))
     for g in gp:
-        guard = pix.guards[g]
         adj.setdefault(("g", g), set())
-        for s in pix.sigmas_hit(guard.orientation, guard.anchor, guard.lo, guard.hi):
-            link(("g", g), ("s", s.id))
+        for s in pix.sigma_ids_hit(*pix.guard_runs[g]):
+            link(("g", g), ("s", s))
 
     for c in xp:
         deg = sum(1 for v in adj[("c", c)] if v[0] == "s")
@@ -202,6 +206,6 @@ def build_auxiliary_graph(pix: Pixelation, xprime: Optional[Iterable[int]] = Non
             raise AssertionError("auxiliary graph is not tripartite as expected")
 
     return AuxiliaryGraph(pix=pix, xprime=xp,
-                          sigma_ids=tuple(s.id for s in pix.sigmas),
+                          sigma_ids=sigma_ids,
                           gammaprime=gp,
                           adj={u: frozenset(v) for u, v in adj.items()})

@@ -12,7 +12,6 @@ from .geometry import (
     VERTICAL,
     OrthoPolygon,
     Pixelation,
-    guard_segments,
     pixelate,
 )
 from .hitset import HittingInstance, build_auxiliary_graph, build_instance
@@ -36,12 +35,12 @@ def instance_for_mode(pix: Pixelation, mode: str,
         raise ValueError(f"guard ids and guard orientations apply to mode custom, not {mode!r}")
     if guard_ids is not None and guard_orientations:
         raise ValueError("give guard ids or guard orientations, not both")
-    if mode == "msc":
-        gp = None
-    elif mode == "mhsc":
-        gp = [g.id for g in guard_segments(pix, (HORIZONTAL,))]
+    wanted = None  # the orientations of the guards, when restricted by them
+    gp = None
+    if mode == "mhsc":
+        wanted = {HORIZONTAL}
     elif mode == "mvsc":
-        gp = [g.id for g in guard_segments(pix, (VERTICAL,))]
+        wanted = {VERTICAL}
     elif mode == "custom":
         if guard_ids is not None:
             gp = list(guard_ids)
@@ -49,11 +48,10 @@ def instance_for_mode(pix: Pixelation, mode: str,
             wanted = set(guard_orientations.upper())
             if not wanted <= {HORIZONTAL, VERTICAL}:
                 raise ValueError(f"guard orientations {guard_orientations!r} are not H, V or HV")
-            gp = [g.id for g in guard_segments(pix, wanted)]
-        else:
-            gp = None
-    else:
+    elif mode != "msc":
         raise ValueError(f"unknown mode {mode!r}")
+    if wanted is not None:
+        gp = [g for g, run in enumerate(pix.guard_runs) if run[0] in wanted]
     return build_instance(pix, xprime=xprime, gammaprime=gp)
 
 
@@ -82,8 +80,8 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
     pix = pixelate(poly)
     info: Dict = {
         "n": poly.n,
-        "pixels": len(pix.crosses),  # pixels and crosses are 1:1 by id
-        "crosses": len(pix.crosses),
+        "pixels": len(pix.h_supports),  # pixels and crosses are 1:1 by id
+        "crosses": len(pix.h_supports),
         "msc_bound": (3 * poly.n + 4) // 16,
         "mhsc_bound": poly.n // 4,
     }
@@ -91,7 +89,7 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
     if algo == "path":
         sol = path_guard(poly)
     else:
-        info["guards"] = len(pix.guards)
+        info["guards"] = len(pix.guard_masks)
         inst = instance_for_mode(pix, mode, xprime=xprime, guard_ids=guard_ids,
                                  guard_orientations=guard_orientations)
         info["universe"] = len(inst.universe)

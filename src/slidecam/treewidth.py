@@ -73,9 +73,9 @@ class TreeDecomposition:
 def dual_graph(pix: Pixelation) -> Dict[int, FrozenSet[int]]:
     """Weak dual of the pixelation: pixels adjacent iff they share a side.
 
-    Pixel ids are cross ids, so the vertices are ``range(len(pix.crosses))``.
+    Pixel ids are cross ids, so the vertices are ``range(len(pix.h_supports))``.
     """
-    adj: Dict[int, set] = {pid: set() for pid in range(len(pix.crosses))}
+    adj: Dict[int, set] = {pid: set() for pid in range(len(pix.h_supports))}
     for a, b in pix.dual_edges:
         adj[a].add(b)
         adj[b].add(a)
@@ -219,9 +219,8 @@ def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
     for bag in td_d.bags:
         items = set()
         for pid in sorted(bag):
-            cross = pix.crosses[pid]
-            items.add(("s", cross.v_support))
-            items.add(("s", cross.h_support))
+            items.add(("s", pix.v_supports[pid]))
+            items.add(("s", pix.h_supports[pid]))
             if pid in xp:
                 items.add(("c", pid))
             items.update(("g", gid) for gid in pix.side_guards[pid] if gid in gp)
@@ -238,7 +237,7 @@ def _contract(td: TreeDecomposition,
     shorter of the two supports' bag lists of a per-vertex bag index: a
     decomposition of ``H``.
     """
-    vsup = {("c", c): ("s", H.pix.crosses[c].v_support) for c in H.xprime}
+    vsup = {("c", c): ("s", H.pix.v_supports[c]) for c in H.xprime}
     contracted = td
     if not all(map(vsup.keys().isdisjoint, td.bags)):
         contracted = replace(td, bags=tuple(frozenset(vsup.get(v, v) for v in bag)

@@ -388,9 +388,13 @@ def _lazy_shape(shape):
 def test_solve_builds_no_product_it_does_not_read(shape, algo):
     """Products only some solvers read are derived on first read: after a
     greedy, exact, bg or dp solve neither those nor the slices were built,
-    and path builds only the slices, never the canonical guards or the runs
-    behind them.  dp reads the dual edges and side guards only when it
-    falls back to the lifted decomposition, which none of these shapes
+    and path builds no slice record and never the canonical guards or the
+    runs behind them.  No solve builds the ``crosses``, ``sigmas`` or
+    ``guards`` records: solvers read the int tables (``h_supports``,
+    ``v_supports``, ``guard_runs``, ``guard_masks``) and the midline ids of
+    ``sigma_ids_hit``, and ``make_solution`` builds only the records of the
+    cameras it returns.  dp reads the dual edges and side guards only when
+    it falls back to the lifted decomposition, which none of these shapes
     needs.  No solve, nor path's refusal of a holed polygon, builds a cell
     grid."""
     p = _lazy_shape(shape)
@@ -402,10 +406,9 @@ def test_solve_builds_no_product_it_does_not_read(shape, algo):
         sc.solve_polygon(p, algo=algo)
     built = vars(sc.pixelate(p))
     assert not [k for k in _ON_FIRST_READ if k in built]
-    if algo != "path":
-        assert "slices_v" not in built and "slices_h" not in built
-    else:
-        assert "guards" not in built and "_runs" not in built
+    assert not [k for k in ("crosses", "sigmas", "guards", "slices_v", "slices_h") if k in built]
+    if algo == "path":
+        assert "guard_masks" not in built and "_runs" not in built
 
 
 @pytest.mark.parametrize("shape", ["comb10", "spiral4", "multi_hole"])

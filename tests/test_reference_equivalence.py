@@ -95,7 +95,7 @@ def loop_validate(rings):
     """validate_polygon with the O(E^2) all-pairs contact test."""
     if not rings:
         raise sc.DegenerateRing("no rings given")
-    norm = [loop_normalize_ring(r, f"ring {i}") for i, r in enumerate(rings)]
+    norm = [loop_normalize_ring(r, f"ring {i}")[0] for i, r in enumerate(rings)]
     outer = norm[0]
     if _signed_area2(outer) < 0:
         outer.reverse()
@@ -494,8 +494,11 @@ class CellPixelation(sc.Pixelation):
     the grid-line units whose two flanking cells differ, each hit mask from
     one ``sigmas_hit`` call; and ``dual_edges``, ``slice_dual``,
     ``side_guards``, ``extend_to_maximal`` and ``contains_segment`` read
-    the cell grids.  Its cost follows the (n/2)^2 cells of a spiral.  The
-    midline index and ``sigmas_hit`` are the library's.
+    the cell grids.  Its cost follows the (n/2)^2 cells of a spiral.  It
+    builds the ``sigmas``, ``crosses`` and ``guards`` records itself and
+    fills the library's int tables from them: the midline index, the
+    support tables and the camera tables.  The id walk over the midline
+    index (``sigma_ids_hit``) is the library's.
     """
 
     def _build(self):
@@ -556,7 +559,7 @@ class CellPixelation(sc.Pixelation):
             for a, line in itertools.groupby(segs, key=lambda s: s.anchor2):
                 line = list(line)
                 keys.append(a)
-                lines.append(([s.lo for s in line], [s.hi for s in line], line))
+                lines.append(tuple(tuple(getattr(s, f) for s in line) for f in ("lo", "hi", "id")))
             self._sigma_lines[o] = (keys, lines)
 
     def _pixel_box(self, v, h):
@@ -586,6 +589,8 @@ class CellPixelation(sc.Pixelation):
         for cr in self.crosses:
             self._slice_cross_mask[cr.v_support] |= 1 << cr.pixel_id
             self._slice_cross_mask[cr.h_support] |= 1 << cr.pixel_id
+        self.h_supports = [cr.h_support for cr in self.crosses]
+        self.v_supports = [cr.v_support for cr in self.crosses]
 
     def _cell_guards(self):
         # grid line k runs between lines of cells k and k + 1 of the padded grid
@@ -606,6 +611,8 @@ class CellPixelation(sc.Pixelation):
             first.setdefault((run[0], self._segment_hit_mask(*run)), run)
         self.guards = [sc.GuardSegment(*run, id=i, hit_set=mask)
                        for i, ((_, mask), run) in enumerate(first.items())]
+        self.guard_runs = [g.key() for g in self.guards]
+        self.guard_masks = [g.hit_set for g in self.guards]
 
     @functools.cached_property
     def pixels(self):
@@ -695,13 +702,15 @@ class CellPixelation(sc.Pixelation):
 
 
 class LoopPixelation(CellPixelation):
-    """The cell-grid pixelation with the linear boundary scan and the all-sigma scan."""
+    """The cell-grid pixelation with the linear boundary scan and the
+    all-sigma scan as its id walk, which its camera masks, ``sigmas_hit``,
+    ``verify_cover`` and the auxiliary graph read."""
 
     def on_boundary(self, pt):
         return loop_on_boundary(self.polygon, pt)
 
-    def sigmas_hit(self, orientation, anchor, lo, hi):
-        return loop_sigmas_hit(self, sc.GuardSegment(orientation, anchor, lo, hi))
+    def sigma_ids_hit(self, orientation, anchor, lo, hi):
+        return [s.id for s in loop_sigmas_hit(self, sc.GuardSegment(orientation, anchor, lo, hi))]
 
 
 def loop_visible_region(pix, g):
@@ -775,9 +784,10 @@ def loop_normalize_ring(raw, name):
                 break
         if len(pts) < 4:
             raise sc.DegenerateRing(f"{name}: collapses to fewer than 4 vertices")
-    if _signed_area2(pts) == 0:
+    area2 = _signed_area2(pts)
+    if area2 == 0:
         raise sc.DegenerateRing(f"{name}: zero area")
-    return pts
+    return pts, area2
 
 
 def loop_subpolygon_of_slices(pix, slice_ids, vertical):
@@ -972,11 +982,15 @@ def test_pixelation_matches_reference_loops(polygons):
         assert pix.slice_dual(VERTICAL) == loop_slice_dual(pix, True), name
         assert pix.slice_dual(HORIZONTAL) == loop_slice_dual(pix, False), name
         assert pix.is_thin() == ref.is_thin(), name
+        assert sc.build_auxiliary_graph(pix).adj == sc.build_auxiliary_graph(ref).adj, name
+        for guards in (range(len(pix.guards)), range(0, len(pix.guards), 3), pix.raw_guards[::2]):
+            assert sc.verify_cover(pix, list(guards)) == sc.verify_cover(ref, list(guards)), name
 
 
-_EAGER = ("sigmas", "crosses", "_slice_cross_mask")
-_LAZY = ("_runs", "guards", "pixels", "slices_v", "slices_h", "raw_guards", "dual_edges",
-         "side_guards", "vslice", "hslice", "pixel")
+_EAGER = ("h_supports", "v_supports", "_sigma_lines", "_slice_cross_mask")
+_LAZY = ("_runs", "guard_runs", "guard_masks", "sigmas", "crosses", "guards", "pixels",
+         "slices_v", "slices_h", "raw_guards", "dual_edges", "side_guards", "vslice", "hslice",
+         "pixel")
 
 
 def assert_matches_cell_oracle(p, name, rng):
@@ -1027,6 +1041,54 @@ def test_pixelation_matches_cell_grid_oracle_at_bench_size(name):
     """Sizes where the per-cell loop references are out of reach: path_lb(48)
     has about 20,000 grid cells for 283 pixels."""
     assert_matches_cell_oracle(_BENCH_SIZE[name](), name, random.Random(name))
+
+
+_ORIENTATION_FILTERS = (("mhsc", None, "H"), ("mvsc", None, "V"),
+                        ("custom", "HV", "HV"), ("custom", "H", "H"), ("custom", "V", "V"))
+
+
+def assert_tables_match_records(p, name):
+    """The int tables that solvers read against the records built from them.
+
+    Per camera id: the accessor ``guard`` equals ``guards[i]``, the mask
+    and run tables equal its ``hit_set`` and key, and the cameras are the
+    first raw run per (orientation, hit mask) in key order, numbered in
+    that order.  Per cross id, the support tables equal the ``crosses``
+    records.  For every raw run, the ids of the id walk equal the ids of
+    ``sigmas_hit``.  ``instance_for_mode``'s orientation filter gives the
+    universe of filtering ``guards`` by orientation."""
+    pix = sc.Pixelation(p)
+    n_g = len(pix.guards)
+    assert len(pix.guard_masks) == len(pix.guard_runs) == n_g, name
+    for gid in range(n_g):
+        g = pix.guards[gid]
+        assert pix.guard(gid) == g, (name, gid)
+        assert (g.id, g.key(), g.hit_set) == (gid, pix.guard_runs[gid], pix.guard_masks[gid]), (name, gid)
+    first = {}
+    for run in pix.raw_guards:
+        first.setdefault((run.orientation, run.hit_set), run.key())
+    assert [g.key() for g in pix.guards] == list(first.values()), name
+    assert [(g.orientation, g.hit_set) for g in pix.guards] == list(first), name
+    assert pix.h_supports == [cr.h_support for cr in pix.crosses], name
+    assert pix.v_supports == [cr.v_support for cr in pix.crosses], name
+    assert [cr.pixel_id for cr in pix.crosses] == list(range(len(pix.h_supports))), name
+    for run in pix.raw_guards:
+        assert (pix.sigma_ids_hit(*run.key())
+                == [s.id for s in pix.sigmas_hit(*run.key())]), (name, run)
+    for mode, orientations, keep in _ORIENTATION_FILTERS:
+        inst = sc.solve.instance_for_mode(pix, mode, guard_orientations=orientations)
+        want = tuple(g.id for g in pix.guards if g.orientation in keep)
+        assert inst.universe == want, (name, mode, orientations)
+
+
+def test_tables_match_records(polygons):
+    for name, p in polygons.items():
+        assert_tables_match_records(p, name)
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_SIZE))
+def test_tables_match_records_at_bench_size(name):
+    assert_tables_match_records(_BENCH_SIZE[name](), name)
 
 
 def assert_inside_matches_line_scan(p, name):
@@ -1320,7 +1382,7 @@ def test_normalize_ring_matches_rescan_reference(polygons):
     for raw in rings:
         want = _normalize_outcome(loop_normalize_ring, raw)
         assert _normalize_outcome(_normalize_ring, raw) == want, raw
-        kinds.add(want[1].split(": ")[1][:14] if isinstance(want, tuple) else "ok")
+        kinds.add(want[1].split(": ")[1][:14] if isinstance(want[1], str) else "ok")
     assert {"ok", "boundary doubl", "collapses to f", "zero area"} <= kinds
 
 

@@ -46,13 +46,16 @@ from .hitset import (
     AuxiliaryGraph,
     HittingInstance,
     SegmentCoveringInstance,
+    SupportGraph,
     build_auxiliary_graph,
     build_instance,
+    build_support_graph,
     to_segment_covering,
 )
 from .exact import Solution, brute_force_min_cover, greedy_cover, make_solution
 from .approx import ApproxReport, NetRequest, bg_hitting_set, combined_net, find_net, is_net
 from .treewidth import (
+    NumberedDecomposition,
     TreeDecomposition,
     decompose,
     dp_solve,

@@ -3,17 +3,18 @@
 The guarding question becomes a hitting-set problem: the universe is a set
 of candidate cameras and each requested cross contributes the set of
 cameras that hit it.  The same data also feeds the segment-covering
-reduction (horizontal cameras versus vertical supports) and the tripartite
-auxiliary graph used by the treewidth solver.
+reduction (horizontal cameras versus vertical supports), the support graph
+that the treewidth solver decomposes, and the tripartite auxiliary graph
+behind its lifted fallback.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import PreconditionViolated
-from .geometry import HORIZONTAL, Pixelation, _bits
+from .geometry import HORIZONTAL, VERTICAL, Pixelation, _bits
 
 Node = Tuple[str, int]  # ("c", cross id) | ("s", sigma id) | ("g", guard id)
 
@@ -142,8 +143,71 @@ def to_segment_covering(pix: Pixelation, xprime: Iterable[int],
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary graph
+# Support graph and auxiliary graph
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SupportGraph:
+    """The support graph S on int vertices: the allowed guards and every
+    midline, each requested cross contracted into an edge between its two
+    supports.
+
+    Vertex ``i < len(universe)`` is guard ``universe[i]`` and vertex
+    ``len(universe) + s`` is midline ``s``: the order of S's nodes
+    ``("g", g)`` and ``("s", s)`` in :class:`AuxiliaryGraph` sorted, so
+    min-fill breaks its ties alike on both.  ``adj[v]`` holds a guard's
+    midlines, or a midline's guards and the other support of each requested
+    cross on it.  The ids after S's vertices, ``len(adj) + k``, stand for
+    requested cross ``xprime[k]`` in a decomposition of H (its leaf bags).
+    """
+
+    pix: Pixelation
+    xprime: Tuple[int, ...]
+    universe: Tuple[int, ...]
+    adj: List[Set[int]]
+
+    def node(self, v: int) -> Node:
+        """The auxiliary-graph node of id ``v``."""
+        u, n = len(self.universe), len(self.adj)
+        if v < u:
+            return ("g", self.universe[v])
+        return ("s", v - u) if v < n else ("c", self.xprime[v - n])
+
+    @functools.cached_property
+    def names(self) -> List[str]:
+        """Per id, ``repr`` of its node: what ``--dump-td`` writes."""
+        return ([f"('g', {g})" for g in self.universe]
+                + [f"('s', {s})" for s in range(len(self.adj) - len(self.universe))]
+                + [f"('c', {c})" for c in self.xprime])
+
+
+def build_support_graph(pix: Pixelation, xprime: Iterable[int],
+                        universe: Iterable[int]) -> SupportGraph:
+    """S straight from the tables: each guard's midlines from
+    ``sigma_ids_hit`` on its run, each requested cross's supports from
+    ``h_supports`` and ``v_supports``.  Raises ``AssertionError`` unless
+    each requested cross has one vertical and one horizontal support (so
+    two distinct ones), the tables' invariant that makes S a contraction
+    of the tripartite H."""
+    xp, uni = tuple(sorted(xprime)), tuple(sorted(universe))
+    u = len(uni)
+    adj: List[Set[int]] = [set() for _ in range(u + len(pix._slice_cross_mask))]
+    runs = pix.guard_runs
+    for i, g in enumerate(uni):
+        ids = [u + s for s in pix.sigma_ids_hit(*runs[g])]
+        adj[i].update(ids)
+        for s in ids:
+            adj[s].add(i)
+    first_h = u + len(pix._chains[VERTICAL])  # horizontal midline ids follow the vertical ones
+    hs, vs = pix.h_supports, pix.v_supports
+    for c in xp:
+        h, v = u + hs[c], u + vs[c]
+        if not v < first_h <= h:
+            raise AssertionError(f"cross {c} lacks a vertical and a horizontal support")
+        adj[h].add(v)
+        adj[v].add(h)
+    return SupportGraph(pix=pix, xprime=xp, universe=uni, adj=adj)
+
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
@@ -152,7 +216,8 @@ class AuxiliaryGraph:
     Crosses connect to their two supports; guards connect to every
     slice-segment they intersect.  There are no cross-guard edges, so a
     guard set covers a cross exactly when the cross is within distance two
-    of the set.
+    of the set.  A ``dp`` solve builds it only for its lifted fallback; it
+    decomposes :class:`SupportGraph` otherwise.
     """
 
     pix: Pixelation
@@ -160,14 +225,6 @@ class AuxiliaryGraph:
     sigma_ids: Tuple[int, ...]
     gammaprime: Tuple[int, ...]
     adj: Dict[Node, FrozenSet[Node]]
-
-    @functools.cached_property
-    def support(self) -> Dict[Node, FrozenSet[Node]]:
-        """The support graph S: guards and slice-segments, each requested cross
-        contracted into an edge between its two supports (a segment's cross
-        neighbour becomes the cross's other support)."""
-        return {v: frozenset(w for u in ns for w in (self.adj[u] - {v} if u[0] == "c" else (u,)))
-                for v, ns in self.adj.items() if v[0] != "c"}
 
     def nodes(self) -> List[Node]:
         return ([("c", c) for c in self.xprime]

@@ -14,7 +14,7 @@ from .geometry import (
     Pixelation,
     pixelate,
 )
-from .hitset import HittingInstance, build_auxiliary_graph, build_instance
+from .hitset import HittingInstance, build_auxiliary_graph, build_instance, build_support_graph
 from .treewidth import DEFAULT_WIDTH_MAX, decompose, dp_solve, dual_graph, lift_decomposition
 
 MODES = ("msc", "mhsc", "mvsc", "custom")
@@ -112,11 +112,13 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
                 "net_is_universe": sol.size == len(inst.universe),
             }
         elif algo == "dp":
-            H = build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
-            # min-fill on the support graph, or past width_max the paper's lifted 7k+6 certificate
+            S = build_support_graph(pix, inst.xprime, inst.universe)
+            # min-fill on the support graph, or past width_max the paper's
+            # lifted 7k+6 certificate, the one use of the auxiliary graph H
             try:
-                sol = dp_solve(H, decompose(H.support), width_max=width_max)
+                sol = dp_solve(S, decompose(S.adj), width_max=width_max)
             except WidthExceeded as narrow:
+                H = build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
                 td_d = decompose(dual_graph(pix))
                 td_h = lift_decomposition(td_d, H, pix)
                 info.update(width_d=td_d.width, width_h=td_h.width)

@@ -3,14 +3,20 @@
 The DP solves the restricted distance-2 domination problem on the tripartite
 auxiliary graph H: choose a minimum set of guard vertices such that every
 requested cross has a support slice-segment intersected by a chosen guard.
-A solve builds one decomposition, min-fill on H's support graph S
-(``AuxiliaryGraph.support``: each cross contracted into an edge between its
-supports).  Only past the width limit does it lift min-fill on the dual
-graph, whose width the paper bounds by 7k+6 for dual width k, and retry.
+A solve builds one decomposition, min-fill on H's support graph S (each
+cross contracted into an edge between its supports), which
+:func:`~slidecam.hitset.build_support_graph` builds straight from the
+pixelation's tables on int vertices: the universe's guards by position,
+then every midline s at ``len(universe) + s``, the sorted order of S's
+tuple nodes, so min-fill breaks ties as it would on them.  H itself, with
+tuple nodes, is built only past the width limit, where the solve lifts
+min-fill on the dual graph (width bounded by the paper at 7k+6 for dual
+width k) and retries; the lifted bags are mapped onto the same ids.
 
-The DP runs on S: a cross in a bag (only the lift has them) becomes its
-vertical support, an edge contraction, and a cross is the constraint "one
-of my two supports is hit", settled when the first is forgotten.  States
+The DP runs on S's ids: a cross in a bag (only the lift has them) becomes
+its vertical support, an edge contraction, and a cross is the constraint
+"one of my two supports is hit", settled when the first is forgotten.  A
+vertex is a guard when its id is below ``len(universe)``.  States
 per bag vertex: guards are selected/unselected and slice-segments hit,
 unhit or unhit-but-needed (a cross partner was forgotten unhit); a needed
 segment forgotten unhit kills the branch.  Each vertex has a fixed slot,
@@ -22,7 +28,8 @@ the child's table in one pass per state (forget the child's vertices the
 parent lacks, then introduce the parent's new ones), and sibling tables are
 joined at the parent.  ``dp_peak_table`` is the largest of these tables.
 Crosses come back as one leaf bag {c, sv, sh} each: that decomposition of H
-is what ``--dump-td`` writes and ``width_used`` counts.
+(a :class:`NumberedDecomposition`, whose node bags are built only when
+read) is what ``--dump-td`` writes and ``width_used`` counts.
 """
 from __future__ import annotations
 
@@ -30,11 +37,11 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import Infeasible, WidthExceeded
 from .exact import Solution, make_solution
-from .hitset import AuxiliaryGraph, Node
+from .hitset import AuxiliaryGraph, Node, SupportGraph, build_support_graph
 from .geometry import Pixelation
 
 DEFAULT_WIDTH_MAX = 20
@@ -60,14 +67,43 @@ class TreeDecomposition:
 
     def to_text(self) -> str:
         """Decomposition dump: one bag per line, edges after a blank line."""
-        lines = [f"s td {len(self.bags)} {self.width + 1}"]
         name = {v: repr(v) for v in frozenset().union(*self.bags)}
-        for i, bag in enumerate(self.bags):
-            items = " ".join(sorted(map(name.__getitem__, bag)))
-            lines.append(f"b {i + 1} {items}".rstrip())
-        for a, b in self.edges:
-            lines.append(f"{a + 1} {b + 1}")
-        return "\n".join(lines) + "\n"
+        return _dump(self.bags, self.edges, self.width, name.__getitem__)
+
+
+def _dump(bags, edges, width: int, name) -> str:
+    """The dump's lines: each bag's items by ``name``, sorted."""
+    lines = [f"s td {len(bags)} {width + 1}"]
+    for i, bag in enumerate(bags):
+        items = " ".join(sorted(map(name, bag)))
+        lines.append(f"b {i + 1} {items}".rstrip())
+    for a, b in edges:
+        lines.append(f"{a + 1} {b + 1}")
+    return "\n".join(lines) + "\n"
+
+
+class NumberedDecomposition(TreeDecomposition):
+    """A decomposition of H over the int ids of its support graph ``S``
+    (see :class:`SupportGraph`): ``ids`` holds the bags as ids, and
+    ``bags``, in H's nodes, is built on first read.  ``width`` and
+    ``to_text``, which sorts each bag by ``S.names``, read the ids."""
+
+    def __init__(self, ids: Tuple[FrozenSet[int], ...], edges: Tuple[Tuple[int, int], ...],
+                 S: SupportGraph):
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "S", S)
+
+    @functools.cached_property
+    def bags(self) -> Tuple[FrozenSet[Node], ...]:
+        return tuple(frozenset(map(self.S.node, bag)) for bag in self.ids)
+
+    @functools.cached_property
+    def width(self) -> int:
+        return max(map(len, self.ids), default=0) - 1
+
+    def to_text(self) -> str:
+        return _dump(self.ids, self.edges, self.width, self.S.names.__getitem__)
 
 
 def dual_graph(pix: Pixelation) -> Dict[int, FrozenSet[int]]:
@@ -100,13 +136,17 @@ def is_tree(adj: Dict[int, FrozenSet[int]]) -> bool:
     return len(seen) == n
 
 
-def decompose(adj: Dict) -> TreeDecomposition:
+def decompose(adj: Union[Dict, Sequence[Iterable[int]]]) -> TreeDecomposition:
     """Tree decomposition by min-fill elimination (exact width 1 on trees).
 
+    ``adj`` is a dict from each vertex to its neighbours, or a sequence of
+    neighbour sets over the int vertices ``range(len(adj))`` (the support
+    graph as a solve builds it), whose bags then hold those ints.
     Each step eliminates the vertex whose remaining neighbours miss the
     fewest edges among themselves (its fill), the smaller vertex on ties.
-    Min-fill runs on integer ids, each vertex's index in sorted order, so
-    ties break the same way, and the bags are mapped back at the end.
+    Min-fill runs on integer ids, a dict's vertices by their index in sorted
+    order, so ties break the same way, and a dict's bags are mapped back at
+    the end.
     Fills are counted once, then updated by exact deltas, never recounted:
     eliminating ``v`` drops from each neighbour u the missing pairs {v, x}
     with x in N(u) but not in N(v); each fill edge a-b then completes {a, b}
@@ -118,10 +158,14 @@ def decompose(adj: Dict) -> TreeDecomposition:
     """
     if not adj:
         raise ValueError("empty graph")
-    names = sorted(adj)
-    n = len(names)
-    num = {v: i for i, v in enumerate(names)}
-    work: List[set] = [set(map(num.__getitem__, adj[v])) for v in names]
+    names: Optional[list] = None
+    if isinstance(adj, dict):
+        names = sorted(adj)
+        num = {v: i for i, v in enumerate(names)}
+        work: List[set] = [set(map(num.__getitem__, adj[v])) for v in names]
+    else:
+        work = [set(ns) for ns in adj]
+    n = len(work)
     fills = [(len(ns) * (len(ns) - 1) - sum([len(ns & work[u]) for u in ns])) // 2
              for ns in work]
     heap = [f * n + v for v, f in enumerate(fills)]
@@ -139,7 +183,7 @@ def decompose(adj: Dict) -> TreeDecomposition:
             wu = work[u]
             wu.discard(v)
             delta[u] = len(wu & ns) - len(wu)
-        for a in ns:
+        for a in ns if f else ():  # N(v) misses f pairs; none when f is 0
             wa = work[a]
             for b in ns - wa:  # a's missing pairs, each taken from its smaller end
                 if b > a:
@@ -168,7 +212,10 @@ def decompose(adj: Dict) -> TreeDecomposition:
             edges.append((i, min([elim_index[u] for u in work[v]])))
         elif i + 1 < n:
             edges.append((i, i + 1))
-    bags = tuple(frozenset([names[v], *map(names.__getitem__, work[v])]) for v in order)
+    if names is None:
+        bags = tuple(frozenset([v, *work[v]]) for v in order)
+    else:
+        bags = tuple(frozenset([names[v], *map(names.__getitem__, work[v])]) for v in order)
     return TreeDecomposition(bags=bags, edges=tuple(edges))
 
 
@@ -228,74 +275,83 @@ def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
     return TreeDecomposition(bags=tuple(bags), edges=td_d.edges)
 
 
-def _contract(td: TreeDecomposition,
-              H: AuxiliaryGraph) -> Tuple[TreeDecomposition, TreeDecomposition]:
-    """``td`` with each cross replaced by its vertical support (an edge
-    contraction: a decomposition of ``H.support``, no wider; ``td`` itself
-    when no bag holds a cross), and that with a leaf bag {c, sv, sh} per
-    requested cross below the first bag holding both supports, found in the
-    shorter of the two supports' bag lists of a per-vertex bag index: a
-    decomposition of ``H``.
-    """
-    vsup = {("c", c): ("s", H.pix.v_supports[c]) for c in H.xprime}
-    contracted = td
-    if not all(map(vsup.keys().isdisjoint, td.bags)):
-        contracted = replace(td, bags=tuple(frozenset(vsup.get(v, v) for v in bag)
-                                            for bag in td.bags))
-    bags = list(contracted.bags)
-    where: Dict[Node, List[int]] = {}
+def _numbered(td: TreeDecomposition, S: SupportGraph) -> TreeDecomposition:
+    """``td``, in H's nodes, on S's ids, each cross replaced by its vertical
+    support: an edge contraction, so a decomposition of H (the lift) or of
+    S in H's nodes becomes one of S, no wider."""
+    u = len(S.universe)
+    num = {("g", g): i for i, g in enumerate(S.universe)}
+    num.update((("s", s), u + s) for s in range(len(S.adj) - u))
+    num.update((("c", c), u + S.pix.v_supports[c]) for c in S.xprime)
+    return TreeDecomposition(bags=tuple(frozenset(map(num.__getitem__, bag)) for bag in td.bags),
+                             edges=td.edges)
+
+
+def _with_crosses(td: TreeDecomposition, S: SupportGraph) -> NumberedDecomposition:
+    """``td``, a decomposition of ``S`` on its ids, with a leaf bag
+    {c, sv, sh} per requested cross below the first bag holding both
+    supports, found in the shorter of the two supports' bag lists of a
+    per-vertex bag index: a decomposition of H."""
+    bags = list(td.bags)
+    where: List[List[int]] = [[] for _ in S.adj]
     for i, bag in enumerate(bags):
         for v in bag:
-            where.setdefault(v, []).append(i)
+            where[v].append(i)
     edges = list(td.edges)
-    for c in H.xprime:
-        s, t = supports = H.adj[("c", c)]
+    u, cid = len(S.universe), len(S.adj)
+    hs, vs = S.pix.h_supports, S.pix.v_supports
+    for k, c in enumerate(S.xprime):
+        s, t = u + vs[c], u + hs[c]
         if len(where[t]) < len(where[s]):
             s, t = t, s  # both lists ascend: either gives the same first bag
         edges.append((next(i for i in where[s] if t in bags[i]), len(bags)))
-        bags.append(supports | {("c", c)})
-    return contracted, TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
+        bags.append(frozenset((s, t, cid + k)))
+    return NumberedDecomposition(tuple(bags), tuple(edges), S)
 
 
 # ---------------------------------------------------------------------------
 # DP over the bag tree
 # ---------------------------------------------------------------------------
 
-def _slots(td: TreeDecomposition) -> Tuple[List[int], List[int], Dict[Node, int]]:
+def _slots(td: TreeDecomposition, n: int) -> Tuple[List[int], List[int], List[int]]:
     """The bags in breadth-first order from the root, bag 0, with children
     in ascending order; each bag's parent (-1 at the root); and each
-    vertex's slot.
+    vertex's slot, for the int vertices ``range(n)`` of ``td``'s bags.
 
     A vertex takes its slot in the topmost bag holding it: the smallest
     slot that the vertices the bag shares with its parent do not use, new
-    vertices in sorted order.  The bags holding a vertex form a subtree, so
+    vertices in ascending order.  The bags holding a vertex form a subtree, so
     where one of two vertices sharing a bag takes its slot, the other holds
     one already or takes one with it: a bag's slots are distinct, and all
     are below width + 1 (compare colouring a chordal graph, Gavril 1972).
     """
     nbrs = td.neighbors()
     order, parent = [0], [-1] * len(td.bags)
-    slot = {v: i for i, v in enumerate(sorted(td.bags[0]))}
+    slot = [0] * n
+    for i, v in enumerate(sorted(td.bags[0])):
+        slot[v] = i
     for b in order:  # grows while it is read: a breadth-first walk
         bag = td.bags[b]
         for c in sorted(nbrs[b]):
             if c != parent[b]:
                 parent[c] = b
                 order.append(c)
-                used = set(map(slot.__getitem__, td.bags[c] & bag))
+                used = {slot[v] for v in td.bags[c] & bag}
                 free = itertools.filterfalse(used.__contains__, itertools.count())
-                slot.update(zip(sorted(td.bags[c] - bag), free))
+                for v, i in zip(sorted(td.bags[c] - bag), free):
+                    slot[v] = i
     return order, parent, slot
 
 
-def _bag_dp(td: TreeDecomposition, adj: Dict[Node, FrozenSet[Node]]
+def _bag_dp(td: TreeDecomposition, S: SupportGraph
             ) -> Tuple[Optional[FrozenSet[int]], List[Dict[int, int]]]:
-    """Minimum guard set or None if infeasible, and the cost dict of every
-    table it kept.
+    """Minimum guard set (guard ids) or None if infeasible, and the cost
+    dict of every table it kept.
 
-    ``td`` decomposes the support graph ``adj``: a guard's neighbours are
-    the segments it meets, a segment's segment neighbours the other
-    supports of its crosses.  With W = width + 1 and each vertex at its
+    ``td`` decomposes the support graph ``S`` on its int ids, a vertex a
+    guard when below ``len(S.universe)``: a guard's neighbours are the
+    segments it meets, a segment's segment neighbours the other supports of
+    its crosses.  With W = width + 1 and each vertex at its
     slot s (``_slots``), a state is the int ``A | B << W``: bit s of ``A``
     is "selected" for a guard and "hit" for a segment, bit s of ``B``
     "needed" for an unhit segment whose cross partner was forgotten unhit.
@@ -314,23 +370,25 @@ def _bag_dp(td: TreeDecomposition, adj: Dict[Node, FrozenSet[Node]]
     packed as ``left << 2W | right``); the first state reaching a cost keeps
     it, so ties break deterministically.
     """
-    order, parent, slot = _slots(td)
+    adj, universe = S.adj, S.universe
+    n, ng = len(adj), len(universe)
+    order, parent, slot = _slots(td, n)
     # a vertex's slot bit, and that bit only for a guard or only for a
     # segment: bag vertices hold distinct slots, so sums of bits are ORs
-    bit = {v: 1 << i for v, i in slot.items()}
-    guard_bit = {v: b if v[0] == "g" else 0 for v, b in bit.items()}
-    seg_bit = {v: b if v[0] == "s" else 0 for v, b in bit.items()}
+    bit = [1 << i for i in slot]
+    guard_bit = bit[:ng] + [0] * (n - ng)
+    seg_bit = [0] * ng + bit[ng:]
     width = td.width + 1
     low, half = (1 << width) - 1, 2 * width
 
-    def step(costs: Dict[int, int], old: FrozenSet[Node], new: FrozenSet[Node]):
+    def step(costs: Dict[int, int], old: FrozenSet[int], new: FrozenSet[int]):
         """The table ``costs`` over bag ``old`` as one over bag ``new``, and
         the id of each guard it introduces by its bit."""
         cur = set(old)
         forgets = []
         for v in old - new:  # in any order: the state comes out the same
             cur.discard(v)
-            need = sum(map(seg_bit.__getitem__, cur & adj[v])) if v[0] == "s" else 0
+            need = sum(map(seg_bit.__getitem__, cur & adj[v])) if v >= ng else 0
             forgets.append((bit[v], bit[v] << width, need))
         # each subset of the new guards, unselected first, as the bits it
         # sets and keeps: selecting a guard hits its segments in the new bag
@@ -340,9 +398,9 @@ def _bag_dp(td: TreeDecomposition, adj: Dict[Node, FrozenSet[Node]]
         guards: Dict[int, int] = {}
         segments = []
         for v in sorted(new - old):  # guards first; cur now holds the kept vertices
-            if v[0] == "g":
+            if v < ng:
                 mask = sum(map(bit.__getitem__, new & adj[v]))
-                guards[bit[v]] = v[1]
+                guards[bit[v]] = universe[v]
                 picks = [p for on, keep, k in picks
                          for p in ((on, keep, k), (on | bit[v] | mask, keep & ~(mask << width), k + 1))]
             else:
@@ -392,7 +450,7 @@ def _bag_dp(td: TreeDecomposition, adj: Dict[Node, FrozenSet[Node]]
                     back[full] = lst << half | rst
         return out, back
 
-    empty: FrozenSet[Node] = frozenset()
+    empty: FrozenSet[int] = frozenset()
     kids: Dict[int, List[int]] = {}
     for c in order[1:]:
         kids.setdefault(parent[c], []).append(c)  # ascending: the walk visits them so
@@ -449,25 +507,31 @@ def _bag_dp(td: TreeDecomposition, adj: Dict[Node, FrozenSet[Node]]
     return frozenset(picked), tables
 
 
-def dp_solve(H: AuxiliaryGraph, td: TreeDecomposition,
+def dp_solve(graph: Union[SupportGraph, AuxiliaryGraph], td: TreeDecomposition,
              width_max: int = DEFAULT_WIDTH_MAX) -> Solution:
-    """Minimum guard set via dynamic programming over a decomposition of ``H``.
+    """Minimum guard set via dynamic programming over a decomposition.
 
-    ``td`` decomposes ``H.support`` (min-fill, as a solve builds it) or ``H``
-    (the lift); the DP runs on its contraction, which decomposes ``H.support``
-    (``td`` itself when no bag holds a cross).  That plus a leaf bag per
-    requested cross is the decomposition of ``H`` whose width is checked
-    against ``width_max`` and that the solution carries.  The DP
-    (``_bag_dp``) takes one step per edge of the contraction's tree, on
-    states of 2 * (width + 1) bits, two per vertex slot (``_slots``).  The
-    cover is verified on the crosses ``H`` was built over; the largest DP
-    table, in states, is the counter ``dp_peak_table``.
+    ``td`` decomposes the support graph ``graph`` on its int ids (min-fill,
+    as a solve builds it).  Given the auxiliary graph ``H`` instead, ``td``
+    is in H's nodes (the lift, or a decomposition of H's support graph);
+    it is mapped onto the ids of the support graph built for H, each cross
+    becoming its vertical support, and solved the same way.  ``td`` plus a
+    leaf bag per requested cross is the decomposition of H whose width is
+    checked against ``width_max`` and that the solution carries
+    (:class:`NumberedDecomposition`).  The DP (``_bag_dp``) takes one step
+    per edge of ``td``'s tree, on states of 2 * (width + 1) bits, two per
+    vertex slot (``_slots``).  The cover is verified on the requested
+    crosses; the largest DP table, in states, is the counter
+    ``dp_peak_table``.
     """
-    contracted, full = _contract(td, H)
+    if isinstance(graph, AuxiliaryGraph):
+        graph = build_support_graph(graph.pix, graph.xprime, graph.gammaprime)
+        td = _numbered(td, graph)
+    full = _with_crosses(td, graph)
     if full.width > width_max:
         raise WidthExceeded(f"width {full.width} exceeds limit {width_max}")
-    picked, tables = _bag_dp(contracted, H.support)
+    picked, tables = _bag_dp(td, graph)
     if picked is None:
         raise Infeasible("no guard set satisfies all requested crosses")
-    return replace(make_solution(H.pix, H.xprime, sorted(picked), "dp"), decomposition=full,
-                   counters={"dp_peak_table": max(map(len, tables))})
+    return replace(make_solution(graph.pix, graph.xprime, sorted(picked), "dp"),
+                   decomposition=full, counters={"dp_peak_table": max(map(len, tables))})

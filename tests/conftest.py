@@ -199,3 +199,33 @@ def cross_sets(inst):
     """Per requested cross, the universe guards whose hit set holds it."""
     return {c: frozenset(g for g in inst.universe if inst.pix.guards[g].hit_set >> c & 1)
             for c in inst.xprime}
+
+
+def support_of(H):
+    """The support graph S of the auxiliary graph H, in H's nodes: guards and
+    slice-segments, each requested cross contracted into an edge between its
+    supports (a segment's cross neighbour becomes the cross's other
+    support).  The reference for ``build_support_graph``, which builds S
+    from the pixelation's tables."""
+    return {v: frozenset(w for u in ns for w in (H.adj[u] - {v} if u[0] == "c" else (u,)))
+            for v, ns in H.adj.items() if v[0] != "c"}
+
+
+def in_nodes(S):
+    """The int support graph ``S`` with each id replaced by its node."""
+    return {S.node(v): frozenset(map(S.node, ns)) for v, ns in enumerate(S.adj)}
+
+
+def with_leaf_bags(td, H):
+    """``td``, in H's nodes, with each cross replaced by its vertical
+    support and a leaf bag {c, sv, sh} per requested cross hung below the
+    first bag holding both supports, found by scanning every bag: the
+    decomposition of H that ``dp_solve`` carries."""
+    vsup = {("c", c): ("s", H.pix.crosses[c].v_support) for c in H.xprime}
+    bags = [frozenset(vsup.get(v, v) for v in bag) for bag in td.bags]
+    edges = list(td.edges)
+    for c in H.xprime:
+        supports = H.adj[("c", c)]
+        edges.append((next(i for i, bag in enumerate(bags) if supports <= bag), len(bags)))
+        bags.append(supports | {("c", c)})
+    return sc.TreeDecomposition(bags=tuple(bags), edges=tuple(edges))

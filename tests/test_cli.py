@@ -356,10 +356,10 @@ def test_solve_dp_falls_back_to_the_lifted_decomposition(tmp_path, monkeypatch, 
     poly = {"comb10": sc.gen_comb(10), "spiral5": sc.gen_path_lb(5)}[shape]
 
     def one_bag_for_s(adj):
-        if all(isinstance(v, int) for v in adj):  # the dual graph: pixel ids
+        if isinstance(adj, dict):  # the dual graph; S comes as a list of int neighbour sets
             return sc.decompose(adj)
         assert len(adj) > 21  # one bag is wider than the default --width-max
-        return sc.TreeDecomposition(bags=(frozenset(adj),), edges=())
+        return sc.TreeDecomposition(bags=(frozenset(range(len(adj))),), edges=())
 
     monkeypatch.setattr(sc.solve, "decompose", one_bag_for_s)
     poly_path = tmp_path / "poly.json"

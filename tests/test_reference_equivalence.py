@@ -62,8 +62,9 @@ from slidecam.geometry import (
 )
 from slidecam.treewidth import (
     _bag_dp,
-    _contract,
+    _numbered,
     _slots,
+    _with_crosses,
     decompose,
     dual_graph,
     is_tree,
@@ -71,7 +72,7 @@ from slidecam.treewidth import (
     validate_decomposition,
 )
 
-from conftest import oriented_instance
+from conftest import oriented_instance, support_of, with_leaf_bags
 from test_approx import weighted_instances
 from test_fuzz import gen_random_holed
 from test_gallery import enumerate_small_polygons, staircase_polygon
@@ -2140,7 +2141,7 @@ def _synthetic_graphs():
         "c30": from_edges(range(30), [(i, (i + 1) % 30) for i in range(30)]),
         "grid6x6": from_edges(range(36), [(6 * r + c, 6 * r + c + 1) for r in range(6) for c in range(5)]
                               + [(6 * r + c, 6 * r + c + 6) for r in range(5) for c in range(6)]),
-        "comb30_support": sc.build_auxiliary_graph(sc.pixelate(sc.gen_comb(30))).support,
+        "comb30_support": support_of(sc.build_auxiliary_graph(sc.pixelate(sc.gen_comb(30)))),
     }
     for seed in range(12):
         rng = random.Random(seed)
@@ -2179,37 +2180,26 @@ def test_decompose_matches_full_recompute(polygons):
     for name, p in polys.items():
         pix = sc.pixelate(p)
         H = sc.build_auxiliary_graph(pix)
-        for graph in (dual_graph(pix), H.adj, H.support):
+        for graph in (dual_graph(pix), H.adj, support_of(H)):
             assert decompose(graph) == loop_decompose(graph), name
-
-
-def loop_contract_edges(td, H):
-    """_contract's tree edges, each cross's leaf bag hung below the first bag
-    holding both supports, found by scanning every bag of the contraction."""
-    vsup = {("c", c): ("s", H.pix.crosses[c].v_support) for c in H.xprime}
-    bags = [frozenset(vsup.get(v, v) for v in bag) for bag in td.bags]
-    edges = list(td.edges)
-    for k, c in enumerate(H.xprime):
-        supports = H.adj[("c", c)]
-        edges.append((next(i for i, bag in enumerate(bags) if supports <= bag), len(bags) + k))
-    return tuple(edges)
 
 
 def test_contract_matches_scan_over_every_bag(polygons):
     """Scanning the shorter of the two supports' bag lists finds the same first
     bag as scanning every bag, on the corpus and on comb(60), whose base
-    midline sits in most bags.  A decomposition without cross vertices
-    (min-fill on S) is its own contraction; the others are rebuilt."""
+    midline sits in most bags; the decompositions, in H's nodes, are mapped
+    onto the support graph's ids, with or without cross vertices."""
     polys = dict(polygons)
     polys["comb60"] = sc.gen_comb(60)
     for name, p in polys.items():
         pix = sc.pixelate(p)
         H = sc.build_auxiliary_graph(pix)
+        S = sc.build_support_graph(pix, H.xprime, H.gammaprime)
         lifted = lift_decomposition(decompose(dual_graph(pix)), H, pix)
-        for td, has_crosses in ((lifted, True), (decompose(H.support), False), (decompose(H.adj), True)):
-            contracted, full = _contract(td, H)
-            assert (contracted is td) != has_crosses, name
-            assert full.edges == loop_contract_edges(td, H), name
+        for td in (lifted, decompose(support_of(H)), decompose(H.adj)):
+            full = _with_crosses(_numbered(td, S), S)
+            ref = with_leaf_bags(td, H)
+            assert (full.bags, full.edges) == (ref.bags, ref.edges), name
 
 
 def _restricted_instances():
@@ -2238,8 +2228,9 @@ def _dp_cases():
     cases += _restricted_instances()
     for pix, xs, gids in cases:
         H = sc.build_auxiliary_graph(pix, xprime=xs, gammaprime=gids)
+        S = sc.build_support_graph(pix, H.xprime, H.gammaprime)
         lifted = lift_decomposition(decompose(dual_graph(pix)), H, pix)
-        yield pix, xs, gids, H, lifted, decompose(H.adj)
+        yield pix, xs, gids, H, S, lifted, decompose(H.adj)
 
 
 def test_dp_matches_tuple_state_reference():
@@ -2247,15 +2238,15 @@ def test_dp_matches_tuple_state_reference():
 
     loop_dp runs on the nice form of the lifted and min-fill decompositions
     as they are, cross vertices included; _bag_dp runs on their
-    contraction's bag tree, with the support graph.
+    contraction's bag tree on the support graph's ids.
     """
     solved = infeasible = narrower = 0
-    for pix, xs, gids, H, lifted, minfill in _dp_cases():
+    for pix, xs, gids, H, S, lifted, minfill in _dp_cases():
         narrower += minfill.width < lifted.width
         for td in (lifted, minfill):
             if td.width > 13:
                 continue
-            picked, tables = _bag_dp(_contract(td, H)[0], H.support)
+            picked, tables = _bag_dp(_numbered(td, S), S)
             ref = loop_dp(_make_nice(td), H)
             assert max(map(len, tables)) >= 1
             if ref is None:
@@ -2273,17 +2264,17 @@ def test_slots_are_distinct_in_bags_and_states_fit_the_width():
     and on H, each bag's vertices hold distinct slots below width + 1, and
     every state the DP keeps fits in 2 * (width + 1) bits."""
     checked = 0
-    for pix, xs, gids, H, lifted, minfill in _dp_cases():
-        for td in (lifted, decompose(H.support), minfill):
+    for pix, xs, gids, H, S, lifted, minfill in _dp_cases():
+        for td in (lifted, decompose(support_of(H)), minfill):
             if td.width > 13:
                 continue
-            cf = _contract(td, H)[0]
+            cf = _numbered(td, S)
             width = cf.width + 1
-            slot = _slots(cf)[2]
+            slot = _slots(cf, len(S.adj))[2]
             for bag in cf.bags:
                 slots = {slot[v] for v in bag}
                 assert len(slots) == len(bag) and max(slots) < width, (pix.polygon, xs, gids, bag)
-            tables = _bag_dp(cf, H.support)[1]
+            tables = _bag_dp(cf, S)[1]
             assert all(0 <= st < 1 << 2 * width for t in tables for st in t), (pix.polygon, xs, gids)
             checked += 1
     assert checked > 600, checked
@@ -2295,16 +2286,19 @@ def test_cross_free_decomposition_is_valid_for_contracted_graph():
     the supports of each requested cross (the support graph), no wider than
     its input; one leaf bag per requested cross turns it back into a tree
     decomposition of the auxiliary graph, of width max(contracted width, 2)."""
-    for pix, xs, gids, H, lifted, minfill in _dp_cases():
+    for pix, xs, gids, H, S, lifted, minfill in _dp_cases():
         vertices = [v for v in H.nodes() if v[0] != "c"]
         edges = [(u, v) for u, v in H.edges() if "c" not in (u[0], v[0])]
         edges += [tuple(sorted([("s", pix.crosses[c].v_support), ("s", pix.crosses[c].h_support)]))
                   for c in H.xprime]
-        S = H.support
-        assert sorted(S) == sorted(vertices)
-        assert sorted((u, v) for u in S for v in S[u] if u < v) == sorted(edges)
-        for td in (lifted, minfill, decompose(S)):
-            cf, full = _contract(td, H)
+        support = support_of(H)
+        assert sorted(support) == sorted(vertices)
+        assert sorted((u, v) for u in support for v in support[u] if u < v) == sorted(edges)
+        for td in (lifted, minfill, decompose(support)):
+            cf = _numbered(td, S)
+            full = _with_crosses(cf, S)
+            cf = sc.TreeDecomposition(bags=tuple(frozenset(map(S.node, bag)) for bag in cf.bags),
+                                      edges=cf.edges)
             ok, wit = validate_decomposition(cf, vertices, edges)
             assert ok, (wit, pix.polygon, xs, gids)
             assert cf.width <= td.width

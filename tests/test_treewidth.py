@@ -16,7 +16,8 @@ from slidecam.treewidth import (
     validate_decomposition,
 )
 
-from conftest import LSHAPE, RECT
+from conftest import LSHAPE, RECT, in_nodes, support_of, with_leaf_bags
+from test_fuzz import gen_random_holed
 
 # square with four unit bumps, one per side: the pixelation core is a 3x3 grid
 PINWHEEL = [[(0, 0), (1, 0), (1, -1), (2, -1), (2, 0), (3, 0), (3, 1), (4, 1),
@@ -293,9 +294,113 @@ def test_dp_solve_decomposes_no_cross_vertex(monkeypatch, poly):
 
     monkeypatch.setattr(sc.solve, "decompose", recorded)
     sol, info = sc.solve_polygon(poly, algo="dp")
-    H = sc.build_auxiliary_graph(sc.pixelate(poly))
-    assert graphs == [H.support]
+    pix = sc.pixelate(poly)
+    H = sc.build_auxiliary_graph(pix)
+    S = sc.build_support_graph(pix, H.xprime, H.gammaprime)
+    assert graphs == [S.adj]
+    assert in_nodes(S) == support_of(H)
     assert "width_d" not in info and "width_h" not in info
     ok, wit = validate_decomposition(sol.decomposition, H.nodes(), H.edges())
     assert ok, wit
     assert info["width_used"] == sol.decomposition.width
+
+
+ONE_HOLE = [[(0, 0), (8, 0), (8, 6), (0, 6)], [(2, 2), (2, 4), (3, 4), (3, 2)]]
+TWO_HOLES = ONE_HOLE + [[(5, 1), (5, 3), (6, 3), (6, 1)]]
+
+
+@pytest.mark.parametrize("mode", ["msc", "mhsc"])
+def test_int_support_graph_matches_the_auxiliary_graph(corpus, mode):
+    """A solve's int pipeline against the one on H's tuple nodes it replaced.
+
+    S numbers the universe's guards first, then every midline at
+    len(universe) + id, which is the sorted order of H's support graph; under
+    that numbering S equals it, min-fill gives the same bags and tree, dp the
+    same cover and width, and --dump-td the same bytes as H's decomposition
+    with a leaf bag per cross, written by TreeDecomposition.to_text.
+    """
+    polys = dict(corpus)
+    polys.update(comb8=sc.gen_comb(8), comb30=sc.gen_comb(30), spiral5=sc.gen_path_lb(5),
+                 spiral12=sc.gen_path_lb(12), thin6=sc.gen_thin_tree(6, 1),
+                 thin12=sc.gen_thin_tree(12, 4), hole1=sc.validate_polygon(ONE_HOLE),
+                 hole2=sc.validate_polygon(TWO_HOLES))
+    polys.update((f"holed{seed}", gen_random_holed(seed)) for seed in range(4))
+    for name, poly in polys.items():
+        pix = sc.pixelate(poly)
+        inst = sc.solve.instance_for_mode(pix, mode)
+        H = sc.build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
+        S = sc.build_support_graph(pix, inst.xprime, inst.universe)
+        support = support_of(H)
+        assert [S.node(v) for v in range(len(S.adj))] == sorted(support), name
+        assert in_nodes(S) == support, name
+        td, ref_td = decompose(S.adj), decompose(support)
+        assert tuple(frozenset(map(S.node, bag)) for bag in td.bags) == ref_td.bags, name
+        assert td.edges == ref_td.edges, name
+        sol, info = sc.solve_polygon(poly, mode=mode, algo="dp")
+        ref = dp_solve(H, ref_td)
+        assert sol.guard_ids == ref.guard_ids, name
+        ref_full = with_leaf_bags(ref_td, H)
+        assert info["width_used"] == ref.decomposition.width == ref_full.width, name
+        assert sol.decomposition.to_text() == ref_full.to_text(), name
+        assert sol.decomposition.bags == ref_full.bags, name
+
+
+def _refuse_auxiliary_graph(*args, **kwargs):
+    raise AssertionError("the auxiliary graph H was built")
+
+
+@pytest.mark.parametrize("mode", ["msc", "mhsc"])
+def test_dp_builds_no_auxiliary_graph_when_min_fill_fits(tmp_path, monkeypatch, mode):
+    """solve_polygon and `solve --algo dp --dump-td` build no AuxiliaryGraph
+    while min-fill on S fits --width-max; the dump is still H's decomposition."""
+    poly = sc.gen_random_simple(16, 3)
+    poly_path, td_path = tmp_path / "poly.json", tmp_path / "td.txt"
+    poly_path.write_text(json.dumps(poly.to_dict()))
+    monkeypatch.setattr(sc.hitset, "AuxiliaryGraph", _refuse_auxiliary_graph)
+    sol, info = sc.solve_polygon(poly, mode=mode, algo="dp")
+    assert main(["solve", str(poly_path), "--algo", "dp", "--mode", mode,
+                 "--dump-td", str(td_path)]) == 0
+    assert "width_h" not in info
+    monkeypatch.undo()
+    assert td_path.read_text() == sol.decomposition.to_text()
+    pix = sc.pixelate(poly)
+    inst = sc.solve.instance_for_mode(pix, mode)
+    H = sc.build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
+    ok, wit = validate_decomposition(sol.decomposition, H.nodes(), H.edges())
+    assert ok, wit
+
+
+def test_dp_fallback_past_width_max_builds_the_auxiliary_graph(monkeypatch):
+    """Min-fill on S made one bag of all its vertices, wider than --width-max:
+    the solve builds H once, lifts the dual graph's decomposition, reports
+    width_d and width_h, and returns a verified optimum, at a --width-max as
+    small as the width it solved at and not one below."""
+    poly = sc.gen_comb(10)
+    pix = sc.pixelate(poly)
+    built = []
+
+    def one_bag_for_s(adj):
+        if isinstance(adj, dict):  # the dual graph; S comes as a list of int neighbour sets
+            return decompose(adj)
+        return TreeDecomposition(bags=(frozenset(range(len(adj))),), edges=())
+
+    def recorded(*args, **kwargs):
+        built.append(sc.build_auxiliary_graph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sc.solve, "decompose", one_bag_for_s)
+    monkeypatch.setattr(sc.solve, "build_auxiliary_graph", recorded)
+    sol, info = sc.solve_polygon(poly, algo="dp")
+    assert len(built) == 1
+    dual = decompose(dual_graph(pix))
+    assert info["width_d"] == dual.width
+    assert info["width_h"] == lift_decomposition(dual, built[0], pix).width
+    assert info["width_used"] == sol.decomposition.width <= info["width_h"]
+    ok, wit = validate_decomposition(sol.decomposition, built[0].nodes(), built[0].edges())
+    assert ok, wit
+    assert sol.size == sc.brute_force_min_cover(sc.build_instance(pix)).size
+    assert sc.verify_cover(pix, list(sol.guard_ids)).covered
+    width = info["width_used"]
+    assert sc.solve_polygon(poly, algo="dp", width_max=width)[0].guard_ids == sol.guard_ids
+    with pytest.raises(sc.WidthExceeded, match=f"lifted width {width} exceeds limit {width - 1}"):
+        sc.solve_polygon(poly, algo="dp", width_max=width - 1)

@@ -1,6 +1,7 @@
 """Ground-truth solvers: brute-force minimum cover and a greedy baseline."""
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
@@ -131,19 +132,32 @@ def brute_force_min_cover(inst: HittingInstance, cap: Optional[int] = None) -> S
 
 
 def greedy_cover(inst: HittingInstance) -> Solution:
-    """Repeatedly pick the guard hitting the most still-uncovered crosses."""
+    """Repeatedly pick the guard hitting the most still-uncovered crosses,
+    the lowest id among equals.
+
+    The guards wait in a heap by gains that may be stale, keyed
+    -gain * m + id for m canonical guards, which orders as (-gain, id)
+    does.  Gains only fall as crosses get covered, so a key never exceeds
+    its guard's current key: the top guard is the pick if its gain has not
+    changed, and goes back in under its current key otherwise (lazy
+    greedy; Minoux, "Accelerated greedy algorithms for maximizing
+    submodular set functions", 1978).
+    """
     if not inst.feasible:
         raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
     masks = inst.pix.guard_masks
-    hit_sets = {g: masks[g] for g in sorted(inst.universe)}
+    m = len(masks)
     uncovered = inst.wanted
+    heap = [-(masks[g] & uncovered).bit_count() * m + g for g in set(inst.universe)]
+    heapq.heapify(heap)
     picked: List[int] = []
     while uncovered:
-        best, best_gain = None, -1
-        for g, hs in hit_sets.items():
-            gain = (hs & uncovered).bit_count()
-            if gain > best_gain:
-                best, best_gain = g, gain
-        picked.append(best)
-        uncovered &= ~hit_sets[best]
+        g = heap[0] % m
+        key = -(masks[g] & uncovered).bit_count() * m + g
+        if key != heap[0]:
+            heapq.heapreplace(heap, key)
+            continue
+        heapq.heappop(heap)
+        picked.append(g)
+        uncovered &= ~masks[g]
     return make_solution(inst.pix, inst.xprime, sorted(picked), "greedy")

@@ -11,8 +11,8 @@ import functools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter, lt
+from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateRing,
@@ -57,6 +57,24 @@ class OrthoPolygon:
     def area2(self) -> int:
         """Twice the enclosed area (holes subtracted)."""
         return sum(_signed_area2(r) for r in self.rings())
+
+    # The two tables below are kept on the instance, not as fields, so that
+    # equality, hashing and the ``pixelate`` cache see the rings alone.
+    # :func:`validate_polygon` fills both, since its checks build them;
+    # polygons built directly build them on first read.
+
+    @functools.cached_property
+    def _spans(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+        """The edges per line, vertical by x and horizontal by y (see :func:`_line_spans`)."""
+        return _line_spans(self.rings())
+
+    @functools.cached_property
+    def _v_slices(self) -> List[Tuple[int, int, int, int]]:
+        """The vertical slices (x0, y0, x1, y1), sorted (see :func:`_sweep_slices`)."""
+        slices = _sweep_slices(self._spans[0])
+        if slices is None:
+            raise AssertionError("edges of the polygon cross")
+        return sorted(slices)
 
     def to_dict(self) -> dict:
         d = {"outer": [list(v) for v in self.outer]}
@@ -230,6 +248,35 @@ def _rotate_to_min(ring: List[Vertex]) -> List[Vertex]:
     return ring[k:] + ring[:k]
 
 
+def _line_spans(rings: Iterable[Sequence[Vertex]]) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+    """The edges of normalized rings per line: vertical edges by x and
+    horizontal edges by y, each line's as the list [lo0, hi0, lo1, hi1, ...]
+    of its spans sorted, lines in order.
+
+    Edges of a valid polygon never touch along one line, so each list is
+    strictly increasing; see :func:`_on_spans`.
+    """
+    vert, horiz = [], []
+    for ring in rings:
+        x0, y0 = ring[-1]
+        for x1, y1 in ring:
+            if x0 == x1:
+                vert.append((x0, y0, y1) if y0 < y1 else (x0, y1, y0))
+            else:
+                horiz.append((y0, x0, x1) if x0 < x1 else (y0, x1, x0))
+            x0, y0 = x1, y1
+    out = []
+    for edges in (vert, horiz):
+        lines: Dict[int, List[int]] = {}
+        for a, lo, hi in sorted(edges):
+            if a in lines:
+                lines[a] += lo, hi
+            else:
+                lines[a] = [lo, hi]
+        out.append(lines)
+    return out[0], out[1]
+
+
 def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     """Validate and normalize raw vertex rings into an :class:`OrthoPolygon`.
 
@@ -237,6 +284,33 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     Orientation is normalized (outer CCW, holes CW), collinear and duplicate
     vertices are merged and every ring is rotated to start at its smallest
     vertex so that equal polygons have identical representations.
+
+    The rings are a polygon when edges of all rings meet only where
+    consecutive edges of one ring share their vertex, every hole lies inside
+    the outer ring, and no hole lies inside another.  Three exact tests
+    decide that together, on tables the pixelation reads anyway:
+
+    1. On every line, the edge spans of its orientation are strictly
+       increasing (:func:`_line_spans`).  This rules out every contact at a
+       vertex: each vertex carries one edge of each orientation, so a vertex
+       on another edge puts two edges of one line in contact.
+    2. The vertical slice sweep (:func:`_sweep_slices`) never meets a run
+       end strictly inside a vertical edge.  Given 1, the run ends between
+       two grid lines are exactly the horizontal edges over that gap, so
+       this rules out the remaining contacts, proper crossings.
+    3. Twice the vertical slices' total area is |area2(outer)| minus the
+       sum of |area2(hole)|.  Given 1 and 2 the rings are disjoint simple
+       curves, and the sweep's runs are the points that an odd number of
+       rings enclose: twice their area is the sum of |area2(ring)|, signed
+       + at even nesting depth and - at odd.  That is the target when the
+       outer ring is at depth 0 and every hole at depth 1, and more
+       otherwise: a hole at even depth adds 2 |area2(hole)|, and an outer
+       ring at odd depth, which takes 2 |area2(outer)| away, lies directly
+       inside a larger hole at even depth.
+
+    The accepted polygon keeps both tables (see :class:`Pixelation`).  Only
+    a rejection runs the contact search and the hole scan of
+    :func:`_raise_fault`, to name the fault.
     """
     if not rings:
         raise DegenerateRing("no rings given")
@@ -244,12 +318,33 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     outer, area2 = norm[0]
     if area2 < 0:
         outer.reverse()
+    target = abs(area2)
     holes = []
     for h, area2 in norm[1:]:
         if area2 > 0:
             h.reverse()
         holes.append(h)
+        target -= abs(area2)
+    spans = _line_spans([outer, *holes])
+    slices = None
+    # a line with one edge is strictly increasing already
+    if all(all(map(lt, line, line[1:])) for lines in spans for line in lines.values() if len(line) > 2):
+        slices = _sweep_slices(spans[0])
+    if slices is None or 2 * sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in slices) != target:
+        _raise_fault(outer, holes)
+    poly = OrthoPolygon(
+        outer=tuple(_rotate_to_min(outer)),
+        holes=tuple(tuple(_rotate_to_min(h)) for h in holes),
+    )
+    # what the cached properties would build: the spans do not depend on
+    # where a ring starts
+    vars(poly).update(_spans=spans, _v_slices=sorted(slices))
+    return poly
 
+
+def _raise_fault(outer: List[Vertex], holes: List[List[Vertex]]) -> NoReturn:
+    """Raise the error that names why oriented rings that
+    :func:`validate_polygon` rejected are no polygon."""
     # Simplicity: edges of all rings may only meet where consecutive edges of
     # one ring share their common vertex.  Any other contact is rejected, so
     # rings never touch each other or themselves.
@@ -278,11 +373,7 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
                     hole_vert, _ = _ring_edges(hole)
                 if _point_in_ring((x, y), hole_vert):
                     raise HoleOutsideOuter(f"holes {a} and {b} overlap")
-
-    return OrthoPolygon(
-        outer=tuple(_rotate_to_min(outer)),
-        holes=tuple(tuple(_rotate_to_min(h)) for h in holes),
-    )
+    raise AssertionError("validation rejected rings without a fault to name")
 
 
 def close_cut_arc(arc: Sequence[Vertex]) -> OrthoPolygon:
@@ -377,18 +468,6 @@ class CoverageReport:
         return not self.uncovered
 
 
-def _spans_by_line(edges: Iterable[Tuple[int, int, int]]) -> Dict[int, List[int]]:
-    """Edges (line, lo, hi) as the sorted list [lo0, hi0, lo1, hi1, ...] per line.
-
-    Edges of a valid polygon never touch along one line, so each list is
-    strictly increasing; see :func:`_on_spans`.
-    """
-    out: Dict[int, List[int]] = {}
-    for a, lo, hi in sorted(edges):
-        out.setdefault(a, []).extend((lo, hi))
-    return out
-
-
 def _on_spans(ends: List[int], t: int) -> bool:
     """Is ``t`` on a closed span of a strictly increasing [lo0, hi0, ...] list?
 
@@ -408,22 +487,28 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
-def _sweep_slices(spans: Dict[int, List[int]]) -> List[Tuple[int, int, int, int]]:
+def _sweep_slices(spans: Dict[int, List[int]]) -> Optional[List[Tuple[int, int, int, int]]]:
     """One segmentation's slices, by a sweep over the grid lines that carry edges.
 
-    ``spans`` holds each line's edges as :func:`_spans_by_line` gives them,
-    in line order.  The sweep keeps the inside runs between the current
-    line and the next as a strictly increasing list of run ends.  An edge
-    [lo, hi] on a line closes the runs whose closed spans touch it and
-    opens ``sorted(set(their ends) ^ {lo, hi})`` in their place, since
-    inside-ness flips across the edge.  A run that no edge touches goes on
-    unchanged.  Each closed run that opened on an earlier line is a slice
-    (a0, lo, a1, hi): lines a0 to a1 bound it and its span is [lo, hi].
-    This is exactly the cut by the rays parallel to the lines: two
-    overlapping runs on either side of a line that differ at an end, say
-    at lo' > lo, have a reflex vertex on the line at lo' whose ray follows
-    the line across their overlap and splits them.  The cost is O(log r)
-    plus a list splice per edge, for r open runs.
+    ``spans`` holds each line's edges as :func:`_line_spans` gives them, in
+    line order, strictly increasing on each line.  The sweep keeps the
+    inside runs between the current line and the next as a strictly
+    increasing list of run ends, which are then exactly the perpendicular
+    edges over that gap.  An edge [lo, hi] on a line closes the runs whose
+    closed spans touch it and opens their ends XOR {lo, hi} in their place,
+    since inside-ness flips across the edge.  A run that no edge touches
+    goes on unchanged.  Each closed run that opened on an earlier line is a
+    slice (a0, lo, a1, hi): lines a0 to a1 bound it and its span is
+    [lo, hi].  This is exactly the cut by the rays parallel to the lines:
+    two overlapping runs on either side of a line that differ at an end,
+    say at lo' > lo, have a reflex vertex on the line at lo' whose ray
+    follows the line across their overlap and splits them.  The cost is
+    O(log r) plus a list splice per edge, for r open runs.
+
+    A run end strictly inside an edge is a perpendicular edge that crosses
+    it; the sweep then returns None.  Otherwise the run ends in [lo, hi]
+    are at most lo and hi themselves, so the new ends are those of the
+    touched runs outside [lo, hi] and whichever of lo and hi is not one.
     """
     ends: List[int] = []
     opened: List[int] = []  # per open run, the line it opened on
@@ -431,11 +516,16 @@ def _sweep_slices(spans: Dict[int, List[int]]) -> List[Tuple[int, int, int, int]
     for a, line in spans.items():
         for e in range(0, len(line), 2):
             lo, hi = line[e], line[e + 1]
-            k0 = bisect_left(ends, lo) >> 1
-            k1 = (bisect_right(ends, hi) + 1) >> 1
-            out += [(opened[k], ends[2 * k], a, ends[2 * k + 1])
-                    for k in range(k0, k1) if opened[k] != a]
-            new = sorted(set(ends[2 * k0:2 * k1]).symmetric_difference((lo, hi)))
+            i, j = bisect_left(ends, lo), bisect_right(ends, hi)
+            at_lo = i < j and ends[i] == lo
+            at_hi = i < j and ends[j - 1] == hi
+            if j - i > at_lo + at_hi:
+                return None
+            k0, k1 = i >> 1, (j + 1) >> 1
+            for k in range(k0, k1):
+                if opened[k] != a:
+                    out.append((opened[k], ends[2 * k], a, ends[2 * k + 1]))
+            new = ends[2 * k0:i] + [lo, hi][at_lo:2 - at_hi] + ends[j:2 * k1]
             ends[2 * k0:2 * k1] = new
             opened[k0:k1] = [a] * (len(new) >> 1)
     return out
@@ -473,9 +563,15 @@ class Pixelation:
     coordinates per axis, ``x_cuts`` and ``y_cuts``):
 
     - Slices and midlines: each orientation sweeps its grid lines, keeping
-      the inside runs between lines (:func:`_sweep_slices`).  Slices are
-      numbered by rect, and horizontal midline ids follow the vertical
-      ones.  The midline index ``_sigma_lines`` holds, per orientation and
+      the inside runs between lines (:func:`_sweep_slices`).  The edge
+      spans per line and the vertical slices are the polygon's own
+      (``OrthoPolygon._spans`` and ``_v_slices``, shared, not copied):
+      :func:`validate_polygon` builds them for its checks, and a polygon
+      built directly (:func:`close_cut_arc`, ``guard_small``'s rank
+      polygons) builds them on first read, so only the horizontal sweep
+      runs here.  The grid lines, ``x_cuts`` and ``y_cuts``, are the lines
+      of the spans.  Slices are numbered by rect, and horizontal midline
+      ids follow the vertical ones.  The midline index ``_sigma_lines`` holds, per orientation and
       ``anchor2``, the lo, hi and id of each midline on it.  Cost
       O(E log E) for E edges.
     - Crosses: the vertical slices are walked in rect order while a sweep
@@ -510,13 +606,8 @@ class Pixelation:
     :meth:`is_thin`), ``slices_v`` and ``slices_h`` (:func:`segmentation`,
     the ``pixelate`` command), ``reflex_vertices`` (``path``), the
     stabbing index behind :meth:`_inside` (per orientation; ``path`` and
-    ``verify``), ``raw_guards`` (every run with its hit mask; tests),
-    ``dual_edges`` and ``side_guards`` (``dp``'s lifted fallback and
-    tests; the former also :func:`gen_thin_tree`), and the cell grids
-    ``vslice``, ``hslice`` and ``pixel``: column-major grids of ints
-    (``grid[i][j]`` is column i, row j) holding each cell's slice or pixel
-    id, -1 outside P, built from the slice rects in O(cells) and read only
-    by tests, not by a solve.
+    ``verify``), and ``dual_edges`` and ``side_guards`` (``dp``'s lifted
+    fallback and tests; the former also :func:`gen_thin_tree`).
     """
 
     def __init__(self, polygon: OrthoPolygon):
@@ -526,17 +617,11 @@ class Pixelation:
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        poly = self.polygon
-        self.x_cuts: List[int] = sorted({x for r in poly.rings() for x, _ in r})
-        self.y_cuts: List[int] = sorted({y for r in poly.rings() for _, y in r})
-        vert_edges: List[Tuple[int, int, int]] = []
-        horiz_edges: List[Tuple[int, int, int]] = []
-        for ring in poly.rings():
-            v, h = _ring_edges(ring)
-            vert_edges.extend(v)
-            horiz_edges.extend(h)
-        self._v_spans = _spans_by_line(vert_edges)
-        self._h_spans = _spans_by_line(horiz_edges)
+        # every vertex carries an edge of each orientation, so the lines
+        # that carry edges are the vertex coordinates
+        self._v_spans, self._h_spans = self.polygon._spans
+        self.x_cuts: List[int] = list(self._v_spans)
+        self.y_cuts: List[int] = list(self._h_spans)
         self._build_slices()
         self._build_pixels()
         # kept by the lookups: the stabbing index per orientation, inside
@@ -573,7 +658,7 @@ class Pixelation:
         # is (a0, lo, a1, hi) for a vertical slice, (lo, a0, hi, a1) for a
         # horizontal one
         self._chains: Dict[str, List[Tuple[int, int, int, int]]] = {
-            VERTICAL: sorted(_sweep_slices(self._v_spans)),
+            VERTICAL: self.polygon._v_slices,
             HORIZONTAL: sorted(_sweep_slices(self._h_spans), key=itemgetter(1, 0, 3, 2))}
         # per orientation: the anchor2 values in order, and for each the
         # los, his and ids of the midlines on it, sorted by span; midlines
@@ -752,35 +837,6 @@ class Pixelation:
     @functools.cached_property
     def slices_h(self) -> List[Slice]:
         return self._slices(HORIZONTAL)
-
-    def _label_grid(self, labelled) -> List[List[int]]:
-        """A cell grid of the labels of (label, rect) pairs, -1 elsewhere."""
-        xi = {x: i for i, x in enumerate(self.x_cuts)}
-        yi = {y: j for j, y in enumerate(self.y_cuts)}
-        grid = [[-1] * (len(self.y_cuts) - 1) for _ in range(len(self.x_cuts) - 1)]
-        for label, (x0, y0, x1, y1) in labelled:
-            j0, j1 = yi[y0], yi[y1]
-            for col in grid[xi[x0]:xi[x1]]:
-                col[j0:j1] = [label] * (j1 - j0)
-        return grid
-
-    @functools.cached_property
-    def vslice(self) -> List[List[int]]:
-        return self._label_grid(enumerate(self._chains[VERTICAL]))
-
-    @functools.cached_property
-    def hslice(self) -> List[List[int]]:
-        return self._label_grid((sid, _rect(HORIZONTAL, chain))
-                                for sid, chain in enumerate(self._chains[HORIZONTAL]))
-
-    @functools.cached_property
-    def pixel(self) -> List[List[int]]:
-        return self._label_grid((cid, self._pixel_rect(cid)) for cid in range(len(self.h_supports)))
-
-    @functools.cached_property
-    def raw_guards(self) -> List[GuardSegment]:
-        """Every maximal run along pixel edges, in key order, with its hit mask."""
-        return [GuardSegment(*run, hit_set=mask) for run, mask in zip(self._runs, self._run_masks)]
 
     def _slice_pixels(self, orientation: str) -> List[List[int]]:
         """Per slice of one orientation, its pixel ids, ordered along the slice."""

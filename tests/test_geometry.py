@@ -7,6 +7,7 @@ import slidecam as sc
 from slidecam.geometry import GuardSegment
 
 from conftest import LSHAPE, NOTCHED_HOLE, RECT, ref_counts, ref_point_inside
+from test_reference_equivalence import GridPixelation
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,56 @@ def test_validate_orientation_normalized():
     p2 = sc.validate_polygon(hole)
     from slidecam.geometry import _signed_area2
     assert _signed_area2(list(p2.holes[0])) < 0
+
+
+def test_pixelate_reuses_the_validation_sweep(monkeypatch, corpus):
+    """``validate_polygon`` builds the edge spans and sweeps the vertical
+    slices, and the pixelation shares both: validating and pixelating runs
+    ``_sweep_slices`` once per orientation, and the cameras need no more."""
+    sweep = sc.geometry._sweep_slices
+    calls = []
+
+    def counted(spans):
+        calls.append(spans)
+        return sweep(spans)
+
+    monkeypatch.setattr(sc.geometry, "_sweep_slices", counted)
+    for name, p in corpus.items():
+        calls.clear()
+        sc.geometry.pixelate.cache_clear()
+        q = sc.validate_polygon([list(r) for r in p.rings()])
+        pix = sc.pixelate(q)
+        assert pix.guard_masks, name
+        assert len(calls) == 2 and calls[0] is q._spans[0] and calls[1] is q._spans[1], name
+        assert pix._v_spans is q._spans[0] and pix._h_spans is q._spans[1], name
+        assert pix._chains[sc.VERTICAL] is q._v_slices, name
+
+
+def _solve_outcome(poly, algo):
+    try:
+        sol, _ = sc.solve_polygon(poly, algo=algo)
+    except (sc.SlidecamError, AssertionError) as e:
+        return (type(e), str(e))
+    return (sol.size, sol.cameras)
+
+
+def test_valid_polygons_never_reach_the_fault_search(monkeypatch, corpus):
+    """The contact search and the hole scan run only to name a rejection:
+    with both raising, every polygon of the corpus validates to itself and
+    every solve gives what it gave without them."""
+    algos = ("exact", "greedy", "bg", "dp", "path")
+    want = {(name, algo): _solve_outcome(p, algo) for name, p in corpus.items() for algo in algos}
+
+    def fail(*args):
+        raise AssertionError("a valid polygon reached the fault search")
+
+    monkeypatch.setattr(sc.geometry, "_first_contact", fail)
+    monkeypatch.setattr(sc.geometry, "_point_in_ring", fail)
+    for name, p in corpus.items():
+        q = sc.validate_polygon([list(r) for r in p.rings()])
+        assert q == p, name
+        for algo in algos:
+            assert _solve_outcome(q, algo) == want[name, algo], (name, algo)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +362,7 @@ def test_segmentation_dual_shapes():
 def test_inside_matches_reference(corpus):
     for name in ("lshape", "notched_hole", "spiral2", "rand2"):
         p = corpus[name]
-        pix = sc.pixelate(p)
+        pix = GridPixelation(p)
         for i in range(len(pix.x_cuts) - 1):
             for j in range(len(pix.y_cuts) - 1):
                 cx = Fraction(pix.x_cuts[i] + pix.x_cuts[i + 1], 2)
@@ -336,7 +387,7 @@ def test_cross_count_equals_crossing_pairs(corpus):
 
 def test_guard_canonicalization(corpus):
     for name, p in corpus.items():
-        pix = sc.pixelate(p)
+        pix = GridPixelation(p)
         seen = {}
         for g in pix.guards:
             key = (g.orientation, g.hit_set)
@@ -369,8 +420,7 @@ def test_multi_hole_pixelation():
     assert sc.brute_force_min_cover(hins).size <= p.n // 4
 
 
-# the cell grids are built only for tests: no solver reads them
-_ON_FIRST_READ = ("pixels", "raw_guards", "dual_edges", "side_guards", "vslice", "hslice", "pixel")
+_ON_FIRST_READ = ("pixels", "dual_edges", "side_guards")
 
 
 def _lazy_shape(shape):
@@ -395,8 +445,7 @@ def test_solve_builds_no_product_it_does_not_read(shape, algo):
     ``sigma_ids_hit``, and ``make_solution`` builds only the records of the
     cameras it returns.  dp reads the dual edges and side guards only when
     it falls back to the lifted decomposition, which none of these shapes
-    needs.  No solve, nor path's refusal of a holed polygon, builds a cell
-    grid."""
+    needs.  Path's refusal of a holed polygon builds none of them either."""
     p = _lazy_shape(shape)
     sc.geometry.pixelate.cache_clear()
     if p.holes and algo == "path":
@@ -413,6 +462,10 @@ def test_solve_builds_no_product_it_does_not_read(shape, algo):
 
 @pytest.mark.parametrize("shape", ["comb10", "spiral4", "multi_hole"])
 def test_cli_solve_and_verify_read_no_cell_grid(tmp_path, shape):
+    """The library keeps no cell grid (tests build them, see
+    ``GridPixelation``), and a CLI greedy solve and its ``verify`` build
+    none of the products derived on first read, nor the ``crosses``,
+    ``sigmas`` or ``guards`` records."""
     from slidecam.cli import main
 
     p = _lazy_shape(shape)
@@ -421,8 +474,9 @@ def test_cli_solve_and_verify_read_no_cell_grid(tmp_path, shape):
     sc.geometry.pixelate.cache_clear()
     assert main(["solve", str(poly), "--algo", "greedy", "--out", str(sol)]) == 0
     assert main(["verify", str(poly), str(sol)]) == 0
+    assert not [k for k in ("vslice", "hslice", "pixel", "raw_guards") if hasattr(sc.Pixelation, k)]
     built = vars(sc.pixelate(p))
-    assert not [k for k in ("vslice", "hslice", "pixel") if k in built]
+    assert not [k for k in (*_ON_FIRST_READ, "crosses", "sigmas", "guards") if k in built]
 
 
 def test_polygon_dict_round_trip(corpus):

@@ -10,7 +10,8 @@ lifted side guards looked up among the runs on each pixel side's line,
 ``extend_to_maximal`` as a cell walk in one mirrored branch per orientation,
 a line's inside spans from a scan over every slice of its orientation,
 a scan over every slice-segment for each guard, a guard-by-guard
-``verify_cover``, an O(crosses * guards) hitting-set transpose, a ring
+``verify_cover``, an O(crosses * guards) hitting-set transpose, a greedy
+that scans every camera for each pick, a ring
 normalizer that rescans from the start after each merged vertex, and a
 ``path_guard_steps`` that re-validates, re-pixelates and re-segments every
 remainder, traces each piece unit step by unit step and pixelates each piece
@@ -24,8 +25,10 @@ itself checked against one built by recursion.
 ``CellPixelation`` builds the pixelation by labelling every cell of the
 compressed grid, as the library did before its sweeps, and every product
 of the sweeps is compared with it, at sizes the per-cell loops cannot
-reach too.  Every output must agree exactly; the DP's guard sets may differ between
-equal-cost optima, so there the optimum cost must agree.
+reach too.  ``GridPixelation`` adds to the library's pixelation what only
+tests read: the cell grids and every run along pixel edges.  Every output
+must agree exactly; the DP's guard sets may differ between equal-cost
+optima, so there the optimum cost must agree.
 """
 import bisect
 import collections
@@ -57,7 +60,6 @@ from slidecam.geometry import (
     _ring_edges,
     _rotate_to_min,
     _signed_area2,
-    _spans_by_line,
     close_cut_arc,
 )
 from slidecam.treewidth import (
@@ -484,6 +486,52 @@ def cell_label_edges(grid):
     return {(a, b) if a < b else (b, a) for a, b in pairs if a != b and a >= 0 and b >= 0}
 
 
+def _spans_by_line(edges):
+    """Edges (line, lo, hi) as the sorted list [lo0, hi0, lo1, hi1, ...] per line."""
+    out = {}
+    for a, lo, hi in sorted(edges):
+        out.setdefault(a, []).extend((lo, hi))
+    return out
+
+
+def _label_grid(pix, labelled):
+    """A cell grid of the labels of (label, rect) pairs, -1 elsewhere."""
+    xi = {x: i for i, x in enumerate(pix.x_cuts)}
+    yi = {y: j for j, y in enumerate(pix.y_cuts)}
+    grid = [[-1] * (len(pix.y_cuts) - 1) for _ in range(len(pix.x_cuts) - 1)]
+    for label, (x0, y0, x1, y1) in labelled:
+        j0, j1 = yi[y0], yi[y1]
+        for col in grid[xi[x0]:xi[x1]]:
+            col[j0:j1] = [label] * (j1 - j0)
+    return grid
+
+
+class GridPixelation(sc.Pixelation):
+    """The library's pixelation plus what only tests read: the cell grids
+    ``vslice``, ``hslice`` and ``pixel``, column-major grids of ints
+    (``grid[i][j]`` is column i, row j) holding each cell's slice or pixel
+    id, -1 outside P, built from the slice rects in O(cells); and
+    ``raw_guards``, every run along pixel edges with its hit mask."""
+
+    @functools.cached_property
+    def vslice(self):
+        return _label_grid(self, enumerate(self._chains[VERTICAL]))
+
+    @functools.cached_property
+    def hslice(self):
+        return _label_grid(self, ((sid, sc.geometry._rect(HORIZONTAL, chain))
+                                  for sid, chain in enumerate(self._chains[HORIZONTAL])))
+
+    @functools.cached_property
+    def pixel(self):
+        return _label_grid(self, ((cid, self._pixel_rect(cid)) for cid in range(len(self.h_supports))))
+
+    @functools.cached_property
+    def raw_guards(self):
+        """Every maximal run along pixel edges, in key order, with its hit mask."""
+        return [sc.GuardSegment(*run, hit_set=mask) for run, mask in zip(self._runs, self._run_masks)]
+
+
 class CellPixelation(sc.Pixelation):
     """The pixelation labelled cell by cell over the compressed grid.
 
@@ -846,7 +894,7 @@ def loop_path_guard_steps(poly):
             g = loop_guard_small(cur)
             cameras.append(pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi))
             break
-        pix = sc.pixelate(cur)
+        pix = GridPixelation(cur)
         order = _path_order(sc.segmentation_dual(cur, orientation))
         if order is None:
             raise sc.NotPathSegmentation("remainder lost its path segmentation")
@@ -963,7 +1011,7 @@ def _touching_segments(pix):
 
 def test_pixelation_matches_reference_loops(polygons):
     for name, p in polygons.items():
-        pix = sc.Pixelation(p)
+        pix = GridPixelation(p)
         ref = LoopPixelation(p)
         inside = loop_inside(pix)
         for grid in (pix.vslice, pix.hslice, pix.pixel):
@@ -988,7 +1036,8 @@ def test_pixelation_matches_reference_loops(polygons):
             assert sc.verify_cover(pix, list(guards)) == sc.verify_cover(ref, list(guards)), name
 
 
-_EAGER = ("h_supports", "v_supports", "_sigma_lines", "_slice_cross_mask")
+_EAGER = ("x_cuts", "y_cuts", "_v_spans", "_h_spans", "h_supports", "v_supports", "_sigma_lines",
+          "_slice_cross_mask")
 _LAZY = ("_runs", "guard_runs", "guard_masks", "sigmas", "crosses", "guards", "pixels",
          "slices_v", "slices_h", "raw_guards", "dual_edges", "side_guards", "vslice", "hslice",
          "pixel")
@@ -999,7 +1048,7 @@ def assert_matches_cell_oracle(p, name, rng):
     the eager ones, those derived on first read, both slice duals, and
     ``extend_to_maximal`` and ``contains_segment`` on runs, sub-runs,
     ad-hoc spans and lines between the grid lines."""
-    pix, cell = sc.Pixelation(p), CellPixelation(p)
+    pix, cell = GridPixelation(p), CellPixelation(p)
     for attr in _EAGER + _LAZY:
         assert getattr(pix, attr) == getattr(cell, attr), (name, attr)
     for o in (VERTICAL, HORIZONTAL):
@@ -1058,7 +1107,7 @@ def assert_tables_match_records(p, name):
     records.  For every raw run, the ids of the id walk equal the ids of
     ``sigmas_hit``.  ``instance_for_mode``'s orientation filter gives the
     universe of filtering ``guards`` by orientation."""
-    pix = sc.Pixelation(p)
+    pix = GridPixelation(p)
     n_g = len(pix.guards)
     assert len(pix.guard_masks) == len(pix.guard_runs) == n_g, name
     for gid in range(n_g):
@@ -1117,7 +1166,7 @@ def test_inside_spans_match_line_scan_at_bench_size(name):
 def test_lifted_side_guards_match_run_lookup(polygons):
     rng = random.Random(13)
     for name, p in polygons.items():
-        pix = sc.Pixelation(p)
+        pix = GridPixelation(p)
         assert pix.side_guards == loop_side_guards(pix), name
         td = decompose(dual_graph(pix))
         n_c, n_g = len(pix.crosses), len(pix.guards)
@@ -1132,7 +1181,7 @@ def test_lifted_side_guards_match_run_lookup(polygons):
 def test_extend_to_maximal_matches_cell_walk(polygons):
     rng = random.Random(29)
     for name, p in polygons.items():
-        pix = sc.Pixelation(p)
+        pix = GridPixelation(p)
         inside = loop_inside(pix)
         spans = [g.key() for g in pix.raw_guards]
         for o, a, lo, hi in list(spans):  # sub-spans of every run
@@ -1315,11 +1364,82 @@ def test_validate_matches_all_pairs_reference(polygons):
     # the same, the nested hole listed first: "holes 5 and 0 overlap"
     pytest.param([_rect(0, 0, 32, 32), _rect(14, 14, 16, 16), *_GRID9], HoleOutsideOuter,
                  id="grid9-nested-first"),
+    # Cases that pass the per-line span test, each with its message.  Two
+    # holes that form a plus and only cross, at no vertex: the slice sweep
+    # meets a run end inside an edge
+    pytest.param([_rect(0, 0, 12, 12), _rect(2, 5, 10, 7), _rect(5, 2, 7, 10)],
+                 HoleOutsideOuter("rings 1 and 2 touch or overlap"), id="plus-holes"),
+    # a ring whose edges 0 and 3 cross at (1, 1)
+    pytest.param([[(0, 1), (3, 1), (3, 3), (1, 3), (1, 0), (0, 0)]],
+                 SelfIntersection("ring 0: edges 0 and 3 intersect"), id="self-crossing"),
+    # a ring that crosses itself, at edges 0 and 5 among others, where the
+    # slices' area still matches the ring's: only the crossing test rejects it
+    pytest.param([[(5, 3), (1, 3), (1, 1), (3, 1), (3, 0), (2, 0), (2, 5), (0, 5), (0, 2), (5, 2)]],
+                 SelfIntersection("ring 0: edges 0 and 5 intersect"), id="self-crossing-same-area"),
+    # holes nested three deep, which only the slices' area tells apart
+    pytest.param([_rect(0, 0, 20, 20), _rect(2, 2, 18, 18), _rect(4, 4, 16, 16), _rect(6, 6, 14, 14)],
+                 HoleOutsideOuter("holes 0 and 1 overlap"), id="holes-three-deep"),
+    # the outer ring inside its hole
+    pytest.param([_rect(4, 4, 6, 6), _rect(0, 0, 10, 10)],
+                 HoleOutsideOuter("hole 0 is not strictly inside the outer ring"), id="outer-in-hole"),
 ])
 def test_validate_targeted_contacts(rings, error):
-    with pytest.raises(error) as got:
+    """The error of the all-pairs reference, and, where the case gives an
+    error instance, its message."""
+    kind = error if isinstance(error, type) else type(error)
+    with pytest.raises(kind) as got:
         sc.validate_polygon(rings)
-    assert _outcome(loop_validate, rings) == (error, str(got.value))
+    assert _outcome(loop_validate, rings) == (kind, str(got.value))
+    if not isinstance(error, type):
+        assert str(got.value) == str(error)
+
+
+def _bbox(ring):
+    xs, ys = [x for x, _ in ring], [y for _, y in ring]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _random_ring_sets(rng, count):
+    """Multi-ring inputs that touch, cross and nest.  The outer ring is a
+    rectangle, a staircase walk or a random simple ring; up to three holes
+    follow, each a random rectangle near some earlier ring, a rectangle
+    around one (touching it, or holding it: nested holes, an outer ring
+    inside a hole), one just inside one, or a staircase walk, in either
+    orientation."""
+    pool = [list(sc.gen_random_simple(n, seed).outer) for n, seed in ((8, 1), (10, 2), (12, 3), (16, 4))]
+    for _ in range(count):
+        pick = rng.randrange(3)
+        if pick == 0:
+            x0, y0 = rng.randint(0, 4), rng.randint(0, 4)
+            rings = [_rect(x0, y0, x0 + rng.randint(4, 12), y0 + rng.randint(4, 12))]
+        elif pick == 1:
+            rings = [_random_ring(rng, 10, 2 * rng.randint(2, 5))]
+        else:
+            rings = [rng.choice(pool)]
+        for _ in range(rng.randint(0, 3)):
+            xl, yl, xh, yh = _bbox(rng.choice(rings))
+            pick = rng.randrange(4)
+            if pick == 0:
+                x0, y0 = rng.randint(xl - 1, xh), rng.randint(yl - 1, yh)
+                hole = _rect(x0, y0, x0 + rng.randint(1, 5), y0 + rng.randint(1, 5))
+            elif pick == 1:
+                d = rng.randint(0, 2)
+                hole = _rect(xl - d, yl - d, xh + d, yh + d)
+            elif pick == 2 and xh - xl > 2 and yh - yl > 2:
+                hole = _rect(xl + 1, yl + 1, xh - 1, yh - 1)
+            else:
+                hole = _random_ring(rng, 10, 2 * rng.randint(2, 4))
+            rings.append(hole[::rng.choice((1, -1))])
+        yield rings
+
+
+def test_validate_matches_all_pairs_reference_on_random_ring_sets():
+    kinds = collections.Counter()
+    for rings in _random_ring_sets(random.Random(23), 4000):
+        got, want = _outcome(sc.validate_polygon, rings), _outcome(loop_validate, rings)
+        assert got == want, rings
+        kinds[want[0] if isinstance(want, tuple) else "ok"] += 1
+    assert min(kinds[k] for k in ("ok", SelfIntersection, HoleOutsideOuter)) >= 400, kinds
 
 
 def _normalize_outcome(fn, raw):
@@ -1495,8 +1615,15 @@ def test_small_guard_memo_stays_bounded(monkeypatch):
     assert 10 <= len(gallery._SMALL_GUARDS) <= 43
 
 
+_TABLES = ("x_cuts", "y_cuts", "_v_spans", "_h_spans", "_chains", "h_supports", "v_supports",
+           "_sigma_lines", "_slice_cross_mask", "guard_runs", "guard_masks")
+
+
 def test_close_cut_arc_matches_validate_polygon(monkeypatch):
-    """Both parts of every cut of the per-peel corpus, refused peels included."""
+    """Both parts of every cut of the per-peel corpus, refused peels
+    included.  Every fourth pixelates to the tables of its validated twin,
+    though it builds its spans and vertical slices on first read and the
+    twin takes those of its validation."""
     arcs = []
     cut = gallery._cut
 
@@ -1513,11 +1640,51 @@ def test_close_cut_arc_matches_validate_polygon(monkeypatch):
         except AssertionError:
             pass
     merged = collections.Counter()
-    for arc in arcs:
+    for k, arc in enumerate(arcs):
         want = sc.validate_polygon([arc])
-        assert close_cut_arc(arc) == want, arc
+        got = close_cut_arc(arc)
+        assert got == want, arc
+        if k % 4 == 0:
+            assert "_v_slices" not in vars(got), arc
+            pix, twin = sc.Pixelation(got), sc.Pixelation(want)
+            assert [getattr(pix, t) for t in _TABLES] == [getattr(twin, t) for t in _TABLES], arc
         merged[len(arc) - want.n] += 1
     assert sorted(merged) == [0, 1, 2], merged
+
+
+# ---------------------------------------------------------------------------
+# Greedy
+# ---------------------------------------------------------------------------
+
+def loop_greedy(inst):
+    """The picks of a scan over every guard per pick, most gain first and the
+    lowest id among equals."""
+    masks = inst.pix.guard_masks
+    uncovered = inst.wanted
+    picked = []
+    while uncovered:
+        best, best_gain = None, -1
+        for g in sorted(inst.universe):
+            gain = (masks[g] & uncovered).bit_count()
+            if gain > best_gain:
+                best, best_gain = g, gain
+        picked.append(best)
+        uncovered &= ~masks[best]
+    return picked
+
+
+def test_greedy_matches_scan_loop():
+    """Spirals, where greedy takes about n/2 cameras; a comb, whose base
+    camera sees everything in msc and mvsc; a random shape; holed grids."""
+    shapes = {f"path_lb{k}": sc.gen_path_lb(k) for k in (80, 160, 320)}
+    shapes["comb800"] = sc.gen_comb(800)
+    shapes["rand160"] = sc.gen_random_simple(160, 1)
+    shapes.update((f"grid{g}x{g}", _holed_grid(g, g, g)) for g in (6, 9, 14))
+    for name, p in shapes.items():
+        pix = sc.Pixelation(p)
+        for mode in ("msc", "mhsc", "mvsc"):
+            inst = sc.solve.instance_for_mode(pix, mode)
+            assert sc.greedy_cover(inst).guard_ids == tuple(sorted(loop_greedy(inst))), (name, mode)
 
 
 # ---------------------------------------------------------------------------

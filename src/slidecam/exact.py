@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import CapExceeded, Infeasible, TooLargeForOracle
 from .geometry import GuardSegment, Pixelation, _bits, verify_cover
@@ -27,7 +27,7 @@ class Solution:
     cameras: Tuple[GuardSegment, ...]
     size: int
     method: str
-    certificate: Dict[int, tuple]
+    certificate: Mapping[int, tuple]
     guard_ids: Optional[Tuple[int, ...]] = None
     decomposition: Optional[TreeDecomposition] = field(default=None, compare=False, repr=False)
     counters: Dict[str, int] = field(default_factory=dict, compare=False, repr=False)
@@ -48,8 +48,9 @@ def make_solution(pix: Pixelation, xprime: Iterable[int], guards, method: str) -
 
     Each camera is listed once: repeated guard ids, or segments with the
     same :meth:`GuardSegment.key`, count as one camera (the first given).
+    Its record is built once, and the certificate on first read (see
+    :func:`verify_cover`).
     """
-    xp = tuple(sorted(xprime))
     ids: Optional[Tuple[int, ...]] = None
     if all(isinstance(g, int) for g in guards):
         ids = tuple(sorted(set(guards)))
@@ -59,11 +60,11 @@ def make_solution(pix: Pixelation, xprime: Iterable[int], guards, method: str) -
         for g in guards:
             unique.setdefault(g.key(), g)
         cams = tuple(sorted(unique.values(), key=GuardSegment.key))
-    report = verify_cover(pix, list(cams if ids is None else ids), xp)
+    report = verify_cover(pix, cams if ids is None else ids, xprime)
     if not report.covered:
         raise AssertionError(f"solution does not cover crosses {report.uncovered}")
     return Solution(cameras=cams, size=len(cams), method=method,
-                    certificate=dict(report.certificate), guard_ids=ids)
+                    certificate=report.certificate, guard_ids=ids)
 
 
 def _dominance_prune(inst: HittingInstance, masks: Dict[int, int]) -> List[int]:

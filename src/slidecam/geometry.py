@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right, insort
+from collections import UserDict
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter, lt
-from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateRing,
@@ -458,10 +459,26 @@ class GuardSegment:
         return (self.orientation, self.anchor, self.lo, self.hi)
 
 
+class _Certificate(UserDict):
+    """A dict whose items are built on first read: :func:`_witnesses` of
+    the arguments."""
+
+    def __init__(self, *args):
+        self._args = args
+
+    @functools.cached_property
+    def data(self) -> dict:
+        return _witnesses(*self._args)
+
+
 @dataclass(frozen=True)
 class CoverageReport:
+    """The requested crosses that no guard hits, ascending, and per hit
+    cross the support through which it is hit and the witnessing guard's
+    key (see :func:`verify_cover`)."""
+
     uncovered: Tuple[int, ...]
-    certificate: Dict[int, Tuple[int, Tuple[str, int, int, int]]]
+    certificate: Mapping[int, Tuple[int, Tuple[str, int, int, int]]]
 
     @property
     def covered(self) -> bool:
@@ -584,24 +601,25 @@ class Pixelation:
       O((S + P) log S) for S slices and P pixels.
 
     The canonical cameras, which every solve but ``path`` reads, are int
-    tables built on first read by the same kind of sweep.  The runs along
-    pixel edges on a vertical line (``_runs``) are the sides of the
-    vertical slices on it, merged where they touch, and likewise for
-    horizontal lines.  A second sweep keeps the perpendicular midlines
-    whose closed span holds the current line, keyed by ``anchor2``, and
-    ORs together the cross masks of those in each run's range
-    (``_run_masks``).  The first run in key order per orientation and hit
-    mask is a camera: per camera id, ``guard_runs`` holds its run
-    (orientation, anchor, lo, hi) and ``guard_masks`` its hit mask over
-    cross ids, the incidence that every solver reads.  Cost O(R log S) for
-    R runs, plus one mask OR per midline a run hits.
+    tables built on first read by one merge of slice sides per
+    orientation (``_masked_runs``).  The runs along pixel edges on a
+    vertical line are the sides of the vertical slices on it, merged where
+    they touch, and likewise for horizontal lines.  Each slice's crossing
+    mask is the OR of the cross masks of the perpendicular slices that
+    cross it, and a run's hit mask is the OR of the crossing masks of the
+    slices whose sides make it up.  The first run in key order per
+    orientation and hit mask is a camera: per camera id, ``guard_runs``
+    holds its run (orientation, anchor, lo, hi) and ``guard_masks`` its
+    hit mask over cross ids, the incidence that every solver reads.  Cost
+    O(S log S) for S slices, plus two mask ORs per cross and one per slice
+    side.
 
     No solve reads a record.  The records are derived from the tables on
     first read and kept: ``sigmas`` (:meth:`sigmas_hit`, render),
     ``crosses`` (render, callers of :func:`hits`) and ``guards`` (render,
     :func:`guard_segments`, the ``bounds`` check); :meth:`guard` builds the
-    record of one camera (``make_solution`` and :func:`verify_cover`, for
-    the cameras they are given).  What else only some callers read is
+    record of one camera (``make_solution``, for the cameras it returns,
+    and ``guard_small``).  What else only some callers read is
     derived on first read and kept too: ``pixels`` (render,
     :meth:`is_thin`), ``slices_v`` and ``slices_h`` (:func:`segmentation`,
     the ``pixelate`` command), ``reflex_vertices`` (``path``), the
@@ -712,71 +730,57 @@ class Pixelation:
             vs += [v] * len(row)
             masks[v] = ((1 << len(row)) - 1) << first
 
-    def _sweep_hit_masks(self, orientation: str, runs: List[Tuple[int, int, int]]) -> List[int]:
-        """Hit masks of runs (line, lo, hi) of one orientation, in line order.
-
-        The sweep keeps the perpendicular midlines whose closed span holds
-        the current line, keyed by ``anchor2``: midlines on one anchor2
-        have disjoint closed spans, so at most one per key is over a line.
-        A run hits those with anchor2 in [2 lo, 2 hi] and the midlines on
-        its own line whose spans meet it, as in :meth:`sigma_ids_hit`.
-        """
-        masks = self._slice_cross_mask
-        nv = len(self._chains[VERTICAL])
-        other, first = (HORIZONTAL, nv) if orientation == VERTICAL else (VERTICAL, 0)
-        enter = sorted((lo, hi, a0 + a1, first + k)
-                       for k, (a0, lo, a1, hi) in enumerate(self._chains[other]))
-        leave = sorted(enter, key=itemgetter(1))
-        keys: List[int] = []  # anchor2 of the midlines over the line, sorted
-        over: Dict[int, int] = {}  # anchor2 -> id of the midline over the line
-        out = []
-        e = l = 0
-        n = len(enter)
-        for a, lo, hi in runs:
-            while e < n and enter[e][0] <= a:
-                _, _, a2, sid = enter[e]
-                if a2 not in over:
-                    insort(keys, a2)
-                over[a2] = sid
-                e += 1
-            while l < n and leave[l][1] < a:
-                _, _, a2, sid = leave[l]
-                if over.get(a2) == sid:  # not already replaced on its key
-                    del over[a2]
-                    del keys[bisect_left(keys, a2)]
-                l += 1
-            mask = 0
-            for k in keys[bisect_left(keys, 2 * lo):bisect_right(keys, 2 * hi)]:
-                mask |= masks[over[k]]
-            for sid in self._own_line_hits(orientation, a, lo, hi):
-                mask |= masks[sid]
-            out.append(mask)
-        return out
-
     # -- products derived on first read -------------------------------------
 
     @functools.cached_property
-    def _runs(self) -> List[Tuple[str, int, int, int]]:
-        """Runs along pixel edges: the sides of the slices on each grid line,
-        merged where they touch, in key order (orientation, line, span)."""
-        out = []
-        for o in (HORIZONTAL, VERTICAL):
-            chains = self._chains[o]
-            out += [(o, *run) for run in _merge_spans(sorted(
-                [(a0, lo, hi) for a0, lo, _, hi in chains] + [(a1, lo, hi) for _, lo, a1, hi in chains]))]
-        return out
+    def _masked_runs(self) -> List[Tuple[Tuple[str, int, int, int], int]]:
+        """Runs along pixel edges with their hit masks, in key order
+        (orientation, line, span): the sides of the slices on each grid
+        line, merged where they touch, each tagged with its slice.
 
-    @functools.cached_property
-    def _run_masks(self) -> List[int]:
-        """The hit mask of each run, in the order of :attr:`_runs`."""
-        return [mask for o in (HORIZONTAL, VERTICAL)
-                for mask in self._sweep_hit_masks(o, [run[1:] for run in self._runs if run[0] == o])]
+        A run's hit mask is the OR of its side slices' crossing masks, each
+        the OR of the cross masks of the perpendicular slices that cross
+        the slice.  These are the masks of the midlines the run meets, as
+        :meth:`sigma_ids_hit` finds them.  Pixels span their slices across,
+        so the run meets the midline of every slice that crosses a side
+        slice.  Conversely, say a perpendicular midline of slice t meets
+        the run at q.  Beside q, on t's side of the line, t's interior lies
+        in a slice of the run's orientation that has a side on the line
+        through q: one across the line would hold q inside, or end at q on
+        an edge with the outside beyond, where t is inside.  That side
+        touches the run, so it is merged into it, and its slice crosses t.
+        A midline on the run's own line lies strictly inside its slice,
+        whose ends across are polygon edges with the outside beyond, so no
+        slice side meets it: the own-line part of :meth:`sigma_ids_hit`
+        never fires for a run.
+        """
+        masks = self._slice_cross_mask
+        crossing = [0] * len(masks)
+        for h, v in zip(self.h_supports, self.v_supports):
+            crossing[v] |= masks[h]
+            crossing[h] |= masks[v]
+        nv = len(self._chains[VERTICAL])
+        out = []
+        for o, first in ((HORIZONTAL, nv), (VERTICAL, 0)):
+            chains = self._chains[o]
+            sides = sorted([(a0, lo, hi, sid) for sid, (a0, lo, _, hi) in enumerate(chains, first)]
+                           + [(a1, lo, hi, sid) for sid, (_, lo, a1, hi) in enumerate(chains, first)])
+            (line, start, end, _), mask = sides[0], 0
+            for a, lo, hi, sid in sides:
+                if a != line or lo > end:
+                    out.append(((o, line, start, end), mask))
+                    line, start, end, mask = a, lo, hi, 0
+                elif hi > end:
+                    end = hi
+                mask |= crossing[sid]
+            out.append(((o, line, start, end), mask))
+        return out
 
     @functools.cached_property
     def _cameras(self) -> Dict[Tuple[str, int], Tuple[str, int, int, int]]:
         """The first run in key order per (orientation, hit mask), in that order."""
         first: Dict[Tuple[str, int], Tuple[str, int, int, int]] = {}
-        for run, mask in zip(self._runs, self._run_masks):
+        for run, mask in self._masked_runs:
             first.setdefault((run[0], mask), run)
         return first
 
@@ -892,15 +896,6 @@ class Pixelation:
                         out[pid].append(gid)
         return out
 
-    def _own_line_hits(self, orientation: str, anchor: int, lo: int, hi: int) -> Sequence[int]:
-        """Ids of the midlines on the segment's own line whose closed spans meet [lo, hi]."""
-        keys, lines = self._sigma_lines[orientation]
-        k = bisect_left(keys, 2 * anchor)
-        if k < len(keys) and keys[k] == 2 * anchor:
-            los, his, ids = lines[k]
-            return ids[bisect_left(his, lo):bisect_right(los, hi)]
-        return ()
-
     def sigma_ids_hit(self, orientation: str, anchor: int, lo: int, hi: int) -> List[int]:
         """Ids of the slice-segments that the closed grid-line segment intersects.
 
@@ -911,9 +906,9 @@ class Pixelation:
         disjoint and sorted by lo and hi alike: on each perpendicular line,
         bisection finds the one midline whose span can contain ``anchor``,
         and on the own line the run of midlines whose spans overlap
-        [lo, hi].  It is the only segment-versus-midline predicate for
-        single segments; the sweep behind ``guard_masks`` gives the same
-        hits for all runs at once.
+        [lo, hi].  It is the only segment-versus-midline predicate; the
+        hit masks of the canonical cameras equal the masks of its hits
+        (see :attr:`_masked_runs`).
         """
         other = VERTICAL if orientation == HORIZONTAL else HORIZONTAL
         keys, lines = self._sigma_lines[other]
@@ -922,7 +917,11 @@ class Pixelation:
             k = bisect_right(los, anchor) - 1
             if k >= 0 and his[k] >= anchor:
                 out.append(ids[k])
-        out += self._own_line_hits(orientation, anchor, lo, hi)
+        keys, lines = self._sigma_lines[orientation]
+        k = bisect_left(keys, 2 * anchor)
+        if k < len(keys) and keys[k] == 2 * anchor:
+            los, his, ids = lines[k]
+            out += ids[bisect_left(his, lo):bisect_right(los, hi)]
         return out
 
     def sigmas_hit(self, orientation: str, anchor: int, lo: int, hi: int) -> List[SliceSegment]:
@@ -1105,44 +1104,53 @@ def visible_region(pix: Pixelation, g: GuardSegment) -> set:
     return set(_bits(pix._segment_hit_mask(g.orientation, g.anchor, g.lo, g.hi)))
 
 
-def _resolve_guards(pix: Pixelation, guards) -> List[GuardSegment]:
-    out = []
-    for g in guards:
-        out.append(pix.guard(g) if isinstance(g, int) else g)
-    return sorted(out, key=GuardSegment.key)
-
-
 def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None) -> CoverageReport:
     """Check whether the guards hit every requested cross.
 
-    Guards are segments or canonical camera ids, whose records
-    :meth:`Pixelation.guard` builds; the walk reads midline ids
-    (:meth:`Pixelation.sigma_ids_hit`) and each cross's supports from the
-    pixelation's tables, so no ``sigmas`` or ``crosses`` record is built.
-    For each covered cross the certificate records the support slice-segment
-    through which it is hit and the witnessing guard.  Uncovered crosses are
-    reported in ascending id order.
+    Guards are segments or canonical camera ids, whose runs come from
+    ``guard_runs``; no record is built.  Each guard's midlines come from
+    the geometric walk (:meth:`Pixelation.sigma_ids_hit`), not from the
+    camera tables, and the crosses hit are the OR of those midlines' cross
+    masks.  Uncovered crosses are the requested ones left over, in
+    ascending id order.  The certificate is built on first read (see
+    :func:`_witnesses`).
     """
-    segs = _resolve_guards(pix, guards)
-    first: Dict[int, int] = {}  # slice-segment id -> first guard (in key order) meeting it
-    for k in range(len(segs) - 1, -1, -1):
-        g = segs[k]
-        for sid in pix.sigma_ids_hit(g.orientation, g.anchor, g.lo, g.hi):
+    keys = sorted(pix.guard_runs[g] if isinstance(g, int) else g.key() for g in guards)
+    met = [pix.sigma_ids_hit(*key) for key in keys]
+    masks = pix._slice_cross_mask
+    covered = 0
+    for sid in {sid for ids in met for sid in ids}:
+        covered |= masks[sid]
+    n = len(pix.h_supports)
+    wanted = (1 << n) - 1
+    if xprime is not None:
+        wanted = 0
+        for cid in xprime:
+            if not 0 <= cid < n:
+                raise ValueError(f"cross id {cid} is not in 0..{n - 1}")
+            wanted |= 1 << cid
+    return CoverageReport(uncovered=tuple(_bits(wanted & ~covered)),
+                          certificate=_Certificate(pix.h_supports, pix.v_supports, keys, met,
+                                                   wanted & covered))
+
+
+def _witnesses(hs: List[int], vs: List[int], keys, met, covered: int) -> Dict[int, tuple]:
+    """Per cross of the mask ``covered``, ascending: the support through
+    which it is hit and the key of the witnessing guard, the first in key
+    order that meets either support, through the horizontal one if it can.
+    ``hs`` and ``vs`` are the support tables, and ``met`` holds the midline
+    ids of each guard of ``keys``."""
+    first: Dict[int, int] = {}  # midline id -> first guard (in key order) meeting it
+    for k in range(len(keys) - 1, -1, -1):
+        for sid in met[k]:
             first[sid] = k
-    hs, vs = pix.h_supports, pix.v_supports
-    ids = sorted(xprime) if xprime is not None else range(len(hs))
-    uncovered = []
-    certificate = {}
-    for cid in ids:
+    out = {}
+    for cid in _bits(covered):
         h, v = hs[cid], vs[cid]
         kh, kv = first.get(h), first.get(v)
-        if kh is None and kv is None:
-            uncovered.append(cid)
-            continue
-        # the first guard hitting either support witnesses, through h if it can
         sid, k = (h, kh) if kv is None or (kh is not None and kh <= kv) else (v, kv)
-        certificate[cid] = (sid, segs[k].key())
-    return CoverageReport(uncovered=tuple(uncovered), certificate=certificate)
+        out[cid] = (sid, keys[k])
+    return out
 
 
 def segmentation_dual(polygon: OrthoPolygon, orientation: str) -> Dict[int, set]:

@@ -59,7 +59,9 @@ def test_verify_detects_uncovered(tmp_path, capsys):
         "size": 1, "method": "manual",
         "cameras": [{"orientation": "H", "anchor": 0, "span": [0, 2]}]}))
     assert main(["verify", str(poly_path), str(sol_path)]) == 2
-    assert "uncovered" in capsys.readouterr().out
+    # the bottom edge meets only the vertical midlines of the spine and of
+    # the bottom tooth, so the crosses of the two upper teeth stay uncovered
+    assert capsys.readouterr().out == "uncovered crosses: 6,7\n"
 
 
 def test_invalid_input_exit_code(tmp_path):

@@ -7,7 +7,7 @@ import slidecam as sc
 from slidecam.geometry import GuardSegment
 
 from conftest import LSHAPE, NOTCHED_HOLE, RECT, ref_counts, ref_point_inside
-from test_reference_equivalence import GridPixelation
+from test_reference_equivalence import GridPixelation, loop_verify_cover
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +344,13 @@ def test_verify_cover_deterministic_order():
     assert report.uncovered == tuple(sorted(report.uncovered))
 
 
+def test_verify_cover_rejects_unknown_cross_ids():
+    pix = sc.pixelate(sc.gen_comb(3))
+    for cid in (-1, len(pix.h_supports)):
+        with pytest.raises(ValueError, match="cross id"):
+            sc.verify_cover(pix, [], [0, cid])
+
+
 # ---------------------------------------------------------------------------
 # segmentation dual
 # ---------------------------------------------------------------------------
@@ -435,7 +442,7 @@ def _lazy_shape(shape):
     *(("spiral4", algo) for algo in ("greedy", "exact", "bg", "dp", "path")),
     ("multi_hole", "path"),  # path refuses polygons with holes
 ])
-def test_solve_builds_no_product_it_does_not_read(shape, algo):
+def test_solve_builds_no_product_it_does_not_read(shape, algo, monkeypatch):
     """Products only some solvers read are derived on first read: after a
     greedy, exact, bg or dp solve neither those nor the slices were built,
     and path builds no slice record and never the canonical guards or the
@@ -445,19 +452,30 @@ def test_solve_builds_no_product_it_does_not_read(shape, algo):
     ``sigma_ids_hit``, and ``make_solution`` builds only the records of the
     cameras it returns.  dp reads the dual edges and side guards only when
     it falls back to the lifted decomposition, which none of these shapes
-    needs.  Path's refusal of a holed polygon builds none of them either."""
+    needs.  Path's refusal of a holed polygon builds none of them either.
+    No solve builds the per-cross certificate; read afterwards, it equals
+    the guard-by-guard loop's."""
+    witnessed = []
+    witnesses = sc.geometry._witnesses
+    monkeypatch.setattr(sc.geometry, "_witnesses", lambda *a: witnessed.append(1) or witnesses(*a))
     p = _lazy_shape(shape)
     sc.geometry.pixelate.cache_clear()
+    sol = None
     if p.holes and algo == "path":
         with pytest.raises(sc.NotPathSegmentation):
             sc.solve_polygon(p, algo=algo)
     else:
-        sc.solve_polygon(p, algo=algo)
-    built = vars(sc.pixelate(p))
+        sol, _ = sc.solve_polygon(p, algo=algo)
+    pix = sc.pixelate(p)
+    built = vars(pix)
     assert not [k for k in _ON_FIRST_READ if k in built]
     assert not [k for k in ("crosses", "sigmas", "guards", "slices_v", "slices_h") if k in built]
     if algo == "path":
-        assert "guard_masks" not in built and "_runs" not in built
+        assert "guard_masks" not in built and "_masked_runs" not in built
+    assert not witnessed
+    if sol is not None:
+        assert dict(sol.certificate) == loop_verify_cover(pix, sol.cameras)[1]
+        assert len(witnessed) == 1
 
 
 @pytest.mark.parametrize("shape", ["comb10", "spiral4", "multi_hole"])

@@ -6,6 +6,7 @@ cell and glued by union-find, pixels grouped from those slices' cells, both
 dual graphs from a neighbour loop over every cell, an all-pairs edge contact
 test with every hole vertex checked for containment, a linear
 ``on_boundary`` scan, guard runs from one mirrored loop per orientation,
+run hit masks from a sweep over the perpendicular midlines,
 lifted side guards looked up among the runs on each pixel side's line,
 ``extend_to_maximal`` as a cell walk in one mirrored branch per orientation,
 a line's inside spans from a scan over every slice of its orientation,
@@ -529,7 +530,71 @@ class GridPixelation(sc.Pixelation):
     @functools.cached_property
     def raw_guards(self):
         """Every maximal run along pixel edges, in key order, with its hit mask."""
-        return [sc.GuardSegment(*run, hit_set=mask) for run, mask in zip(self._runs, self._run_masks)]
+        return [sc.GuardSegment(*run, hit_set=mask) for run, mask in self._masked_runs]
+
+
+def sweep_runs(pix):
+    """Runs along pixel edges, in key order: the sides of the slices on each
+    grid line, merged where they touch, without tagging them by slice."""
+    out = []
+    for o in (HORIZONTAL, VERTICAL):
+        chains = pix._chains[o]
+        out += [(o, *run) for run in sc.geometry._merge_spans(sorted(
+            [(a0, lo, hi) for a0, lo, _, hi in chains] + [(a1, lo, hi) for _, lo, a1, hi in chains]))]
+    return out
+
+
+def own_line_hits(pix, orientation, anchor, lo, hi):
+    """Ids of the midlines on the segment's own line whose closed spans meet [lo, hi]."""
+    keys, lines = pix._sigma_lines[orientation]
+    k = bisect.bisect_left(keys, 2 * anchor)
+    if k < len(keys) and keys[k] == 2 * anchor:
+        los, his, ids = lines[k]
+        return ids[bisect.bisect_left(his, lo):bisect.bisect_right(los, hi)]
+    return ()
+
+
+def sweep_hit_masks(pix, orientation, runs):
+    """Hit masks of runs (line, lo, hi) of one orientation, in line order,
+    by a sweep over the perpendicular midlines.
+
+    The sweep keeps the perpendicular midlines whose closed span holds
+    the current line, keyed by ``anchor2``: midlines on one anchor2 have
+    disjoint closed spans, so at most one per key is over a line.  A run
+    hits those with anchor2 in [2 lo, 2 hi] and the midlines on its own
+    line whose spans meet it, as in ``sigma_ids_hit``.
+    """
+    masks = pix._slice_cross_mask
+    nv = len(pix._chains[VERTICAL])
+    other, first = (HORIZONTAL, nv) if orientation == VERTICAL else (VERTICAL, 0)
+    enter = sorted((lo, hi, a0 + a1, first + k)
+                   for k, (a0, lo, a1, hi) in enumerate(pix._chains[other]))
+    leave = sorted(enter, key=operator.itemgetter(1))
+    keys = []  # anchor2 of the midlines over the line, sorted
+    over = {}  # anchor2 -> id of the midline over the line
+    out = []
+    e = l = 0
+    n = len(enter)
+    for a, lo, hi in runs:
+        while e < n and enter[e][0] <= a:
+            _, _, a2, sid = enter[e]
+            if a2 not in over:
+                bisect.insort(keys, a2)
+            over[a2] = sid
+            e += 1
+        while l < n and leave[l][1] < a:
+            _, _, a2, sid = leave[l]
+            if over.get(a2) == sid:  # not already replaced on its key
+                del over[a2]
+                del keys[bisect.bisect_left(keys, a2)]
+            l += 1
+        mask = 0
+        for k in keys[bisect.bisect_left(keys, 2 * lo):bisect.bisect_right(keys, 2 * hi)]:
+            mask |= masks[over[k]]
+        for sid in own_line_hits(pix, orientation, a, lo, hi):
+            mask |= masks[sid]
+        out.append(mask)
+    return out
 
 
 class CellPixelation(sc.Pixelation):
@@ -644,7 +709,7 @@ class CellPixelation(sc.Pixelation):
     def _cell_guards(self):
         # grid line k runs between lines of cells k and k + 1 of the padded grid
         self._lines = {}
-        self._runs = []
+        runs = []
         for o, lines, index, cuts in ((VERTICAL, self.pixel, self._xi, self.y_cuts),
                                       (HORIZONTAL, list(zip(*self.pixel)), self._yi, self.x_cuts)):
             outside = (-1,) * (len(cuts) - 1)
@@ -653,11 +718,11 @@ class CellPixelation(sc.Pixelation):
             for anchor, k in index.items():
                 for m in _ONE_BYTES.finditer(bytes(map(operator.ne, padded[k], padded[k + 1]))):
                     start, t = m.span()
-                    self._runs.append((o, anchor, cuts[start], cuts[t]))
-        self._runs.sort()
+                    runs.append((o, anchor, cuts[start], cuts[t]))
+        self._masked_runs = [(run, self._segment_hit_mask(*run)) for run in sorted(runs)]
         first = {}
-        for run in self._runs:
-            first.setdefault((run[0], self._segment_hit_mask(*run)), run)
+        for run, mask in self._masked_runs:
+            first.setdefault((run[0], mask), run)
         self.guards = [sc.GuardSegment(*run, id=i, hit_set=mask)
                        for i, ((_, mask), run) in enumerate(first.items())]
         self.guard_runs = [g.key() for g in self.guards]
@@ -692,7 +757,7 @@ class CellPixelation(sc.Pixelation):
 
     @functools.cached_property
     def raw_guards(self):
-        return [sc.GuardSegment(*run, hit_set=self._segment_hit_mask(*run)) for run in self._runs]
+        return [sc.GuardSegment(*run, hit_set=mask) for run, mask in self._masked_runs]
 
     @functools.cached_property
     def dual_edges(self):
@@ -1038,7 +1103,7 @@ def test_pixelation_matches_reference_loops(polygons):
 
 _EAGER = ("x_cuts", "y_cuts", "_v_spans", "_h_spans", "h_supports", "v_supports", "_sigma_lines",
           "_slice_cross_mask")
-_LAZY = ("_runs", "guard_runs", "guard_masks", "sigmas", "crosses", "guards", "pixels",
+_LAZY = ("_masked_runs", "guard_runs", "guard_masks", "sigmas", "crosses", "guards", "pixels",
          "slices_v", "slices_h", "raw_guards", "dual_edges", "side_guards", "vslice", "hslice",
          "pixel")
 
@@ -1161,6 +1226,39 @@ def test_inside_spans_match_line_scan(polygons):
 @pytest.mark.parametrize("name", sorted(_BENCH_SIZE))
 def test_inside_spans_match_line_scan_at_bench_size(name):
     assert_inside_matches_line_scan(_BENCH_SIZE[name](), name)
+
+
+def assert_masked_runs_match_hit_mask_sweep(p, name):
+    """The runs from the merge of slice sides equal the untagged merge, and
+    each run's hit mask, the OR of its side slices' crossing masks, equals
+    the mask of the sweep over the perpendicular midlines.  No run meets a
+    midline on its own line, so the merge needs no own-line lookup."""
+    pix = sc.Pixelation(p)
+    runs = sweep_runs(pix)
+    assert [run for run, _ in pix._masked_runs] == runs, name
+    masks = []
+    for o in (HORIZONTAL, VERTICAL):
+        masks += sweep_hit_masks(pix, o, [run[1:] for run in runs if run[0] == o])
+    assert [mask for _, mask in pix._masked_runs] == masks, name
+    assert not [run for run in runs if own_line_hits(pix, *run)], name
+
+
+def test_masked_runs_match_hit_mask_sweep(polygons):
+    for name, p in polygons.items():
+        assert_masked_runs_match_hit_mask_sweep(p, name)
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_SIZE))
+def test_masked_runs_match_hit_mask_sweep_at_bench_size(name):
+    assert_masked_runs_match_hit_mask_sweep(_BENCH_SIZE[name](), name)
+
+
+def test_masked_runs_match_hit_mask_sweep_on_holed_grids():
+    """Jittered grids of rectangular holes, from 1x1 up to 14x14."""
+    for g in range(1, 15):
+        for gx, gy in ((g, g), (g, max(1, g - 3))):
+            name = f"grid{gx}x{gy}"
+            assert_masked_runs_match_hit_mask_sweep(_holed_grid(gx, gy, g), name)
 
 
 def test_lifted_side_guards_match_run_lookup(polygons):

@@ -796,7 +796,15 @@ class Pixelation:
 
     def guard(self, gid: int) -> GuardSegment:
         """The record of canonical camera ``gid``, built from its tables."""
-        return GuardSegment(*self.guard_runs[gid], id=gid, hit_set=self.guard_masks[gid])
+        return GuardSegment(*self._camera_run(gid), id=gid, hit_set=self.guard_masks[gid])
+
+    def _camera_run(self, gid: int) -> Tuple[str, int, int, int]:
+        """The run of canonical camera ``gid``; ``ValueError`` for an id
+        outside 0..len(guard_runs) - 1."""
+        runs = self.guard_runs
+        if not 0 <= gid < len(runs):
+            raise ValueError(f"camera id {gid} is not in 0..{len(runs) - 1}")
+        return runs[gid]
 
     @functools.cached_property
     def guards(self) -> List[GuardSegment]:
@@ -1108,14 +1116,14 @@ def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None
     """Check whether the guards hit every requested cross.
 
     Guards are segments or canonical camera ids, whose runs come from
-    ``guard_runs``; no record is built.  Each guard's midlines come from
-    the geometric walk (:meth:`Pixelation.sigma_ids_hit`), not from the
-    camera tables, and the crosses hit are the OR of those midlines' cross
-    masks.  Uncovered crosses are the requested ones left over, in
+    ``guard_runs`` (``ValueError`` for an id outside it); no record is
+    built.  Each guard's midlines come from the geometric walk
+    (:meth:`Pixelation.sigma_ids_hit`), not from the camera tables, and the
+    crosses hit are the OR of those midlines' cross masks.  Uncovered crosses are the requested ones left over, in
     ascending id order.  The certificate is built on first read (see
     :func:`_witnesses`).
     """
-    keys = sorted(pix.guard_runs[g] if isinstance(g, int) else g.key() for g in guards)
+    keys = sorted(pix._camera_run(g) if isinstance(g, int) else g.key() for g in guards)
     met = [pix.sigma_ids_hit(*key) for key in keys]
     masks = pix._slice_cross_mask
     covered = 0

@@ -26,7 +26,11 @@ distinct slots below width + 1 and a state is one int of 2 * (width + 1)
 bits that no step remaps.  There is one table per tree edge, built from
 the child's table in one pass per state (forget the child's vertices the
 parent lacks, then introduce the parent's new ones), and sibling tables are
-joined at the parent.  ``dp_peak_table`` is the largest of these tables.
+joined at the parent.  Each state carries, beside its least cost, the mask
+of the guards it selected: a step ORs in the guards a pick selects, a join
+ORs the two sides' masks, and the root's empty state holds the answer, so
+nothing is walked back down the tree.  ``dp_peak_table`` is the largest of
+these tables.
 Crosses come back as one leaf bag {c, sv, sh} each: that decomposition of H
 (a :class:`NumberedDecomposition`, whose node bags are built only when
 read) is what ``--dump-td`` writes and ``width_used`` counts.
@@ -42,7 +46,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, U
 from .errors import Infeasible, WidthExceeded
 from .exact import Solution, make_solution
 from .hitset import AuxiliaryGraph, Node, SupportGraph, build_support_graph
-from .geometry import Pixelation
+from .geometry import Pixelation, _bits
 
 DEFAULT_WIDTH_MAX = 20
 
@@ -313,10 +317,10 @@ def _with_crosses(td: TreeDecomposition, S: SupportGraph) -> NumberedDecompositi
 # DP over the bag tree
 # ---------------------------------------------------------------------------
 
-def _slots(td: TreeDecomposition, n: int) -> Tuple[List[int], List[int], List[int]]:
-    """The bags in breadth-first order from the root, bag 0, with children
-    in ascending order; each bag's parent (-1 at the root); and each
-    vertex's slot, for the int vertices ``range(n)`` of ``td``'s bags.
+def _slots(td: TreeDecomposition, n: int) -> Tuple[List[int], List[List[int]], List[int]]:
+    """The bags in breadth-first order from the root, bag 0; each bag's
+    children, ascending; and each vertex's slot, for the int vertices
+    ``range(n)`` of ``td``'s bags.
 
     A vertex takes its slot in the topmost bag holding it: the smallest
     slot that the vertices the bag shares with its parent do not use, new
@@ -327,6 +331,7 @@ def _slots(td: TreeDecomposition, n: int) -> Tuple[List[int], List[int], List[in
     """
     nbrs = td.neighbors()
     order, parent = [0], [-1] * len(td.bags)
+    kids: List[List[int]] = [[] for _ in td.bags]
     slot = [0] * n
     for i, v in enumerate(sorted(td.bags[0])):
         slot[v] = i
@@ -335,12 +340,13 @@ def _slots(td: TreeDecomposition, n: int) -> Tuple[List[int], List[int], List[in
         for c in sorted(nbrs[b]):
             if c != parent[b]:
                 parent[c] = b
+                kids[b].append(c)
                 order.append(c)
                 used = {slot[v] for v in td.bags[c] & bag}
                 free = itertools.filterfalse(used.__contains__, itertools.count())
                 for v, i in zip(sorted(td.bags[c] - bag), free):
                     slot[v] = i
-    return order, parent, slot
+    return order, kids, slot
 
 
 def _bag_dp(td: TreeDecomposition, S: SupportGraph
@@ -366,24 +372,25 @@ def _bag_dp(td: TreeDecomposition, S: SupportGraph
     the bags, never off a vertex's adjacency.  A leaf starts from the empty
     bag and the root ends in it; the tables a bag's children send up are
     joined there in ascending child order.  A table is two int dicts, a
-    state's least cost and the state it came from (a join's two states
-    packed as ``left << 2W | right``); the first state reaching a cost keeps
-    it, so ties break deterministically.
+    state's least cost and its selection: the mask of the guards it chose,
+    bit v for guard vertex v.  A step ORs in the guards each pick selects
+    and a join ORs the two sides' masks; the first state reaching a cost
+    keeps its selection, so ties break deterministically, and the root's
+    empty state holds the answer.
     """
     adj, universe = S.adj, S.universe
     n, ng = len(adj), len(universe)
-    order, parent, slot = _slots(td, n)
+    order, kids, slot = _slots(td, n)
     # a vertex's slot bit, and that bit only for a guard or only for a
     # segment: bag vertices hold distinct slots, so sums of bits are ORs
     bit = [1 << i for i in slot]
     guard_bit = bit[:ng] + [0] * (n - ng)
     seg_bit = [0] * ng + bit[ng:]
     width = td.width + 1
-    low, half = (1 << width) - 1, 2 * width
+    low = (1 << width) - 1
 
-    def step(costs: Dict[int, int], old: FrozenSet[int], new: FrozenSet[int]):
-        """The table ``costs`` over bag ``old`` as one over bag ``new``, and
-        the id of each guard it introduces by its bit."""
+    def step(costs: Dict[int, int], chose: Dict[int, int], old: FrozenSet[int], new: FrozenSet[int]):
+        """The table (``costs``, ``chose``) over bag ``old`` as one over bag ``new``."""
         cur = set(old)
         forgets = []
         for v in old - new:  # in any order: the state comes out the same
@@ -391,24 +398,23 @@ def _bag_dp(td: TreeDecomposition, S: SupportGraph
             need = sum(map(seg_bit.__getitem__, cur & adj[v])) if v >= ng else 0
             forgets.append((bit[v], bit[v] << width, need))
         # each subset of the new guards, unselected first, as the bits it
-        # sets and keeps: selecting a guard hits its segments in the new bag
-        # and drops their "needed"; a new segment is also hit by a selected
-        # kept guard that meets it
-        picks = [(0, -1, 0)]
-        guards: Dict[int, int] = {}
+        # sets and keeps and the guards it selects: selecting a guard hits
+        # its segments in the new bag and drops their "needed"; a new
+        # segment is also hit by a selected kept guard that meets it
+        picks = [(0, -1, 0, 0)]
         segments = []
         for v in sorted(new - old):  # guards first; cur now holds the kept vertices
             if v < ng:
                 mask = sum(map(bit.__getitem__, new & adj[v]))
-                guards[bit[v]] = universe[v]
-                picks = [p for on, keep, k in picks
-                         for p in ((on, keep, k), (on | bit[v] | mask, keep & ~(mask << width), k + 1))]
+                picks = [p for on, keep, k, g in picks
+                         for p in ((on, keep, k, g),
+                                   (on | bit[v] | mask, keep & ~(mask << width), k + 1, g | 1 << v))]
             else:
                 mask = sum(map(guard_bit.__getitem__, cur & adj[v]))
                 if mask:
                     segments.append((bit[v], mask))
         out: Dict[int, int] = {}
-        back: Dict[int, int] = {}
+        sel: Dict[int, int] = {}
         for st0, cost in costs.items():
             st = st0
             for b, dead, need in forgets:
@@ -419,7 +425,7 @@ def _bag_dp(td: TreeDecomposition, S: SupportGraph
                 elif need:
                     st |= (need & ~st) << width
             else:
-                for on, keep, k in picks:
+                for on, keep, k, g in picks:
                     s = (st | on) & keep
                     for b, mask in segments:
                         if s & mask:
@@ -427,16 +433,17 @@ def _bag_dp(td: TreeDecomposition, S: SupportGraph
                     best = out.get(s)
                     if best is None or cost + k < best:
                         out[s] = cost + k
-                        back[s] = st0
-        return out, back, guards
+                        sel[s] = chose[st0] | g
+        return out, sel
 
-    def join(left: Dict[int, int], right: Dict[int, int], gmask: int):
+    def join(left: Dict[int, int], lsel: Dict[int, int], right: Dict[int, int],
+             rsel: Dict[int, int], gmask: int):
         """Guards agree; hit ORs, needed stays unless hit."""
         groups: Dict[int, List[int]] = {}
         for rst in right:
             groups.setdefault(rst & gmask, []).append(rst)
         out: Dict[int, int] = {}
-        back: Dict[int, int] = {}
+        sel: Dict[int, int] = {}
         for lst, lcost in left.items():
             key = lst & gmask
             base = lcost - key.bit_count()
@@ -447,64 +454,30 @@ def _bag_dp(td: TreeDecomposition, S: SupportGraph
                 best = out.get(full)
                 if best is None or cost < best:
                     out[full] = cost
-                    back[full] = lst << half | rst
-        return out, back
+                    sel[full] = lsel[lst] | rsel[rst]
+        return out, sel
 
+    # each bag's table until its parent steps it up; tables are dicts of
+    # ints only, which the garbage collector does not track
     empty: FrozenSet[int] = frozenset()
-    kids: Dict[int, List[int]] = {}
-    for c in order[1:]:
-        kids.setdefault(parent[c], []).append(c)  # ascending: the walk visits them so
-    # the (costs, back, guards) each bag sends up to its parent, each leaf's
-    # start from the empty bag, and the back dicts joining a bag's children
-    # in turn.  Tables are dicts of ints only, which the garbage collector
-    # does not track.
-    sent: List[tuple] = [()] * len(td.bags)
-    starts: Dict[int, tuple] = {}
-    joins: Dict[int, List[Dict[int, int]]] = {}
+    done: Dict[int, tuple] = {}
     tables: List[Dict[int, int]] = []
     for b in reversed(order):  # children before their parent
         bag = td.bags[b]
-        if b in kids:
-            ins = [sent[c] for c in kids[b]]
-        else:
-            ins = [step({0: 0}, empty, bag)]
-            starts[b] = ins[0]
-        costs = ins[0][0]
+        ins = ([step(*done.pop(c), td.bags[c], bag) for c in kids[b]]
+               or [step({0: 0}, {0: 0}, empty, bag)])
+        costs, chose = ins[0]
         tables.append(costs)
         if len(ins) > 1:
             gmask = sum(map(guard_bit.__getitem__, bag))
-            joins[b] = []
-            for other, _, _ in ins[1:]:
-                costs, back = join(costs, other, gmask)
-                joins[b].append(back)
-                tables += (other, costs)
-        if parent[b] >= 0:
-            sent[b] = step(costs, bag, td.bags[parent[b]])
-    final, root_back, _ = step(costs, td.bags[0], empty)
+            for other in ins[1:]:
+                costs, chose = join(costs, chose, *other, gmask)
+                tables += (other[0], costs)
+        done[b] = (costs, chose)
+    final, chose = step(*done.pop(0), td.bags[0], empty)
     if 0 not in final:
         return None, tables
-
-    # traceback: unwind each bag's joins, then collect the guards each
-    # table it received selected where it introduced them
-    picked = set()
-    rmask = (1 << half) - 1
-    stack = [(0, root_back[0])]
-    while stack:
-        b, st = stack.pop()
-        if b not in kids:
-            picked.update(g for gb, g in starts[b][2].items() if st & gb)
-            continue
-        states = []
-        for back in reversed(joins.get(b, ())):
-            pair = back[st]
-            st = pair >> half
-            states.append(pair & rmask)
-        states.append(st)
-        for c, st in zip(kids[b], reversed(states)):
-            _, back, guards = sent[c]
-            picked.update(g for gb, g in guards.items() if st & gb)
-            stack.append((c, back[st]))
-    return frozenset(picked), tables
+    return frozenset(universe[v] for v in _bits(chose[0])), tables
 
 
 def dp_solve(graph: Union[SupportGraph, AuxiliaryGraph], td: TreeDecomposition,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import slidecam as sc
+from slidecam.exact import make_solution
 from slidecam.geometry import GuardSegment
 
 from conftest import LSHAPE, NOTCHED_HOLE, RECT, ref_counts, ref_point_inside
@@ -349,6 +350,23 @@ def test_verify_cover_rejects_unknown_cross_ids():
     for cid in (-1, len(pix.h_supports)):
         with pytest.raises(ValueError, match="cross id"):
             sc.verify_cover(pix, [], [0, cid])
+
+
+def test_camera_ids_outside_the_cameras_are_rejected():
+    """comb(3) has 7 cameras: ids -1, -4, 7 and 99 name none of them, and
+    each call raises rather than reading the tables from the end or past it."""
+    pix = sc.pixelate(sc.gen_comb(3))
+    n = len(pix.guard_masks)
+    assert n == 7
+    for gid in (-1, -4, n, 99):
+        with pytest.raises(ValueError, match=rf"camera id {gid} is not in 0\.\.{n - 1}"):
+            pix.guard(gid)
+        with pytest.raises(ValueError, match="camera id"):
+            sc.verify_cover(pix, [0, gid])
+        with pytest.raises(ValueError, match="camera id"):
+            make_solution(pix, range(len(pix.h_supports)), [gid, 3], "custom")
+    assert pix.guard(n - 1).id == n - 1
+    assert make_solution(pix, range(len(pix.h_supports)), list(range(n)), "custom").guard_ids == tuple(range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,16 @@ own budget formula, the reweighting loop verifies each net geometrically,
 min-fill recounts every vertex's fill at each elimination, each cross's
 leaf bag is placed by a scan over every bag, and the DP keeps one tuple
 entry per bag vertex on a binary nice decomposition, whose builder is
-itself checked against one built by recursion.
+itself checked against one built by recursion, while the bag-by-bag DP
+keeps a back-pointer per state and recovers its guards by a traceback.
 ``CellPixelation`` builds the pixelation by labelling every cell of the
 compressed grid, as the library did before its sweeps, and every product
 of the sweeps is compared with it, at sizes the per-cell loops cannot
 reach too.  ``GridPixelation`` adds to the library's pixelation what only
 tests read: the cell grids and every run along pixel edges.  Every output
-must agree exactly; the DP's guard sets may differ between equal-cost
-optima, so there the optimum cost must agree.
+must agree exactly, the traceback DP's picks and tables included; the
+tuple-state DP's guard sets may differ between equal-cost optima, so there
+the optimum cost must agree.
 """
 import bisect
 import collections
@@ -2382,6 +2384,150 @@ def loop_dp(nodes, H):
     return frozenset(selected)
 
 
+def traceback_bag_dp(td, S):
+    """``_bag_dp`` as it was with back-pointers: each table keeps, per
+    state, the state it came from (a join's two states packed as
+    ``left << 2W | right``), each step the id of each guard it introduces
+    by its bit, and a traceback walk down the tree from the root's state 0
+    collects the guards.  Same states, costs, tables and tie-breaking."""
+    adj, universe = S.adj, S.universe
+    n, ng = len(adj), len(universe)
+    order, kids, slot = _slots(td, n)
+    parent = [-1] * len(td.bags)
+    for b, cs in enumerate(kids):
+        for c in cs:
+            parent[c] = b
+    # a vertex's slot bit, and that bit only for a guard or only for a
+    # segment: bag vertices hold distinct slots, so sums of bits are ORs
+    bit = [1 << i for i in slot]
+    guard_bit = bit[:ng] + [0] * (n - ng)
+    seg_bit = [0] * ng + bit[ng:]
+    width = td.width + 1
+    low, half = (1 << width) - 1, 2 * width
+
+    def step(costs, old, new):
+        """The table ``costs`` over bag ``old`` as one over bag ``new``, and
+        the id of each guard it introduces by its bit."""
+        cur = set(old)
+        forgets = []
+        for v in old - new:  # in any order: the state comes out the same
+            cur.discard(v)
+            need = sum(map(seg_bit.__getitem__, cur & adj[v])) if v >= ng else 0
+            forgets.append((bit[v], bit[v] << width, need))
+        # each subset of the new guards, unselected first, as the bits it
+        # sets and keeps: selecting a guard hits its segments in the new bag
+        # and drops their "needed"; a new segment is also hit by a selected
+        # kept guard that meets it
+        picks = [(0, -1, 0)]
+        guards = {}
+        segments = []
+        for v in sorted(new - old):  # guards first; cur now holds the kept vertices
+            if v < ng:
+                mask = sum(map(bit.__getitem__, new & adj[v]))
+                guards[bit[v]] = universe[v]
+                picks = [p for on, keep, k in picks
+                         for p in ((on, keep, k), (on | bit[v] | mask, keep & ~(mask << width), k + 1))]
+            else:
+                mask = sum(map(guard_bit.__getitem__, cur & adj[v]))
+                if mask:
+                    segments.append((bit[v], mask))
+        out = {}
+        back = {}
+        for st0, cost in costs.items():
+            st = st0
+            for b, dead, need in forgets:
+                if st & dead:
+                    break
+                if st & b:
+                    st ^= b
+                elif need:
+                    st |= (need & ~st) << width
+            else:
+                for on, keep, k in picks:
+                    s = (st | on) & keep
+                    for b, mask in segments:
+                        if s & mask:
+                            s |= b
+                    best = out.get(s)
+                    if best is None or cost + k < best:
+                        out[s] = cost + k
+                        back[s] = st0
+        return out, back, guards
+
+    def join(left, right, gmask):
+        """Guards agree; hit ORs, needed stays unless hit."""
+        groups = {}
+        for rst in right:
+            groups.setdefault(rst & gmask, []).append(rst)
+        out = {}
+        back = {}
+        for lst, lcost in left.items():
+            key = lst & gmask
+            base = lcost - key.bit_count()
+            for rst in groups.get(key, ()):
+                full = lst | rst
+                full &= ~((full & low) << width)
+                cost = base + right[rst]
+                best = out.get(full)
+                if best is None or cost < best:
+                    out[full] = cost
+                    back[full] = lst << half | rst
+        return out, back
+
+    empty = frozenset()
+    # the (costs, back, guards) each bag sends up to its parent, each leaf's
+    # start from the empty bag, and the back dicts joining a bag's children
+    # in turn.  Tables are dicts of ints only, which the garbage collector
+    # does not track.
+    sent = [()] * len(td.bags)
+    starts = {}
+    joins = {}
+    tables = []
+    for b in reversed(order):  # children before their parent
+        bag = td.bags[b]
+        if kids[b]:
+            ins = [sent[c] for c in kids[b]]
+        else:
+            ins = [step({0: 0}, empty, bag)]
+            starts[b] = ins[0]
+        costs = ins[0][0]
+        tables.append(costs)
+        if len(ins) > 1:
+            gmask = sum(map(guard_bit.__getitem__, bag))
+            joins[b] = []
+            for other, _, _ in ins[1:]:
+                costs, back = join(costs, other, gmask)
+                joins[b].append(back)
+                tables += (other, costs)
+        if parent[b] >= 0:
+            sent[b] = step(costs, bag, td.bags[parent[b]])
+    final, root_back, _ = step(costs, td.bags[0], empty)
+    if 0 not in final:
+        return None, tables
+
+    # traceback: unwind each bag's joins, then collect the guards each
+    # table it received selected where it introduced them
+    picked = set()
+    rmask = (1 << half) - 1
+    stack = [(0, root_back[0])]
+    while stack:
+        b, st = stack.pop()
+        if not kids[b]:
+            picked.update(g for gb, g in starts[b][2].items() if st & gb)
+            continue
+        states = []
+        for back in reversed(joins.get(b, ())):
+            pair = back[st]
+            st = pair >> half
+            states.append(pair & rmask)
+        states.append(st)
+        for c, st in zip(kids[b], reversed(states)):
+            _, back, guards = sent[c]
+            picked.update(g for gb, g in guards.items() if st & gb)
+            stack.append((c, back[st]))
+    return frozenset(picked), tables
+
+
 def _synthetic_graphs():
     """Graphs that stress the fill bookkeeping, by name.
 
@@ -2522,6 +2668,39 @@ def test_dp_matches_tuple_state_reference():
             assert sc.verify_cover(pix, sorted(picked), xs).covered
             solved += 1
     assert solved > 400 and infeasible > 10 and narrower > 200, (solved, infeasible, narrower)
+
+
+def _dp_shapes():
+    """comb, path_lb, thin_tree and random shapes, each with its support
+    graph and min-fill decomposition (as a solve builds them) in msc and in
+    mhsc (horizontal cameras only)."""
+    polys = [sc.gen_comb(k) for k in (2, 7, 60)] + [sc.gen_path_lb(k) for k in (3, 5, 12)]
+    polys += [sc.gen_thin_tree(b, seed) for b, seed in ((4, 1), (10, 2), (40, 3))]
+    polys += [sc.gen_random_simple(n, seed) for n, seed in ((12, 4), (18, 5), (30, 6), (60, 7))]
+    for p in polys:
+        pix = sc.pixelate(p)
+        for orientations in (("H", "V"), ("H",)):
+            inst = oriented_instance(pix, orientations)
+            S = sc.build_support_graph(pix, inst.xprime, inst.universe)
+            yield pix, orientations, S, decompose(S.adj)
+
+
+def test_bag_dp_matches_traceback_reference():
+    """Carrying each state's selection picks the very guards the
+    back-pointer traceback picks, through the same tables, on the lifted
+    and min-fill decompositions of the DP cases and on min-fill of the
+    support graph of each shape in msc and mhsc: ties break alike."""
+    solved = infeasible = 0
+    cases = [(pix, (xs, gids), S, _numbered(td, S)) for pix, xs, gids, H, S, lifted, minfill in _dp_cases()
+             for td in (lifted, minfill) if td.width <= 13]
+    for pix, name, S, cf in itertools.chain(cases, _dp_shapes()):
+        picked, tables = _bag_dp(cf, S)
+        ref_picked, ref_tables = traceback_bag_dp(cf, S)
+        assert picked == ref_picked, (pix.polygon, name)
+        assert tables == ref_tables, (pix.polygon, name)
+        solved += picked is not None
+        infeasible += picked is None
+    assert solved > 500 and infeasible > 10, (solved, infeasible)
 
 
 def test_slots_are_distinct_in_bags_and_states_fit_the_width():

@@ -3,13 +3,16 @@
 Generators return validated polygons; the comb and the spiral family come
 with known optima (one horizontal camera per comb tooth; one camera per
 spiral wrap level), which the test suite re-certifies against the
-brute-force solver.
+brute-force solver.  The spiral's ring comes straight from its legs, and
+the random generator checks each notch against the ring's edges locally,
+so neither validates more than its finished polygon.
 """
 from __future__ import annotations
 
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -112,19 +115,37 @@ def gen_comb(k: int) -> OrthoPolygon:
     return poly
 
 
-def _spiral_cells(k: int) -> Set[Cell]:
-    turns = 3 * (k - 1)
-    length = 3 * k - 1
+def _spiral_ring(k: int) -> List[Cell]:
+    """The corners of the unit-width spiral of 3k - 2 legs, counter-clockwise.
+
+    The spiral is a path of unit cells: from cell (0, 0), leg j runs
+    3k - 1 - j cells on (3k - 2 on leg 0) in direction right, up, left,
+    down, ..., turning left after every leg but the last.  Its boundary
+    has two corners at each end, the back ones of the first cell and the
+    front ones of the last, and two at each turn: the outer corner of the
+    turn cell on the right of the path and the inner one on its left.  The
+    ring walks the right side out and the left side back, so the interior
+    is on its left.  The corner of cell (x, y) in diagonal direction
+    (s, t), s and t each +1 or -1, is (x + (1 + s) / 2, y + (1 + t) / 2).
+    At a turn from direction d to direction e the outer corner lies in
+    direction d - e and the inner one in e - d; at the end, moving in d,
+    the front corners lie in d plus the right and the left normal of d.
+    """
     dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    x, y = 0, 0
-    cells = {(x, y)}
-    for leg in range(turns + 1):
+    legs = 3 * k - 2
+    x = y = 0
+    right, left = [(0, 0)], [(0, 1)]  # the back corners of cell (0, 0)
+    for leg in range(legs):
         dx, dy = dirs[leg % 4]
-        steps = (length - leg) - (1 if leg == 0 else 0)
-        for _ in range(steps):
-            x, y = x + dx, y + dy
-            cells.add((x, y))
-    return cells
+        steps = 3 * k - 1 - leg - (leg == 0)
+        x, y = x + steps * dx, y + steps * dy
+        if leg < legs - 1:
+            ex, ey = dirs[(leg + 1) % 4]
+            right.append((x + (1 + dx - ex) // 2, y + (1 + dy - ey) // 2))
+            left.append((x + (1 - dx + ex) // 2, y + (1 - dy + ey) // 2))
+    right.append((x + (1 + dx + dy) // 2, y + (1 + dy - dx) // 2))  # the front corners
+    left.append((x + (1 + dx - dy) // 2, y + (1 + dy + dx) // 2))
+    return right + left[::-1]
 
 
 def gen_path_lb(k: int) -> OrthoPolygon:
@@ -132,11 +153,12 @@ def gen_path_lb(k: int) -> OrthoPolygon:
 
     Its vertical segmentation is a path of slices, and the innermost pocket
     of each wrap level carries a cross that no camera shares with another
-    level, so k cameras are required (and suffice).
+    level, so k cameras are required (and suffice).  The ring comes straight
+    from the spiral's legs (:func:`_spiral_ring`), in time linear in k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    poly = polygon_from_cells(_spiral_cells(k))
+    poly = validate_polygon([_spiral_ring(k)])
     if poly.n != 6 * k - 2:
         raise AssertionError(f"spiral({k}) has {poly.n} vertices, expected {6 * k - 2}")
     return poly
@@ -147,7 +169,33 @@ def gen_random_simple(n: int, seed: int = 0) -> OrthoPolygon:
 
     Starts from a rectangle and repeatedly carves rectangular notches out of
     convex corners (+2 vertices) or edge middles (+4 vertices) until the
-    vertex budget is used up; invalid carves are retried.
+    vertex budget is used up; a notch that would break the ring is redrawn,
+    up to 40 times, and a shape that runs out of redraws is started over.
+
+    Each notch is checked on its own, in one scan of the ring's edges: the
+    closed box it removes may meet no edge but the one it cuts into (edge
+    notch) or the two whose corner it cuts off (corner notch).  That accepts
+    exactly the notches whose ring :func:`validate_polygon` accepts:
+
+    - The notch never reaches the other ends of the edges it cuts, so the
+      edges next to those miss the box, and the cut edges meet it only
+      along the side the notch opens onto.  Its new corners are all turns,
+      so the new ring has two or four more vertices than the old one.
+    - If no other edge meets the box, the box lies in the polygon, touching
+      the boundary only on that open side.  The new ring bounds the polygon
+      minus the box: it is simple, counter-clockwise, and has no straight
+      vertex, so validation keeps it as it is, rotated to its smallest
+      vertex.
+    - If another edge meets the box, one such edge meets the box's other
+      sides, which are edges of the new ring: an edge that meets only the
+      box's inside lies in it, and following the ring from there to the
+      cut edges, which the edges next to them do not meet, leaves the box
+      across one of those sides.  The contact is not between neighbours,
+      so validation rejects the ring.
+
+    Every draw of ``rng`` is therefore made as with full validation of each
+    candidate, and each ``(n, seed)`` gives the same polygon, or the same
+    :class:`GenerationFailed`.  The finished ring is validated once.
     """
     if n < 4 or n % 2:
         raise ValueError("n must be an even number >= 4")
@@ -165,18 +213,11 @@ def _try_random_simple(n: int, rng: random.Random) -> Optional[OrthoPolygon]:
     ring: List[Tuple[int, int]] = [(0, 0), (w, 0), (w, h), (0, h)]
     while len(ring) < n:
         remaining = n - len(ring)
-        want_edge_notch = remaining >= 4 and rng.random() < 0.35
+        notch = _edge_notch if remaining >= 4 and rng.random() < 0.35 else _corner_notch
         for _ in range(40):
-            cand = (_edge_notch(ring, rng) if want_edge_notch
-                    else _corner_notch(ring, rng))
-            if cand is None:
-                continue
-            try:
-                poly = validate_polygon([cand])
-            except PolygonError:
-                continue
-            if poly.n == len(cand) and len(cand) == len(ring) + (4 if want_edge_notch else 2):
-                ring = [tuple(v) for v in poly.outer]
+            cand = notch(ring, rng)
+            if cand is not None:
+                ring = _rotate_to_min(cand)
                 break
         else:
             return None
@@ -198,7 +239,23 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
+def _chain_meets(chain, a: Cell, b: Cell) -> bool:
+    """Does the polyline through ``chain`` meet the closed box with opposite
+    corners ``a`` and ``b``?  An axis-parallel edge meets it iff, on both
+    axes, neither side of the box has both of the edge's ends beyond it."""
+    x0, x1 = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
+    y0, y1 = (a[1], b[1]) if a[1] < b[1] else (b[1], a[1])
+    px, py = chain[0]
+    for x, y in islice(chain, 1, None):
+        if ((px <= x1 or x <= x1) and (px >= x0 or x >= x0)
+                and (py <= y1 or y <= y1) and (py >= y0 or y >= y0)):
+            return True
+        px, py = x, y
+    return False
+
+
 def _corner_notch(ring, rng) -> Optional[List[Tuple[int, int]]]:
+    """The ring with box [v, M] cut off convex corner v, or None if it does not fit."""
     n = len(ring)
     i = rng.randrange(n)
     p, v, q, d1, d2 = _ring_dirs(ring, i)
@@ -214,10 +271,13 @@ def _corner_notch(ring, rng) -> Optional[List[Tuple[int, int]]]:
     A = (v[0] - a * d1[0], v[1] - a * d1[1])
     M = (A[0] + b * d2[0], A[1] + b * d2[1])
     C = (v[0] + b * d2[0], v[1] + b * d2[1])
+    if _chain_meets(ring[i + 1:] + ring[:i], v, M):  # every edge but p-v and v-q
+        return None
     return ring[:i] + [A, M, C] + ring[i + 1:]
 
 
 def _edge_notch(ring, rng) -> Optional[List[Tuple[int, int]]]:
+    """The ring with box [e1, e3] cut into edge u-v, or None if it does not fit."""
     n = len(ring)
     i = rng.randrange(n)
     u, v = ring[i], ring[(i + 1) % n]
@@ -233,6 +293,8 @@ def _edge_notch(ring, rng) -> Optional[List[Tuple[int, int]]]:
     e2 = (e1[0] + depth * inward[0], e1[1] + depth * inward[1])
     e3 = (e2[0] + width * d[0], e2[1] + width * d[1])
     e4 = (e1[0] + width * d[0], e1[1] + width * d[1])
+    if _chain_meets(ring[i + 1:] + ring[:i + 1], e1, e3):  # every edge but u-v
+        return None
     return ring[:i + 1] + [e1, e2, e3, e4] + ring[i + 1:]
 
 

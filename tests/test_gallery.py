@@ -4,7 +4,7 @@ import pytest
 
 import slidecam as sc
 from slidecam import gallery
-from slidecam.gallery import _boundary_corners, _path_order, _spiral_cells
+from slidecam.gallery import _boundary_corners, _path_order
 from slidecam.treewidth import dual_graph, is_tree
 
 from conftest import LSHAPE, RECT, oriented_instance
@@ -32,6 +32,22 @@ def test_gen_path_lb_counts_and_optima():
         assert sc.brute_force_min_cover(sc.build_instance(pix)).size == k
 
 
+def _spiral_cells(k):
+    """The cells of gen_path_lb(k)'s spiral, stepped one by one along its legs."""
+    turns = 3 * (k - 1)
+    length = 3 * k - 1
+    dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    x, y = 0, 0
+    cells = {(x, y)}
+    for leg in range(turns + 1):
+        dx, dy = dirs[leg % 4]
+        steps = (length - leg) - (1 if leg == 0 else 0)
+        for _ in range(steps):
+            x, y = x + dx, y + dy
+            cells.add((x, y))
+    return cells
+
+
 def test_boundary_corners_are_the_polygon_vertices():
     rng = random.Random(5)
     cell_sets = [_spiral_cells(k) for k in range(1, 7)]
@@ -55,6 +71,38 @@ def test_gen_random_simple_valid():
         p = sc.gen_random_simple(n, seed)
         assert p.n == n
         assert not p.holes
+
+
+def test_generators_validate_once(monkeypatch):
+    """A random_simple try validates only its finished ring, each notch being
+    checked locally, and the spiral's ring comes from its legs, not from
+    tracing its cells."""
+    calls, tries = [], []
+    try_once = gallery._try_random_simple
+
+    def counted(rings):
+        calls.append(len(rings[0]))
+        return sc.validate_polygon(rings)
+
+    def one_try(n, rng):
+        calls.clear()
+        poly = try_once(n, rng)
+        tries.append((poly is not None, list(calls)))
+        return poly
+
+    def traced(cells):
+        raise AssertionError("gen_path_lb traced a cell set")
+
+    monkeypatch.setattr(gallery, "validate_polygon", counted)
+    monkeypatch.setattr(gallery, "_try_random_simple", one_try)
+    monkeypatch.setattr(gallery, "_boundary_corners", traced)
+    for n, seed in ((4, 0), (12, 1), (40, 2), (120, 1), (160, 0)):
+        tries.clear()
+        assert sc.gen_random_simple(n, seed).n == n
+        assert tries[-1] == (True, [n]), (n, seed)
+        assert all(t == (False, []) for t in tries[:-1]), (n, seed)
+    calls.clear()
+    assert sc.gen_path_lb(30).n == 178 and calls == [178]
 
 
 def test_gen_random_simple_deterministic():

@@ -16,7 +16,8 @@ that scans every camera for each pick, a ring
 normalizer that rescans from the start after each merged vertex, and a
 ``path_guard_steps`` that re-validates, re-pixelates and re-segments every
 remainder, traces each piece unit step by unit step and pixelates each piece
-to find its camera.  The net finders sample over the per-cross
+to find its camera.  The random-shape generator validates every notched ring
+in full, and the spiral is traced cell by cell.  The net finders sample over the per-cross
 guard sets in two copies of one loop (one for orientation parts) with their
 own budget formula, the reweighting loop verifies each net geometrically,
 min-fill recounts every vertex's fill at each elimination, each cross's
@@ -52,7 +53,7 @@ from slidecam.approx import NetRequest, _as_fraction, heavy_sets, is_net
 from slidecam.errors import HoleOutsideOuter, SelfIntersection
 from slidecam.exact import make_solution
 from slidecam import gallery
-from slidecam.gallery import _path_order
+from slidecam.gallery import _boundary_corners, _path_order
 from slidecam.geometry import (
     _COORD_LIMIT,
     HORIZONTAL,
@@ -80,7 +81,7 @@ from slidecam.treewidth import (
 from conftest import oriented_instance, support_of, with_leaf_bags
 from test_approx import weighted_instances
 from test_fuzz import gen_random_holed
-from test_gallery import enumerate_small_polygons, staircase_polygon
+from test_gallery import _spiral_cells, enumerate_small_polygons, staircase_polygon
 
 # ---------------------------------------------------------------------------
 # Reference loops
@@ -1750,6 +1751,119 @@ def test_close_cut_arc_matches_validate_polygon(monkeypatch):
             assert [getattr(pix, t) for t in _TABLES] == [getattr(twin, t) for t in _TABLES], arc
         merged[len(arc) - want.n] += 1
     assert sorted(merged) == [0, 1, 2], merged
+
+
+# ---------------------------------------------------------------------------
+# Generators
+# ---------------------------------------------------------------------------
+
+def _loop_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def loop_corner_notch(ring, rng):
+    """A convex corner's notch as drawn by gen_random_simple, unchecked."""
+    n = len(ring)
+    i = rng.randrange(n)
+    p, v, q = ring[(i - 1) % n], ring[i], ring[(i + 1) % n]
+    d1 = (_loop_sign(v[0] - p[0]), _loop_sign(v[1] - p[1]))
+    d2 = (_loop_sign(q[0] - v[0]), _loop_sign(q[1] - v[1]))
+    if d1[0] * d2[1] - d1[1] * d2[0] <= 0:
+        return None
+    len1 = abs(v[0] - p[0]) + abs(v[1] - p[1])
+    len2 = abs(q[0] - v[0]) + abs(q[1] - v[1])
+    if len1 < 2 or len2 < 2:
+        return None
+    a = rng.randint(1, min(3, len1 - 1))
+    b = rng.randint(1, min(3, len2 - 1))
+    A = (v[0] - a * d1[0], v[1] - a * d1[1])
+    M = (A[0] + b * d2[0], A[1] + b * d2[1])
+    C = (v[0] + b * d2[0], v[1] + b * d2[1])
+    return ring[:i] + [A, M, C] + ring[i + 1:]
+
+
+def loop_edge_notch(ring, rng):
+    """An edge's notch as drawn by gen_random_simple, unchecked."""
+    n = len(ring)
+    i = rng.randrange(n)
+    u, v = ring[i], ring[(i + 1) % n]
+    d = (_loop_sign(v[0] - u[0]), _loop_sign(v[1] - u[1]))
+    inward = (-d[1], d[0])
+    length = abs(v[0] - u[0]) + abs(v[1] - u[1])
+    if length < 3:
+        return None
+    off = rng.randint(1, length - 2)
+    width = rng.randint(1, min(3, length - off - 1))
+    depth = rng.randint(1, 3)
+    e1 = (u[0] + off * d[0], u[1] + off * d[1])
+    e2 = (e1[0] + depth * inward[0], e1[1] + depth * inward[1])
+    e3 = (e2[0] + width * d[0], e2[1] + width * d[1])
+    e4 = (e1[0] + width * d[0], e1[1] + width * d[1])
+    return ring[:i + 1] + [e1, e2, e3, e4] + ring[i + 1:]
+
+
+def loop_try_random_simple(n, rng):
+    """One try of gen_random_simple that validates every notched ring in full."""
+    size = max(6, n)
+    w, h = rng.randint(5, size), rng.randint(5, size)
+    ring = [(0, 0), (w, 0), (w, h), (0, h)]
+    while len(ring) < n:
+        remaining = n - len(ring)
+        want_edge_notch = remaining >= 4 and rng.random() < 0.35
+        for _ in range(40):
+            cand = (loop_edge_notch(ring, rng) if want_edge_notch
+                    else loop_corner_notch(ring, rng))
+            if cand is None:
+                continue
+            try:
+                poly = sc.validate_polygon([cand])
+            except sc.PolygonError:
+                continue
+            if poly.n == len(cand) and len(cand) == len(ring) + (4 if want_edge_notch else 2):
+                ring = [tuple(v) for v in poly.outer]
+                break
+        else:
+            return None
+    try:
+        return sc.validate_polygon([ring])
+    except sc.PolygonError:
+        return None
+
+
+def loop_random_simple(n, seed):
+    rng = random.Random(f"simple:{n}:{seed}")
+    for _ in range(300):
+        poly = loop_try_random_simple(n, rng)
+        if poly is not None:
+            return poly
+    raise sc.GenerationFailed(f"could not generate a simple polygon with n={n}")
+
+
+def _gen_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except sc.GenerationFailed as e:
+        return (type(e), str(e))
+
+
+def test_random_simple_matches_validate_per_notch_reference():
+    """The local notch test accepts exactly the notches whose ring validates:
+    every shape, and every give-up, is the per-notch reference's."""
+    cases = [(n, seed) for n in range(4, 61, 2) for seed in range(40)]
+    cases += [(n, seed) for n in range(80, 161, 20) for seed in range(5)]
+    cases.append((200, 0))
+    failed = []
+    for n, seed in cases:
+        want = _gen_outcome(loop_random_simple, n, seed)
+        assert _gen_outcome(sc.gen_random_simple, n, seed) == want, (n, seed)
+        if isinstance(want, tuple):
+            failed.append((n, seed))
+    assert (200, 0) in failed
+
+
+def test_path_lb_matches_traced_spiral_cells():
+    for k in range(1, 81):
+        assert sc.gen_path_lb(k) == sc.validate_polygon([_boundary_corners(_spiral_cells(k))]), k
 
 
 # ---------------------------------------------------------------------------

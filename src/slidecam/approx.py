@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import BudgetInsufficient, Infeasible
 from .exact import Solution, make_solution
@@ -37,12 +37,9 @@ class NetRequest:
 
     r: Fraction
     seed: str = "0"
-    size_budget: Optional[int] = None
     net_constant: float = DEFAULT_NET_CONSTANT
 
     def budget(self, num_sets: int) -> int:
-        if self.size_budget is not None:
-            return self.size_budget
         return math.ceil(self.net_constant * float(self.r) * math.log(max(2, num_sets)))
 
 
@@ -138,8 +135,7 @@ def combined_net(inst: HittingInstance, req: NetRequest) -> FrozenSet[int]:
         sub = inst.restrict_orientation(orientation)
         if not sub.universe:
             continue
-        sub_req = NetRequest(r=2 * r, seed=f"{req.seed}:{tag}",
-                             size_budget=req.size_budget, net_constant=req.net_constant)
+        sub_req = NetRequest(r=2 * r, seed=f"{req.seed}:{tag}", net_constant=req.net_constant)
         parts.append(_sample_net(sub, sub_req))
     net = frozenset().union(*parts)
     if not is_net(inst, net, r):

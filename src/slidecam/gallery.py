@@ -35,7 +35,6 @@ from .geometry import (
     _rotate_to_min,
     _straight,
     close_cut_arc,
-    guard_segments,
     pixelate,
     validate_polygon,
 )
@@ -647,7 +646,7 @@ def check_bounds(poly: OrthoPolygon, cap: Optional[int] = None) -> BoundReport:
     """
     n = poly.n
     pix = pixelate(poly)
-    horizontal_ids = [g.id for g in guard_segments(pix, (HORIZONTAL,))]
+    horizontal_ids = [g for g, run in enumerate(pix.guard_runs) if run[0] == HORIZONTAL]
     mhsc = brute_force_min_cover(build_instance(pix, gammaprime=horizontal_ids), cap).size
     msc = None
     msc_checked = not poly.holes

@@ -3,9 +3,12 @@
 The guarding question becomes a hitting-set problem: the universe is a set
 of candidate cameras and each requested cross contributes the set of
 cameras that hit it.  The same data also feeds the segment-covering
-reduction (horizontal cameras versus vertical supports), the support graph
-that the treewidth solver decomposes, and the tripartite auxiliary graph
-behind its lifted fallback.
+reduction (horizontal cameras versus vertical supports) and the support
+graph S on which the treewidth solver decomposes, lifts and runs its DP.
+:func:`build_support_graph` is the one place a ``dp`` solve reads which
+midlines each camera meets; the tripartite auxiliary graph H is S with its
+crosses put back, built from S for the checks that a decomposition a solve
+returns is one of H.
 """
 from __future__ import annotations
 
@@ -216,20 +219,21 @@ class AuxiliaryGraph:
     Crosses connect to their two supports; guards connect to every
     slice-segment they intersect.  There are no cross-guard edges, so a
     guard set covers a cross exactly when the cross is within distance two
-    of the set.  A ``dp`` solve builds it only for its lifted fallback; it
-    decomposes :class:`SupportGraph` otherwise.
+    of the set.  No solve builds it: ``dp`` decomposes, lifts onto and
+    solves on :class:`SupportGraph`; H is what its decompositions are
+    checked against.
     """
 
     pix: Pixelation
     xprime: Tuple[int, ...]
     sigma_ids: Tuple[int, ...]
-    gammaprime: Tuple[int, ...]
+    universe: Tuple[int, ...]
     adj: Dict[Node, FrozenSet[Node]]
 
     def nodes(self) -> List[Node]:
         return ([("c", c) for c in self.xprime]
                 + [("s", s) for s in self.sigma_ids]
-                + [("g", g) for g in self.gammaprime])
+                + [("g", g) for g in self.universe])
 
     def edges(self) -> List[Tuple[Node, Node]]:
         return sorted((u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v)
@@ -237,32 +241,23 @@ class AuxiliaryGraph:
 
 def build_auxiliary_graph(pix: Pixelation, xprime: Optional[Iterable[int]] = None,
                           gammaprime: Optional[Iterable[int]] = None) -> AuxiliaryGraph:
+    """H from S (:func:`build_support_graph`, which also checks that each
+    requested cross has one vertical and one horizontal support): S's
+    guard-midline edges, and each requested cross put back as a node joined
+    to its two supports in place of the edge it was contracted into."""
     xp = tuple(sorted(xprime)) if xprime is not None else tuple(range(len(pix.h_supports)))
     gp = tuple(sorted(gammaprime)) if gammaprime is not None else tuple(
         range(len(pix.guard_masks)))
-    sigma_ids = tuple(range(len(pix._slice_cross_mask)))
+    S = build_support_graph(pix, xp, gp)
+    u = len(gp)
     adj: Dict[Node, set] = {}
-
-    def link(u: Node, v: Node):
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-
-    for s in sigma_ids:
-        adj.setdefault(("s", s), set())
+    for v, nbrs in enumerate(S.adj):
+        # a guard's neighbours are all midlines; a midline keeps its guards
+        adj[S.node(v)] = {S.node(w) for w in nbrs if w < u or v < u}
     for c in xp:
-        link(("c", c), ("s", pix.h_supports[c]))
-        link(("c", c), ("s", pix.v_supports[c]))
-    for g in gp:
-        adj.setdefault(("g", g), set())
-        for s in pix.sigma_ids_hit(*pix.guard_runs[g]):
-            link(("g", g), ("s", s))
-
-    for c in xp:
-        deg = sum(1 for v in adj[("c", c)] if v[0] == "s")
-        if deg != 2 or any(v[0] == "g" for v in adj[("c", c)]):
-            raise AssertionError("auxiliary graph is not tripartite as expected")
-
-    return AuxiliaryGraph(pix=pix, xprime=xp,
-                          sigma_ids=sigma_ids,
-                          gammaprime=gp,
-                          adj={u: frozenset(v) for u, v in adj.items()})
+        ends = {("s", pix.h_supports[c]), ("s", pix.v_supports[c])}
+        adj[("c", c)] = ends
+        for s in ends:
+            adj[s].add(("c", c))
+    return AuxiliaryGraph(pix=pix, xprime=xp, sigma_ids=tuple(range(len(S.adj) - u)),
+                          universe=gp, adj={v: frozenset(ns) for v, ns in adj.items()})

@@ -25,6 +25,16 @@ def _ty(pix: Pixelation, y2: int) -> int:
     return (2 * (yh + _PAD) - y2) * _SCALE
 
 
+def _ends(pix: Pixelation, orientation: str, anchor2: int, lo: int, hi: int) -> str:
+    """The SVG line ends of an axis-parallel segment on doubled ``anchor2``
+    from ``lo`` to ``hi``."""
+    if orientation == "V":
+        x = _tx(pix, anchor2)
+        return f'x1="{x}" y1="{_ty(pix, 2 * lo)}" x2="{x}" y2="{_ty(pix, 2 * hi)}"'
+    y = _ty(pix, anchor2)
+    return f'x1="{_tx(pix, 2 * lo)}" y1="{y}" x2="{_tx(pix, 2 * hi)}" y2="{y}"'
+
+
 def render_svg(pix: Pixelation, solution: Optional[Solution] = None) -> str:
     poly = pix.polygon
     xl, yl, xh, yh = poly.bbox()
@@ -59,24 +69,11 @@ def render_svg(pix: Pixelation, solution: Optional[Solution] = None) -> str:
             f'fill="{fill}" stroke="#999999" stroke-width="1"/>')
 
     for seg in pix.sigmas:
-        if seg.orientation == "V":
-            x1 = x2 = _tx(pix, seg.anchor2)
-            y1, y2 = _ty(pix, 2 * seg.lo), _ty(pix, 2 * seg.hi)
-        else:
-            y1 = y2 = _ty(pix, seg.anchor2)
-            x1, x2 = _tx(pix, 2 * seg.lo), _tx(pix, 2 * seg.hi)
-        out.append(
-            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            f'stroke="#2b7a2b" stroke-width="1" stroke-dasharray="4,3"/>')
+        out.append(f'<line {_ends(pix, seg.orientation, seg.anchor2, seg.lo, seg.hi)} '
+                   f'stroke="#2b7a2b" stroke-width="1" stroke-dasharray="4,3"/>')
 
-    for g in pix.guards:
-        if g.orientation == "V":
-            x1 = x2 = _tx(pix, 2 * g.anchor)
-            y1, y2 = _ty(pix, 2 * g.lo), _ty(pix, 2 * g.hi)
-        else:
-            y1 = y2 = _ty(pix, 2 * g.anchor)
-            x1, x2 = _tx(pix, 2 * g.lo), _tx(pix, 2 * g.hi)
-        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+    for orientation, anchor, lo, hi in pix.guard_runs:
+        out.append(f'<line {_ends(pix, orientation, 2 * anchor, lo, hi)} '
                    f'stroke="#e0a030" stroke-width="1" opacity="0.6"/>')
 
     for cross in pix.crosses:
@@ -94,13 +91,7 @@ def render_svg(pix: Pixelation, solution: Optional[Solution] = None) -> str:
 
     if solution is not None:
         for cam in solution.cameras:
-            if cam.orientation == "V":
-                x1 = x2 = _tx(pix, 2 * cam.anchor)
-                y1, y2 = _ty(pix, 2 * cam.lo), _ty(pix, 2 * cam.hi)
-            else:
-                y1 = y2 = _ty(pix, 2 * cam.anchor)
-                x1, x2 = _tx(pix, 2 * cam.lo), _tx(pix, 2 * cam.hi)
-            out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            out.append(f'<line {_ends(pix, cam.orientation, 2 * cam.anchor, cam.lo, cam.hi)} '
                        f'stroke="#cc2222" stroke-width="5" stroke-linecap="round"/>')
 
     out.append("</svg>")

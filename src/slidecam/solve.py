@@ -14,8 +14,8 @@ from .geometry import (
     Pixelation,
     pixelate,
 )
-from .hitset import HittingInstance, build_auxiliary_graph, build_instance, build_support_graph
-from .treewidth import DEFAULT_WIDTH_MAX, decompose, dp_solve, dual_graph, lift_decomposition
+from .hitset import HittingInstance, build_instance, build_support_graph
+from .treewidth import DEFAULT_WIDTH_MAX, _numbered, decompose, dp_solve, dual_graph, lift_decomposition
 
 MODES = ("msc", "mhsc", "mvsc", "custom")
 ALGOS = ("exact", "dp", "bg", "greedy", "path")
@@ -114,16 +114,15 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
         elif algo == "dp":
             S = build_support_graph(pix, inst.xprime, inst.universe)
             # min-fill on the support graph, or past width_max the paper's
-            # lifted 7k+6 certificate, the one use of the auxiliary graph H
+            # lifted 7k+6 certificate, lifted onto S's crosses and guards
             try:
                 sol = dp_solve(S, decompose(S.adj), width_max=width_max)
             except WidthExceeded as narrow:
-                H = build_auxiliary_graph(pix, xprime=inst.xprime, gammaprime=inst.universe)
                 td_d = decompose(dual_graph(pix))
-                td_h = lift_decomposition(td_d, H, pix)
+                td_h = lift_decomposition(td_d, S, pix)
                 info.update(width_d=td_d.width, width_h=td_h.width)
                 try:
-                    sol = dp_solve(H, td_h, width_max=width_max)
+                    sol = dp_solve(S, _numbered(td_h, S), width_max=width_max)
                 except WidthExceeded as lifted:
                     raise WidthExceeded(f"min-fill {narrow}; lifted {lifted}") from None
             info.update(width_used=sol.decomposition.width, dp_peak_table=sol.counters["dp_peak_table"])

@@ -8,10 +8,10 @@ cross contracted into an edge between its supports), which
 :func:`~slidecam.hitset.build_support_graph` builds straight from the
 pixelation's tables on int vertices: the universe's guards by position,
 then every midline s at ``len(universe) + s``, the sorted order of S's
-tuple nodes, so min-fill breaks ties as it would on them.  H itself, with
-tuple nodes, is built only past the width limit, where the solve lifts
-min-fill on the dual graph (width bounded by the paper at 7k+6 for dual
-width k) and retries; the lifted bags are mapped onto the same ids.
+tuple nodes, so min-fill breaks ties as it would on them.  Past the width
+limit the solve lifts min-fill on the dual graph onto H's nodes for S's
+crosses and guards (width bounded by the paper at 7k+6 for dual width k),
+maps the lifted bags onto the same ids and retries; no solve builds H.
 
 The DP runs on S's ids: a cross in a bag (only the lift has them) becomes
 its vertical support, an edge contraction, and a cross is the constraint
@@ -253,9 +253,11 @@ def validate_decomposition(td: TreeDecomposition, vertices: Iterable, edges: Ite
     return True, None
 
 
-def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
+def lift_decomposition(td_d: TreeDecomposition, graph: Union[SupportGraph, AuxiliaryGraph],
                        pix: Pixelation) -> TreeDecomposition:
-    """Replace each pixel in a bag by its cross, supports and side guards.
+    """Replace each pixel in a bag by its cross, supports and side guards:
+    a decomposition of H, in H's nodes, for the requested crosses
+    (``graph.xprime``) and allowed guards (``graph.universe``) of S or H.
 
     Slice-segments are kept unconditionally; the cross is kept only when
     requested and a side guard only when it belongs to the allowed set, so a
@@ -263,9 +265,9 @@ def lift_decomposition(td_d: TreeDecomposition, H: AuxiliaryGraph,
     only the bags of pixels flanking its own segment (not those of parallel
     runs merged into it), which keeps its bag subtree connected; edge
     coverage is unaffected because the graph's intersections are computed
-    from that same segment.
+    from that same segment.  ``_numbered`` maps it onto S's ids.
     """
-    xp, gp = set(H.xprime), set(H.gammaprime)
+    xp, gp = set(graph.xprime), set(graph.universe)
     bags = []
     for bag in td_d.bags:
         items = set()
@@ -498,7 +500,7 @@ def dp_solve(graph: Union[SupportGraph, AuxiliaryGraph], td: TreeDecomposition,
     ``dp_peak_table``.
     """
     if isinstance(graph, AuxiliaryGraph):
-        graph = build_support_graph(graph.pix, graph.xprime, graph.gammaprime)
+        graph = build_support_graph(graph.pix, graph.xprime, graph.universe)
         td = _numbered(td, graph)
     full = _with_crosses(td, graph)
     if full.width > width_max:

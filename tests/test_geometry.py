@@ -459,6 +459,7 @@ def _lazy_shape(shape):
     ("comb10", "path"),
     *(("spiral4", algo) for algo in ("greedy", "exact", "bg", "dp", "path")),
     ("multi_hole", "path"),  # path refuses polygons with holes
+    *((shape, "bounds") for shape in ("comb10", "multi_hole")),  # check_bounds
 ])
 def test_solve_builds_no_product_it_does_not_read(shape, algo, monkeypatch):
     """Products only some solvers read are derived on first read: after a
@@ -470,16 +471,19 @@ def test_solve_builds_no_product_it_does_not_read(shape, algo, monkeypatch):
     ``sigma_ids_hit``, and ``make_solution`` builds only the records of the
     cameras it returns.  dp reads the dual edges and side guards only when
     it falls back to the lifted decomposition, which none of these shapes
-    needs.  Path's refusal of a holed polygon builds none of them either.
-    No solve builds the per-cross certificate; read afterwards, it equals
-    the guard-by-guard loop's."""
+    needs.  Path's refusal of a holed polygon builds none of them either,
+    and nor does ``check_bounds``, which takes its horizontal cameras from
+    ``guard_runs``.  No solve builds the per-cross certificate; read
+    afterwards, it equals the guard-by-guard loop's."""
     witnessed = []
     witnesses = sc.geometry._witnesses
     monkeypatch.setattr(sc.geometry, "_witnesses", lambda *a: witnessed.append(1) or witnesses(*a))
     p = _lazy_shape(shape)
     sc.geometry.pixelate.cache_clear()
     sol = None
-    if p.holes and algo == "path":
+    if algo == "bounds":
+        sc.check_bounds(p)
+    elif p.holes and algo == "path":
         with pytest.raises(sc.NotPathSegmentation):
             sc.solve_polygon(p, algo=algo)
     else:

@@ -127,7 +127,7 @@ def test_auxiliary_graph_rectangle():
     H = sc.build_auxiliary_graph(pix)
     assert len(H.xprime) == 1
     assert len(H.sigma_ids) == 2
-    assert len(H.gammaprime) == 2
+    assert len(H.universe) == 2
     assert len(H.adj[("c", 0)]) == 2
 
 
@@ -146,7 +146,7 @@ def test_distance_two_matches_verify_cover():
         p = sc.gen_random_simple(4 + 2 * (seed % 4), seed + 300)
         pix = sc.pixelate(p)
         H = sc.build_auxiliary_graph(pix)
-        uni = list(H.gammaprime)
+        uni = list(H.universe)
         S = rng.sample(uni, rng.randint(0, len(uni)))
         reached = bfs_within_two(H.adj, [("g", g) for g in S],
                                  [("c", c) for c in H.xprime])

@@ -10,7 +10,8 @@ run hit masks from a sweep over the perpendicular midlines,
 lifted side guards looked up among the runs on each pixel side's line,
 ``extend_to_maximal`` as a cell walk in one mirrored branch per orientation,
 a line's inside spans from a scan over every slice of its orientation,
-a scan over every slice-segment for each guard, a guard-by-guard
+a scan over every slice-segment for each guard, the auxiliary graph H
+from a walk over each guard's midlines rather than from S, a guard-by-guard
 ``verify_cover``, an O(crosses * guards) hitting-set transpose, a greedy
 that scans every camera for each pick, a ring
 normalizer that rescans from the start after each merged vertex, and a
@@ -49,7 +50,7 @@ from fractions import Fraction
 import pytest
 
 import slidecam as sc
-from slidecam.approx import NetRequest, _as_fraction, heavy_sets, is_net
+from slidecam.approx import DEFAULT_NET_CONSTANT, NetRequest, _as_fraction, heavy_sets, is_net
 from slidecam.errors import HoleOutsideOuter, SelfIntersection
 from slidecam.exact import make_solution
 from slidecam import gallery
@@ -361,9 +362,41 @@ def loop_lift(td, H, pix):
                       ("s", pix.slices_h[px.h_slice].segment.id)}
             if pid in H.xprime:
                 items.add(("c", pid))
-            items |= {("g", gid) for gid in side[pid] if gid in H.gammaprime}
+            items |= {("g", gid) for gid in side[pid] if gid in H.universe}
         bags.append(frozenset(items))
     return bags
+
+
+def loop_auxiliary_graph(pix, xprime=None, gammaprime=None):
+    """build_auxiliary_graph as a walk of its own: each requested cross
+    linked to its two supports, each allowed guard to the midlines
+    ``sigma_ids_hit`` finds on its run, and a check that every cross has
+    exactly two midline neighbours and no guard neighbour."""
+    xp = tuple(sorted(xprime)) if xprime is not None else tuple(range(len(pix.h_supports)))
+    gp = tuple(sorted(gammaprime)) if gammaprime is not None else tuple(
+        range(len(pix.guard_masks)))
+    sigma_ids = tuple(range(len(pix._slice_cross_mask)))
+    adj = {}
+
+    def link(u, v):
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+
+    for s in sigma_ids:
+        adj.setdefault(("s", s), set())
+    for c in xp:
+        link(("c", c), ("s", pix.h_supports[c]))
+        link(("c", c), ("s", pix.v_supports[c]))
+    for g in gp:
+        adj.setdefault(("g", g), set())
+        for s in pix.sigma_ids_hit(*pix.guard_runs[g]):
+            link(("g", g), ("s", s))
+    for c in xp:
+        deg = sum(1 for v in adj[("c", c)] if v[0] == "s")
+        if deg != 2 or any(v[0] == "g" for v in adj[("c", c)]):
+            raise AssertionError("auxiliary graph is not tripartite as expected")
+    return sc.hitset.AuxiliaryGraph(pix=pix, xprime=xp, sigma_ids=sigma_ids, universe=gp,
+                                    adj={u: frozenset(v) for u, v in adj.items()})
 
 
 def loop_inside_spans(pix, orientation, anchor):
@@ -1099,7 +1132,7 @@ def test_pixelation_matches_reference_loops(polygons):
         assert pix.slice_dual(VERTICAL) == loop_slice_dual(pix, True), name
         assert pix.slice_dual(HORIZONTAL) == loop_slice_dual(pix, False), name
         assert pix.is_thin() == ref.is_thin(), name
-        assert sc.build_auxiliary_graph(pix).adj == sc.build_auxiliary_graph(ref).adj, name
+        assert sc.build_auxiliary_graph(pix).adj == loop_auxiliary_graph(ref).adj, name
         for guards in (range(len(pix.guards)), range(0, len(pix.guards), 3), pix.raw_guards[::2]):
             assert sc.verify_cover(pix, list(guards)) == sc.verify_cover(ref, list(guards)), name
 
@@ -1981,8 +2014,7 @@ def loop_combined_net(inst, req):
         sub = inst.restrict_orientation(orientation)
         if not sub.universe:
             continue
-        sub_req = NetRequest(r=2 * r, seed=f"{req.seed}:{tag}",
-                             size_budget=req.size_budget, net_constant=req.net_constant)
+        sub_req = NetRequest(r=2 * r, seed=f"{req.seed}:{tag}", net_constant=req.net_constant)
         parts.append(loop_subinstance_net(sub, sub_req))
     net = frozenset().union(*parts) if parts else frozenset()
     sets = loop_sets(inst.pix, inst.xprime, inst.universe)
@@ -2066,12 +2098,16 @@ def test_nets_match_per_cross_set_loops():
     outcomes = collections.Counter()
     for inst, r, seed in _net_corpus():
         uni = len(inst.universe)
-        # the default budget usually takes the whole universe; the fixed ones sample
-        for size_budget in (None, 1, 2, 3, uni // 2):
-            req = NetRequest(r=r, seed=seed, size_budget=size_budget)
+        scale = float(r) * math.log(max(2, len(inst.xprime)))
+        # the default budget usually takes the whole universe; net constants
+        # that give find_net a budget of 1, 2, 3 or uni // 2 sample
+        for budget in (None, 1, 2, 3, uni // 2):
+            constant = DEFAULT_NET_CONSTANT if budget is None else (budget - 0.5) / scale
+            req = NetRequest(r=r, seed=seed, net_constant=constant)
+            assert budget is None or req.budget(len(inst.xprime)) == budget
             for fn, ref in ((sc.find_net, loop_find_net), (sc.combined_net, loop_combined_net)):
                 want = _net_outcome(ref, inst, req)
-                assert _net_outcome(fn, inst, req) == want, (seed, size_budget, fn.__name__)
+                assert _net_outcome(fn, inst, req) == want, (seed, budget, fn.__name__)
                 outcomes["error" if isinstance(want, tuple) else "net"] += 1
         # an orientation part, with nets that also hold guards outside its universe
         for part in (inst, inst.restrict_orientation(HORIZONTAL)):
@@ -2719,12 +2755,40 @@ def test_contract_matches_scan_over_every_bag(polygons):
     for name, p in polys.items():
         pix = sc.pixelate(p)
         H = sc.build_auxiliary_graph(pix)
-        S = sc.build_support_graph(pix, H.xprime, H.gammaprime)
+        S = sc.build_support_graph(pix, H.xprime, H.universe)
         lifted = lift_decomposition(decompose(dual_graph(pix)), H, pix)
         for td in (lifted, decompose(support_of(H)), decompose(H.adj)):
             full = _with_crosses(_numbered(td, S), S)
             ref = with_leaf_bags(td, H)
             assert (full.bags, full.edges) == (ref.bags, ref.edges), name
+
+
+def assert_auxiliary_graph_matches_walk(pix, xs, gids, name):
+    """H built from S equals the walk's H, and the lift reads the same
+    crosses and guards off S as off H."""
+    H, ref = sc.build_auxiliary_graph(pix, xs, gids), loop_auxiliary_graph(pix, xs, gids)
+    assert H.adj == ref.adj, name
+    assert H.nodes() == ref.nodes(), name
+    assert H.edges() == ref.edges(), name
+    assert H == ref, name
+    S = sc.build_support_graph(pix, H.xprime, H.universe)
+    td = decompose(dual_graph(pix))
+    assert lift_decomposition(td, S, pix) == lift_decomposition(td, H, pix), name
+
+
+def test_auxiliary_graph_matches_walk(polygons):
+    for name, p in polygons.items():
+        assert_auxiliary_graph_matches_walk(sc.pixelate(p), None, None, name)
+    for i, (pix, xs, gids) in enumerate(_restricted_instances()):
+        assert_auxiliary_graph_matches_walk(pix, xs, gids, i)
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_SIZE))
+def test_auxiliary_graph_matches_walk_at_bench_size(name):
+    pix = sc.pixelate(_BENCH_SIZE[name]())
+    for mode in ("msc", "mhsc"):
+        inst = sc.solve.instance_for_mode(pix, mode)
+        assert_auxiliary_graph_matches_walk(pix, inst.xprime, inst.universe, (name, mode))
 
 
 def _restricted_instances():
@@ -2753,7 +2817,7 @@ def _dp_cases():
     cases += _restricted_instances()
     for pix, xs, gids in cases:
         H = sc.build_auxiliary_graph(pix, xprime=xs, gammaprime=gids)
-        S = sc.build_support_graph(pix, H.xprime, H.gammaprime)
+        S = sc.build_support_graph(pix, H.xprime, H.universe)
         lifted = lift_decomposition(decompose(dual_graph(pix)), H, pix)
         yield pix, xs, gids, H, S, lifted, decompose(H.adj)
 

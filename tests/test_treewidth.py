@@ -296,7 +296,7 @@ def test_dp_solve_decomposes_no_cross_vertex(monkeypatch, poly):
     sol, info = sc.solve_polygon(poly, algo="dp")
     pix = sc.pixelate(poly)
     H = sc.build_auxiliary_graph(pix)
-    S = sc.build_support_graph(pix, H.xprime, H.gammaprime)
+    S = sc.build_support_graph(pix, H.xprime, H.universe)
     assert graphs == [S.adj]
     assert in_nodes(S) == support_of(H)
     assert "width_d" not in info and "width_h" not in info
@@ -370,33 +370,40 @@ def test_dp_builds_no_auxiliary_graph_when_min_fill_fits(tmp_path, monkeypatch, 
     assert ok, wit
 
 
-def test_dp_fallback_past_width_max_builds_the_auxiliary_graph(monkeypatch):
+def test_dp_fallback_past_width_max_lifts_onto_the_support_graph(monkeypatch):
     """Min-fill on S made one bag of all its vertices, wider than --width-max:
-    the solve builds H once, lifts the dual graph's decomposition, reports
-    width_d and width_h, and returns a verified optimum, at a --width-max as
-    small as the width it solved at and not one below."""
+    the solve lifts the dual graph's decomposition onto S's crosses and
+    guards without building H, walks each camera's midlines once (S's build)
+    and each picked camera's once more (the final verify), reports width_d
+    and width_h, and returns a verified optimum, at a --width-max as small
+    as the width it solved at and not one below."""
     poly = sc.gen_comb(10)
     pix = sc.pixelate(poly)
-    built = []
+    walks = []
+    aux_graph, sigma_ids_hit = sc.hitset.AuxiliaryGraph, sc.Pixelation.sigma_ids_hit
 
     def one_bag_for_s(adj):
         if isinstance(adj, dict):  # the dual graph; S comes as a list of int neighbour sets
             return decompose(adj)
         return TreeDecomposition(bags=(frozenset(range(len(adj))),), edges=())
 
-    def recorded(*args, **kwargs):
-        built.append(sc.build_auxiliary_graph(*args, **kwargs))
-        return built[-1]
+    def counted(self, *run):
+        walks.append(run)
+        return sigma_ids_hit(self, *run)
 
     monkeypatch.setattr(sc.solve, "decompose", one_bag_for_s)
-    monkeypatch.setattr(sc.solve, "build_auxiliary_graph", recorded)
+    monkeypatch.setattr(sc.hitset, "AuxiliaryGraph", _refuse_auxiliary_graph)
+    monkeypatch.setattr(sc.Pixelation, "sigma_ids_hit", counted)
     sol, info = sc.solve_polygon(poly, algo="dp")
-    assert len(built) == 1
+    monkeypatch.setattr(sc.hitset, "AuxiliaryGraph", aux_graph)
+    monkeypatch.setattr(sc.Pixelation, "sigma_ids_hit", sigma_ids_hit)
+    assert len(walks) == info["universe"] + sol.size
+    H = sc.build_auxiliary_graph(pix)
     dual = decompose(dual_graph(pix))
     assert info["width_d"] == dual.width
-    assert info["width_h"] == lift_decomposition(dual, built[0], pix).width
+    assert info["width_h"] == lift_decomposition(dual, H, pix).width
     assert info["width_used"] == sol.decomposition.width <= info["width_h"]
-    ok, wit = validate_decomposition(sol.decomposition, built[0].nodes(), built[0].edges())
+    ok, wit = validate_decomposition(sol.decomposition, H.nodes(), H.edges())
     assert ok, wit
     assert sol.size == sc.brute_force_min_cover(sc.build_instance(pix)).size
     assert sc.verify_cover(pix, list(sol.guard_ids)).covered

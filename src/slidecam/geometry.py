@@ -25,6 +25,7 @@ from .errors import (
 
 Vertex = Tuple[int, int]
 Rect = Tuple[int, int, int, int]  # (x_lo, y_lo, x_hi, y_hi)
+Edge = Tuple[int, int, int]  # (x, y_lo, y_hi) if vertical, (y, x_lo, x_hi) if horizontal
 
 HORIZONTAL = "H"
 VERTICAL = "V"
@@ -104,8 +105,30 @@ def _signed_area2(ring: Sequence[Vertex]) -> int:
     return s
 
 
-def _normalize_ring(raw: Sequence[Sequence[int]], name: str) -> Tuple[List[Vertex], int]:
-    """The ring's turning vertices, and twice its signed area."""
+def _normalize_ring(raw: Sequence[Sequence[int]], name: str,
+                    vert: List[Edge], horiz: List[Edge]) -> Tuple[List[Vertex], int]:
+    """The ring's turning vertices, and twice its signed area.  Each edge
+    between consecutive turns goes onto ``vert`` as (x, y_lo, y_hi) or onto
+    ``horiz`` as (y, x_lo, x_hi); both may hold other rings' edges already
+    (see :func:`_group_spans`).
+
+    After the coordinate checks, one pass over the deduplicated points
+    checks that each edge is axis-parallel and classifies each vertex by
+    its two edges: a turn, straight, or a spur, where the boundary doubles
+    back.  Dropping a straight-through vertex keeps the directions of both
+    its neighbours' edges, so the input's turns are the result's.  At each
+    turn the pass records the edge from the previous turn and its area
+    term: twice the sum of x dy over the vertical edges, which equals the
+    shoelace sum on a closed rectilinear ring.  The pass stops early only
+    at a diagonal edge.  The errors are raised after it, in this order: a
+    diagonal edge, fewer than 4 points, fewer than 4 vertices left (the
+    turns before the first spur and the points from it on), the first
+    spur, zero area.
+
+    The first turn's edge starts at the last point.  That is the last turn
+    unless it is straight and lies on the edge from the last turn, which
+    then replaces it.
+    """
     pts: List[Vertex] = []
     try:
         for x, y in raw:
@@ -120,38 +143,56 @@ def _normalize_ring(raw: Sequence[Sequence[int]], name: str) -> Tuple[List[Verte
         raise PolygonError(f"{name}: not a list of [x, y] integer pairs") from None
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
-    if len(pts) < 3:
-        raise DegenerateRing(f"{name}: fewer than 3 distinct vertices")
     n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if a[0] != b[0] and a[1] != b[1]:
-            raise NonOrthogonalEdge(f"{name}: edge {a}-{b} is not axis-parallel")
-    if len(pts) < 4:
-        raise DegenerateRing(f"{name}: fewer than 4 distinct vertices")
-    # Merge collinear runs; a reversal (spur) means the boundary doubles back.
-    # Dropping a straight-through vertex keeps the directions of both its
-    # neighbours' edges, so every vertex is a turn, straight or a spur in the
-    # input already: one pass drops the straight vertices up to the first spur.
+    if n < 3:
+        raise DegenerateRing(f"{name}: fewer than 3 distinct vertices")
     turns: List[Vertex] = []
-    spur = None
-    for i in range(n):
-        a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-        abx, aby = b[0] - a[0], b[1] - a[1]
-        bcx, bcy = c[0] - b[0], c[1] - b[1]
-        if abx * bcy - aby * bcx != 0:
-            turns.append(b)
-        elif abx * bcx + aby * bcy < 0:
-            spur = i
+    spur = diagonal = None
+    before = 0  # turns before the first spur
+    v0, h0 = len(vert), len(horiz)
+    area = 0  # sum of x dy over the vertical edges
+    ax, ay = lx, ly = tx, ty = pts[-1]  # previous point, last point, last turn
+    for i, (b, (cx, cy)) in enumerate(zip(pts, pts[1:] + pts[:1])):
+        bx, by = b
+        if by == cy:  # b -> c is horizontal
+            if ay != by:
+                turns.append(b)
+                vert.append((bx, ty, by) if ty < by else (bx, by, ty))
+                area += bx * (by - ty)
+                tx, ty = b
+            elif spur is None and (bx - ax) * (cx - bx) < 0:
+                spur, before = i, len(turns)
+        elif bx == cx:  # b -> c is vertical
+            if ax != bx:
+                turns.append(b)
+                horiz.append((by, tx, bx) if tx < bx else (by, bx, tx))
+                tx, ty = b
+            elif spur is None and (by - ay) * (cy - by) < 0:
+                spur, before = i, len(turns)
+        else:
+            diagonal = i
             break
-    if len(turns) + (n - spur if spur is not None else 0) < 4:
+        ax, ay = bx, by
+    if diagonal is not None:
+        a, b = pts[diagonal], pts[(diagonal + 1) % n]
+        raise NonOrthogonalEdge(f"{name}: edge {a}-{b} is not axis-parallel")
+    if n < 4:
+        raise DegenerateRing(f"{name}: fewer than 4 distinct vertices")
+    if (before + n - spur if spur is not None else len(turns)) < 4:
         raise DegenerateRing(f"{name}: collapses to fewer than 4 vertices")
     if spur is not None:
         raise SelfIntersection(f"{name}: boundary doubles back at {pts[spur]}")
-    area2 = _signed_area2(turns)
-    if area2 == 0:
+    if (tx, ty) != (lx, ly):
+        # the last point is straight: the first edge starts at the last turn
+        fx, fy = turns[0]
+        if fx == lx:
+            vert[v0] = (fx, ty, fy) if ty < fy else (fx, fy, ty)
+            area += fx * (ly - ty)
+        else:
+            horiz[h0] = (fy, tx, fx) if tx < fx else (fy, fx, tx)
+    if area == 0:
         raise DegenerateRing(f"{name}: zero area")
-    return turns, area2
+    return turns, 2 * area
 
 
 def _ring_edges(ring: Sequence[Vertex]):
@@ -250,13 +291,9 @@ def _rotate_to_min(ring: List[Vertex]) -> List[Vertex]:
 
 
 def _line_spans(rings: Iterable[Sequence[Vertex]]) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-    """The edges of normalized rings per line: vertical edges by x and
-    horizontal edges by y, each line's as the list [lo0, hi0, lo1, hi1, ...]
-    of its spans sorted, lines in order.
-
-    Edges of a valid polygon never touch along one line, so each list is
-    strictly increasing; see :func:`_on_spans`.
-    """
+    """The edges of normalized rings per line, as :func:`_group_spans`
+    gives them.  :func:`validate_polygon` has its ring pass collect the
+    edges; this walk serves polygons built directly."""
     vert, horiz = [], []
     for ring in rings:
         x0, y0 = ring[-1]
@@ -266,6 +303,17 @@ def _line_spans(rings: Iterable[Sequence[Vertex]]) -> Tuple[Dict[int, List[int]]
             else:
                 horiz.append((y0, x0, x1) if x0 < x1 else (y0, x1, x0))
             x0, y0 = x1, y1
+    return _group_spans(vert, horiz)
+
+
+def _group_spans(vert: List[Edge], horiz: List[Edge]) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+    """Vertical edges (x, y_lo, y_hi) by x and horizontal edges (y, x_lo,
+    x_hi) by y, each line's as the list [lo0, hi0, lo1, hi1, ...] of its
+    spans sorted, lines in order.
+
+    Edges of a valid polygon never touch along one line, so each list is
+    strictly increasing; see :func:`_on_spans`.
+    """
     out = []
     for edges in (vert, horiz):
         lines: Dict[int, List[int]] = {}
@@ -284,7 +332,11 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     The first ring is the outer boundary, any further rings are holes.
     Orientation is normalized (outer CCW, holes CW), collinear and duplicate
     vertices are merged and every ring is rotated to start at its smallest
-    vertex so that equal polygons have identical representations.
+    vertex so that equal polygons have identical representations.  One
+    pass per ring (:func:`_normalize_ring`) finds its turns and area and
+    collects its edges, which are grouped per line once for all rings
+    (:func:`_group_spans`); the spans do not depend on a ring's
+    orientation or on where it starts.
 
     The rings are a polygon when edges of all rings meet only where
     consecutive edges of one ring share their vertex, every hole lies inside
@@ -292,9 +344,9 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     decide that together, on tables the pixelation reads anyway:
 
     1. On every line, the edge spans of its orientation are strictly
-       increasing (:func:`_line_spans`).  This rules out every contact at a
-       vertex: each vertex carries one edge of each orientation, so a vertex
-       on another edge puts two edges of one line in contact.
+       increasing.  This rules out every contact at a vertex: each vertex
+       carries one edge of each orientation, so a vertex on another edge
+       puts two edges of one line in contact.
     2. The vertical slice sweep (:func:`_sweep_slices`) never meets a run
        end strictly inside a vertical edge.  Given 1, the run ends between
        two grid lines are exactly the horizontal edges over that gap, so
@@ -315,7 +367,9 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
     """
     if not rings:
         raise DegenerateRing("no rings given")
-    norm = [_normalize_ring(r, f"ring {i}") for i, r in enumerate(rings)]
+    vert: List[Edge] = []
+    horiz: List[Edge] = []
+    norm = [_normalize_ring(r, f"ring {i}", vert, horiz) for i, r in enumerate(rings)]
     outer, area2 = norm[0]
     if area2 < 0:
         outer.reverse()
@@ -326,7 +380,7 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
             h.reverse()
         holes.append(h)
         target -= abs(area2)
-    spans = _line_spans([outer, *holes])
+    spans = _group_spans(vert, horiz)
     slices = None
     # a line with one edge is strictly increasing already
     if all(all(map(lt, line, line[1:])) for lines in spans for line in lines.values() if len(line) > 2):
@@ -337,8 +391,7 @@ def validate_polygon(rings: Sequence[Sequence[Sequence[int]]]) -> OrthoPolygon:
         outer=tuple(_rotate_to_min(outer)),
         holes=tuple(tuple(_rotate_to_min(h)) for h in holes),
     )
-    # what the cached properties would build: the spans do not depend on
-    # where a ring starts
+    # what the cached properties would build
     vars(poly).update(_spans=spans, _v_slices=sorted(slices))
     return poly
 
@@ -507,25 +560,36 @@ def _bits(mask: int) -> List[int]:
 def _sweep_slices(spans: Dict[int, List[int]]) -> Optional[List[Tuple[int, int, int, int]]]:
     """One segmentation's slices, by a sweep over the grid lines that carry edges.
 
-    ``spans`` holds each line's edges as :func:`_line_spans` gives them, in
-    line order, strictly increasing on each line.  The sweep keeps the
+    ``spans`` holds each line's edges as :func:`_group_spans` gives them,
+    in line order, strictly increasing on each line.  The sweep keeps the
     inside runs between the current line and the next as a strictly
     increasing list of run ends, which are then exactly the perpendicular
-    edges over that gap.  An edge [lo, hi] on a line closes the runs whose
-    closed spans touch it and opens their ends XOR {lo, hi} in their place,
-    since inside-ness flips across the edge.  A run that no edge touches
-    goes on unchanged.  Each closed run that opened on an earlier line is a
-    slice (a0, lo, a1, hi): lines a0 to a1 bound it and its span is
-    [lo, hi].  This is exactly the cut by the rays parallel to the lines:
-    two overlapping runs on either side of a line that differ at an end,
-    say at lo' > lo, have a reflex vertex on the line at lo' whose ray
-    follows the line across their overlap and splits them.  The cost is
-    O(log r) plus a list splice per edge, for r open runs.
+    edges over that gap, and per run the line it opened on.  Across an
+    edge [lo, hi] inside-ness flips, so the runs whose closed spans touch
+    the edge close and the XOR of their ends with {lo, hi} opens in their
+    place; a run that no edge touches goes on unchanged.  Each closed run
+    that opened on an earlier line is a slice (a0, lo, a1, hi): lines a0
+    to a1 bound it and its span is [lo, hi].  This is exactly the cut by
+    the rays parallel to the lines: two overlapping runs on either side of
+    a line that differ at an end, say at lo' > lo, have a reflex vertex on
+    the line at lo' whose ray follows the line across their overlap and
+    splits them.
 
     A run end strictly inside an edge is a perpendicular edge that crosses
-    it; the sweep then returns None.  Otherwise the run ends in [lo, hi]
-    are at most lo and hi themselves, so the new ends are those of the
-    touched runs outside [lo, hi] and whichever of lo and hi is not one.
+    it; the sweep then returns None.  Otherwise the only run ends in
+    [lo, hi] are lo or hi themselves, and ends outside it stay, so the
+    XOR is one of five in-place updates, by the ends the edge touches:
+
+    - none: the edge lies in a gap and opens a run [lo, hi], or strictly
+      inside a run [l, h], which closes and opens as [l, lo] and [hi, h];
+    - one, lo or hi: its run closes and opens with that end moved to the
+      edge's other end, which lies in no run;
+    - two, lo and hi: they are the ends of one run, which closes, or the
+      inner ends of two runs [l, lo] and [hi, h], which close and open as
+      [l, h].
+
+    Any other case has an end strictly inside.  The cost is O(log r) plus
+    one list insert or delete per edge, for r open runs.
     """
     ends: List[int] = []
     opened: List[int] = []  # per open run, the line it opened on
@@ -533,18 +597,36 @@ def _sweep_slices(spans: Dict[int, List[int]]) -> Optional[List[Tuple[int, int, 
     for a, line in spans.items():
         for e in range(0, len(line), 2):
             lo, hi = line[e], line[e + 1]
-            i, j = bisect_left(ends, lo), bisect_right(ends, hi)
-            at_lo = i < j and ends[i] == lo
-            at_hi = i < j and ends[j - 1] == hi
-            if j - i > at_lo + at_hi:
-                return None
-            k0, k1 = i >> 1, (j + 1) >> 1
-            for k in range(k0, k1):
+            i = bisect_left(ends, lo)
+            k = i >> 1  # the run that ends[i] belongs to
+            if i == len(ends) or ends[i] > hi:  # none: open in a gap, or split run k
+                if i & 1:
+                    if opened[k] != a:
+                        out.append((opened[k], ends[i - 1], a, ends[i]))
+                    opened[k] = a
+                opened.insert(k, a)
+                ends[i:i] = lo, hi
+            elif ends[i] == lo and i + 1 < len(ends) and ends[i + 1] <= hi:
+                if ends[i + 1] != hi:
+                    return None
+                if i & 1:  # two: bridge runs k and k + 1
+                    for r in (k, k + 1):
+                        if opened[r] != a:
+                            out.append((opened[r], ends[2 * r], a, ends[2 * r + 1]))
+                    del opened[k + 1]
+                    opened[k] = a
+                else:  # two: close run k
+                    if opened[k] != a:
+                        out.append((opened[k], lo, a, hi))
+                    del opened[k]
+                del ends[i:i + 2]
+            elif ends[i] == lo or ends[i] == hi:  # one: move that end of run k
                 if opened[k] != a:
                     out.append((opened[k], ends[2 * k], a, ends[2 * k + 1]))
-            new = ends[2 * k0:i] + [lo, hi][at_lo:2 - at_hi] + ends[j:2 * k1]
-            ends[2 * k0:2 * k1] = new
-            opened[k0:k1] = [a] * (len(new) >> 1)
+                opened[k] = a
+                ends[i] = hi if ends[i] == lo else lo
+            else:
+                return None
     return out
 
 
@@ -583,14 +665,16 @@ class Pixelation:
       the inside runs between lines (:func:`_sweep_slices`).  The edge
       spans per line and the vertical slices are the polygon's own
       (``OrthoPolygon._spans`` and ``_v_slices``, shared, not copied):
-      :func:`validate_polygon` builds them for its checks, and a polygon
-      built directly (:func:`close_cut_arc`, ``guard_small``'s rank
-      polygons) builds them on first read, so only the horizontal sweep
-      runs here.  The grid lines, ``x_cuts`` and ``y_cuts``, are the lines
-      of the spans.  Slices are numbered by rect, and horizontal midline
-      ids follow the vertical ones.  The midline index ``_sigma_lines`` holds, per orientation and
-      ``anchor2``, the lo, hi and id of each midline on it.  Cost
-      O(E log E) for E edges.
+      :func:`validate_polygon` builds them for its checks, the spans from
+      its ring pass's edge lists, and a polygon built directly
+      (:func:`close_cut_arc`, ``guard_small``'s rank polygons) builds them
+      on first read, the spans by a walk over its rings
+      (:func:`_line_spans`), so only the horizontal sweep runs here.  The
+      grid lines, ``x_cuts`` and ``y_cuts``, are the lines of the spans.
+      Slices are numbered by rect, and horizontal midline ids follow the
+      vertical ones.  The midline index ``_sigma_lines`` holds, per
+      orientation and ``anchor2``, the lo, hi and id of each midline on
+      it.  Cost O(E log E) for E edges.
     - Crosses: the vertical slices are walked in rect order while a sweep
       keeps the horizontal slices over the current x, keyed by their bottom
       y.  A vertical slice's pixels are those with bottom y in its y-range,

@@ -99,14 +99,23 @@ def build_instance(pix: Pixelation, xprime: Optional[Iterable[int]] = None,
     A repeated cross or guard id counts once.  Raises ``ValueError`` for a
     cross or guard id that the pixelation does not have.
     """
-    n_c, n_g = len(pix.h_supports), len(pix.guard_masks)
-    xp = tuple(sorted(set(xprime))) if xprime is not None else tuple(range(n_c))
-    uni = tuple(sorted(set(gammaprime))) if gammaprime is not None else tuple(range(n_g))
-    for what, ids, n in (("cross", xp, n_c), ("guard", uni, n_g)):
+    xp, uni = _requested_ids(pix, xprime, gammaprime)
+    return HittingInstance(pix=pix, xprime=xp, universe=uni)
+
+
+def _requested_ids(pix: Pixelation, xprime: Optional[Iterable[int]],
+                   gammaprime: Optional[Iterable[int]]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The requested cross ids and guard ids, each distinct and ascending,
+    and all of them for None.  Raises ``ValueError`` for an id that the
+    pixelation does not have."""
+    out = []
+    for what, ids, n in (("cross", xprime, len(pix.h_supports)), ("guard", gammaprime, len(pix.guard_masks))):
+        ids = tuple(sorted(set(ids))) if ids is not None else tuple(range(n))
         bad = [i for i in ids if not 0 <= i < n]
         if bad:
             raise ValueError(f"{what} ids {bad} are not in 0..{n - 1}")
-    return HittingInstance(pix=pix, xprime=xp, universe=uni)
+        out.append(ids)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +193,17 @@ class SupportGraph:
                 + [f"('c', {c})" for c in self.xprime])
 
 
-def build_support_graph(pix: Pixelation, xprime: Iterable[int],
-                        universe: Iterable[int]) -> SupportGraph:
+def build_support_graph(pix: Pixelation, xprime: Optional[Iterable[int]],
+                        universe: Optional[Iterable[int]]) -> SupportGraph:
     """S straight from the tables: each guard's midlines from
     ``sigma_ids_hit`` on its run, each requested cross's supports from
     ``h_supports`` and ``v_supports``.  Raises ``AssertionError`` unless
     each requested cross has one vertical and one horizontal support (so
     two distinct ones), the tables' invariant that makes S a contraction
-    of the tripartite H."""
-    xp, uni = tuple(sorted(xprime)), tuple(sorted(universe))
+    of the tripartite H.  As in :func:`build_instance`, a repeated id
+    counts once and an id the pixelation does not have raises
+    ``ValueError``."""
+    xp, uni = _requested_ids(pix, xprime, universe)
     u = len(uni)
     adj: List[Set[int]] = [set() for _ in range(u + len(pix._slice_cross_mask))]
     runs = pix.guard_runs
@@ -245,10 +256,8 @@ def build_auxiliary_graph(pix: Pixelation, xprime: Optional[Iterable[int]] = Non
     requested cross has one vertical and one horizontal support): S's
     guard-midline edges, and each requested cross put back as a node joined
     to its two supports in place of the edge it was contracted into."""
-    xp = tuple(sorted(xprime)) if xprime is not None else tuple(range(len(pix.h_supports)))
-    gp = tuple(sorted(gammaprime)) if gammaprime is not None else tuple(
-        range(len(pix.guard_masks)))
-    S = build_support_graph(pix, xp, gp)
+    S = build_support_graph(pix, xprime, gammaprime)
+    xp, gp = S.xprime, S.universe
     u = len(gp)
     adj: Dict[Node, set] = {}
     for v, nbrs in enumerate(S.adj):

@@ -162,3 +162,25 @@ def test_instance_dump_format():
     d = inst.to_dict()
     assert set(d) == {"universe", "sets"}
     assert all(set(row) == {"cross", "guards"} for row in d["sets"])
+
+
+def test_support_graph_counts_repeated_ids_once():
+    """S and H treat repeated and unknown ids as build_instance does: a
+    repeated id counts once, an id the pixelation lacks is a ValueError."""
+    from slidecam.treewidth import decompose, dp_solve
+
+    pix = sc.pixelate(sc.gen_comb(3))
+    once = sc.build_support_graph(pix, [0, 1], [0, 1])
+    for xprime, universe in (([0, 0, 1], [0, 1]), ([0, 1], [0, 0, 1]), ([1, 0, 1, 0], [1, 1, 0])):
+        S = sc.build_support_graph(pix, xprime, universe)
+        assert (S.xprime, S.universe, S.adj, S.names) == (once.xprime, once.universe, once.adj, once.names)
+        H = sc.build_auxiliary_graph(pix, xprime, universe)
+        assert (H.xprime, H.universe) == ((0, 1), (0, 1))
+    S = sc.build_support_graph(pix, [0, 0], None)
+    sol = dp_solve(S, decompose(S.adj))
+    leaves = [bag for bag in sol.decomposition.bags if ("c", 0) in bag]
+    assert S.xprime == (0,) and len(leaves) == 1, sol.decomposition.bags
+    for build in (sc.build_support_graph, sc.build_auxiliary_graph, sc.build_instance):
+        for xprime, universe in (([0, 10**6], None), (None, [0, 10**6]), ([-1], None)):
+            with pytest.raises(ValueError, match="ids"):
+                build(pix, xprime, universe)

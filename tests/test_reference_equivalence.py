@@ -14,7 +14,10 @@ a scan over every slice-segment for each guard, the auxiliary graph H
 from a walk over each guard's midlines rather than from S, a guard-by-guard
 ``verify_cover``, an O(crosses * guards) hitting-set transpose, a greedy
 that scans every camera for each pick, a ring
-normalizer that rescans from the start after each merged vertex, and a
+normalizer that rescans from the start after each merged vertex, one that
+makes a pass per check without collecting edges, a slice sweep that
+rebuilds the runs an edge touches from list slices (and validation built
+on those two), and a
 ``path_guard_steps`` that re-validates, re-pixelates and re-segments every
 remainder, traces each piece unit step by unit step and pixelates each piece
 to find its camera.  The random-shape generator validates every notched ring
@@ -60,11 +63,15 @@ from slidecam.geometry import (
     HORIZONTAL,
     VERTICAL,
     Pixel,
+    _group_spans,
+    _line_spans,
     _normalize_ring,
     _point_in_ring,
+    _raise_fault,
     _ring_edges,
     _rotate_to_min,
     _signed_area2,
+    _sweep_slices,
     close_cut_arc,
 )
 from slidecam.treewidth import (
@@ -898,17 +905,29 @@ def loop_sets(pix, xprime, universe):
     return {c: frozenset(g for g in universe if pix.guards[g].hit_set >> c & 1) for c in xprime}
 
 
-def loop_normalize_ring(raw, name):
-    """_normalize_ring that rescans from the start after each merged vertex."""
+def _loop_points(raw, name):
+    """A ring's points with the coordinate checks of ``_normalize_ring``,
+    repeats of a point and the closing vertex dropped."""
     pts = []
-    for p in raw:
-        v = (int(p[0]), int(p[1]))
-        if abs(v[0]) > _COORD_LIMIT or abs(v[1]) > _COORD_LIMIT:
-            raise sc.PolygonError(f"{name}: coordinate outside 32-bit range: {v}")
-        if not pts or pts[-1] != v:
-            pts.append(v)
+    try:
+        for x, y in raw:
+            v = (int(x), int(y))
+            if v != (x, y):
+                raise sc.PolygonError(f"{name}: coordinate of ({x!r}, {y!r}) is not an integer")
+            if abs(v[0]) > _COORD_LIMIT or abs(v[1]) > _COORD_LIMIT:
+                raise sc.PolygonError(f"{name}: coordinate outside 32-bit range: {v}")
+            if not pts or pts[-1] != v:
+                pts.append(v)
+    except (TypeError, ValueError, OverflowError):
+        raise sc.PolygonError(f"{name}: not a list of [x, y] integer pairs") from None
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
+    return pts
+
+
+def loop_normalize_ring(raw, name):
+    """_normalize_ring that rescans from the start after each merged vertex."""
+    pts = _loop_points(raw, name)
     if len(pts) < 3:
         raise sc.DegenerateRing(f"{name}: fewer than 3 distinct vertices")
     n = len(pts)
@@ -938,6 +957,104 @@ def loop_normalize_ring(raw, name):
     if area2 == 0:
         raise sc.DegenerateRing(f"{name}: zero area")
     return pts, area2
+
+
+def pass_by_pass_normalize_ring(raw, name):
+    """_normalize_ring as one pass each for orthogonality, the turns up to
+    the first spur and the area, with no edge lists."""
+    pts = _loop_points(raw, name)
+    if len(pts) < 3:
+        raise sc.DegenerateRing(f"{name}: fewer than 3 distinct vertices")
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if a[0] != b[0] and a[1] != b[1]:
+            raise sc.NonOrthogonalEdge(f"{name}: edge {a}-{b} is not axis-parallel")
+    if len(pts) < 4:
+        raise sc.DegenerateRing(f"{name}: fewer than 4 distinct vertices")
+    turns = []
+    spur = None
+    for i in range(n):
+        a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
+        abx, aby = b[0] - a[0], b[1] - a[1]
+        bcx, bcy = c[0] - b[0], c[1] - b[1]
+        if abx * bcy - aby * bcx != 0:
+            turns.append(b)
+        elif abx * bcx + aby * bcy < 0:
+            spur = i
+            break
+    if len(turns) + (n - spur if spur is not None else 0) < 4:
+        raise sc.DegenerateRing(f"{name}: collapses to fewer than 4 vertices")
+    if spur is not None:
+        raise SelfIntersection(f"{name}: boundary doubles back at {pts[spur]}")
+    area2 = _signed_area2(turns)
+    if area2 == 0:
+        raise sc.DegenerateRing(f"{name}: zero area")
+    return turns, area2
+
+
+def splice_sweep_slices(spans, cases=None):
+    """_sweep_slices that rebuilds the runs an edge touches from three list
+    slices: the runs' ends below the edge, those of lo and hi that are not
+    run ends, and the runs' ends above it.  Counts in ``cases`` which
+    in-place case each edge is, or "cross" when the sweep returns None."""
+    ends = []
+    opened = []
+    out = []
+    for a, line in spans.items():
+        for e in range(0, len(line), 2):
+            lo, hi = line[e], line[e + 1]
+            i, j = bisect.bisect_left(ends, lo), bisect.bisect_right(ends, hi)
+            at_lo = i < j and ends[i] == lo
+            at_hi = i < j and ends[j - 1] == hi
+            if j - i > at_lo + at_hi:
+                if cases is not None:
+                    cases["cross"] += 1
+                return None
+            if cases is not None:
+                if j == i:
+                    cases["split" if i & 1 else "gap"] += 1
+                elif j - i == 1:
+                    cases["at lo" if at_lo else "at hi"] += 1
+                else:
+                    cases["bridge" if i & 1 else "close"] += 1
+            k0, k1 = i >> 1, (j + 1) >> 1
+            for k in range(k0, k1):
+                if opened[k] != a:
+                    out.append((opened[k], ends[2 * k], a, ends[2 * k + 1]))
+            new = ends[2 * k0:i] + [lo, hi][at_lo:2 - at_hi] + ends[j:2 * k1]
+            ends[2 * k0:2 * k1] = new
+            opened[k0:k1] = [a] * (len(new) >> 1)
+    return out
+
+
+def splice_validate_polygon(rings):
+    """validate_polygon on the references above: the ring passes of
+    :func:`pass_by_pass_normalize_ring`, the edge spans walked from the
+    normalized rings and the sweep of :func:`splice_sweep_slices`."""
+    if not rings:
+        raise sc.DegenerateRing("no rings given")
+    norm = [pass_by_pass_normalize_ring(r, f"ring {i}") for i, r in enumerate(rings)]
+    outer, area2 = norm[0]
+    if area2 < 0:
+        outer.reverse()
+    target = abs(area2)
+    holes = []
+    for h, area2 in norm[1:]:
+        if area2 > 0:
+            h.reverse()
+        holes.append(h)
+        target -= abs(area2)
+    spans = _line_spans([outer, *holes])
+    slices = None
+    if all(all(map(operator.lt, line, line[1:])) for lines in spans for line in lines.values()):
+        slices = splice_sweep_slices(spans[0])
+    if slices is None or 2 * sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in slices) != target:
+        _raise_fault(outer, holes)
+    poly = sc.OrthoPolygon(outer=tuple(_rotate_to_min(outer)),
+                           holes=tuple(tuple(_rotate_to_min(h)) for h in holes))
+    vars(poly).update(_spans=spans, _v_slices=sorted(slices))
+    return poly
 
 
 def loop_subpolygon_of_slices(pix, slice_ids, vertical):
@@ -1612,14 +1729,56 @@ def _random_walk(rng, k):
     return pts
 
 
+def _ring_pass(raw, name):
+    """``_normalize_ring`` as (turns, area2, its edge lists grouped), on
+    edge lists that already hold an earlier ring's edges."""
+    vert, horiz = [(0, 0, 0)], [(0, 0, 0)]
+    turns, area2 = _normalize_ring(raw, name, vert, horiz)
+    assert vert[0] == horiz[0] == (0, 0, 0)
+    return turns, area2, _group_spans(vert[1:], horiz[1:])
+
+
+# Rings with more than one fault: the first by the order of the checks wins
+_COMPETING_FAULTS = [
+    # a diagonal edge after a spur at (3, 2): the edge is named
+    [(0, 0), (3, 0), (3, 2), (3, 1), (1, 3), (0, 3)],
+    # a spur at (4, 0) after a diagonal edge closing the ring
+    [(1, 0), (4, 0), (2, 0), (2, 3), (0, 3)],
+    # a non-integral coordinate after a diagonal edge, and before one
+    [(0, 0), (2, 2), (2, 3.5), (0, 3)],
+    [(0, 0), (2, 0.5), (3, 3), (0, 3)],
+    # an out-of-range coordinate at the last vertex, after a diagonal edge
+    [(0, 0), (3, 1), (4, 4), (0, 2**31)],
+    [(0, 0), (4, 0), (4, 4), (-2**31, 4)],
+    # a non-integral coordinate after an out-of-range one
+    [(0, 0), (2**31, 0), (4, 0.5), (0, 4)],
+    # a repeated closing vertex plus a collinear run, mid-ring and across
+    # the wrap-around: the last point is straight
+    [(0, 0), (2, 0), (4, 0), (4, 3), (0, 3), (0, 1), (0, 0)],
+    [(2, 0), (4, 0), (4, 3), (0, 3), (0, 0), (1, 0), (2, 0)],
+    [(0, 2), (0, 0), (4, 0), (4, 3), (0, 3), (0, 2), (0, 2)],
+    # the same with a spur on the run: it collapses, or doubles back
+    [(0, 0), (2, 0), (1, 0), (4, 0), (4, 3), (0, 3), (0, 0)],
+    [(2, 0), (4, 0), (4, 3), (0, 3), (0, 0), (3, 0), (2, 0)],
+    # integral floats and bools
+    [(0.0, 0), (4.0, 0.0), (4, 3.0), (False, 3)],
+    [(False, False), (True, False), (True, True), (0.0, True)],
+    [(0, 0), (2.0, 0), (4, 0.0), (4, 3), (0, 3.0), (0.0, 0.0)],
+]
+
+
 def test_normalize_ring_matches_rescan_reference(polygons):
+    """``_normalize_ring`` against the rescanning reference and today's pass
+    by pass routine: equal turns and area, or the same error type and
+    message; and its edge lists, grouped, are the spans of the turns."""
     rng = random.Random(23)
-    rings = []
+    rings = list(_COMPETING_FAULTS)
     for _ in range(300):  # random staircase rings with collinear and repeated points
         ring = _random_ring(rng, 10, rng.randint(4, 12))
         rings += [ring, _pad_ring(ring, rng)]
     for p in list(polygons.values())[:40]:
         rings.append(_pad_ring(list(p.outer), rng))
+        rings += [list(h) for h in p.holes]
     for _ in range(400):
         rings.append(_random_walk(rng, rng.randint(3, 10)))
     # spurs out of every vertex, along and across its edges, at every rotation:
@@ -1633,12 +1792,83 @@ def test_normalize_ring_matches_rescan_reference(polygons):
     rings += [[(1, 0), (2, 0), (3, 0), (0, 0)],
               [(0, 0), (1, 0), (2, 0), (2, 2), (2, 1), (2, 0), (5, 0), (0, 0)],
               [(0, 0), (0, 1), (0, 2), (0, 3), (3, 3), (0, 3)]]
-    kinds = set()
+    kinds = collections.Counter()
     for raw in rings:
         want = _normalize_outcome(loop_normalize_ring, raw)
-        assert _normalize_outcome(_normalize_ring, raw) == want, raw
-        kinds.add(want[1].split(": ")[1][:14] if isinstance(want[1], str) else "ok")
-    assert {"ok", "boundary doubl", "collapses to f", "zero area"} <= kinds
+        assert _normalize_outcome(pass_by_pass_normalize_ring, raw) == want, raw
+        got = _normalize_outcome(_ring_pass, raw)
+        if isinstance(want[1], str):
+            assert got == want, raw
+            # the message without its points and numbers
+            kinds[" ".join(re.sub(r"\([^)]*\)-?|\d+", "", want[1].split(": ", 1)[1]).split())] += 1
+        else:
+            assert got[:2] == want and got[2] == _line_spans([want[0]]), raw
+            kinds["ok"] += 1
+    assert set(kinds) == {
+        "ok", "boundary doubles back at", "collapses to fewer than vertices", "zero area",
+        "edge is not axis-parallel", "coordinate of is not an integer",
+        "coordinate outside -bit range:", "fewer than distinct vertices"}, kinds
+    for raw, want in zip(_COMPETING_FAULTS, [
+            "edge (3, 1)-(1, 3) is not axis-parallel", "edge (0, 3)-(1, 0) is not axis-parallel",
+            "coordinate of (2, 3.5) is not an integer", "coordinate of (2, 0.5) is not an integer",
+            "coordinate outside 32-bit range: (0, 2147483648)",
+            "coordinate outside 32-bit range: (-2147483648, 4)",
+            "coordinate outside 32-bit range: (2147483648, 0)"]):
+        assert _normalize_outcome(_ring_pass, raw)[1] == f"ring 0: {want}", raw
+
+
+def _random_edge_sets(rng, count):
+    """Up to four lines of up to two edges each, every line's spans strictly
+    increasing, on a grid of six coordinates: runs cross, touch and nest."""
+    for _ in range(count):
+        yield {a: sorted(rng.sample(range(6), 2 * rng.randint(1, 2)))
+               for a in sorted(rng.sample(range(10), rng.randint(1, 4)))}
+
+
+def test_sweep_matches_splice_reference(polygons):
+    """The in-place sweep against the one that splices the touched runs:
+    the same slices in the same order, or None for both, and every case of
+    the in-place update is hit."""
+    cases = collections.Counter()
+    bench = {name: make() for name, make in _BENCH_SIZE.items()}
+    for name, p in [*polygons.items(), *bench.items()]:
+        for spans in p._spans:
+            assert _sweep_slices(spans) == splice_sweep_slices(spans, cases), name
+    crossing = 0
+    for spans in _random_edge_sets(random.Random(29), 20000):
+        got = _sweep_slices(spans)
+        assert got == splice_sweep_slices(spans, cases), spans
+        crossing += got is None
+    assert 1000 <= crossing <= 19000, crossing
+    kinds = ("gap", "split", "at lo", "at hi", "close", "bridge", "cross")
+    assert set(cases) == set(kinds) and min(cases.values()) >= 500, cases
+
+
+def _validate_outcome(fn, rings):
+    """The polygon with both tables that validation keeps, or the error."""
+    try:
+        p = fn(rings)
+    except sc.PolygonError as e:
+        return (type(e), str(e))
+    return p, p._spans, p._v_slices
+
+
+def test_validate_matches_splice_reference(polygons):
+    """validate_polygon against the same steps on the reference ring pass
+    and sweep: equal polygons, edge spans and vertical slices, or the same
+    error type and message."""
+    corpus = [*polygons.values(), *(make() for make in _BENCH_SIZE.values())]
+    cases = [[list(r) for r in p.rings()] for p in corpus]
+    cases += [[list(r)[::-1] for r in p.rings()] for p in corpus]
+    rng = random.Random(31)
+    cases += [[_pad_ring(list(r), rng) for r in p.rings()] for p in corpus]
+    cases += list(_random_ring_sets(rng, 1500))
+    kinds = collections.Counter()
+    for rings in cases:
+        want = _validate_outcome(splice_validate_polygon, rings)
+        assert _validate_outcome(sc.validate_polygon, rings) == want, rings
+        kinds[want[0] if isinstance(want[0], type) else "ok"] += 1
+    assert min(kinds[k] for k in ("ok", SelfIntersection, HoleOutsideOuter)) >= 100, kinds
 
 
 def _rank_types():

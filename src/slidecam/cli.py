@@ -90,9 +90,11 @@ def cmd_validate(args) -> int:
 def cmd_pixelate(args) -> int:
     poly = _read_polygon(args.polygon)
     pix = pixelate(poly)
-    print(f"n={poly.n} pixels={len(pix.pixels)} crosses={len(pix.crosses)} "
-          f"slices_h={len(pix.slices_h)} slices_v={len(pix.slices_v)} "
-          f"guards={len(pix.guards)}")
+    # counted from the tables: pixels and crosses are 1:1 by id
+    cells = len(pix.h_supports)
+    print(f"n={poly.n} pixels={cells} crosses={cells} "
+          f"slices_h={len(pix._chains[HORIZONTAL])} slices_v={len(pix._chains[VERTICAL])} "
+          f"guards={len(pix.guard_runs)}")
     if args.render:
         _write_text(render_svg(pix), args.render)
     return 0

@@ -11,7 +11,6 @@ import functools
 from bisect import bisect_left, bisect_right, insort
 from collections import UserDict
 from dataclasses import dataclass
-from itertools import groupby
 from operator import itemgetter, lt
 from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
@@ -112,6 +111,11 @@ def _normalize_ring(raw: Sequence[Sequence[int]], name: str,
     ``horiz`` as (y, x_lo, x_hi); both may hold other rings' edges already
     (see :func:`_group_spans`).
 
+    A point whose coordinates are both of type ``int`` and within
+    ±(2**31 - 1) passes the coordinate checks as it is.  Any other point
+    (bools, floats, int subclasses, other types, larger ints) takes the
+    full checks, so it is converted and rejected as they say.
+
     After the coordinate checks, one pass over the deduplicated points
     checks that each edge is axis-parallel and classifies each vertex by
     its two edges: a turn, straight, or a spur, where the boundary doubles
@@ -130,15 +134,21 @@ def _normalize_ring(raw: Sequence[Sequence[int]], name: str,
     then replaces it.
     """
     pts: List[Vertex] = []
+    last = None
+    lo, hi = -_COORD_LIMIT, _COORD_LIMIT
     try:
         for x, y in raw:
-            v = (int(x), int(y))
-            if v != (x, y):
-                raise PolygonError(f"{name}: coordinate of ({x!r}, {y!r}) is not an integer")
-            if abs(v[0]) > _COORD_LIMIT or abs(v[1]) > _COORD_LIMIT:
-                raise PolygonError(f"{name}: coordinate outside 32-bit range: {v}")
-            if not pts or pts[-1] != v:
+            if type(x) is int and type(y) is int and lo <= x <= hi and lo <= y <= hi:
+                v = (x, y)  # passes the checks below as it is
+            else:
+                v = (int(x), int(y))
+                if v != (x, y):
+                    raise PolygonError(f"{name}: coordinate of ({x!r}, {y!r}) is not an integer")
+                if abs(v[0]) > _COORD_LIMIT or abs(v[1]) > _COORD_LIMIT:
+                    raise PolygonError(f"{name}: coordinate outside 32-bit range: {v}")
+            if v != last:
                 pts.append(v)
+                last = v
     except (TypeError, ValueError, OverflowError):
         raise PolygonError(f"{name}: not a list of [x, y] integer pairs") from None
     if len(pts) > 1 and pts[0] == pts[-1]:
@@ -674,15 +684,21 @@ class Pixelation:
       Slices are numbered by rect, and horizontal midline ids follow the
       vertical ones.  The midline index ``_sigma_lines`` holds, per
       orientation and ``anchor2``, the lo, hi and id of each midline on
-      it.  Cost O(E log E) for E edges.
+      it, read off one sorted list of the orientation's midlines.  Cost
+      O(E log E) for E edges.
     - Crosses: the vertical slices are walked in rect order while a sweep
-      keeps the horizontal slices over the current x, keyed by their bottom
-      y.  A vertical slice's pixels are those with bottom y in its y-range,
-      numbered by (vertical, horizontal) slice id, so each vertical slice's
-      pixel ids are consecutive.  Per cross (pixel) id, ``h_supports`` and
-      ``v_supports`` hold its two midline ids; per midline id,
-      ``_slice_cross_mask`` holds the mask of the crosses on it.  Cost
-      O((S + P) log S) for S slices and P pixels.
+      keeps the horizontal slices over the strip right of the current x
+      as two parallel int lists, their bottom y and their id, sorted by
+      bottom y.  Slices that end at x leave before those that start there
+      enter, so the slices kept share the strip; their interiors are
+      disjoint, so their bottoms are distinct and bisection on the bottoms
+      alone finds each one.  A vertical slice's pixels are those with
+      bottom y in its y-range, numbered by (vertical, horizontal) slice
+      id, so each vertical slice's pixel ids are consecutive.  Per cross
+      (pixel) id, ``h_supports`` and ``v_supports`` hold its two midline
+      ids; per midline id, ``_slice_cross_mask`` holds the mask of the
+      crosses on it.  Cost O((S + P) log S) for S slices and P pixels,
+      plus one list insert and delete per horizontal slice.
 
     The canonical cameras, which every solve but ``path`` reads, are int
     tables built on first read by one merge of slice sides per
@@ -704,9 +720,9 @@ class Pixelation:
     :func:`guard_segments`, the ``bounds`` check); :meth:`guard` builds the
     record of one camera (``make_solution``, for the cameras it returns,
     and ``guard_small``).  What else only some callers read is
-    derived on first read and kept too: ``pixels`` (render,
-    :meth:`is_thin`), ``slices_v`` and ``slices_h`` (:func:`segmentation`,
-    the ``pixelate`` command), ``reflex_vertices`` (``path``), the
+    derived on first read and kept too: ``pixels`` (render),
+    ``slices_v`` and ``slices_h`` (:func:`segmentation`),
+    ``reflex_vertices`` (``path``), the
     stabbing index behind :meth:`_inside` (per orientation; ``path`` and
     ``verify``), and ``dual_edges`` and ``side_guards`` (``dp``'s lifted
     fallback and tests; the former also :func:`gen_thin_tree`).
@@ -776,43 +792,68 @@ class Pixelation:
                     raise AssertionError("slice-segments do not cross inside their pixel")
                 segs.append((a0 + a1, lo, hi, sid))
                 sid += 1
+            segs.sort()
             keys, lines = [], []
-            for a, line in groupby(sorted(segs), key=itemgetter(0)):
-                _, los, his, ids = zip(*line)
+            i, m = 0, len(segs)
+            while i < m:
+                a, lo, hi, s = segs[i]
+                j = i + 1
+                while j < m and segs[j][0] == a:
+                    j += 1
+                if j == i + 1:  # most lines hold one midline
+                    lines.append(((lo,), (hi,), (s,)))
+                else:
+                    _, los, his, ids = zip(*segs[i:j])
+                    lines.append((los, his, ids))
                 keys.append(a)
-                lines.append((los, his, ids))
+                i = j
             self._sigma_lines[o] = (keys, lines)
 
     def _build_pixels(self):
         # a vertical slice is (x0, y0, x1, y1), a horizontal one (y0, x0, y1, x1)
         V, H = self._chains[VERTICAL], self._chains[HORIZONTAL]
         nv, nh = len(V), len(H)
-        masks = self._slice_cross_mask = [0] * (nv + nh)
-        hs: List[int] = []
+        v_masks, h_masks = [0] * nv, [0] * nh
+        hs: List[int] = []  # per cross, the index in H of its horizontal slice
         vs: List[int] = []
-        self.h_supports, self.v_supports = hs, vs
-        leave = sorted(range(nh), key=lambda h: H[h][3])
-        active: List[Tuple[int, int]] = []  # (bottom y, id) of the slices over x
+        rights = [right for _, _, _, right in H]
+        leave = sorted(range(nh), key=rights.__getitem__)
+        # the slices over the strip right of x, by bottom y: their ids in
+        # ``ids`` and their bottoms in ``ys``, which are distinct, since
+        # the slices share that strip and have disjoint interiors
+        ys: List[int] = []
+        ids: List[int] = []
         e = l = 0
         for v, (x0, y0, x1, y1) in enumerate(V):
+            # slices that end at or before x0 leave before any enter.  Each
+            # has entered at an earlier x0: the outside lies left of a
+            # slice's left side, so a vertical slice starts there
+            while l < nh and rights[leave[l]] <= x0:
+                i = bisect_left(ys, H[leave[l]][0])
+                del ys[i], ids[i]
+                l += 1
             # H is numbered by left x: slices enter in id order
             while e < nh and H[e][1] <= x0:
-                insort(active, (H[e][0], e))
+                y = H[e][0]
+                i = bisect_left(ys, y)
+                ys.insert(i, y)
+                ids.insert(i, e)
                 e += 1
-            while l < nh and H[leave[l]][3] <= x0:
-                h = leave[l]
-                del active[bisect_left(active, (H[h][0], h))]
-                l += 1
-            row = sorted([h for _, h in active[bisect_left(active, (y0,)):bisect_left(active, (y1,))]])
-            first = len(hs)
+            row = sorted(ids[bisect_left(ys, y0):bisect_left(ys, y1)])
+            first = cid = len(hs)
             for h in row:
                 # h starts at or before x0 and at or above y0 by the sweep
-                if H[h][3] < x1 or H[h][2] > y1:
+                _, _, top, right = H[h]
+                if right < x1 or top > y1:
                     raise AssertionError("pixel does not match its slice intersection")
-                masks[nv + h] |= 1 << len(hs)
-                hs.append(nv + h)
+                h_masks[h] |= 1 << cid
+                cid += 1
+            hs += row
             vs += [v] * len(row)
-            masks[v] = ((1 << len(row)) - 1) << first
+            v_masks[v] = ((1 << len(row)) - 1) << first
+        self._slice_cross_mask = v_masks + h_masks
+        self.h_supports = [nv + h for h in hs]
+        self.v_supports = vs
 
     # -- products derived on first read -------------------------------------
 
@@ -907,6 +948,12 @@ class Pixelation:
         anchor2 = [a0 + a1 for o in (VERTICAL, HORIZONTAL) for a0, _, a1, _ in self._chains[o]]
         return [Cross(cid, h, v, (anchor2[v], anchor2[h]))
                 for cid, (h, v) in enumerate(zip(self.h_supports, self.v_supports))]
+
+    @functools.cached_property
+    def _all_crosses(self) -> Tuple[int, ...]:
+        """Every cross id, ascending: one shared tuple, by which
+        :func:`verify_cover` knows a request of every cross at a glance."""
+        return tuple(range(len(self.h_supports)))
 
     def _pixel_rect(self, cid: int) -> Rect:
         # a pixel spans its vertical slice's x-range and its horizontal one's y-range
@@ -1151,8 +1198,8 @@ class Pixelation:
 
     def is_thin(self) -> bool:
         """No pixel corner lies in the interior of the polygon."""
-        for p in self.pixels:
-            xl, yl, xh, yh = p.rect
+        for cid in range(len(self.h_supports)):
+            xl, yl, xh, yh = self._pixel_rect(cid)
             for corner in ((xl, yl), (xl, yh), (xh, yl), (xh, yh)):
                 if not self.on_boundary(corner):
                     return False
@@ -1203,9 +1250,15 @@ def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None
     ``guard_runs`` (``ValueError`` for an id outside it); no record is
     built.  Each guard's midlines come from the geometric walk
     (:meth:`Pixelation.sigma_ids_hit`), not from the camera tables, and the
-    crosses hit are the OR of those midlines' cross masks.  Uncovered crosses are the requested ones left over, in
-    ascending id order.  The certificate is built on first read (see
-    :func:`_witnesses`).
+    crosses hit are the OR of those midlines' cross masks.  Uncovered
+    crosses are the requested ones left over, in ascending id order.  The
+    certificate is built on first read (see :func:`_witnesses`).
+
+    The request is every cross, with no scan, for None, ``range(n)`` over
+    the n crosses, or the tuple of all cross ids that
+    :func:`~slidecam.hitset.build_instance` hands out for every cross,
+    which ``make_solution`` passes on.  Any other request is read id by
+    id: ``ValueError`` for the first id outside 0..n-1.
     """
     keys = sorted(pix._camera_run(g) if isinstance(g, int) else g.key() for g in guards)
     met = [pix.sigma_ids_hit(*key) for key in keys]
@@ -1215,7 +1268,8 @@ def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None
         covered |= masks[sid]
     n = len(pix.h_supports)
     wanted = (1 << n) - 1
-    if xprime is not None:
+    if not (xprime is None or xprime is pix._all_crosses
+            or (type(xprime) is range and xprime == range(n))):
         wanted = 0
         for cid in xprime:
             if not 0 <= cid < n:

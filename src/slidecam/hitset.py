@@ -42,7 +42,12 @@ class HittingInstance:
 
     @functools.cached_property
     def wanted(self) -> int:
-        """The requested crosses as a mask over cross ids."""
+        """The requested crosses as a mask over cross ids.  ``xprime`` is
+        distinct and in range (see :func:`build_instance`), so it is every
+        cross exactly when it has as many ids as there are crosses."""
+        n = len(self.pix.h_supports)
+        if len(self.xprime) == n:
+            return (1 << n) - 1
         return sum(1 << c for c in self.xprime)
 
     def hit_mask(self, guards: Iterable[int]) -> int:
@@ -107,15 +112,25 @@ def _requested_ids(pix: Pixelation, xprime: Optional[Iterable[int]],
                    gammaprime: Optional[Iterable[int]]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The requested cross ids and guard ids, each distinct and ascending,
     and all of them for None.  Raises ``ValueError`` for an id that the
-    pixelation does not have."""
-    out = []
-    for what, ids, n in (("cross", xprime, len(pix.h_supports)), ("guard", gammaprime, len(pix.guard_masks))):
-        ids = tuple(sorted(set(ids))) if ids is not None else tuple(range(n))
-        bad = [i for i in ids if not 0 <= i < n]
-        if bad:
-            raise ValueError(f"{what} ids {bad} are not in 0..{n - 1}")
-        out.append(ids)
-    return out[0], out[1]
+    pixelation does not have.  A request of every cross comes back as the
+    pixelation's shared tuple of all cross ids, which
+    :func:`~slidecam.geometry.verify_cover` recognises without a scan."""
+    n = len(pix.h_supports)
+    xp = pix._all_crosses if xprime is None else _checked_ids("cross", xprime, n)
+    if len(xp) == n:
+        xp = pix._all_crosses
+    return xp, _checked_ids("guard", gammaprime, len(pix.guard_masks))
+
+
+def _checked_ids(what: str, ids: Optional[Iterable[int]], n: int) -> Tuple[int, ...]:
+    """The ids distinct and ascending, all of 0..n-1 for None."""
+    if ids is None:
+        return tuple(range(n))  # in range by construction
+    ids = tuple(sorted(set(ids)))
+    bad = [i for i in ids if not 0 <= i < n]
+    if bad:
+        raise ValueError(f"{what} ids {bad} are not in 0..{n - 1}")
+    return ids
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,30 @@ def test_cli_solve_and_verify_read_no_cell_grid(tmp_path, shape):
     assert not [k for k in (*_ON_FIRST_READ, "crosses", "sigmas", "guards") if k in built]
 
 
+@pytest.mark.parametrize("shape", ["comb10", "spiral4", "multi_hole"])
+def test_cli_pixelate_counts_from_the_tables(tmp_path, capsys, shape):
+    """``slidecam pixelate`` prints the counts of the records without
+    building them: the same line as counted from ``pixels``, ``crosses``,
+    ``slices_h``, ``slices_v`` and ``guards``, and afterwards none of those
+    records, nor ``sigmas``, exists on the cached pixelation."""
+    from slidecam.cli import main
+
+    p = _lazy_shape(shape)
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(p.to_dict()))
+    sc.geometry.pixelate.cache_clear()
+    capsys.readouterr()
+    assert main(["pixelate", str(poly)]) == 0
+    out = capsys.readouterr().out
+    built = vars(sc.pixelate(p))
+    assert not [k for k in ("pixels", "crosses", "slices_h", "slices_v", "guards", "sigmas")
+                if k in built]
+    ref = sc.Pixelation(p)
+    assert out == (f"n={p.n} pixels={len(ref.pixels)} crosses={len(ref.crosses)} "
+                   f"slices_h={len(ref.slices_h)} slices_v={len(ref.slices_v)} "
+                   f"guards={len(ref.guards)}\n")
+
+
 def test_polygon_dict_round_trip(corpus):
     for name, p in corpus.items():
         assert sc.OrthoPolygon.from_dict(p.to_dict()) == p, name

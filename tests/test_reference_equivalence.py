@@ -40,6 +40,7 @@ the optimum cost must agree.
 """
 import bisect
 import collections
+import enum
 import functools
 import itertools
 import math
@@ -176,6 +177,13 @@ def loop_on_boundary(poly, pt) -> bool:
         if any(y == ey and xlo <= x <= xhi for ey, xlo, xhi in horiz):
             return True
     return False
+
+
+def record_is_thin(pix) -> bool:
+    """``is_thin`` over the ``pixels`` records: no corner of a pixel's rect
+    lies in the interior of the polygon."""
+    return all(pix.on_boundary(corner) for p in pix.pixels
+               for corner in itertools.product(p.rect[0::2], p.rect[1::2]))
 
 
 def _grid_cells(grid):
@@ -649,7 +657,8 @@ class CellPixelation(sc.Pixelation):
     ``hslice`` and ``pixel`` grids are filled eagerly, pixels grouped per
     (vertical, horizontal) slice pair by counting cells; camera runs are
     the grid-line units whose two flanking cells differ, each hit mask from
-    one ``sigmas_hit`` call; and ``dual_edges``, ``slice_dual``,
+    one ``sigmas_hit`` call; ``is_thin`` reads the pixel records; and
+    ``dual_edges``, ``slice_dual``,
     ``side_guards``, ``extend_to_maximal`` and ``contains_segment`` read
     the cell grids.  Its cost follows the (n/2)^2 cells of a spiral.  It
     builds the ``sigmas``, ``crosses`` and ``guards`` records itself and
@@ -770,6 +779,9 @@ class CellPixelation(sc.Pixelation):
                        for i, ((_, mask), run) in enumerate(first.items())]
         self.guard_runs = [g.key() for g in self.guards]
         self.guard_masks = [g.hit_set for g in self.guards]
+
+    def is_thin(self):
+        return record_is_thin(self)
 
     @functools.cached_property
     def pixels(self):
@@ -1540,6 +1552,135 @@ def test_instance_sets_and_masks_match_loops(polygons):
                     assert part.hit_mask(guards) & part.wanted == expect, name
 
 
+def bit_by_bit_wanted(n, xprime):
+    """The mask of the requested crosses, one id at a time with a range
+    check per id, all n crosses for None."""
+    if xprime is None:
+        return (1 << n) - 1
+    wanted = 0
+    for cid in xprime:
+        if not 0 <= cid < n:
+            raise ValueError(f"cross id {cid} is not in 0..{n - 1}")
+        wanted |= 1 << cid
+    return wanted
+
+
+def bit_by_bit_verify_cover(pix, guards, xprime=None):
+    """``verify_cover`` with the requested crosses' mask built bit by bit:
+    (uncovered, certificate)."""
+    keys = sorted(pix.guard_runs[g] if isinstance(g, int) else g.key() for g in guards)
+    met = [pix.sigma_ids_hit(*key) for key in keys]
+    covered = 0
+    for sid in {sid for ids in met for sid in ids}:
+        covered |= pix._slice_cross_mask[sid]
+    wanted = bit_by_bit_wanted(len(pix.h_supports), xprime)
+    return (tuple(sc.geometry._bits(wanted & ~covered)),
+            sc.geometry._witnesses(pix.h_supports, pix.v_supports, keys, met, wanted & covered))
+
+
+def scan_requested_ids(pix, xprime, gammaprime):
+    """``_requested_ids`` with a range scan over every id, made or given."""
+    out = []
+    for what, ids, n in (("cross", xprime, len(pix.h_supports)), ("guard", gammaprime, len(pix.guard_masks))):
+        ids = tuple(sorted(set(ids))) if ids is not None else tuple(range(n))
+        bad = [i for i in ids if not 0 <= i < n]
+        if bad:
+            raise ValueError(f"{what} ids {bad} are not in 0..{n - 1}")
+        out.append(ids)
+    return out[0], out[1]
+
+
+def _error_or(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return (type(e), str(e))
+
+
+def _cross_requests(n, rng):
+    """Requests of crosses by name, each a function that makes a fresh one:
+    every cross in several forms, part of them, and with an unknown id."""
+    shuffled = list(range(n)) * 2
+    rng.shuffle(shuffled)
+    part = set(rng.sample(range(n), n // 2))
+    return {"none": lambda: None, "range": lambda: range(n), "tuple": lambda: tuple(range(n)),
+            "shuffled with repeats": lambda: list(shuffled),
+            "generator": lambda: (c for c in range(n)), "partial": lambda: set(part),
+            "partial range": lambda: range(1, n, 2), "range past the end": lambda: range(n + 1),
+            "n ids, one repeated": lambda: (*range(n - 1), 0),
+            "n ids, one unknown": lambda: (*range(n - 1), n),
+            "out of range": lambda: [*part, n, -1, 0]}
+
+
+def test_requested_cross_masks_match_bit_by_bit_reference(polygons):
+    """The masks of the requested crosses against the bit-by-bit loops, for
+    every cross asked for as None, ``range(n)``, a tuple, a shuffled list
+    with repeats and a generator, for part of them and with an unknown id:
+    ``build_instance``'s ids or error, ``wanted`` and
+    ``infeasible_crosses`` (over all guards and over half of them), and
+    ``verify_cover``'s uncovered crosses and certificate or error, for a
+    greedy cover and half of it, also when given the instance's ids."""
+    rng = random.Random(31)
+    shapes = {**polygons, **{name: make() for name, make in _BENCH_SIZE.items()}}
+    full = 0
+    for name, p in shapes.items():
+        pix = sc.Pixelation(p)
+        n, n_g = len(pix.h_supports), len(pix.guard_masks)
+        cover = list(sc.greedy_cover(sc.build_instance(pix)).guard_ids)
+        covers = (cover, cover[::2])
+        for what, make in _cross_requests(n, rng).items():
+            for gammaprime in (None, rng.sample(range(n_g), n_g // 2)):
+                want = _error_or(scan_requested_ids, pix, make(), gammaprime)
+                inst = _error_or(sc.build_instance, pix, make(), gammaprime)
+                if isinstance(want, tuple) and isinstance(want[0], type):
+                    assert inst == want, (name, what)
+                    continue
+                xp, uni = want
+                assert (inst.xprime, inst.universe) == (xp, uni), (name, what)
+                assert inst.wanted == sum(1 << c for c in xp), (name, what)
+                hit = 0
+                for g in uni:
+                    hit |= pix.guard_masks[g]
+                assert inst.infeasible_crosses == tuple(c for c in xp if not hit >> c & 1), (name, what)
+                full += len(xp) == n
+                for guards in covers:
+                    got = sc.verify_cover(pix, guards, inst.xprime)
+                    assert (got.uncovered, dict(got.certificate)) == bit_by_bit_verify_cover(
+                        pix, guards, xp), (name, what)
+            for guards in covers:
+                want = _error_or(bit_by_bit_verify_cover, pix, guards, make())
+                got = _error_or(sc.verify_cover, pix, guards, make())
+                if not isinstance(got, tuple):
+                    got = (got.uncovered, dict(got.certificate))
+                assert got == want, (name, what)
+    assert full >= 10 * len(shapes), full
+
+
+def _thin_shapes():
+    shapes = {f"thin{b}_{s}": sc.gen_thin_tree(b, s) for b, s in ((2, 5), (8, 6), (30, 7), (90, 8))}
+    shapes.update({f"comb{k}": sc.gen_comb(k) for k in (3, 20, 80)})
+    shapes.update({f"grid{g}": _holed_grid(g, g + 1, g) for g in (1, 3, 6)})
+    return shapes
+
+
+def test_is_thin_matches_record_reference(polygons):
+    """``is_thin`` from the support tables against the test over the pixel
+    records, which it does not build: on the corpus and the bench-size
+    shapes, thin trees, combs and holed grids; against the cell-grid
+    pixelation's records where that is cheap."""
+    shapes = {**polygons, **_thin_shapes(), **{name: make() for name, make in _BENCH_SIZE.items()}}
+    kinds = collections.Counter()
+    for name, p in shapes.items():
+        pix = sc.Pixelation(p)
+        got = pix.is_thin()
+        assert "pixels" not in vars(pix), name
+        assert got == record_is_thin(pix), name
+        if name in polygons:
+            assert got == CellPixelation(p).is_thin(), name
+        kinds[got] += 1
+    assert min(kinds[True], kinds[False]) >= 5, kinds
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -1767,6 +1908,36 @@ _COMPETING_FAULTS = [
 ]
 
 
+class _Coord(enum.IntEnum):
+    ZERO = 0
+    TWO = 2
+    LIMIT = _COORD_LIMIT
+
+
+def _limit_rings(rng):
+    """Squares whose corners take coordinates at the 32-bit limit, one past
+    it, of type bool, an ``IntEnum``, a float (integral, fractional or not
+    finite) and a string, each alone or mixed with plain ints."""
+    lim = _COORD_LIMIT
+    rings = [_rect(-lim, -lim, lim, lim), _rect(0, 0, lim, 1), _rect(-lim, 0, 0, 2),
+             _rect(0, 0, lim + 1, 2), _rect(-lim - 1, 0, 0, 2), _rect(0, -lim - 1, 2, 0),
+             _rect(0, 0, 2, 10**30),
+             [(False, False), (True, False), (True, True), (False, True)],
+             [(_Coord.ZERO, _Coord.ZERO), (_Coord.TWO, 0), (2, _Coord.TWO), (0, 2)],
+             [(_Coord.ZERO, 0), (_Coord.LIMIT, 0), (_Coord.LIMIT, 3), (0.0, 3)]]
+    odd = [True, False, _Coord.TWO, _Coord.LIMIT, 2.0, float(lim), float(lim + 1), 2.5,
+           float("inf"), float("nan"), "2", lim, -lim, lim + 1, -lim - 1]
+    for _ in range(200):
+        ring = [list(v) for v in _rect(0, 0, 2, 2)]
+        for _ in range(rng.randint(1, 3)):
+            k, axis, value = rng.randrange(4), rng.randrange(2), rng.choice(odd)
+            # a vertex and its neighbour along the other axis share the coordinate
+            for i in (k, k ^ (1 if axis == 1 else 3)):
+                ring[i][axis] = value
+        rings.append([tuple(v) for v in ring])
+    return rings
+
+
 def test_normalize_ring_matches_rescan_reference(polygons):
     """``_normalize_ring`` against the rescanning reference and today's pass
     by pass routine: equal turns and area, or the same error type and
@@ -1792,6 +1963,9 @@ def test_normalize_ring_matches_rescan_reference(polygons):
     rings += [[(1, 0), (2, 0), (3, 0), (0, 0)],
               [(0, 0), (1, 0), (2, 0), (2, 2), (2, 1), (2, 0), (5, 0), (0, 0)],
               [(0, 0), (0, 1), (0, 2), (0, 3), (3, 3), (0, 3)]]
+    # coordinates at and past the 32-bit limit and of other types than int,
+    # which miss the plain-int fast path, alone and mixed with plain ints
+    rings += _limit_rings(random.Random(37))
     kinds = collections.Counter()
     for raw in rings:
         want = _normalize_outcome(loop_normalize_ring, raw)
@@ -1803,11 +1977,13 @@ def test_normalize_ring_matches_rescan_reference(polygons):
             kinds[" ".join(re.sub(r"\([^)]*\)-?|\d+", "", want[1].split(": ", 1)[1]).split())] += 1
         else:
             assert got[:2] == want and got[2] == _line_spans([want[0]]), raw
+            assert all(type(t) is int for v in got[0] for t in v), raw
             kinds["ok"] += 1
     assert set(kinds) == {
         "ok", "boundary doubles back at", "collapses to fewer than vertices", "zero area",
         "edge is not axis-parallel", "coordinate of is not an integer",
-        "coordinate outside -bit range:", "fewer than distinct vertices"}, kinds
+        "coordinate outside -bit range:", "fewer than distinct vertices",
+        "not a list of [x, y] integer pairs"}, kinds
     for raw, want in zip(_COMPETING_FAULTS, [
             "edge (3, 1)-(1, 3) is not axis-parallel", "edge (0, 3)-(1, 0) is not axis-parallel",
             "coordinate of (2, 3.5) is not an integer", "coordinate of (2, 0.5) is not an integer",

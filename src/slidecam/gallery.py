@@ -606,7 +606,7 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
     bound = (poly.n + 2) // 6
     if len(cameras) > bound:
         raise AssertionError(f"path guarding used {len(cameras)} > {bound} cameras")
-    sol = make_solution(pix0, range(len(pix0.h_supports)), cameras, "path")
+    sol = make_solution(pix0, pix0._all_crosses, cameras, "path")
     return sol, steps
 
 

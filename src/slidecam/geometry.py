@@ -111,10 +111,10 @@ def _normalize_ring(raw: Sequence[Sequence[int]], name: str,
     ``horiz`` as (y, x_lo, x_hi); both may hold other rings' edges already
     (see :func:`_group_spans`).
 
-    A point whose coordinates are both of type ``int`` and within
-    ±(2**31 - 1) passes the coordinate checks as it is.  Any other point
-    (bools, floats, int subclasses, other types, larger ints) takes the
-    full checks, so it is converted and rejected as they say.
+    A point whose coordinates are both of type ``int`` is taken as it is.
+    Any other point (bools, floats, int subclasses, other types) is
+    converted with ``int()`` and must equal what it was.  Every point then
+    takes one range check against ±(2**31 - 1).
 
     After the coordinate checks, one pass over the deduplicated points
     checks that each edge is axis-parallel and classifies each vertex by
@@ -138,14 +138,14 @@ def _normalize_ring(raw: Sequence[Sequence[int]], name: str,
     lo, hi = -_COORD_LIMIT, _COORD_LIMIT
     try:
         for x, y in raw:
-            if type(x) is int and type(y) is int and lo <= x <= hi and lo <= y <= hi:
-                v = (x, y)  # passes the checks below as it is
-            else:
+            if type(x) is not int or type(y) is not int:
                 v = (int(x), int(y))
                 if v != (x, y):
                     raise PolygonError(f"{name}: coordinate of ({x!r}, {y!r}) is not an integer")
-                if abs(v[0]) > _COORD_LIMIT or abs(v[1]) > _COORD_LIMIT:
-                    raise PolygonError(f"{name}: coordinate outside 32-bit range: {v}")
+                x, y = v
+            if not (lo <= x <= hi and lo <= y <= hi):
+                raise PolygonError(f"{name}: coordinate outside 32-bit range: {(x, y)}")
+            v = (x, y)
             if v != last:
                 pts.append(v)
                 last = v
@@ -793,18 +793,16 @@ class Pixelation:
                 segs.append((a0 + a1, lo, hi, sid))
                 sid += 1
             segs.sort()
+            # a line's los, his and ids are slices of these columns
+            anchors, los, his, ids = zip(*segs)
             keys, lines = [], []
             i, m = 0, len(segs)
             while i < m:
-                a, lo, hi, s = segs[i]
+                a = anchors[i]
                 j = i + 1
-                while j < m and segs[j][0] == a:
+                while j < m and anchors[j] == a:
                     j += 1
-                if j == i + 1:  # most lines hold one midline
-                    lines.append(((lo,), (hi,), (s,)))
-                else:
-                    _, los, his, ids = zip(*segs[i:j])
-                    lines.append((los, his, ids))
+                lines.append((los[i:j], his[i:j], ids[i:j]))
                 keys.append(a)
                 i = j
             self._sigma_lines[o] = (keys, lines)
@@ -1254,11 +1252,10 @@ def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None
     crosses are the requested ones left over, in ascending id order.  The
     certificate is built on first read (see :func:`_witnesses`).
 
-    The request is every cross, with no scan, for None, ``range(n)`` over
-    the n crosses, or the tuple of all cross ids that
-    :func:`~slidecam.hitset.build_instance` hands out for every cross,
-    which ``make_solution`` passes on.  Any other request is read id by
-    id: ``ValueError`` for the first id outside 0..n-1.
+    The request is every cross, with no scan, for None or the tuple of all
+    cross ids that :func:`~slidecam.hitset.build_instance` hands out for
+    every cross, which ``make_solution`` passes on.  Any other request is
+    read id by id: ``ValueError`` for the first id outside 0..n-1.
     """
     keys = sorted(pix._camera_run(g) if isinstance(g, int) else g.key() for g in guards)
     met = [pix.sigma_ids_hit(*key) for key in keys]
@@ -1268,8 +1265,7 @@ def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None
         covered |= masks[sid]
     n = len(pix.h_supports)
     wanted = (1 << n) - 1
-    if not (xprime is None or xprime is pix._all_crosses
-            or (type(xprime) is range and xprime == range(n))):
+    if not (xprime is None or xprime is pix._all_crosses):
         wanted = 0
         for cid in xprime:
             if not 0 <= cid < n:

@@ -10,11 +10,12 @@ so neither validates more than its finished polygon.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     GenerationFailed,
@@ -29,10 +30,9 @@ from .geometry import (
     GuardSegment,
     OrthoPolygon,
     Pixelation,
-    Rect,
     Vertex,
-    _rect,
     _rotate_to_min,
+    _side_contacts,
     _straight,
     close_cut_arc,
     pixelate,
@@ -347,7 +347,24 @@ def guard_small(poly: OrthoPolygon) -> GuardSegment:
     every cross.  A guard's hit set is the set of crosses with a support
     midline it meets, which is what :func:`verify_cover` tests, so no
     further check is needed.  The paper shows that such a guard always
-    exists; the AssertionError checks it.
+    exists; the AssertionError checks it.  The guard is looked up by rank
+    type (see :func:`_small_guard`); its ``id`` and ``hit_set`` are those of
+    the rank polygon's camera.
+    """
+    if poly.holes:
+        raise PreconditionViolated("guard_small needs a hole-free polygon")
+    if poly.n > 8:
+        raise PreconditionViolated(f"guard_small needs n <= 8, got {poly.n}")
+    run, g = _small_guard(poly.outer)
+    return GuardSegment(*run, id=g.id, hit_set=g.hit_set)
+
+
+def _small_guard(ring: Sequence[Vertex]) -> Tuple[Tuple[str, int, int, int], GuardSegment]:
+    """The run (orientation, anchor, lo, hi) of :func:`guard_small`'s camera
+    for a valid hole-free ring of at most 8 vertices, and the guard of the
+    ring's rank type.  The memo is keyed by the rank ring as given; rings
+    rotated to their smallest vertex, as validated ones are, keep it to the
+    43 types.
 
     The answer depends only on the order of the coordinates, so it is
     looked up by rank type.  Each coordinate is replaced by its rank among
@@ -373,15 +390,10 @@ def guard_small(poly: OrthoPolygon) -> GuardSegment:
     the input is, and it is built directly: ``pixelate`` would evict the
     caller's polygon from its one-slot cache.
     """
-    if poly.holes:
-        raise PreconditionViolated("guard_small needs a hole-free polygon")
-    if poly.n > 8:
-        raise PreconditionViolated(f"guard_small needs n <= 8, got {poly.n}")
-    xs = sorted({x for x, _ in poly.outer})
-    ys = sorted({y for _, y in poly.outer})
-    xr = {x: i for i, x in enumerate(xs)}
-    yr = {y: j for j, y in enumerate(ys)}
-    ranks = tuple([(xr[x], yr[y]) for x, y in poly.outer])
+    px, py = zip(*ring)
+    xs, ys = sorted(set(px)), sorted(set(py))
+    xr, yr = dict(zip(xs, range(len(xs)))), dict(zip(ys, range(len(ys))))
+    ranks = tuple(zip(map(xr.__getitem__, px), map(yr.__getitem__, py)))
     g = _SMALL_GUARDS.get(ranks)
     if g is None:
         pix = Pixelation(OrthoPolygon(outer=ranks))
@@ -391,8 +403,7 @@ def guard_small(poly: OrthoPolygon) -> GuardSegment:
             raise AssertionError("no single camera covers this small polygon")
         _SMALL_GUARDS[ranks] = g
     along, across = (xs, ys) if g.orientation == VERTICAL else (ys, xs)
-    return GuardSegment(orientation=g.orientation, anchor=along[g.anchor],
-                        lo=across[g.lo], hi=across[g.hi], id=g.id, hit_set=g.hit_set)
+    return (g.orientation, along[g.anchor], across[g.lo], across[g.hi]), g
 
 
 # ---------------------------------------------------------------------------
@@ -407,33 +418,81 @@ class PeelStep:
     remainder: Optional[OrthoPolygon]  # None unless the caller asked for remainders
 
 
-def _path_order(adj: Dict[int, set]) -> Optional[List[int]]:
-    """Vertex order of a path graph, or None if the graph is not a path."""
-    if len(adj) == 1:
-        return list(adj)
-    ends = [v for v, ns in adj.items() if len(ns) == 1]
-    if len(ends) != 2 or any(len(ns) > 2 for ns in adj.values()):
+def _slice_path(sides: Dict[int, Tuple[list, list]], count: int) -> Optional[List[int]]:
+    """The ``count`` slices of one segmentation in path order, or None if
+    its dual is not a path.
+
+    One walk over the merge of slice sides (``sides`` as
+    :meth:`Pixelation._slice_sides` gives them, merged by
+    :func:`_side_contacts` as for :meth:`Pixelation.slice_dual`) collects
+    each slice's neighbours and stops at the first slice with a third.  A
+    path has two ends, the slices with one neighbour, and is read from the
+    end with the smaller id; any other set of ends, or a cycle beside the
+    path, is no path.
+    """
+    nbrs: List[List[int]] = [[] for _ in range(count)]
+    for a, b in _side_contacts(sides):
+        na, nb = nbrs[a], nbrs[b]
+        if len(na) == 2 or len(nb) == 2:
+            return None
+        na.append(b)
+        nb.append(a)
+    if count == 1:
+        return [0]
+    ends = [sid for sid, ns in enumerate(nbrs) if len(ns) == 1]
+    if len(ends) != 2:
         return None
-    order = [min(ends)]
-    prev = None
-    while True:
-        nxt = [u for u in adj[order[-1]] if u != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
-    return order if len(order) == len(adj) else None
+    order = [ends[0]]
+    prev, cur = ends[0], nbrs[ends[0]][0]
+    while cur != ends[1]:  # every slice between the ends has two neighbours
+        order.append(cur)
+        a, b = nbrs[cur]
+        prev, cur = cur, b if a == prev else a
+    order.append(cur)
+    return order if len(order) == count else None
 
 
-def _seam(r1: Rect, r2: Rect, vertical: bool) -> Tuple[Vertex, Vertex]:
-    """Ends (p, q) of the side two adjacent slices share, ``r2`` left of p -> q."""
+def _shared_side(c1: Tuple[int, int, int, int], c2: Tuple[int, int, int, int]
+                 ) -> Tuple[int, int, int]:
+    """The side (line, lo, hi) that two adjacent slices of one
+    segmentation, given as (a0, lo, a1, hi), share."""
+    return max(c1[0], c2[0]), max(c1[1], c2[1]), min(c1[3], c2[3])
+
+
+def _seam(c1: Tuple[int, int, int, int], c2: Tuple[int, int, int, int], vertical: bool
+          ) -> Tuple[Vertex, Vertex]:
+    """Ends (p, q) of the side two adjacent slices share, ``c2`` left of p -> q."""
+    a, lo, hi = _shared_side(c1, c2)
     if vertical:
-        x = max(r1[0], r2[0])
-        lo, hi = (x, max(r1[1], r2[1])), (x, min(r1[3], r2[3]))
-        return (hi, lo) if r2[0] == x else (lo, hi)
-    y = max(r1[1], r2[1])
-    lo, hi = (max(r1[0], r2[0]), y), (min(r1[2], r2[2]), y)
-    return (lo, hi) if r2[1] == y else (hi, lo)
+        return ((a, hi), (a, lo)) if c2[0] == a else ((a, lo), (a, hi))
+    return ((lo, a), (hi, a)) if c2[0] == a else ((hi, a), (lo, a))
+
+
+def _reflex_at(ends: List[int], sides: Tuple[list, list], c: int) -> bool:
+    """Is the point at ``c`` on a grid line a reflex vertex of the polygon?
+
+    ``ends`` are the ends of the polygon's edges along the line, sorted
+    (``OrthoPolygon._spans``), and ``sides`` the line's slice sides of the
+    same orientation, those ending on it and those starting on it
+    (:meth:`Pixelation._slice_sides`).  A vertex has one edge along each of
+    its lines, so the point is a vertex iff it is an edge end.  At a convex
+    vertex the polygon nearby is the quadrant between its two edges, so
+    the one slice side on the line there runs along its edge and ends at
+    the vertex.  At a reflex vertex that quadrant is the outside, so on the
+    far side of the line from its other edge the polygon holds both
+    quadrants.  The slice there has its side on the line, along the edge
+    and then along the cut from the vertex, and that side holds ``c``
+    strictly inside its span.  Spans on one side of a line are disjoint,
+    so only the last one with lo below ``c`` can.
+    """
+    i = bisect_left(ends, c)
+    if i == len(ends) or ends[i] != c:
+        return False
+    for part in sides:
+        k = bisect_left(part, (c,))
+        if k and part[k - 1][1] > c:
+            return True
+    return False
 
 
 def _inside_edge(t: Vertex, a: Vertex, b: Vertex) -> bool:
@@ -539,34 +598,40 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
 
     Everything about the slices comes from the input's own pixelation: a
     remainder's slices are the input's slices minus the peeled ones, so its
-    path is a window ``path[lo..hi]`` of the input's path.  The live ring
-    is two arcs, one on each side of the path between the chords of its
-    two ends (see :func:`_cut`).  Each peel pops the piece's vertices off
-    the arcs at the chord of the end it peels, counts the vertices left
-    instead of building the remainder, and closes the piece with
+    path is a window ``path[lo..hi]`` of the input's path.  A solve reads
+    the slices of each orientation it tries and their sides per grid line:
+    :func:`_slice_path` tells whether the dual is a path, and the side
+    lists, with the edge ends per line, tell whether the two ends of each
+    peel's first seam are reflex vertices of the input (:func:`_reflex_at`);
+    no reflex list, dual graph or slice rect is built.  The live ring is
+    two arcs, one on each side of the path between the chords of its two
+    ends (see :func:`_cut`).  Each peel pops the piece's vertices off the
+    arcs at the chord of the end it peels, counts the vertices left instead
+    of building the remainder, and closes the piece with
     :func:`close_cut_arc`: nothing is validated in full, and a peel costs
-    time in the piece's size, apart from one scan of the ring at each
-    end's first cut.  A step's
-    ``remainder`` polygon is built only if ``remainders`` is true;
-    :func:`path_guard` asks for none.  Only the input is pixelated:
-    :func:`guard_small` looks each piece's first canonical guard that hits
-    every cross up by the piece's rank type, one of 43; that guard is
-    extended to a maximal camera of the input by bisection, and the
-    input's pixelation builds each distinct camera once.
-    ``make_solution`` lists a camera that serves several pieces once.
+    time in the piece's size, apart from one scan of the ring at each end's
+    first cut.  A step's ``remainder`` polygon is built only if
+    ``remainders`` is true; :func:`path_guard` asks for none.  Only the
+    input is pixelated: each piece's camera run, the last piece's included,
+    is :func:`guard_small`'s, looked up by the piece's rank type, one of 43
+    (:func:`_small_guard`), with no record built.  That run is extended to a
+    maximal camera of the input by bisection, and the input's pixelation
+    builds each distinct camera once.  ``make_solution`` lists a camera
+    that serves several pieces once.
     """
     if poly.holes:
         raise NotPathSegmentation("polygon has holes")
     pix0 = pixelate(poly)
     for orientation in (VERTICAL, HORIZONTAL):
-        path = _path_order(pix0.slice_dual(orientation))
+        chains = pix0._chains[orientation]
+        sides = pix0._slice_sides(orientation)
+        path = _slice_path(sides, len(chains))
         if path is not None:
             break
     else:
         raise NotPathSegmentation("neither segmentation dual is a path")
     vertical = orientation == VERTICAL
-    rects = [_rect(orientation, chain) for chain in pix0._chains[orientation]]
-    reflex = set(pix0.reflex_vertices)
+    ends = pix0._v_spans if vertical else pix0._h_spans  # edge ends per seam line
     axis = 1 if vertical else 0  # seam ends not at a vertex lie on edges across this axis
 
     cameras: List[GuardSegment] = []
@@ -576,19 +641,18 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
     n = poly.n
     while n > 8:
         # Slices are numbered by sorted rect, so peel from the end whose
-        # slice has the smaller id, as _path_order on the remainder would.
+        # slice has the smaller id, as the path order of the remainder would.
         end, first, step = (1, hi, -1) if path[hi] < path[lo] else (0, lo, 1)
-        first_seam = _seam(rects[path[first]], rects[path[first + step]], vertical)
-        take = 2 if all(p in reflex for p in first_seam) else 3
+        a, c0, c1 = _shared_side(chains[path[first]], chains[path[first + step]])
+        take = 2 if _reflex_at(ends[a], sides[a], c0) and _reflex_at(ends[a], sides[a], c1) else 3
         take = min(take, hi - lo)
-        p, q = _seam(rects[path[first + step * (take - 1)]], rects[path[first + step * take]],
+        p, q = _seam(chains[path[first + step * (take - 1)]], chains[path[first + step * take]],
                      vertical)
         piece_ring, rest_ring = _cut(arcs, cut, end, p, q, axis, remainders)
         sub = close_cut_arc(piece_ring)
         if sub.n > 8:
             raise AssertionError(f"peeled piece has {sub.n} > 8 vertices")
-        g = guard_small(sub)
-        camera = pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi)
+        camera = pix0.extend_to_maximal(*_small_guard(sub.outer)[0])
         cameras.append(camera)
         left = len(arcs[0]) + len(arcs[1])
         if left > n - 6:
@@ -600,8 +664,8 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
             hi -= take
         else:
             lo += take
-    g = guard_small(OrthoPolygon(outer=tuple(_rotate_to_min([*arcs[0], *arcs[1]]))))
-    cameras.append(pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi))
+    run, _ = _small_guard(_rotate_to_min([*arcs[0], *arcs[1]]))
+    cameras.append(pix0.extend_to_maximal(*run))
 
     bound = (poly.n + 2) // 6
     if len(cameras) > bound:

@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import UserDict
 from dataclasses import dataclass
 from operator import itemgetter, lt
-from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateRing,
@@ -660,6 +660,24 @@ def _merge_spans(spans: Iterable[Tuple[int, int, int]]) -> List[Tuple[int, int, 
     return out
 
 
+def _side_contacts(sides: Mapping[int, Tuple[list, list]]) -> Iterator[Tuple[int, int]]:
+    """The pairs (a, b) of slices that share part of a side, each once:
+    per grid line of ``sides`` (as :meth:`Pixelation._slice_sides` gives
+    them), a slice a that ends on it and a slice b that starts on it whose
+    spans overlap, found by a merge of both sorted lists."""
+    for ending, starting in sides.values():
+        i = j = 0
+        m, n = len(ending), len(starting)
+        while i < m and j < n:
+            (lo1, hi1, a), (lo2, hi2, b) = ending[i], starting[j]
+            if lo1 < hi2 and lo2 < hi1:
+                yield a, b
+            if hi1 < hi2:
+                i += 1
+            else:
+                j += 1
+
+
 # ---------------------------------------------------------------------------
 # Pixelation
 # ---------------------------------------------------------------------------
@@ -722,8 +740,9 @@ class Pixelation:
     and ``guard_small``).  What else only some callers read is
     derived on first read and kept too: ``pixels`` (render),
     ``slices_v`` and ``slices_h`` (:func:`segmentation`),
-    ``reflex_vertices`` (``path``), the
-    stabbing index behind :meth:`_inside` (per orientation; ``path`` and
+    ``reflex_vertices`` (tests; ``path`` reads the slice sides per line
+    instead, which :meth:`_slice_sides` builds on each call), the stabbing
+    index behind :meth:`_inside` (per orientation; ``path`` and
     ``verify``), and ``dual_edges`` and ``side_guards`` (``dp``'s lifted
     fallback and tests; the former also :func:`gen_thin_tree`).
     """
@@ -1178,20 +1197,11 @@ class Pixelation:
 
     def slice_dual(self, orientation: str) -> Dict[int, set]:
         """Slice ids of one segmentation, adjacent iff the slices share part
-        of a side: a slice ending on a grid line and one starting on it
-        whose spans overlap, found by a merge of both sorted lists."""
+        of a side (see :func:`_side_contacts`)."""
         adj: Dict[int, set] = {i: set() for i in range(len(self._chains[orientation]))}
-        for ending, starting in self._slice_sides(orientation).values():
-            i = j = 0
-            while i < len(ending) and j < len(starting):
-                (lo1, hi1, a), (lo2, hi2, b) = ending[i], starting[j]
-                if max(lo1, lo2) < min(hi1, hi2):
-                    adj[a].add(b)
-                    adj[b].add(a)
-                if hi1 < hi2:
-                    i += 1
-                else:
-                    j += 1
+        for a, b in _side_contacts(self._slice_sides(orientation)):
+            adj[a].add(b)
+            adj[b].add(a)
         return adj
 
     def is_thin(self) -> bool:

@@ -175,6 +175,25 @@ def ref_counts(poly: sc.OrthoPolygon):
     return (len(set(vcomp.values())), len(set(hcomp.values())), len(pixels))
 
 
+def ref_path_order(adj):
+    """Vertex order of a path graph given as {vertex: set of neighbours},
+    from its smaller end, or None if the graph is not a path."""
+    if len(adj) == 1:
+        return list(adj)
+    ends = [v for v, ns in adj.items() if len(ns) == 1]
+    if len(ends) != 2 or any(len(ns) > 2 for ns in adj.values()):
+        return None
+    order = [min(ends)]
+    prev = None
+    while True:
+        nxt = [u for u in adj[order[-1]] if u != prev]
+        if not nxt:
+            break
+        prev = order[-1]
+        order.append(nxt[0])
+    return order if len(order) == len(adj) else None
+
+
 def bfs_within_two(adj, sources, targets) -> dict:
     """For each target node, is it within distance 2 of any source?"""
     dist = {s: 0 for s in sources}

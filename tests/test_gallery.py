@@ -4,10 +4,10 @@ import pytest
 
 import slidecam as sc
 from slidecam import gallery
-from slidecam.gallery import _boundary_corners, _path_order
+from slidecam.gallery import _boundary_corners
 from slidecam.treewidth import dual_graph, is_tree
 
-from conftest import LSHAPE, RECT, oriented_instance
+from conftest import LSHAPE, RECT, oriented_instance, ref_path_order
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_gen_path_lb_counts_and_optima():
     for k in range(1, 5):
         p = sc.gen_path_lb(k)
         assert p.n == 6 * k - 2
-        assert _path_order(sc.segmentation_dual(p, "V")) is not None
+        assert ref_path_order(sc.segmentation_dual(p, "V")) is not None
         pix = sc.pixelate(p)
         assert sc.brute_force_min_cover(sc.build_instance(pix)).size == k
 
@@ -283,7 +283,7 @@ REFUSED_PATH_SHAPE = [(0, 0), (2, 0), (2, 1), (3, 1), (3, 4), (5, 4), (5, 6),
                    reason="path_guard refuses: peeled piece has 10 > 8 vertices")
 def test_path_guard_known_refusal():
     p = sc.validate_polygon([REFUSED_PATH_SHAPE])
-    if _path_order(sc.segmentation_dual(p, "V")) is None:
+    if ref_path_order(sc.segmentation_dual(p, "V")) is None:
         pytest.fail("the pinned shape lost its path segmentation")
     sol = sc.path_guard(p)
     assert sol.size <= (p.n + 2) // 6
@@ -298,8 +298,8 @@ def test_peel_soundness():
             assert step.slices_removed in (2, 3)
             assert step.subpolygon.n <= 8
             assert step.remainder.n <= n - 6
-            assert (_path_order(sc.segmentation_dual(step.remainder, "V")) is not None
-                    or _path_order(sc.segmentation_dual(step.remainder, "H")) is not None)
+            assert (ref_path_order(sc.segmentation_dual(step.remainder, "V")) is not None
+                    or ref_path_order(sc.segmentation_dual(step.remainder, "H")) is not None)
             n = step.remainder.n
 
 
@@ -325,7 +325,7 @@ def test_path_peels_validate_nothing(monkeypatch):
 def test_path_pixelates_only_its_input(monkeypatch, make):
     """Once every piece's rank type is known, a solve builds one Pixelation."""
     p = make()
-    assert any(_path_order(sc.segmentation_dual(p, o)) is not None for o in "VH")
+    assert any(ref_path_order(sc.segmentation_dual(p, o)) is not None for o in "VH")
     sc.path_guard_steps(p)
     built = []
     init = sc.geometry.Pixelation.__init__

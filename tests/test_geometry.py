@@ -7,7 +7,7 @@ import slidecam as sc
 from slidecam.exact import make_solution
 from slidecam.geometry import GuardSegment
 
-from conftest import LSHAPE, NOTCHED_HOLE, RECT, ref_counts, ref_point_inside
+from conftest import LSHAPE, NOTCHED_HOLE, RECT, ref_counts, ref_path_order, ref_point_inside
 from test_reference_equivalence import GridPixelation, loop_verify_cover
 
 
@@ -374,14 +374,13 @@ def test_camera_ids_outside_the_cameras_are_rejected():
 # ---------------------------------------------------------------------------
 
 def test_segmentation_dual_shapes():
-    from slidecam.gallery import _path_order
     rect = sc.validate_polygon(RECT)
     assert sc.segmentation_dual(rect, "V") == {0: set()}
     lshape = sc.validate_polygon(LSHAPE)
     adj = sc.segmentation_dual(lshape, "V")
     assert len(adj) == 2 and all(len(v) == 1 for v in adj.values())
     spiral = sc.gen_path_lb(3)
-    assert _path_order(sc.segmentation_dual(spiral, "V")) is not None
+    assert ref_path_order(sc.segmentation_dual(spiral, "V")) is not None
 
 
 def test_inside_matches_reference(corpus):

@@ -58,7 +58,7 @@ from slidecam.approx import DEFAULT_NET_CONSTANT, NetRequest, _as_fraction, heav
 from slidecam.errors import HoleOutsideOuter, SelfIntersection
 from slidecam.exact import make_solution
 from slidecam import gallery
-from slidecam.gallery import _boundary_corners, _path_order
+from slidecam.gallery import _boundary_corners
 from slidecam.geometry import (
     _COORD_LIMIT,
     HORIZONTAL,
@@ -87,7 +87,7 @@ from slidecam.treewidth import (
     validate_decomposition,
 )
 
-from conftest import oriented_instance, support_of, with_leaf_bags
+from conftest import oriented_instance, ref_path_order, support_of, with_leaf_bags
 from test_approx import weighted_instances
 from test_fuzz import gen_random_holed
 from test_gallery import _spiral_cells, enumerate_small_polygons, staircase_polygon
@@ -1111,7 +1111,7 @@ def loop_path_guard_steps(poly):
         raise sc.NotPathSegmentation("polygon has holes")
     orientation = None
     for cand in (VERTICAL, HORIZONTAL):
-        if _path_order(sc.segmentation_dual(poly, cand)) is not None:
+        if ref_path_order(sc.segmentation_dual(poly, cand)) is not None:
             orientation = cand
             break
     if orientation is None:
@@ -1125,7 +1125,7 @@ def loop_path_guard_steps(poly):
             cameras.append(pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi))
             break
         pix = GridPixelation(cur)
-        order = _path_order(sc.segmentation_dual(cur, orientation))
+        order = ref_path_order(sc.segmentation_dual(cur, orientation))
         if order is None:
             raise sc.NotPathSegmentation("remainder lost its path segmentation")
         vertical = orientation == VERTICAL
@@ -2106,7 +2106,7 @@ def _path_corpus():
         while picked < 34:
             p = sc.gen_random_simple(n, seed)
             seed += 1
-            if any(_path_order(sc.segmentation_dual(p, o)) is not None
+            if any(ref_path_order(sc.segmentation_dual(p, o)) is not None
                    for o in (VERTICAL, HORIZONTAL)):
                 polys.append(p)
                 picked += 1
@@ -2153,6 +2153,101 @@ def test_small_guard_memo_stays_bounded(monkeypatch):
         except AssertionError:
             pass
     assert 10 <= len(gallery._SMALL_GUARDS) <= 43
+
+
+def test_slice_path_matches_path_order_reference(polygons):
+    """path_guard_steps' path test reads each orientation's dual as the
+    reference reads slice_dual, so trying V, then H, gives the same
+    orientation and order.  On the per-peel corpus, the bench's combs and
+    spirals, holed shapes and random shapes of n = 12..60, most of which
+    are not path-dual."""
+    shapes = [*_path_corpus(), *polygons.values()]
+    shapes += [sc.gen_comb(k) for k in (*range(20, 201, 15), 400)]
+    shapes += [sc.gen_path_lb(k) for k in (10, 20, 30, 40, 48, 160)]
+    shapes += [gen_random_holed(s) for s in range(12, 24)]
+    shapes += [_holed_grid(g, g + 1, g) for g in (2, 4)]
+    for n in range(12, 62, 2):
+        for seed in range(8):
+            try:
+                shapes.append(sc.gen_random_simple(n, seed))
+            except sc.GenerationFailed:
+                pass
+    kinds = collections.Counter()
+    for p in shapes:
+        pix = sc.pixelate(p)
+        for o in (VERTICAL, HORIZONTAL):
+            want = ref_path_order(pix.slice_dual(o))
+            assert gallery._slice_path(pix._slice_sides(o), len(pix._chains[o])) == want, (p, o)
+            kinds[want is not None, bool(p.holes)] += 1
+    assert kinds[True, False] > 400 and kinds[False, False] > 400 and kinds[False, True] > 40, kinds
+
+
+def test_reflex_at_matches_reflex_vertices(polygons, monkeypatch):
+    """The seam-end reflex test is membership in reflex_vertices: at every
+    ring vertex, holes included, on its line of either orientation, and at
+    both ends of every seam that path_guard_steps meets, ends that lie
+    strictly inside an edge included; no seam ends at a convex vertex."""
+    for p in [*polygons.values(), *_path_corpus()]:
+        pix = sc.pixelate(p)
+        reflex = set(pix.reflex_vertices)
+        for o, ends in ((VERTICAL, pix._v_spans), (HORIZONTAL, pix._h_spans)):
+            sides = pix._slice_sides(o)
+            for ring in p.rings():
+                for x, y in ring:
+                    a, c = (x, y) if o == VERTICAL else (y, x)
+                    assert gallery._reflex_at(ends[a], sides[a], c) == ((x, y) in reflex), (p, x, y)
+    met = []
+    shared = gallery._shared_side
+
+    def recorded(c1, c2):
+        met.append(shared(c1, c2))
+        return met[-1]
+
+    monkeypatch.setattr(gallery, "_shared_side", recorded)
+    kinds = collections.Counter()
+    for p in _path_corpus():
+        met.clear()
+        try:
+            sc.path_guard_steps(p)
+        except AssertionError:
+            pass
+        pix = sc.pixelate(p)
+        vertical = ref_path_order(pix.slice_dual(VERTICAL)) is not None
+        ends = pix._v_spans if vertical else pix._h_spans
+        sides = pix._slice_sides(VERTICAL if vertical else HORIZONTAL)
+        reflex = set(pix.reflex_vertices)
+        for a, c0, c1 in met:
+            for c in (c0, c1):
+                t = (a, c) if vertical else (c, a)
+                assert gallery._reflex_at(ends[a], sides[a], c) == (t in reflex), (p, t)
+                kinds[t in reflex, t in p.outer] += 1
+    assert kinds[True, True] > 1000 and kinds[False, False] > 1000 and len(kinds) == 2, kinds
+
+
+def test_small_guard_run_matches_guard_small(monkeypatch):
+    """Every piece that path_guard_steps looks up, the last piece of each
+    solve included, is a normalised ring, and its run is the orientation,
+    anchor, lo and hi of guard_small's record for it."""
+    rings = set()
+    lookup = gallery._small_guard
+
+    def recorded(ring):
+        rings.add(tuple(ring))
+        return lookup(ring)
+
+    monkeypatch.setattr(gallery, "_small_guard", recorded)
+    for p in _path_corpus():
+        try:
+            sc.path_guard_steps(p)
+        except AssertionError:
+            pass
+    monkeypatch.undo()
+    assert len(rings) > 200
+    for ring in rings:
+        poly = sc.validate_polygon([ring])
+        assert poly.outer == ring
+        g = sc.guard_small(poly)
+        assert gallery._small_guard(ring)[0] == (g.orientation, g.anchor, g.lo, g.hi), ring
 
 
 _TABLES = ("x_cuts", "y_cuts", "_v_spans", "_h_spans", "_chains", "h_supports", "v_supports",

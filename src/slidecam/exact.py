@@ -46,21 +46,27 @@ class Solution:
 def make_solution(pix: Pixelation, xprime: Iterable[int], guards, method: str) -> Solution:
     """Build a Solution, re-verifying coverage geometrically.
 
-    Each camera is listed once: repeated guard ids, or segments with the
-    same :meth:`GuardSegment.key`, count as one camera (the first given).
-    Its record is built once, and the certificate on first read (see
-    :func:`verify_cover`).
+    Guards are canonical camera ids, or segments and runs (orientation,
+    anchor, lo, hi).  Each camera is listed once: repeated guard ids, or
+    segments and runs with the same :meth:`GuardSegment.key`, count as
+    one camera (the first given).  A segment is listed as given; a run's
+    record is built once, with id -1 and the hit set of
+    :func:`verify_cover`'s walk.  The certificate is built on first read
+    (see :func:`verify_cover`).
     """
     ids: Optional[Tuple[int, ...]] = None
     if all(isinstance(g, int) for g in guards):
         ids = tuple(sorted(set(guards)))
         cams = tuple(map(pix.guard, ids))
+        report = verify_cover(pix, ids, xprime)
     else:
-        unique: Dict[tuple, GuardSegment] = {}
+        unique: Dict[tuple, object] = {}
         for g in guards:
-            unique.setdefault(g.key(), g)
-        cams = tuple(sorted(unique.values(), key=GuardSegment.key))
-    report = verify_cover(pix, cams if ids is None else ids, xprime)
+            unique.setdefault(g if isinstance(g, tuple) else g.key(), g)
+        keys = sorted(unique)
+        report = verify_cover(pix, keys, xprime)
+        cams = tuple(GuardSegment(*key, hit_set=hit) if isinstance(unique[key], tuple) else unique[key]
+                     for key, hit in zip(keys, report.hit_sets))
     if not report.covered:
         raise AssertionError(f"solution does not cover crosses {report.uncovered}")
     return Solution(cameras=cams, size=len(cams), method=method,

@@ -615,9 +615,12 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
     input is pixelated: each piece's camera run, the last piece's included,
     is :func:`guard_small`'s, looked up by the piece's rank type, one of 43
     (:func:`_small_guard`), with no record built.  That run is extended to a
-    maximal camera of the input by bisection, and the input's pixelation
-    builds each distinct camera once.  ``make_solution`` lists a camera
-    that serves several pieces once.
+    maximal run of the input by bisection in the slice sides on its line
+    (:meth:`Pixelation._maximal_run`), so no segment tree is built, and
+    the solve carries runs.  ``make_solution`` lists a camera that serves
+    several pieces once and builds each camera's record once, its hit set
+    from the final verify's walk over its midlines; the steps share those
+    records.
     """
     if poly.holes:
         raise NotPathSegmentation("polygon has holes")
@@ -634,8 +637,8 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
     ends = pix0._v_spans if vertical else pix0._h_spans  # edge ends per seam line
     axis = 1 if vertical else 0  # seam ends not at a vertex lie on edges across this axis
 
-    cameras: List[GuardSegment] = []
-    steps: List[PeelStep] = []
+    runs: List[Tuple[str, int, int, int]] = []
+    peeled = []  # per peel: slices removed, piece, camera run, remainder
     arcs, cut = [deque(poly.outer), deque()], [False, False]
     lo, hi = 0, len(path) - 1  # the live slices are path[lo..hi]
     n = poly.n
@@ -652,25 +655,26 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
         sub = close_cut_arc(piece_ring)
         if sub.n > 8:
             raise AssertionError(f"peeled piece has {sub.n} > 8 vertices")
-        camera = pix0.extend_to_maximal(*_small_guard(sub.outer)[0])
-        cameras.append(camera)
+        runs.append(pix0._maximal_run(*_small_guard(sub.outer)[0]))
         left = len(arcs[0]) + len(arcs[1])
         if left > n - 6:
             raise AssertionError("peel did not remove enough vertices")
-        steps.append(PeelStep(slices_removed=take, subpolygon=sub, camera=camera,
-                              remainder=close_cut_arc(rest_ring) if remainders else None))
+        peeled.append((take, sub, runs[-1], close_cut_arc(rest_ring) if remainders else None))
         n = left
         if end:
             hi -= take
         else:
             lo += take
     run, _ = _small_guard(_rotate_to_min([*arcs[0], *arcs[1]]))
-    cameras.append(pix0.extend_to_maximal(*run))
+    runs.append(pix0._maximal_run(*run))
 
     bound = (poly.n + 2) // 6
-    if len(cameras) > bound:
-        raise AssertionError(f"path guarding used {len(cameras)} > {bound} cameras")
-    sol = make_solution(pix0, pix0._all_crosses, cameras, "path")
+    if len(runs) > bound:
+        raise AssertionError(f"path guarding used {len(runs)} > {bound} cameras")
+    sol = make_solution(pix0, pix0._all_crosses, runs, "path")
+    camera = {g.key(): g for g in sol.cameras}
+    steps = [PeelStep(slices_removed=take, subpolygon=sub, camera=camera[run], remainder=rest)
+             for take, sub, run, rest in peeled]
     return sol, steps
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right, insort
 from collections import UserDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter, lt
 from typing import Dict, Iterable, Iterator, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
@@ -538,10 +538,12 @@ class _Certificate(UserDict):
 class CoverageReport:
     """The requested crosses that no guard hits, ascending, and per hit
     cross the support through which it is hit and the witnessing guard's
-    key (see :func:`verify_cover`)."""
+    key (see :func:`verify_cover`).  ``hit_sets`` holds per guard, in key
+    order, the mask of the crosses it hits."""
 
     uncovered: Tuple[int, ...]
     certificate: Mapping[int, Tuple[int, Tuple[str, int, int, int]]]
+    hit_sets: Tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def covered(self) -> bool:
@@ -741,10 +743,13 @@ class Pixelation:
     derived on first read and kept too: ``pixels`` (render),
     ``slices_v`` and ``slices_h`` (:func:`segmentation`),
     ``reflex_vertices`` (tests; ``path`` reads the slice sides per line
-    instead, which :meth:`_slice_sides` builds on each call), the stabbing
-    index behind :meth:`_inside` (per orientation; ``path`` and
-    ``verify``), and ``dual_edges`` and ``side_guards`` (``dp``'s lifted
-    fallback and tests; the former also :func:`gen_thin_tree`).
+    instead), the slice sides per line (:meth:`_slice_sides`, per
+    orientation; ``path``, :meth:`slice_dual` and
+    :meth:`extend_to_maximal`), the stabbing index behind :meth:`_inside`
+    (per orientation; ``verify``, and :meth:`extend_to_maximal` for a
+    segment that no chain of slice sides holds), and ``dual_edges`` and
+    ``side_guards`` (``dp``'s lifted fallback and tests; the former also
+    :func:`gen_thin_tree`).
     """
 
     def __init__(self, polygon: OrthoPolygon):
@@ -761,8 +766,9 @@ class Pixelation:
         self.y_cuts: List[int] = list(self._h_spans)
         self._build_slices()
         self._build_pixels()
-        # kept by the lookups: the stabbing index per orientation, inside
-        # runs per line, cameras per span
+        # kept by the lookups: the slice sides and the stabbing index per
+        # orientation, inside runs per line, cameras per span
+        self._sides: Dict[str, Dict[int, Tuple[list, list]]] = {}
         self._stabbing: Dict[str, Tuple[List[int], int, Dict[int, list]]] = {}
         self._inside_runs: Dict[Tuple[str, int], List[int]] = {}
         self._maximal: Dict[Tuple[str, int, int, int], GuardSegment] = {}
@@ -1024,14 +1030,26 @@ class Pixelation:
 
     def _slice_sides(self, orientation: str) -> Dict[int, Tuple[list, list]]:
         """Per grid line, the slices of one orientation that end on it and
-        those that start on it, each as (lo, hi, id) sorted by span."""
-        out: Dict[int, Tuple[list, list]] = {}
-        for sid, (a0, lo, a1, hi) in enumerate(self._chains[orientation]):
-            out.setdefault(a1, ([], []))[0].append((lo, hi, sid))
-            out.setdefault(a0, ([], []))[1].append((lo, hi, sid))
-        for ending, starting in out.values():
-            ending.sort()
-            starting.sort()
+        those that start on it, each as (lo, hi, id) sorted by span; built
+        on first read and kept.
+
+        Slices come in rect order, so those that start on one line come by
+        lo already; only the lists of slices that end on a line are sorted.
+        """
+        out = self._sides.get(orientation)
+        if out is None:
+            out = self._sides[orientation] = {}
+            for sid, (a0, lo, a1, hi) in enumerate(self._chains[orientation]):
+                pair = out.get(a1)
+                if pair is None:
+                    pair = out[a1] = ([], [])
+                pair[0].append((lo, hi, sid))
+                pair = out.get(a0)
+                if pair is None:
+                    pair = out[a0] = ([], [])
+                pair[1].append((lo, hi, sid))
+            for ending, _ in out.values():
+                ending.sort()
         return out
 
     @functools.cached_property
@@ -1152,24 +1170,63 @@ class Pixelation:
             self._inside_runs[orientation, anchor] = runs
         return runs
 
-    def extend_to_maximal(self, orientation: str, anchor: int, lo: int, hi: int) -> GuardSegment:
-        """Extend a grid-line segment inside the closed polygon as far as possible.
+    def _side_run(self, orientation: str, anchor: int, lo: int, hi: int) -> Optional[Tuple[int, int]]:
+        """The span of the chain of slice sides on grid line ``anchor`` that
+        holds [lo, hi], or None if no chain holds it.
 
-        Span endpoints may fall between grid cuts; in-polygon membership is
-        uniform within a unit segment, so each end first snaps outward to a
-        cut.  Each end then moves to the far end of the line's inside span
-        (see :meth:`_inside`) that holds the unit beyond it, found by
-        bisection.  The camera on each maximal span, with its hit mask, is
-        built once and kept: many segments extend to the same one (a
-        comb's spine).
+        A chain is a maximal union of the line's slice sides (see
+        :meth:`_slice_sides`), those that end on it and those that start
+        on it, merged where they overlap or touch.  It grows outward from
+        ``lo`` by bisection: sides on one side of the line are disjoint and
+        sorted, so in each list only the last side with lo at or below the
+        chain's top can carry it higher, and only the last with lo below
+        its bottom can carry it lower.
+
+        A chain that holds the segment is its maximal inside run.  The
+        line's inside spans are the sides on it and the spans of the slices
+        it passes through.  Such a slice is closed off at both ends of its
+        span by edges across the line, with the outside beyond, so no other
+        slice's side on the line touches it, and beyond a chain's end the
+        line leaves P.
         """
+        sides = self._slice_sides(orientation).get(anchor)
+        if sides is None:
+            return None
+        bottom = top = lo
+        grown = True
+        while grown:
+            grown = False
+            for part in sides:
+                k = bisect_left(part, (top + 1,))  # the sides with lo <= top (int coordinates)
+                if k and part[k - 1][1] > top:
+                    top = part[k - 1][1]
+                    grown = True
+        grown = True
+        while grown:
+            grown = False
+            for part in sides:
+                k = bisect_left(part, (bottom,))  # the sides with lo < bottom
+                if k and part[k - 1][1] >= bottom:
+                    bottom = part[k - 1][0]
+                    grown = True
+        # sides have positive length, so no side holds lo iff the chain is a point
+        if bottom == top or not bottom <= hi <= top:
+            return None
+        return bottom, top
+
+    def _maximal_run(self, orientation: str, anchor: int, lo: int, hi: int) -> Tuple[str, int, int, int]:
+        """The run (orientation, anchor, lo, hi) of :meth:`extend_to_maximal`'s
+        camera, with no record built."""
         lines, cuts = (self.x_cuts, self.y_cuts) if orientation == VERTICAL else (self.y_cuts, self.x_cuts)
         k = bisect_left(lines, anchor)
         if k == len(lines) or lines[k] != anchor:
             raise ValueError(f"{orientation} line at {anchor} is not a grid line")
-        runs = self._inside(orientation, anchor)
         lo = cuts[max(0, bisect_right(cuts, lo) - 1)]
         hi = cuts[min(len(cuts) - 1, bisect_left(cuts, hi))]
+        run = self._side_run(orientation, anchor, lo, hi)
+        if run is not None:
+            return (orientation, anchor, *run)
+        runs = self._inside(orientation, anchor)
         # the unit below lo is inside iff an odd number of run ends are < lo,
         # the unit above hi iff an odd number are <= hi
         i = bisect_left(runs, lo)
@@ -1178,12 +1235,25 @@ class Pixelation:
         i = bisect_right(runs, hi)
         if i & 1:
             hi = runs[i]
-        key = (orientation, anchor, lo, hi)
+        return (orientation, anchor, lo, hi)
+
+    def extend_to_maximal(self, orientation: str, anchor: int, lo: int, hi: int) -> GuardSegment:
+        """Extend a grid-line segment inside the closed polygon as far as possible.
+
+        Span endpoints may fall between grid cuts; in-polygon membership is
+        uniform within a unit segment, so each end first snaps outward to a
+        cut.  A segment that a chain of slice sides on its line holds
+        extends to that chain (:meth:`_side_run`).  Otherwise, as for a
+        segment through a slice's interior, each end moves to the far end
+        of the line's inside span (see :meth:`_inside`) that holds the unit
+        beyond it, found by bisection.  The camera on each maximal span,
+        with its hit mask, is built once and kept: many segments extend to
+        the same one (a comb's spine).
+        """
+        key = self._maximal_run(orientation, anchor, lo, hi)
         camera = self._maximal.get(key)
         if camera is None:
-            camera = self._maximal[key] = GuardSegment(
-                orientation=orientation, anchor=anchor, lo=lo, hi=hi,
-                id=-1, hit_set=self._segment_hit_mask(*key))
+            camera = self._maximal[key] = GuardSegment(*key, id=-1, hit_set=self._segment_hit_mask(*key))
         return camera
 
     def contains_segment(self, orientation: str, anchor: int, lo: int, hi: int) -> bool:
@@ -1254,25 +1324,32 @@ def visible_region(pix: Pixelation, g: GuardSegment) -> set:
 def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None) -> CoverageReport:
     """Check whether the guards hit every requested cross.
 
-    Guards are segments or canonical camera ids, whose runs come from
-    ``guard_runs`` (``ValueError`` for an id outside it); no record is
-    built.  Each guard's midlines come from the geometric walk
-    (:meth:`Pixelation.sigma_ids_hit`), not from the camera tables, and the
-    crosses hit are the OR of those midlines' cross masks.  Uncovered
-    crosses are the requested ones left over, in ascending id order.  The
-    certificate is built on first read (see :func:`_witnesses`).
+    Guards are segments, runs (orientation, anchor, lo, hi) or canonical
+    camera ids, whose runs come from ``guard_runs`` (``ValueError`` for an
+    id outside it); no record is built.  Each guard's midlines come from
+    the geometric walk (:meth:`Pixelation.sigma_ids_hit`), not from the
+    camera tables, and its hit set is the OR of those midlines' cross
+    masks, kept per guard in key order.  Uncovered crosses are the
+    requested ones left over, in ascending id order.  The certificate is
+    built on first read (see :func:`_witnesses`).
 
     The request is every cross, with no scan, for None or the tuple of all
     cross ids that :func:`~slidecam.hitset.build_instance` hands out for
     every cross, which ``make_solution`` passes on.  Any other request is
     read id by id: ``ValueError`` for the first id outside 0..n-1.
     """
-    keys = sorted(pix._camera_run(g) if isinstance(g, int) else g.key() for g in guards)
+    keys = sorted(pix._camera_run(g) if isinstance(g, int) else g if isinstance(g, tuple) else g.key()
+                  for g in guards)
     met = [pix.sigma_ids_hit(*key) for key in keys]
     masks = pix._slice_cross_mask
+    hit_sets = []
     covered = 0
-    for sid in {sid for ids in met for sid in ids}:
-        covered |= masks[sid]
+    for ids in met:
+        hit = 0
+        for sid in ids:
+            hit |= masks[sid]
+        hit_sets.append(hit)
+        covered |= hit
     n = len(pix.h_supports)
     wanted = (1 << n) - 1
     if not (xprime is None or xprime is pix._all_crosses):
@@ -1283,7 +1360,8 @@ def verify_cover(pix: Pixelation, guards, xprime: Optional[Iterable[int]] = None
             wanted |= 1 << cid
     return CoverageReport(uncovered=tuple(_bits(wanted & ~covered)),
                           certificate=_Certificate(pix.h_supports, pix.v_supports, keys, met,
-                                                   wanted & covered))
+                                                   wanted & covered),
+                          hit_sets=tuple(hit_sets))
 
 
 def _witnesses(hs: List[int], vs: List[int], keys, met, covered: int) -> Dict[int, tuple]:

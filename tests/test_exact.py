@@ -122,3 +122,6 @@ def test_make_solution_lists_each_camera_once():
     copy = sc.GuardSegment(spine.orientation, spine.anchor, spine.lo, spine.hi)
     by_key = sc.make_solution(pix, every, [copy, spine, copy], "path")
     assert by_key.size == 1 and by_key.cameras == (copy,)
+    # a run's record is built with id -1 and the hit set of the verify's walk
+    by_run = sc.make_solution(pix, every, [spine.key(), copy, spine.key()], "path")
+    assert by_run.size == 1 and by_run.cameras == (sc.GuardSegment(*spine.key(), hit_set=spine.hit_set),)

@@ -380,3 +380,22 @@ def test_path_solve_keeps_at_most_one_pixelation():
     sc.solve_polygon(sc.gen_comb(60), algo="path")
     # the <= 8-vertex pieces' pixelations are throwaway; none of them is kept
     assert sc.pixelate.cache_info().currsize <= 1
+
+
+def test_path_builds_no_segment_tree_and_walks_each_camera_once(monkeypatch):
+    """On path_lb(160) every camera run extends along the slice sides on
+    its line: no stabbing index, no inside spans and no eager hit mask are
+    built, and the final verify walks each camera's midlines once."""
+    masks, walks = [], []
+    hit_mask, walk = sc.Pixelation._segment_hit_mask, sc.Pixelation.sigma_ids_hit
+    monkeypatch.setattr(sc.Pixelation, "_segment_hit_mask",
+                        lambda self, *key: masks.append(key) or hit_mask(self, *key))
+    monkeypatch.setattr(sc.Pixelation, "sigma_ids_hit",
+                        lambda self, *key: walks.append(key) or walk(self, *key))
+    p = sc.gen_path_lb(160)
+    sc.geometry.pixelate.cache_clear()
+    sol = sc.path_guard(p)
+    pix = sc.pixelate(p)
+    assert sol.size == 160
+    assert pix._stabbing == {} and pix._inside_runs == {} and not masks
+    assert sorted(walks) == [g.key() for g in sol.cameras]

@@ -1441,19 +1441,27 @@ def test_lifted_side_guards_match_run_lookup(polygons):
             assert lifted.edges == td.edges, name
 
 
+def _extend_spans(pix, p, rng):
+    """The segments that the extension tests draw: every run along pixel
+    edges, a random sub-span of each, random spans on grid lines and two
+    lines off the grid."""
+    spans = [g.key() for g in pix.raw_guards]
+    for o, a, lo, hi in list(spans):  # sub-spans of every run
+        if hi - lo > 1:
+            lo2 = rng.randint(lo, hi - 1)
+            spans.append((o, a, lo2, rng.randint(lo2 + 1, hi)))
+    spans += [g.key() for g in _ad_hoc_guards(pix, rng, 20)]
+    xl, yl, xh, yh = p.bbox()
+    spans += [(HORIZONTAL, yh + 1, xl, xh), (VERTICAL, xl - 1, yl, yh)]  # off the grid
+    return spans
+
+
 def test_extend_to_maximal_matches_cell_walk(polygons):
     rng = random.Random(29)
     for name, p in polygons.items():
         pix = GridPixelation(p)
         inside = loop_inside(pix)
-        spans = [g.key() for g in pix.raw_guards]
-        for o, a, lo, hi in list(spans):  # sub-spans of every run
-            if hi - lo > 1:
-                lo2 = rng.randint(lo, hi - 1)
-                spans.append((o, a, lo2, rng.randint(lo2 + 1, hi)))
-        spans += [g.key() for g in _ad_hoc_guards(pix, rng, 20)]
-        xl, yl, xh, yh = p.bbox()
-        spans += [(HORIZONTAL, yh + 1, xl, xh), (VERTICAL, xl - 1, yl, yh)]  # off the grid
+        spans = _extend_spans(pix, p, rng)
         for span in spans:
             try:
                 want = loop_extend_to_maximal(pix, inside, *span)
@@ -1462,6 +1470,69 @@ def test_extend_to_maximal_matches_cell_walk(polygons):
                     pix.extend_to_maximal(*span)
                 continue
             assert pix.extend_to_maximal(*span) == want, (name, span)
+
+
+def ref_side_run(pix, orientation, anchor, lo, hi):
+    """The inside span of the line (from ``_inside``) that holds [lo, hi],
+    if a slice side on the line lies in it, else None.  A span that holds a
+    side is a chain of sides; one that holds none is the span of a slice
+    that the line passes through."""
+    runs = pix._inside(orientation, anchor)
+    sides = [side for part in pix._slice_sides(orientation).get(anchor, ()) for side in part]
+    for r0, r1 in zip(runs[::2], runs[1::2]):
+        if r0 <= lo and hi <= r1:
+            return (r0, r1) if any(r0 <= s0 and s1 <= r1 for s0, s1, _ in sides) else None
+    return None
+
+
+def assert_side_runs_match_inside_on_grid_lines(pix, name):
+    """On every grid line of both orientations: each side, and each inside
+    span of ``_inside``, looks up ``ref_side_run``'s answer, and so does
+    each side's and span's low end as a point."""
+    found = collections.Counter()
+    for o, lines in ((VERTICAL, pix.x_cuts), (HORIZONTAL, pix.y_cuts)):
+        for a in lines:
+            runs = pix._inside(o, a)
+            spans = [(lo, hi) for part in pix._slice_sides(o)[a] for lo, hi, _ in part]
+            spans += list(zip(runs[::2], runs[1::2]))
+            for lo, hi in spans:
+                for seg in ((lo, hi), (lo, lo)):
+                    want = ref_side_run(pix, o, a, *seg)
+                    assert pix._side_run(o, a, *seg) == want, (name, o, a, seg)
+                    found[want is not None] += 1
+    return found
+
+
+def test_side_runs_match_inside_spans(polygons):
+    """The side-chain lookup behind ``extend_to_maximal`` returns None, or
+    exactly ``_inside``'s span around the segment, on every grid line of
+    the corpus and for every segment the extension test draws, snapped to
+    the cuts as the extension snaps it.  Both outcomes occur: a segment
+    along pixel edges lies on a chain of slice sides, and one through a
+    slice's interior falls back to ``_inside``."""
+    rng = random.Random(29)  # the extension test's draws
+    found, drawn = collections.Counter(), collections.Counter()
+    for name, p in polygons.items():
+        pix = GridPixelation(p)
+        found += assert_side_runs_match_inside_on_grid_lines(pix, name)
+        for o, a, lo, hi in _extend_spans(pix, p, rng):
+            lines, cuts = (pix.x_cuts, pix.y_cuts) if o == VERTICAL else (pix.y_cuts, pix.x_cuts)
+            if a not in lines:
+                continue
+            lo = cuts[max(0, bisect.bisect_right(cuts, lo) - 1)]
+            hi = cuts[min(len(cuts) - 1, bisect.bisect_left(cuts, hi))]
+            want = ref_side_run(pix, o, a, lo, hi)
+            assert pix._side_run(o, a, lo, hi) == want, (name, o, a, lo, hi)
+            drawn[want is not None] += 1
+    assert found[True] > 1000 and found[False] > 100, found
+    assert drawn[True] > 2000 and drawn[False] > 200, drawn
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_SIZE))
+def test_side_runs_match_inside_spans_at_bench_size(name):
+    pix = sc.Pixelation(_BENCH_SIZE[name]())
+    found = assert_side_runs_match_inside_on_grid_lines(pix, name)
+    assert found[True], found
 
 
 def test_on_boundary_matches_linear_scan():
@@ -2144,6 +2215,38 @@ def test_path_guard_matches_its_steps():
     assert refused >= 30
 
 
+def test_path_cameras_are_the_extended_records():
+    """A path solve carries its cameras as runs, and ``make_solution``
+    builds each record once, with the hit set of the final verify's walk:
+    each camera's ``hit_set`` is ``_segment_hit_mask`` of its key, and each
+    step's camera is the solution's record for its key, equal to what
+    ``extend_to_maximal`` returns for ``guard_small``'s camera of the
+    piece.  With and without remainders, on the per-peel corpus, comb(400)
+    and path_lb(160).  No solve falls back to the stabbing index: every
+    camera run extends along a chain of slice sides."""
+    solved = extended = 0
+    for p in [*_path_corpus(), sc.gen_comb(400), sc.gen_path_lb(160)]:
+        sc.geometry.pixelate.cache_clear()
+        for remainders in (True, False):
+            try:
+                sol, steps = sc.path_guard_steps(p, remainders=remainders)
+            except (sc.NotPathSegmentation, AssertionError):
+                continue
+            pix = sc.pixelate(p)
+            for g in sol.cameras:
+                assert g.id == -1 and g.hit_set == pix._segment_hit_mask(*g.key()), (p, g)
+            records = {g.key(): g for g in sol.cameras}
+            for step in steps:
+                small = sc.guard_small(step.subpolygon)
+                assert step.camera is records[step.camera.key()], p
+                assert step.camera == pix.extend_to_maximal(small.orientation, small.anchor,
+                                                            small.lo, small.hi), p
+            solved += 1
+            extended += len(steps) + 1
+        assert sc.pixelate(p)._stabbing == {}, p
+    assert solved > 600 and extended > 5000, (solved, extended)
+
+
 def test_small_guard_memo_stays_bounded(monkeypatch):
     """Every piece of the per-peel corpus is looked up among the 43 rank types."""
     monkeypatch.setattr(gallery, "_SMALL_GUARDS", {})
@@ -2153,6 +2256,31 @@ def test_small_guard_memo_stays_bounded(monkeypatch):
         except AssertionError:
             pass
     assert 10 <= len(gallery._SMALL_GUARDS) <= 43
+
+
+def ref_slice_sides(pix, orientation):
+    """The slice sides per grid line by ``setdefault`` and a sort of both lists."""
+    out = {}
+    for sid, (a0, lo, a1, hi) in enumerate(pix._chains[orientation]):
+        out.setdefault(a1, ([], []))[0].append((lo, hi, sid))
+        out.setdefault(a0, ([], []))[1].append((lo, hi, sid))
+    for ending, starting in out.values():
+        ending.sort()
+        starting.sort()
+    return out
+
+
+def test_slice_sides_match_sorted_reference(polygons):
+    """The kept slice sides, whose starting lists come unsorted in rect
+    order, are the reference's: the same lines in the same order, the same
+    lists.  A second read returns the kept dict."""
+    shapes = [*polygons.values(), *(make() for make in _BENCH_SIZE.values())]
+    for p in shapes:
+        pix = sc.Pixelation(p)
+        for o in (VERTICAL, HORIZONTAL):
+            sides = pix._slice_sides(o)
+            assert list(sides.items()) == list(ref_slice_sides(pix, o).items()), (p, o)
+            assert pix._slice_sides(o) is sides
 
 
 def test_slice_path_matches_path_order_reference(polygons):

@@ -614,10 +614,11 @@ def path_guard_steps(poly: OrthoPolygon, remainders: bool = True
     ``remainders`` is true; :func:`path_guard` asks for none.  Only the
     input is pixelated: each piece's camera run, the last piece's included,
     is :func:`guard_small`'s, looked up by the piece's rank type, one of 43
-    (:func:`_small_guard`), with no record built.  That run is extended to a
-    maximal run of the input by bisection in the slice sides on its line
-    (:meth:`Pixelation._maximal_run`), so no segment tree is built, and
-    the solve carries runs.  ``make_solution`` lists a camera that serves
+    (:func:`_small_guard`), with no record built.  That run lies along
+    pixel edges, so :meth:`Pixelation._maximal_run` extends it to a maximal
+    run of the input along the chain of slice sides on its line, found by
+    bisection (:meth:`Pixelation._inside_run`): no segment tree is built,
+    and the solve carries runs.  ``make_solution`` lists a camera that serves
     several pieces once and builds each camera's record once, its hit set
     from the final verify's walk over its midlines; the steps share those
     records.

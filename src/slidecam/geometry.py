@@ -649,19 +649,6 @@ def _rect(orientation: str, chain: Tuple[int, int, int, int]) -> Rect:
     return chain if orientation == VERTICAL else (lo, a0, hi, a1)
 
 
-def _merge_spans(spans: Iterable[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
-    """Closed spans (line, lo, hi), sorted, merged where they overlap or
-    touch on one line."""
-    out: List[Tuple[int, int, int]] = []
-    for a, lo, hi in spans:
-        if out and out[-1][0] == a and lo <= out[-1][2]:
-            if hi > out[-1][2]:
-                out[-1] = (a, out[-1][1], hi)
-        else:
-            out.append((a, lo, hi))
-    return out
-
-
 def _side_contacts(sides: Mapping[int, Tuple[list, list]]) -> Iterator[Tuple[int, int]]:
     """The pairs (a, b) of slices that share part of a side, each once:
     per grid line of ``sides`` (as :meth:`Pixelation._slice_sides` gives
@@ -741,15 +728,16 @@ class Pixelation:
     record of one camera (``make_solution``, for the cameras it returns,
     and ``guard_small``).  What else only some callers read is
     derived on first read and kept too: ``pixels`` (render),
-    ``slices_v`` and ``slices_h`` (:func:`segmentation`),
-    ``reflex_vertices`` (tests; ``path`` reads the slice sides per line
-    instead), the slice sides per line (:meth:`_slice_sides`, per
-    orientation; ``path``, :meth:`slice_dual` and
-    :meth:`extend_to_maximal`), the stabbing index behind :meth:`_inside`
-    (per orientation; ``verify``, and :meth:`extend_to_maximal` for a
-    segment that no chain of slice sides holds), and ``dual_edges`` and
-    ``side_guards`` (``dp``'s lifted fallback and tests; the former also
-    :func:`gen_thin_tree`).
+    ``slices_v`` and ``slices_h`` (:func:`segmentation`), the slice sides
+    per line (:meth:`_slice_sides`, per orientation; ``path``,
+    :meth:`slice_dual` and :meth:`_inside_run`), the stabbing index
+    (:meth:`_stabbing_index`, per orientation; :meth:`_inside_run` for a
+    point that no chain of slice sides holds, so only for a segment
+    through a slice's interior), and ``dual_edges`` and ``side_guards``
+    (``dp``'s lifted fallback and tests; the former also
+    :func:`gen_thin_tree`).  Nothing is kept per line or per segment:
+    :meth:`_inside_run`, behind ``verify``'s :meth:`contains_segment` and
+    ``path``'s :meth:`_maximal_run`, answers each point afresh.
     """
 
     def __init__(self, polygon: OrthoPolygon):
@@ -766,30 +754,9 @@ class Pixelation:
         self.y_cuts: List[int] = list(self._h_spans)
         self._build_slices()
         self._build_pixels()
-        # kept by the lookups: the slice sides and the stabbing index per
-        # orientation, inside runs per line, cameras per span
+        # kept by the lookups: the slice sides and the stabbing index per orientation
         self._sides: Dict[str, Dict[int, Tuple[list, list]]] = {}
         self._stabbing: Dict[str, Tuple[List[int], int, Dict[int, list]]] = {}
-        self._inside_runs: Dict[Tuple[str, int], List[int]] = {}
-        self._maximal: Dict[Tuple[str, int, int, int], GuardSegment] = {}
-
-    @functools.cached_property
-    def _reflex(self) -> List[Vertex]:
-        """Reflex vertices ring by ring, in ring order, holes included."""
-        out = []
-        for ring in self.polygon.rings():
-            n = len(ring)
-            for i in range(n):
-                a, b, c = ring[(i - 1) % n], ring[i], ring[(i + 1) % n]
-                abx, aby = b[0] - a[0], b[1] - a[1]
-                bcx, bcy = c[0] - b[0], c[1] - b[1]
-                if abx * bcy - aby * bcx < 0:
-                    out.append(b)
-        return out
-
-    @property
-    def reflex_vertices(self) -> List[Vertex]:
-        return list(self._reflex)
 
     def on_boundary(self, pt: Vertex) -> bool:
         x, y = pt
@@ -1122,8 +1089,11 @@ class Pixelation:
         is the bottom-up one over the leaves (node i has children 2i and
         2i + 1, leaf t is node leaves + t); each slice's span (lo, hi) is
         kept in the O(log m) nodes whose leaf ranges make up its range
-        across [a0, a1], and only nodes that hold a span are stored.  See
-        de Berg et al., *Computational Geometry*, 3rd ed., section 10.3.
+        across [a0, a1], and only nodes that hold a span are stored.  The
+        spans on the path from a line's leaf to the root are those of the
+        slices whose closed range across holds the line, each once
+        (:meth:`_inside_run` reads them).  See de Berg et al.,
+        *Computational Geometry*, 3rd ed., section 10.3.
         """
         index = self._stabbing.get(orientation)
         if index is None:
@@ -1145,31 +1115,6 @@ class Pixelation:
             index = self._stabbing[orientation] = (lines, leaves, nodes)
         return index
 
-    def _inside(self, orientation: str, anchor: int) -> List[int]:
-        """The closed spans of the line at ``anchor`` that lie in the closed
-        polygon, as [lo0, hi0, lo1, hi1, ...], strictly increasing.
-
-        They are the spans of the slices of the same orientation whose
-        closed range across holds the line, merged.  The line need not be a
-        grid line.  Its slices are read off the nodes on the path from its
-        leaf to the root of :meth:`_stabbing_index`, in O(log m + k log k)
-        for m grid lines and the k slices that hold it, and its spans are
-        kept.
-        """
-        runs = self._inside_runs.get((orientation, anchor))
-        if runs is None:
-            lines, leaves, nodes = self._stabbing_index(orientation)
-            k = bisect_left(lines, anchor)
-            i = leaves + 2 * k + (k < len(lines) and lines[k] == anchor)
-            spans = []
-            while i:
-                spans += nodes.get(i, ())
-                i >>= 1
-            merged = _merge_spans(sorted((anchor, lo, hi) for lo, hi in spans))
-            runs = [t for _, lo, hi in merged for t in (lo, hi)]
-            self._inside_runs[orientation, anchor] = runs
-        return runs
-
     def _side_run(self, orientation: str, anchor: int, lo: int, hi: int) -> Optional[Tuple[int, int]]:
         """The span of the chain of slice sides on grid line ``anchor`` that
         holds [lo, hi], or None if no chain holds it.
@@ -1182,12 +1127,8 @@ class Pixelation:
         chain's top can carry it higher, and only the last with lo below
         its bottom can carry it lower.
 
-        A chain that holds the segment is its maximal inside run.  The
-        line's inside spans are the sides on it and the spans of the slices
-        it passes through.  Such a slice is closed off at both ends of its
-        span by edges across the line, with the outside beyond, so no other
-        slice's side on the line touches it, and beyond a chain's end the
-        line leaves P.
+        A chain that holds the segment is its maximal inside run: beyond a
+        chain's end the line leaves P (see :meth:`_inside_run`).
         """
         sides = self._slice_sides(orientation).get(anchor)
         if sides is None:
@@ -1214,56 +1155,66 @@ class Pixelation:
             return None
         return bottom, top
 
+    def _inside_run(self, orientation: str, anchor: int, t: int) -> Optional[Tuple[int, int]]:
+        """The maximal inside run (lo, hi) of the line at ``anchor`` that
+        holds the point ``t``, or None if the point is outside the closed
+        polygon.  The line need not be a grid line.
+
+        The line's inside runs are the chains of slice sides on it
+        (:meth:`_side_run`) and the spans of the slices of its orientation
+        that it passes through.  Such a slice is closed off at both ends of
+        its span by edges across the line, with the outside beyond, so its
+        span is a whole inside run and touches no other span or slice side
+        on the line; so beyond a chain's end, too, the line leaves P.  If no
+        chain holds ``t``, the run is the first span that holds it on the
+        path from the line's leaf to the root of :meth:`_stabbing_index`,
+        which is a passing slice's, since no slice side holds ``t``: O(log m
+        + k) for m grid lines and the k slices that hold the line, with
+        nothing sorted, merged or kept.
+        """
+        run = self._side_run(orientation, anchor, t, t)
+        if run is not None:
+            return run
+        lines, leaves, nodes = self._stabbing_index(orientation)
+        k = bisect_left(lines, anchor)
+        i = leaves + 2 * k + (k < len(lines) and lines[k] == anchor)
+        while i:
+            for lo, hi in nodes.get(i, ()):
+                if lo <= t <= hi:
+                    return lo, hi
+            i >>= 1
+        return None
+
     def _maximal_run(self, orientation: str, anchor: int, lo: int, hi: int) -> Tuple[str, int, int, int]:
-        """The run (orientation, anchor, lo, hi) of :meth:`extend_to_maximal`'s
-        camera, with no record built."""
+        """The maximal camera run (orientation, anchor, lo, hi) through a
+        segment on a grid line, with no record built.
+
+        Span endpoints may fall between grid cuts; in-polygon membership is
+        uniform within a unit segment, so each end first snaps outward to a
+        cut.  Then each end that lies in the closed polygon moves to the far
+        end of the inside run that holds it (:meth:`_inside_run`); the run
+        that holds ``hi`` is looked up only if the one that holds ``lo`` does
+        not.  A segment along pixel edges, as every ``path`` camera is,
+        extends along the chain of slice sides on its line, with no segment
+        tree built.
+        """
         lines, cuts = (self.x_cuts, self.y_cuts) if orientation == VERTICAL else (self.y_cuts, self.x_cuts)
         k = bisect_left(lines, anchor)
         if k == len(lines) or lines[k] != anchor:
             raise ValueError(f"{orientation} line at {anchor} is not a grid line")
         lo = cuts[max(0, bisect_right(cuts, lo) - 1)]
         hi = cuts[min(len(cuts) - 1, bisect_left(cuts, hi))]
-        run = self._side_run(orientation, anchor, lo, hi)
-        if run is not None:
-            return (orientation, anchor, *run)
-        runs = self._inside(orientation, anchor)
-        # the unit below lo is inside iff an odd number of run ends are < lo,
-        # the unit above hi iff an odd number are <= hi
-        i = bisect_left(runs, lo)
-        if i & 1:
-            lo = runs[i - 1]
-        i = bisect_right(runs, hi)
-        if i & 1:
-            hi = runs[i]
-        return (orientation, anchor, lo, hi)
-
-    def extend_to_maximal(self, orientation: str, anchor: int, lo: int, hi: int) -> GuardSegment:
-        """Extend a grid-line segment inside the closed polygon as far as possible.
-
-        Span endpoints may fall between grid cuts; in-polygon membership is
-        uniform within a unit segment, so each end first snaps outward to a
-        cut.  A segment that a chain of slice sides on its line holds
-        extends to that chain (:meth:`_side_run`).  Otherwise, as for a
-        segment through a slice's interior, each end moves to the far end
-        of the line's inside span (see :meth:`_inside`) that holds the unit
-        beyond it, found by bisection.  The camera on each maximal span,
-        with its hit mask, is built once and kept: many segments extend to
-        the same one (a comb's spine).
-        """
-        key = self._maximal_run(orientation, anchor, lo, hi)
-        camera = self._maximal.get(key)
-        if camera is None:
-            camera = self._maximal[key] = GuardSegment(*key, id=-1, hit_set=self._segment_hit_mask(*key))
-        return camera
+        first = last = self._inside_run(orientation, anchor, lo)
+        if first is None or not first[0] <= hi <= first[1]:
+            last = self._inside_run(orientation, anchor, hi)
+        return (orientation, anchor, lo if first is None else first[0], hi if last is None else last[1])
 
     def contains_segment(self, orientation: str, anchor: int, lo: int, hi: int) -> bool:
-        """Whether the segment, on a grid line or between two, lies in the
-        closed polygon: in one inside span of its line (see :meth:`_inside`)."""
-        runs = self._inside(orientation, anchor)
-        i = bisect_right(runs, lo)
-        if i & 1:
-            return hi <= runs[i]
-        return lo == hi and i > 0 and runs[i - 1] == lo
+        """Whether the segment (lo <= hi), on a grid line or between two,
+        lies in the closed polygon: whether the inside run that holds ``lo``
+        (:meth:`_inside_run`) reaches ``hi``."""
+        run = self._inside_run(orientation, anchor, lo)
+        return run is not None and hi <= run[1]
 
     def slice_dual(self, orientation: str) -> Dict[int, set]:
         """Slice ids of one segmentation, adjacent iff the slices share part

@@ -175,6 +175,19 @@ def ref_counts(poly: sc.OrthoPolygon):
     return (len(set(vcomp.values())), len(set(hcomp.values())), len(pixels))
 
 
+def reflex_vertices(poly: sc.OrthoPolygon):
+    """Reflex vertices ring by ring, in ring order, holes included: those
+    where the ring turns clockwise."""
+    out = []
+    for ring in poly.rings():
+        n = len(ring)
+        for i in range(n):
+            a, b, c = ring[(i - 1) % n], ring[i], ring[(i + 1) % n]
+            if (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) < 0:
+                out.append(b)
+    return out
+
+
 def ref_path_order(adj):
     """Vertex order of a path graph given as {vertex: set of neighbours},
     from its smaller end, or None if the graph is not a path."""
@@ -248,3 +261,10 @@ def with_leaf_bags(td, H):
         edges.append((next(i for i, bag in enumerate(bags) if supports <= bag), len(bags)))
         bags.append(supports | {("c", c)})
     return sc.TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
+
+
+def extend_to_maximal(pix, orientation, anchor, lo, hi):
+    """The maximal camera through a segment on a grid line, with its hit
+    mask: the record of the library's ``_maximal_run``, built afresh."""
+    key = pix._maximal_run(orientation, anchor, lo, hi)
+    return sc.GuardSegment(*key, id=-1, hit_set=pix._segment_hit_mask(*key))

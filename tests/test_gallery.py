@@ -7,7 +7,7 @@ from slidecam import gallery
 from slidecam.gallery import _boundary_corners
 from slidecam.treewidth import dual_graph, is_tree
 
-from conftest import LSHAPE, RECT, oriented_instance, ref_path_order
+from conftest import LSHAPE, RECT, oriented_instance, ref_path_order, reflex_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_guard_small_rotation_case():
     p = sc.validate_polygon([[(0, 0), (3, 0), (3, 2), (2, 2), (2, 4), (3, 4),
                               (3, 6), (0, 6)]])
     pix = sc.pixelate(p)
-    refl = pix.reflex_vertices
+    refl = reflex_vertices(p)
     assert len(refl) == 2 and refl[0][0] == refl[1][0]
     g = sc.guard_small(p)
     assert sc.verify_cover(pix, [g]).covered
@@ -384,8 +384,8 @@ def test_path_solve_keeps_at_most_one_pixelation():
 
 def test_path_builds_no_segment_tree_and_walks_each_camera_once(monkeypatch):
     """On path_lb(160) every camera run extends along the slice sides on
-    its line: no stabbing index, no inside spans and no eager hit mask are
-    built, and the final verify walks each camera's midlines once."""
+    its line: no stabbing index and no eager hit mask are built, and the
+    final verify walks each camera's midlines once."""
     masks, walks = [], []
     hit_mask, walk = sc.Pixelation._segment_hit_mask, sc.Pixelation.sigma_ids_hit
     monkeypatch.setattr(sc.Pixelation, "_segment_hit_mask",
@@ -397,5 +397,5 @@ def test_path_builds_no_segment_tree_and_walks_each_camera_once(monkeypatch):
     sol = sc.path_guard(p)
     pix = sc.pixelate(p)
     assert sol.size == 160
-    assert pix._stabbing == {} and pix._inside_runs == {} and not masks
+    assert pix._stabbing == {} and not masks
     assert sorted(walks) == [g.key() for g in sol.cameras]

@@ -7,7 +7,8 @@ import slidecam as sc
 from slidecam.exact import make_solution
 from slidecam.geometry import GuardSegment
 
-from conftest import LSHAPE, NOTCHED_HOLE, RECT, ref_counts, ref_path_order, ref_point_inside
+from conftest import (LSHAPE, NOTCHED_HOLE, RECT, extend_to_maximal, ref_counts, ref_path_order,
+                      ref_point_inside, reflex_vertices)
 from test_reference_equivalence import GridPixelation, loop_verify_cover
 
 
@@ -24,8 +25,7 @@ def test_validate_rectangle():
 def test_validate_lshape_reflex():
     p = sc.validate_polygon(LSHAPE)
     assert p.n == 6
-    pix = sc.pixelate(p)
-    assert pix.reflex_vertices == [(1, 1)]
+    assert reflex_vertices(p) == [(1, 1)]
 
 
 def test_validate_diagonal_rejected():
@@ -253,7 +253,7 @@ def test_lshape_hits_examples():
 def test_guard_maximality_on_lshape():
     pix = sc.pixelate(sc.validate_polygon(LSHAPE))
     for g in pix.guards:
-        ext = pix.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi)
+        ext = extend_to_maximal(pix, g.orientation, g.anchor, g.lo, g.hi)
         assert (ext.lo, ext.hi) == (g.lo, g.hi)
 
 
@@ -298,7 +298,7 @@ def test_parallel_shift_maximality(corpus):
             lo = g.lo + rng.randint(0, units - 1) if units > 1 else g.lo
             hi = rng.randint(lo + 1, g.hi)
             sub = GuardSegment(orientation=g.orientation, anchor=g.anchor, lo=lo, hi=hi)
-            ext = pix.extend_to_maximal(g.orientation, g.anchor, lo, hi)
+            ext = extend_to_maximal(pix, g.orientation, g.anchor, lo, hi)
             assert sc.visible_region(pix, sub) <= sc.visible_region(pix, ext), name
 
 
@@ -595,3 +595,18 @@ def test_contains_segment_matches_point_sampling(corpus):
             hi = rng.choice([lo, rng.randint(lo, s_hi + 1)])
             want = _ref_segment_in_closed_polygon(poly, o, anchor, lo, hi)
             assert pix.contains_segment(o, anchor, lo, hi) == want, (name, o, anchor, lo, hi)
+
+
+@pytest.mark.parametrize("gen, args, algo", [("gen_path_lb", (160,), "path"), ("gen_comb", (400,), "path"),
+                                             ("gen_random_simple", (160, 0), "greedy")])
+def test_contains_segment_on_solver_covers_builds_no_segment_tree(gen, args, algo):
+    """``verify``'s input check on a solver's cover: every camera runs
+    along pixel edges, so each lies in a chain of slice sides on its line,
+    and neither the solve nor the check builds the stabbing index."""
+    p = getattr(sc, gen)(*args)
+    sc.geometry.pixelate.cache_clear()
+    sol, _ = sc.solve_polygon(p, algo=algo)
+    pix = sc.pixelate(p)
+    assert sol.size > 1
+    assert all(pix.contains_segment(*g.key()) for g in sol.cameras)
+    assert pix._stabbing == {}

@@ -87,7 +87,8 @@ from slidecam.treewidth import (
     validate_decomposition,
 )
 
-from conftest import oriented_instance, ref_path_order, support_of, with_leaf_bags
+from conftest import (extend_to_maximal, oriented_instance, ref_path_order, reflex_vertices,
+                      support_of, with_leaf_bags)
 from test_approx import weighted_instances
 from test_fuzz import gen_random_holed
 from test_gallery import _spiral_cells, enumerate_small_polygons, staircase_polygon
@@ -584,13 +585,26 @@ class GridPixelation(sc.Pixelation):
         return [sc.GuardSegment(*run, hit_set=mask) for run, mask in self._masked_runs]
 
 
+def merge_spans(spans):
+    """Closed spans (line, lo, hi), sorted, merged where they overlap or
+    touch on one line."""
+    out = []
+    for a, lo, hi in spans:
+        if out and out[-1][0] == a and lo <= out[-1][2]:
+            if hi > out[-1][2]:
+                out[-1] = (a, out[-1][1], hi)
+        else:
+            out.append((a, lo, hi))
+    return out
+
+
 def sweep_runs(pix):
     """Runs along pixel edges, in key order: the sides of the slices on each
     grid line, merged where they touch, without tagging them by slice."""
     out = []
     for o in (HORIZONTAL, VERTICAL):
         chains = pix._chains[o]
-        out += [(o, *run) for run in sc.geometry._merge_spans(sorted(
+        out += [(o, *run) for run in merge_spans(sorted(
             [(a0, lo, hi) for a0, lo, _, hi in chains] + [(a1, lo, hi) for _, lo, a1, hi in chains]))]
     return out
 
@@ -696,7 +710,6 @@ class CellPixelation(sc.Pixelation):
         self._cell_pixels()
         self._cell_guards()
         self._inside_runs = {}
-        self._maximal = {}
 
     def _empty_grid(self):
         return [[-1] * (len(self.y_cuts) - 1) for _ in range(len(self.x_cuts) - 1)]
@@ -1122,7 +1135,7 @@ def loop_path_guard_steps(poly):
     while True:
         if cur.n <= 8:
             g = loop_guard_small(cur)
-            cameras.append(pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi))
+            cameras.append(extend_to_maximal(pix0, g.orientation, g.anchor, g.lo, g.hi))
             break
         pix = GridPixelation(cur)
         order = ref_path_order(sc.segmentation_dual(cur, orientation))
@@ -1137,14 +1150,14 @@ def loop_path_guard_steps(poly):
         else:
             y, lo, hi = max(r1[1], r2[1]), max(r1[0], r2[0]), min(r1[2], r2[2])
             endpoints = [(lo, y), (hi, y)]
-        reflex = set(pix.reflex_vertices)
+        reflex = set(reflex_vertices(cur))
         take = 2 if all(p in reflex for p in endpoints) else 3
         take = min(take, len(order) - 1)
         sub = loop_subpolygon_of_slices(pix, order[:take], vertical)
         if sub.n > 8:
             raise AssertionError(f"peeled piece has {sub.n} > 8 vertices")
         g = loop_guard_small(sub)
-        camera = pix0.extend_to_maximal(g.orientation, g.anchor, g.lo, g.hi)
+        camera = extend_to_maximal(pix0, g.orientation, g.anchor, g.lo, g.hi)
         cameras.append(camera)
         remainder = loop_subpolygon_of_slices(pix, order[take:], vertical)
         if remainder.n > cur.n - 6:
@@ -1291,7 +1304,7 @@ def assert_matches_cell_oracle(p, name, rng):
             spans.append((o, a, lo2, rng.randint(lo2 + 1, hi)))
     spans += [g.key() for g in _ad_hoc_guards(pix, rng, 40)]
     for span in spans:
-        assert pix.extend_to_maximal(*span) == cell.extend_to_maximal(*span), (name, span)
+        assert extend_to_maximal(pix, *span) == cell.extend_to_maximal(*span), (name, span)
     xl, yl, xh, yh = p.bbox()
     for _ in range(200):
         o = rng.choice((HORIZONTAL, VERTICAL))
@@ -1371,26 +1384,45 @@ def test_tables_match_records_at_bench_size(name):
     assert_tables_match_records(_BENCH_SIZE[name](), name)
 
 
-def assert_inside_matches_line_scan(p, name):
-    """``_inside`` from the stabbing index equals the scan over every slice,
-    in both orientations, on every grid line, on one anchor between each
-    two adjacent lines that have one, and past both outer lines."""
+def assert_inside_runs_match_line_scan(p, name):
+    """``_inside_run`` answers the run of the scan over every slice
+    (``loop_inside_spans``) that holds the point, or None, in both
+    orientations, on every grid line, on one anchor between each two
+    adjacent lines that have one, and past both outer lines: at both ends
+    of each run and at a point inside it, and at a point in each gap
+    between runs and past both ends.  Returns how many points each branch
+    answered: a chain of slice sides, a slice that the line passes
+    through, or neither."""
     pix = sc.Pixelation(p)
-    for o, lines in ((VERTICAL, pix.x_cuts), (HORIZONTAL, pix.y_cuts)):
+    found = collections.Counter()
+    for o, lines, cuts in ((VERTICAL, pix.x_cuts, pix.y_cuts), (HORIZONTAL, pix.y_cuts, pix.x_cuts)):
         anchors = [lines[0] - 1, *lines, lines[-1] + 1]
         anchors += [(a + b) // 2 for a, b in zip(lines, lines[1:]) if b - a > 1]
         for a in anchors:
-            assert pix._inside(o, a) == loop_inside_spans(pix, o, a), (name, o, a)
+            runs = loop_inside_spans(pix, o, a)
+            gaps = [cuts[0] - 2, *runs, cuts[-1] + 2]
+            points = {(g0 + g1) // 2: None for g0, g1 in zip(gaps[::2], gaps[1::2]) if g1 - g0 > 1}
+            points.update({t: (r0, r1) for r0, r1 in zip(runs[::2], runs[1::2])
+                           for t in (r0, (r0 + r1) // 2, r1)})
+            for t, want in points.items():
+                assert pix._inside_run(o, a, t) == want, (name, o, a, t)
+                found["side" if pix._side_run(o, a, t, t) else "slice" if want else "none"] += 1
+    return found
 
 
 def test_inside_spans_match_line_scan(polygons):
+    found = collections.Counter()
     for name, p in polygons.items():
-        assert_inside_matches_line_scan(p, name)
+        found += assert_inside_runs_match_line_scan(p, name)
+    assert found["side"] > 1000 and found["slice"] > 100 and found["none"] > 100, found
 
 
 @pytest.mark.parametrize("name", sorted(_BENCH_SIZE))
 def test_inside_spans_match_line_scan_at_bench_size(name):
-    assert_inside_matches_line_scan(_BENCH_SIZE[name](), name)
+    """Both branches answer on each shape but comb(200), where every line
+    checked lies on its slices' sides."""
+    found = assert_inside_runs_match_line_scan(_BENCH_SIZE[name](), name)
+    assert found["side"] and found["none"] and (found["slice"] or name == "comb200"), found
 
 
 def assert_masked_runs_match_hit_mask_sweep(p, name):
@@ -1467,17 +1499,17 @@ def test_extend_to_maximal_matches_cell_walk(polygons):
                 want = loop_extend_to_maximal(pix, inside, *span)
             except ValueError:
                 with pytest.raises(ValueError):
-                    pix.extend_to_maximal(*span)
+                    extend_to_maximal(pix, *span)
                 continue
-            assert pix.extend_to_maximal(*span) == want, (name, span)
+            assert extend_to_maximal(pix, *span) == want, (name, span)
 
 
 def ref_side_run(pix, orientation, anchor, lo, hi):
-    """The inside span of the line (from ``_inside``) that holds [lo, hi],
-    if a slice side on the line lies in it, else None.  A span that holds a
-    side is a chain of sides; one that holds none is the span of a slice
-    that the line passes through."""
-    runs = pix._inside(orientation, anchor)
+    """The inside span of the line (``loop_inside_spans``) that holds
+    [lo, hi], if a slice side on the line lies in it, else None.  A span
+    that holds a side is a chain of sides; one that holds none is the span
+    of a slice that the line passes through."""
+    runs = loop_inside_spans(pix, orientation, anchor)
     sides = [side for part in pix._slice_sides(orientation).get(anchor, ()) for side in part]
     for r0, r1 in zip(runs[::2], runs[1::2]):
         if r0 <= lo and hi <= r1:
@@ -1487,12 +1519,12 @@ def ref_side_run(pix, orientation, anchor, lo, hi):
 
 def assert_side_runs_match_inside_on_grid_lines(pix, name):
     """On every grid line of both orientations: each side, and each inside
-    span of ``_inside``, looks up ``ref_side_run``'s answer, and so does
-    each side's and span's low end as a point."""
+    span of ``loop_inside_spans``, looks up ``ref_side_run``'s answer, and
+    so does each side's and span's low end as a point."""
     found = collections.Counter()
     for o, lines in ((VERTICAL, pix.x_cuts), (HORIZONTAL, pix.y_cuts)):
         for a in lines:
-            runs = pix._inside(o, a)
+            runs = loop_inside_spans(pix, o, a)
             spans = [(lo, hi) for part in pix._slice_sides(o)[a] for lo, hi, _ in part]
             spans += list(zip(runs[::2], runs[1::2]))
             for lo, hi in spans:
@@ -1504,12 +1536,12 @@ def assert_side_runs_match_inside_on_grid_lines(pix, name):
 
 
 def test_side_runs_match_inside_spans(polygons):
-    """The side-chain lookup behind ``extend_to_maximal`` returns None, or
-    exactly ``_inside``'s span around the segment, on every grid line of
-    the corpus and for every segment the extension test draws, snapped to
-    the cuts as the extension snaps it.  Both outcomes occur: a segment
+    """The side-chain lookup behind ``_inside_run`` returns None, or
+    exactly ``loop_inside_spans``'s span around the segment, on every grid
+    line of the corpus and for every segment the extension test draws,
+    snapped to the cuts as the extension snaps it.  Both outcomes occur: a segment
     along pixel edges lies on a chain of slice sides, and one through a
-    slice's interior falls back to ``_inside``."""
+    slice's interior falls back to the stabbing index."""
     rng = random.Random(29)  # the extension test's draws
     found, drawn = collections.Counter(), collections.Counter()
     for name, p in polygons.items():
@@ -2239,8 +2271,8 @@ def test_path_cameras_are_the_extended_records():
             for step in steps:
                 small = sc.guard_small(step.subpolygon)
                 assert step.camera is records[step.camera.key()], p
-                assert step.camera == pix.extend_to_maximal(small.orientation, small.anchor,
-                                                            small.lo, small.hi), p
+                assert step.camera == extend_to_maximal(pix, small.orientation, small.anchor,
+                                                        small.lo, small.hi), p
             solved += 1
             extended += len(steps) + 1
         assert sc.pixelate(p)._stabbing == {}, p
@@ -2317,7 +2349,7 @@ def test_reflex_at_matches_reflex_vertices(polygons, monkeypatch):
     strictly inside an edge included; no seam ends at a convex vertex."""
     for p in [*polygons.values(), *_path_corpus()]:
         pix = sc.pixelate(p)
-        reflex = set(pix.reflex_vertices)
+        reflex = set(reflex_vertices(p))
         for o, ends in ((VERTICAL, pix._v_spans), (HORIZONTAL, pix._h_spans)):
             sides = pix._slice_sides(o)
             for ring in p.rings():
@@ -2343,7 +2375,7 @@ def test_reflex_at_matches_reflex_vertices(polygons, monkeypatch):
         vertical = ref_path_order(pix.slice_dual(VERTICAL)) is not None
         ends = pix._v_spans if vertical else pix._h_spans
         sides = pix._slice_sides(VERTICAL if vertical else HORIZONTAL)
-        reflex = set(pix.reflex_vertices)
+        reflex = set(reflex_vertices(p))
         for a, c0, c1 in met:
             for c in (c0, c1):
                 t = (a, c) if vertical else (c, a)

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from typing import Dict, Optional, Sequence, Tuple
 
 from .approx import DEFAULT_NET_CONSTANT, DEFAULT_ROUND_CONSTANT
 from .errors import (
@@ -68,7 +69,8 @@ def _read_cameras(path: str, pix: Pixelation) -> list[GuardSegment]:
 
 
 def _dump_json(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # no indent: json then encodes in C
+    text = json.dumps(obj, sort_keys=True) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -246,15 +248,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built once per process; parsing leaves it unchanged."""
-    return build_parser()
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parser of ``main`` and its command parsers by name, built once per
+    process; parsing leaves them unchanged."""
+    top = build_parser()
+    return top, next(a.choices for a in top._actions if a.dest == "command")
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser parses it, in one pass when
+    it starts with a command: the top-level parser hands everything after
+    the command to that command's parser.  Only an argv without a command
+    (none, ``-h`` or an unknown one) or with arguments the command's parser
+    leaves over goes through the top-level parser, which then answers or
+    refuses them with its own usage."""
+    top, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return top.parse_args(argv)
 
 
 def main(argv=None) -> int:
     level = os.environ.get("SLIDECAM_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (PolygonError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:

@@ -13,7 +13,6 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -226,26 +225,18 @@ def _try_random_simple(n: int, rng: random.Random) -> Optional[OrthoPolygon]:
         return None
 
 
-def _ring_dirs(ring, i):
-    n = len(ring)
-    p, v, q = ring[(i - 1) % n], ring[i], ring[(i + 1) % n]
-    d1 = (_sign(v[0] - p[0]), _sign(v[1] - p[1]))
-    d2 = (_sign(q[0] - v[0]), _sign(q[1] - v[1]))
-    return p, v, q, d1, d2
-
-
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _chain_meets(chain, a: Cell, b: Cell) -> bool:
-    """Does the polyline through ``chain`` meet the closed box with opposite
-    corners ``a`` and ``b``?  An axis-parallel edge meets it iff, on both
-    axes, neither side of the box has both of the edge's ends beyond it."""
+def _ring_meets(ring, start: int, edges: int, a: Cell, b: Cell) -> bool:
+    """Do the ``edges`` edges of ``ring`` that follow vertex ``start`` meet
+    the closed box with opposite corners ``a`` and ``b``?  An axis-parallel
+    edge meets it iff, on both axes, neither side of the box has both of the
+    edge's ends beyond it.  ``start + edges`` is below ``2 * len(ring)``, so
+    ``ring[k - len(ring)]`` is vertex k around the ring."""
     x0, x1 = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
     y0, y1 = (a[1], b[1]) if a[1] < b[1] else (b[1], a[1])
-    px, py = chain[0]
-    for x, y in islice(chain, 1, None):
+    n = len(ring)
+    px, py = ring[start - n]
+    for k in range(start + 1 - n, start + edges + 1 - n):
+        x, y = ring[k]
         if ((px <= x1 or x <= x1) and (px >= x0 or x >= x0)
                 and (py <= y1 or y <= y1) and (py >= y0 or y >= y0)):
             return True
@@ -257,42 +248,43 @@ def _corner_notch(ring, rng) -> Optional[List[Tuple[int, int]]]:
     """The ring with box [v, M] cut off convex corner v, or None if it does not fit."""
     n = len(ring)
     i = rng.randrange(n)
-    p, v, q, d1, d2 = _ring_dirs(ring, i)
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    if cross <= 0:  # only convex corners (outer ring is CCW)
+    (px, py), (vx, vy), (qx, qy) = ring[i - 1], ring[i], ring[i + 1 - n]
+    # only convex corners (outer ring is CCW): the edges are axis-parallel,
+    # so this cross product has the sign of the turn at v
+    if (vx - px) * (qy - vy) <= (vy - py) * (qx - vx):
         return None
-    len1 = abs(v[0] - p[0]) + abs(v[1] - p[1])
-    len2 = abs(q[0] - v[0]) + abs(q[1] - v[1])
+    len1 = abs(vx - px) + abs(vy - py)
+    len2 = abs(qx - vx) + abs(qy - vy)
     if len1 < 2 or len2 < 2:
         return None
     a = rng.randint(1, min(3, len1 - 1))
     b = rng.randint(1, min(3, len2 - 1))
-    A = (v[0] - a * d1[0], v[1] - a * d1[1])
-    M = (A[0] + b * d2[0], A[1] + b * d2[1])
-    C = (v[0] + b * d2[0], v[1] + b * d2[1])
-    if _chain_meets(ring[i + 1:] + ring[:i], v, M):  # every edge but p-v and v-q
+    # A is a back from v towards p and C is b on towards q; M = A + (C - v)
+    ax, ay = vx - a * (vx - px) // len1, vy - a * (vy - py) // len1
+    cx, cy = vx + b * (qx - vx) // len2, vy + b * (qy - vy) // len2
+    M = (ax + cx - vx, ay + cy - vy)
+    if _ring_meets(ring, i + 1, n - 2, (vx, vy), M):  # every edge but p-v and v-q
         return None
-    return ring[:i] + [A, M, C] + ring[i + 1:]
+    return ring[:i] + [(ax, ay), M, (cx, cy)] + ring[i + 1:]
 
 
 def _edge_notch(ring, rng) -> Optional[List[Tuple[int, int]]]:
     """The ring with box [e1, e3] cut into edge u-v, or None if it does not fit."""
     n = len(ring)
     i = rng.randrange(n)
-    u, v = ring[i], ring[(i + 1) % n]
-    d = (_sign(v[0] - u[0]), _sign(v[1] - u[1]))
-    inward = (-d[1], d[0])  # interior is on the left of a CCW ring
-    length = abs(v[0] - u[0]) + abs(v[1] - u[1])
+    (ux, uy), (vx, vy) = ring[i], ring[i + 1 - n]
+    length = abs(vx - ux) + abs(vy - uy)
     if length < 3:
         return None
     off = rng.randint(1, length - 2)
     width = rng.randint(1, min(3, length - off - 1))
     depth = rng.randint(1, 3)
-    e1 = (u[0] + off * d[0], u[1] + off * d[1])
-    e2 = (e1[0] + depth * inward[0], e1[1] + depth * inward[1])
-    e3 = (e2[0] + width * d[0], e2[1] + width * d[1])
-    e4 = (e1[0] + width * d[0], e1[1] + width * d[1])
-    if _chain_meets(ring[i + 1:] + ring[:i + 1], e1, e3):  # every edge but u-v
+    dx, dy = (vx - ux) // length, (vy - uy) // length  # u-v's unit step
+    x1, y1 = ux + off * dx, uy + off * dy
+    x2, y2 = x1 - depth * dy, y1 + depth * dx  # inward: the interior is left of a CCW ring
+    e1, e2 = (x1, y1), (x2, y2)
+    e3, e4 = (x2 + width * dx, y2 + width * dy), (x1 + width * dx, y1 + width * dy)
+    if _ring_meets(ring, i + 1, n - 1, e1, e3):  # every edge but u-v
         return None
     return ring[:i + 1] + [e1, e2, e3, e4] + ring[i + 1:]
 

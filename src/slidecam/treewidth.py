@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -70,27 +69,25 @@ class TreeDecomposition:
         return adj
 
     def to_text(self) -> str:
-        """Decomposition dump: one bag per line, edges after a blank line."""
+        """Decomposition dump: a header line, then one line per bag with its
+        items' reprs sorted, then one line per edge, all numbered from 1."""
         name = {v: repr(v) for v in frozenset().union(*self.bags)}
-        return _dump(self.bags, self.edges, self.width, name.__getitem__)
+        return self._text([" ".join(sorted(map(name.__getitem__, bag))) for bag in self.bags])
 
-
-def _dump(bags, edges, width: int, name) -> str:
-    """The dump's lines: each bag's items by ``name``, sorted."""
-    lines = [f"s td {len(bags)} {width + 1}"]
-    for i, bag in enumerate(bags):
-        items = " ".join(sorted(map(name, bag)))
-        lines.append(f"b {i + 1} {items}".rstrip())
-    for a, b in edges:
-        lines.append(f"{a + 1} {b + 1}")
-    return "\n".join(lines) + "\n"
+    def _text(self, items: List[str]) -> str:
+        """The dump, bag i's items written as ``items[i]``."""
+        lines = [f"s td {len(items)} {self.width + 1}"]
+        lines += [f"b {i} {text}".rstrip() for i, text in enumerate(items, 1)]
+        lines += [f"{a + 1} {b + 1}" for a, b in self.edges]
+        return "\n".join(lines) + "\n"
 
 
 class NumberedDecomposition(TreeDecomposition):
     """A decomposition of H over the int ids of its support graph ``S``
     (see :class:`SupportGraph`): ``ids`` holds the bags as ids, and
     ``bags``, in H's nodes, is built on first read.  ``width`` and
-    ``to_text``, which sorts each bag by ``S.names``, read the ids."""
+    ``to_text`` read the ids.  The bags of ``S`` come first and then one
+    leaf bag {c, sv, sh} per requested cross, in ``S.xprime`` order."""
 
     def __init__(self, ids: Tuple[FrozenSet[int], ...], edges: Tuple[Tuple[int, int], ...],
                  S: SupportGraph):
@@ -107,7 +104,18 @@ class NumberedDecomposition(TreeDecomposition):
         return max(map(len, self.ids), default=0) - 1
 
     def to_text(self) -> str:
-        return _dump(self.ids, self.edges, self.width, self.S.names.__getitem__)
+        """Each bag's items as ``S.names``, sorted; a cross's leaf bag needs
+        no sort, since the name ``('c', c)`` sorts before the ``('s', s)``
+        of its supports."""
+        S, names = self.S, self.S.names
+        crosses = len(S.xprime)
+        base = self.ids[:len(self.ids) - crosses]
+        items = [" ".join(sorted(map(names.__getitem__, bag))) for bag in base]
+        u, hs, vs = len(S.universe), S.pix.h_supports, S.pix.v_supports
+        for c, name in zip(S.xprime, names[len(names) - crosses:]):
+            a, b = names[u + vs[c]], names[u + hs[c]]
+            items.append(f"{name} {a} {b}" if a < b else f"{name} {b} {a}")
+        return self._text(items)
 
 
 def dual_graph(pix: Pixelation) -> Dict[int, FrozenSet[int]]:
@@ -155,7 +163,9 @@ def decompose(adj: Union[Dict, Sequence[Iterable[int]]]) -> TreeDecomposition:
     eliminating ``v`` drops from each neighbour u the missing pairs {v, x}
     with x in N(u) but not in N(v); each fill edge a-b then completes {a, b}
     for every common neighbour and adds to a one missing pair per neighbour
-    of a outside N(b), and likewise to b.  Only vertices whose fill changed
+    of a outside N(b), and likewise to b.  A vertex of fill 0 has a clique
+    for N(v) and adds no fill edge, so each neighbour's drop follows from
+    its degree alone, with no set built.  Only vertices whose fill changed
     get a new entry in the lazy heap keyed ``fill * n + vertex`` that yields
     the next vertex.  A vertex's neighbour set is left as it was when the
     vertex was eliminated: its bag.
@@ -182,12 +192,22 @@ def decompose(adj: Union[Dict, Sequence[Iterable[int]]]) -> TreeDecomposition:
         fills[v] = -1
         ns = work[v]
         order.append(v)
+        if not f:
+            # N(v) is a clique: each neighbour u keeps all of N(v) but itself
+            # and loses the pairs {v, x}, x one of its neighbours outside N[v]
+            for u in ns:
+                wu = work[u]
+                wu.discard(v)
+                if len(wu) >= len(ns):
+                    fills[u] -= len(wu) - len(ns) + 1
+                    heapq.heappush(heap, fills[u] * n + u)
+            continue
         delta: Dict[int, int] = {}
         for u in ns:
             wu = work[u]
             wu.discard(v)
             delta[u] = len(wu & ns) - len(wu)
-        for a in ns if f else ():  # N(v) misses f pairs; none when f is 0
+        for a in ns:  # N(v) misses f > 0 pairs
             wa = work[a]
             for b in ns - wa:  # a's missing pairs, each taken from its smaller end
                 if b > a:
@@ -310,7 +330,10 @@ def _with_crosses(td: TreeDecomposition, S: SupportGraph) -> NumberedDecompositi
         s, t = u + vs[c], u + hs[c]
         if len(where[t]) < len(where[s]):
             s, t = t, s  # both lists ascend: either gives the same first bag
-        edges.append((next(i for i in where[s] if t in bags[i]), len(bags)))
+        for i in where[s]:
+            if t in bags[i]:
+                break
+        edges.append((i, len(bags)))
         bags.append(frozenset((s, t, cid + k)))
     return NumberedDecomposition(tuple(bags), tuple(edges), S)
 
@@ -331,7 +354,10 @@ def _slots(td: TreeDecomposition, n: int) -> Tuple[List[int], List[List[int]], L
     one already or takes one with it: a bag's slots are distinct, and all
     are below width + 1 (compare colouring a chordal graph, Gavril 1972).
     """
-    nbrs = td.neighbors()
+    nbrs: List[List[int]] = [[] for _ in td.bags]
+    for a, b in td.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     order, parent = [0], [-1] * len(td.bags)
     kids: List[List[int]] = [[] for _ in td.bags]
     slot = [0] * n
@@ -344,10 +370,15 @@ def _slots(td: TreeDecomposition, n: int) -> Tuple[List[int], List[List[int]], L
                 parent[c] = b
                 kids[b].append(c)
                 order.append(c)
-                used = {slot[v] for v in td.bags[c] & bag}
-                free = itertools.filterfalse(used.__contains__, itertools.count())
-                for v, i in zip(sorted(td.bags[c] - bag), free):
-                    slot[v] = i
+                fresh = td.bags[c] - bag
+                if fresh:
+                    used = {slot[v] for v in td.bags[c] - fresh}
+                    i = 0
+                    for v in sorted(fresh):
+                        while i in used:
+                            i += 1
+                        slot[v] = i
+                        i += 1
     return order, kids, slot
 
 
@@ -393,26 +424,37 @@ def _bag_dp(td: TreeDecomposition, S: SupportGraph
 
     def step(costs: Dict[int, int], chose: Dict[int, int], old: FrozenSet[int], new: FrozenSet[int]):
         """The table (``costs``, ``chose``) over bag ``old`` as one over bag ``new``."""
-        cur = set(old)
+        # old's vertices hold distinct slots, so a mask over old is exact;
+        # gone has the slots of the vertices forgotten so far
         forgets = []
+        gone = 0
         for v in old - new:  # in any order: the state comes out the same
-            cur.discard(v)
-            need = sum(map(seg_bit.__getitem__, cur & adj[v])) if v >= ng else 0
-            forgets.append((bit[v], bit[v] << width, need))
+            b = bit[v]
+            gone |= b
+            need = 0
+            if v >= ng:
+                for w in adj[v] & old:
+                    need |= seg_bit[w]
+                need &= ~gone
+            forgets.append((b, b << width, need))
         # each subset of the new guards, unselected first, as the bits it
         # sets and keeps and the guards it selects: selecting a guard hits
         # its segments in the new bag and drops their "needed"; a new
         # segment is also hit by a selected kept guard that meets it
         picks = [(0, -1, 0, 0)]
         segments = []
-        for v in sorted(new - old):  # guards first; cur now holds the kept vertices
+        for v in sorted(new - old):  # guards first
+            mask = 0
             if v < ng:
-                mask = sum(map(bit.__getitem__, new & adj[v]))
+                for w in adj[v] & new:
+                    mask |= bit[w]
                 picks = [p for on, keep, k, g in picks
                          for p in ((on, keep, k, g),
                                    (on | bit[v] | mask, keep & ~(mask << width), k + 1, g | 1 << v))]
             else:
-                mask = sum(map(guard_bit.__getitem__, cur & adj[v]))
+                for w in adj[v] & old:
+                    mask |= guard_bit[w]
+                mask &= ~gone  # the kept guards only
                 if mask:
                     segments.append((bit[v], mask))
         out: Dict[int, int] = {}

@@ -1,10 +1,12 @@
 import importlib
 import json
 import re
+import sys
 
 import pytest
 
 import slidecam as sc
+from slidecam import cli
 from slidecam.cli import main
 from slidecam.render import render_svg
 
@@ -479,3 +481,89 @@ def test_verify_accepts_cameras_between_grid_lines(tmp_path, span):
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(json.dumps({"cameras": [{"orientation": "V", "anchor": 3, "span": span}]}))
     assert main(["verify", poly_path, str(sol_path)]) == 0
+
+
+def reference_main(argv, monkeypatch):
+    """``main`` with every argv parsed by the top-level parser, which hands
+    what follows a command to the command's parser and refuses leftovers."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_args", lambda a: cli.build_parser().parse_args(a))
+        return main(argv)
+
+
+def _run(fn, argv, capsys):
+    """Exit code (or ``SystemExit`` code), stdout and stderr of ``fn(argv)``."""
+    try:
+        code = fn(argv)
+    except SystemExit as e:
+        code = ("SystemExit", e.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# {poly}, {sol} and {f} stand for a comb(3) file, a cover of it and an output file
+_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "{poly}"], ["--bogus", "solve", "{poly}"],
+    ["validate", "{poly}"], ["validate", "{poly}", "--out", "{f}"], ["validate", "-h"],
+    ["validate"], ["validate", "{poly}", "--bogus"],
+    ["pixelate", "{poly}"], ["pixelate", "{poly}", "--render", "{f}"], ["pixelate", "-h"],
+    ["pixelate"],
+    ["generate", "--shape", "comb"],
+    ["generate", "--shape", "random_simple", "--k", "2", "--n", "8", "--seed", "1", "--out", "{f}"],
+    ["generate"], ["generate", "--shape", "nope"], ["generate", "-h"],
+    ["solve", "{poly}"],
+    ["solve", "{poly}", "--mode", "custom", "--algo", "dp", "--seed", "1", "--cap", "40",
+     "--width-max", "20", "--net-constant", "2.0", "--round-constant", "1.5", "--crosses", "0,1",
+     "--guard-orientations", "HV", "--dump-td", "{f}.td", "--out", "{f}", "--report", "{f}.r",
+     "--render", "{f}.svg"],
+    ["solve", "{poly}", "--mode", "custom", "--crosses", "0", "--guard-ids", "0,1"],
+    ["solve"], ["solve", "-h"], ["solve", "{poly}", "-h"], ["solve", "{poly}", "--mode", "nope"],
+    ["solve", "{poly}", "--algo", "nope"], ["solve", "{poly}", "--bogus"],
+    ["solve", "{poly}", "extra"], ["solve", "{poly}", "--seed", "x"], ["solve", "{poly}", "--algo"],
+    ["solve", "--", "{poly}"], ["solve", "{poly}", "--alg", "dp"],
+    ["verify", "{poly}", "{sol}"], ["verify", "{poly}"], ["verify", "-h"],
+    ["bounds", "{poly}"], ["bounds", "{poly}", "{poly}", "--out", "{f}"], ["bounds"],
+    ["bounds", "-h"],
+    ["export", "{poly}"], ["export", "{poly}", "--mode", "custom", "--guard-orientations", "H",
+                           "--out", "{f}"],
+    ["export", "{poly}", "--mode", "nope"], ["export", "-h"], ["export"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=" ".join)
+def test_main_parses_as_the_top_level_parser(tmp_path, capsys, monkeypatch, argv):
+    """Each command bare and with every option, help at both levels, a
+    missing positional, bad choices and types, unknown options, commands
+    and leftovers: the same exit code, stdout and stderr as parsing with the
+    top-level parser."""
+    monkeypatch.setenv("COLUMNS", "100")
+    poly = tmp_path / "comb3.json"
+    poly.write_text(json.dumps(sc.gen_comb(3).to_dict()))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(sc.solve_polygon(sc.gen_comb(3))[0].to_dict()))
+    argv = [a.format(poly=poly, sol=sol, f=tmp_path / "f") for a in argv]
+    got = _run(main, argv, capsys)
+    assert got == _run(lambda a: reference_main(a, monkeypatch), argv, capsys)
+
+
+@pytest.mark.parametrize("args", [[], ["-h"], ["solve"], ["validate", "{poly}"]])
+def test_main_reads_sys_argv_as_the_top_level_parser(tmp_path, capsys, monkeypatch, args):
+    poly = tmp_path / "comb3.json"
+    poly.write_text(json.dumps(sc.gen_comb(3).to_dict()))
+    monkeypatch.setattr(sys, "argv", ["slidecam", *(a.format(poly=poly) for a in args)])
+    assert _run(main, None, capsys) == _run(lambda a: reference_main(a, monkeypatch), None, capsys)
+
+
+def test_main_parses_a_command_without_the_top_level_parser(tmp_path, capsys, monkeypatch):
+    """A command with nothing left over is parsed by its own parser alone."""
+    poly = tmp_path / "comb3.json"
+    poly.write_text(json.dumps(sc.gen_comb(3).to_dict()))
+    top = cli._parsers()[0]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(top, "parse_args", refused)
+    monkeypatch.setattr(top, "parse_known_args", refused)
+    assert main(["solve", str(poly), "--algo", "dp", "--mode", "mhsc"]) == 0
+    assert "size=3" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import sys
@@ -227,6 +228,75 @@ def test_dump_td_text_is_byte_identical_to_str_of_repr_sorted(tmp_path, mode):
     assert dual.to_text() == str_of_repr_sorted_dump(dual)
     empty = sc.TreeDecomposition(bags=(), edges=())
     assert empty.width == -1 and empty.to_text() == str_of_repr_sorted_dump(empty)
+
+
+def reference_dump(bags, edges, width: int, name) -> str:
+    """The dump's lines: each bag's items by ``name``, sorted."""
+    lines = [f"s td {len(bags)} {width + 1}"]
+    for i, bag in enumerate(bags):
+        items = " ".join(sorted(map(name, bag)))
+        lines.append(f"b {i + 1} {items}".rstrip())
+    for a, b in edges:
+        lines.append(f"{a + 1} {b + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def _line_runs(fn, marker: str, call) -> int:
+    """How often the first line of ``fn`` after the one holding ``marker``
+    that reads ``continue`` runs during ``call()``."""
+    lines, first = inspect.getsourcelines(fn)
+    start = next(k for k, line in enumerate(lines) if marker in line)
+    target = first + next(k for k in range(start, len(lines)) if lines[k].strip() == "continue")
+    runs = 0
+
+    def local(frame, event, arg):
+        nonlocal runs
+        runs += event == "line" and frame.f_lineno == target
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return runs
+
+
+_HOLED = {"outer": [[0, 0], [8, 0], [8, 6], [0, 6]],
+          "holes": [[[2, 2], [2, 4], [3, 4], [3, 2]], [[5, 1], [5, 3], [6, 3], [6, 1]]]}
+_DP_SHAPES = {
+    "comb3": lambda: sc.gen_comb(3), "comb6": lambda: sc.gen_comb(6),
+    "path_lb2": lambda: sc.gen_path_lb(2), "path_lb4": lambda: sc.gen_path_lb(4),
+    "thin_tree4": lambda: sc.gen_thin_tree(4, 1), "thin_tree8": lambda: sc.gen_thin_tree(8, 2),
+    **{f"rand{n}": (lambda n=n: sc.gen_random_simple(n, 1)) for n in range(10, 20, 2)},
+    "hole1": lambda: sc.OrthoPolygon.from_dict({**_HOLED, "holes": _HOLED["holes"][:1]}),
+    "hole2": lambda: sc.OrthoPolygon.from_dict(_HOLED),
+}
+
+
+@pytest.mark.parametrize("mode", ["msc", "mhsc"])
+@pytest.mark.parametrize("shape", list(_DP_SHAPES))
+def test_dp_files_match_the_solve(tmp_path, shape, mode):
+    """``--dump-td`` writes the bytes of ``reference_dump`` over the support
+    graph's names, ``--out`` and ``--report`` load to the solution's dict
+    and the solve's info, and min-fill takes its fill-0 shortcut."""
+    poly = _DP_SHAPES[shape]()
+    poly_path = tmp_path / "poly.json"
+    poly_path.write_text(json.dumps(poly.to_dict()))
+    files = {k: tmp_path / f"{k}.out" for k in ("out", "report", "td")}
+    argv = ["solve", str(poly_path), "--algo", "dp", "--mode", mode, "--out", str(files["out"]),
+            "--report", str(files["report"]), "--dump-td", str(files["td"])]
+    codes = []
+    assert _line_runs(decompose, "if not f:", lambda: codes.append(main(argv))) > 0
+    assert codes == [0]
+    sol, info = sc.solve_polygon(poly, mode=mode, algo="dp")
+    full = sol.decomposition
+    want = reference_dump(full.ids, full.edges, full.width, full.S.names.__getitem__)
+    assert files["td"].read_bytes() == want.encode()
+    assert json.loads(files["out"].read_text()) == sol.to_dict()
+    assert json.loads(files["report"].read_text()) == info
+    dual = decompose(dual_graph(sc.pixelate(poly)))
+    assert dual.to_text() == reference_dump(dual.bags, dual.edges, dual.width, repr)
 
 
 def test_dp_runtime_scaling_informational(capsys):

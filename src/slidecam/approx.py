@@ -156,8 +156,7 @@ def bg_hitting_set(inst: HittingInstance, seed: int = 0,
     which suffices whenever an optimal cover of size k exists.  The covering
     net is verified geometrically once, by ``make_solution``.
     """
-    if not inst.feasible:
-        raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
+    inst.require_feasible()
     universe = sorted(inst.universe)
     if not inst.xprime:
         sol = make_solution(inst.pix, inst.xprime, [], "bg")

@@ -5,7 +5,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .errors import CapExceeded, Infeasible, TooLargeForOracle
+from .errors import CapExceeded, TooLargeForOracle
 from .geometry import GuardSegment, Pixelation, _bits, verify_cover
 from .hitset import HittingInstance
 
@@ -44,33 +44,36 @@ class Solution:
 
 
 def make_solution(pix: Pixelation, xprime: Iterable[int], guards, method: str) -> Solution:
-    """Build a Solution, re-verifying coverage geometrically.
+    """Build a Solution, verifying coverage geometrically once.
 
-    Guards are canonical camera ids, or segments and runs (orientation,
-    anchor, lo, hi).  Each camera is listed once: repeated guard ids, or
-    segments and runs with the same :meth:`GuardSegment.key`, count as
-    one camera (the first given).  A segment is listed as given; a run's
-    record is built once, with id -1 and the hit set of
-    :func:`verify_cover`'s walk.  The certificate is built on first read
-    (see :func:`verify_cover`).
+    Guards are canonical camera ids, segments or runs (orientation,
+    anchor, lo, hi).  Each camera is listed once, in key order: picks with
+    the same run count as one camera, the first given.  Ids are read in
+    ascending order, so ``ValueError`` names the smallest id outside
+    ``guard_runs``, and canonical ids ascend in key order, so their
+    cameras are listed by id.  :func:`verify_cover` checks the distinct
+    picks as given.  A segment is listed as given; an id or a run gets a
+    record with the hit set of the verify's walk and its id, or -1.
+    ``guard_ids`` holds the cameras' ids when every pick is an id, and is
+    None otherwise.  The certificate is built on first read (see
+    :func:`verify_cover`).
     """
-    ids: Optional[Tuple[int, ...]] = None
-    if all(isinstance(g, int) for g in guards):
-        ids = tuple(sorted(set(guards)))
-        cams = tuple(map(pix.guard, ids))
-        report = verify_cover(pix, ids, xprime)
-    else:
-        unique: Dict[tuple, object] = {}
-        for g in guards:
-            unique.setdefault(g if isinstance(g, tuple) else g.key(), g)
-        keys = sorted(unique)
-        report = verify_cover(pix, keys, xprime)
-        cams = tuple(GuardSegment(*key, hit_set=hit) if isinstance(unique[key], tuple) else unique[key]
-                     for key, hit in zip(keys, report.hit_sets))
+    picks: Dict[tuple, object] = {}  # per run, the first pick with it
+    # ids first and ascending; the sort is stable, so other picks keep their order
+    for g in sorted(guards, key=lambda g: (0, g) if isinstance(g, int) else (1,)):
+        picks.setdefault(pix._camera_run(g) if isinstance(g, int) else
+                         g if isinstance(g, tuple) else g.key(), g)
+    keys = sorted(picks)
+    chosen = [picks[key] for key in keys]
+    report = verify_cover(pix, chosen, xprime)
     if not report.covered:
         raise AssertionError(f"solution does not cover crosses {report.uncovered}")
-    return Solution(cameras=cams, size=len(cams), method=method,
-                    certificate=report.certificate, guard_ids=ids)
+    cams = tuple(g if isinstance(g, GuardSegment) else
+                 GuardSegment(*key, id=g if isinstance(g, int) else -1, hit_set=hit)
+                 for key, g, hit in zip(keys, chosen, report.hit_sets))
+    ids = tuple(g for g in chosen if isinstance(g, int))
+    return Solution(cameras=cams, size=len(cams), method=method, certificate=report.certificate,
+                    guard_ids=ids if len(ids) == len(cams) else None)
 
 
 def _dominance_prune(inst: HittingInstance, masks: Dict[int, int]) -> List[int]:
@@ -100,8 +103,7 @@ def brute_force_min_cover(inst: HittingInstance, cap: Optional[int] = None) -> S
     Branches on an uncovered cross with the fewest candidate guards and tries
     those guards in ascending id order, so results are deterministic.
     """
-    if not inst.feasible:
-        raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
+    inst.require_feasible()
     if not inst.wanted:
         return make_solution(inst.pix, inst.xprime, [], "exact")
     masks = {g: inst.pix.guard_masks[g] & inst.wanted for g in inst.universe}
@@ -150,8 +152,7 @@ def greedy_cover(inst: HittingInstance) -> Solution:
     greedy; Minoux, "Accelerated greedy algorithms for maximizing
     submodular set functions", 1978).
     """
-    if not inst.feasible:
-        raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
+    inst.require_feasible()
     masks = inst.pix.guard_masks
     m = len(masks)
     uncovered = inst.wanted

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -37,7 +37,6 @@ from .geometry import (
     pixelate,
     validate_polygon,
 )
-from .hitset import build_instance
 
 Cell = Tuple[int, int]
 
@@ -366,7 +365,7 @@ def _small_guard(ring: Sequence[Vertex]) -> Tuple[Tuple[str, int, int, int], Gua
     its rank polygon, and mapped back through the sorted coordinates.
     Slices, pixels, cross ids, the key order and the dedup by hit set are
     combinatorial in the grid, so a strictly increasing map keeps them.
-    The one metric test is in :meth:`Pixelation.sigmas_hit`: a guard on
+    The one metric test is in :meth:`Pixelation.sigma_ids_hit`: a guard on
     line ``a`` from ``lo`` to ``hi`` meets a perpendicular midline whose
     span holds ``a`` iff ``2 lo <= c1 + c2 <= 2 hi``, where [c1, c2] is the
     extent of the midline's slice along the guard.  The units of line
@@ -692,27 +691,24 @@ class BoundReport:
         return fine
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "msc": self.msc, "mhsc": self.mhsc,
-            "msc_bound": self.msc_bound, "mhsc_bound": self.mhsc_bound,
-            "msc_checked": self.msc_checked, "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def check_bounds(poly: OrthoPolygon, cap: Optional[int] = None) -> BoundReport:
     """Exact optima versus the floor((3n+4)/16) and floor(n/4) bounds.
 
     The all-orientations bound applies to simple hole-free polygons only;
-    the horizontal bound is checked regardless.
+    the horizontal bound is checked regardless.  Both instances are
+    :func:`~slidecam.solve.instance_for_mode`'s.
     """
+    from .solve import instance_for_mode
     n = poly.n
     pix = pixelate(poly)
-    horizontal_ids = [g for g, run in enumerate(pix.guard_runs) if run[0] == HORIZONTAL]
-    mhsc = brute_force_min_cover(build_instance(pix, gammaprime=horizontal_ids), cap).size
+    mhsc = brute_force_min_cover(instance_for_mode(pix, "mhsc"), cap).size
     msc = None
     msc_checked = not poly.holes
     if msc_checked:
-        msc = brute_force_min_cover(build_instance(pix), cap).size
+        msc = brute_force_min_cover(instance_for_mode(pix, "msc"), cap).size
     return BoundReport(n=n, msc=msc, mhsc=mhsc,
                        msc_bound=(3 * n + 4) // 16, mhsc_bound=n // 4,
                        msc_checked=msc_checked)

@@ -715,21 +715,22 @@ class Pixelation:
     mask is the OR of the cross masks of the perpendicular slices that
     cross it, and a run's hit mask is the OR of the crossing masks of the
     slices whose sides make it up.  The first run in key order per
-    orientation and hit mask is a camera: per camera id, ``guard_runs``
-    holds its run (orientation, anchor, lo, hi) and ``guard_masks`` its
-    hit mask over cross ids, the incidence that every solver reads.  Cost
-    O(S log S) for S slices, plus two mask ORs per cross and one per slice
-    side.
+    orientation and hit mask is a camera, numbered in key order: per
+    camera id, ``guard_runs`` holds its run (orientation, anchor, lo, hi)
+    and ``guard_masks`` its hit mask over cross ids, the incidence that
+    every solver reads.  Cost O(S log S) for S slices, plus two mask ORs
+    per cross and one per slice side.
 
     No solve reads a record.  The records are derived from the tables on
     first read and kept: ``sigmas`` (:meth:`sigmas_hit`, render),
-    ``crosses`` (render, callers of :func:`hits`) and ``guards`` (render,
-    :func:`guard_segments`, the ``bounds`` check); :meth:`guard` builds the
-    record of one camera (``make_solution``, for the cameras it returns,
-    and ``guard_small``).  What else only some callers read is
-    derived on first read and kept too: ``pixels`` (render),
-    ``slices_v`` and ``slices_h`` (:func:`segmentation`), the slice sides
-    per line (:meth:`_slice_sides`, per orientation; ``path``,
+    ``crosses`` (render, callers of :func:`hits`) and ``guards``
+    (:func:`guard_segments`); :meth:`guard` builds the record of one
+    camera (``guards`` and ``guard_small``).  Render and the ``bounds``
+    check read ``guard_runs``, and ``make_solution`` builds the records
+    of the cameras it returns from their runs.  What else only some
+    callers read is derived on first read and kept too: ``pixels``
+    (render), ``slices_v`` and ``slices_h`` (:func:`segmentation`), the
+    slice sides per line (:meth:`_slice_sides`, per orientation; ``path``,
     :meth:`slice_dual` and :meth:`_inside_run`), the stabbing index
     (:meth:`_stabbing_index`, per orientation; :meth:`_inside_run` for a
     point that no chain of slice sides holds, so only for a segment

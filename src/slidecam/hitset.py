@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .errors import PreconditionViolated
+from .errors import Infeasible, PreconditionViolated
 from .geometry import HORIZONTAL, VERTICAL, Pixelation, _bits
 
 Node = Tuple[str, int]  # ("c", cross id) | ("s", sigma id) | ("g", guard id)
@@ -32,7 +32,9 @@ class HittingInstance:
     solvers read both over cross ids.  Orientations come from
     ``guard_runs``.  Nothing here builds a ``guards``, ``crosses`` or
     ``sigmas`` record.  The instance is *infeasible* (a first-class state,
-    not an error) when some cross is hit by no allowed guard.
+    not an error) when some cross is hit by no allowed guard; it finds
+    those crosses once, and :meth:`require_feasible` is every solver's
+    refusal of them.
     """
 
     pix: Pixelation
@@ -62,9 +64,15 @@ class HittingInstance:
     def feasible(self) -> bool:
         return not self.infeasible_crosses
 
-    @property
+    @functools.cached_property
     def infeasible_crosses(self) -> Tuple[int, ...]:
+        """The requested crosses that no allowed guard hits, ascending."""
         return tuple(_bits(self.wanted & ~self.hit_mask(self.universe)))
+
+    def require_feasible(self) -> None:
+        """Raise :class:`Infeasible` naming the crosses no allowed guard hits."""
+        if self.infeasible_crosses:
+            raise Infeasible(f"crosses {self.infeasible_crosses} cannot be hit")
 
     def weight_of(self, gid: int):
         return self.weights.get(gid, 1)
@@ -114,11 +122,13 @@ def _requested_ids(pix: Pixelation, xprime: Optional[Iterable[int]],
     and all of them for None.  Raises ``ValueError`` for an id that the
     pixelation does not have.  A request of every cross comes back as the
     pixelation's shared tuple of all cross ids, which
-    :func:`~slidecam.geometry.verify_cover` recognises without a scan."""
-    n = len(pix.h_supports)
-    xp = pix._all_crosses if xprime is None else _checked_ids("cross", xprime, n)
-    if len(xp) == n:
-        xp = pix._all_crosses
+    :func:`~slidecam.geometry.verify_cover` recognises without a scan, and
+    that tuple given is passed through unchecked."""
+    xp = every = pix._all_crosses
+    if not (xprime is None or xprime is every):
+        xp = _checked_ids("cross", xprime, len(every))
+        if len(xp) == len(every):
+            xp = every
     return xp, _checked_ids("guard", gammaprime, len(pix.guard_masks))
 
 

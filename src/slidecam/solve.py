@@ -4,7 +4,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 from .approx import DEFAULT_NET_CONSTANT, DEFAULT_ROUND_CONSTANT, bg_hitting_set
-from .errors import Infeasible, WidthExceeded
+from .errors import WidthExceeded
 from .exact import Solution, brute_force_min_cover, greedy_cover
 from .gallery import path_guard
 from .geometry import (
@@ -93,8 +93,7 @@ def solve_polygon(poly: OrthoPolygon, mode: str = "msc", algo: str = "exact",
         inst = instance_for_mode(pix, mode, xprime=xprime, guard_ids=guard_ids,
                                  guard_orientations=guard_orientations)
         info["universe"] = len(inst.universe)
-        if not inst.feasible:
-            raise Infeasible(f"crosses {inst.infeasible_crosses} cannot be hit")
+        inst.require_feasible()
         if algo == "exact":
             sol = brute_force_min_cover(inst, cap)
         elif algo == "greedy":

@@ -567,3 +567,119 @@ def test_main_parses_a_command_without_the_top_level_parser(tmp_path, capsys, mo
     monkeypatch.setattr(top, "parse_known_args", refused)
     assert main(["solve", str(poly), "--algo", "dp", "--mode", "mhsc"]) == 0
     assert "size=3" in capsys.readouterr().out
+
+
+def reference_render_svg(pix, solution=None):
+    """``render_svg`` as it was: every coordinate mapped through module
+    functions that read the polygon's bounding box afresh."""
+    from slidecam.render import _PAD, _SCALE
+    from slidecam.geometry import visible_region
+
+    def _tx(pix, x2):
+        xl, _, _, _ = pix.polygon.bbox()
+        return (x2 - 2 * (xl - _PAD)) * _SCALE
+
+    def _ty(pix, y2):
+        _, _, _, yh = pix.polygon.bbox()
+        return (2 * (yh + _PAD) - y2) * _SCALE
+
+    def _ends(pix, orientation, anchor2, lo, hi):
+        if orientation == "V":
+            x = _tx(pix, anchor2)
+            return f'x1="{x}" y1="{_ty(pix, 2 * lo)}" x2="{x}" y2="{_ty(pix, 2 * hi)}"'
+        y = _ty(pix, anchor2)
+        return f'x1="{_tx(pix, 2 * lo)}" y1="{y}" x2="{_tx(pix, 2 * hi)}" y2="{y}"'
+
+    poly = pix.polygon
+    xl, yl, xh, yh = poly.bbox()
+    width = (xh - xl + 2 * _PAD) * 2 * _SCALE
+    height = (yh - yl + 2 * _PAD) * 2 * _SCALE
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">']
+    visible = set()
+    if solution is not None:
+        for cam in solution.cameras:
+            visible |= visible_region(pix, cam)
+    path = []
+    for ring in poly.rings():
+        pts = [f"{_tx(pix, 2 * x)},{_ty(pix, 2 * y)}" for x, y in ring]
+        path.append("M " + " L ".join(pts) + " Z")
+    out.append(f'<path d="{" ".join(path)}" fill="#f2f2f2" stroke="none" '
+               f'fill-rule="evenodd"/>')
+    for p in pix.pixels:
+        x0, y0, x1, y1 = p.rect
+        fill = "#bfdfff" if p.id in visible else "none"
+        out.append(
+            f'<rect x="{_tx(pix, 2 * x0)}" y="{_ty(pix, 2 * y1)}" '
+            f'width="{(x1 - x0) * 2 * _SCALE}" height="{(y1 - y0) * 2 * _SCALE}" '
+            f'fill="{fill}" stroke="#999999" stroke-width="1"/>')
+    for seg in pix.sigmas:
+        out.append(f'<line {_ends(pix, seg.orientation, seg.anchor2, seg.lo, seg.hi)} '
+                   f'stroke="#2b7a2b" stroke-width="1" stroke-dasharray="4,3"/>')
+    for orientation, anchor, lo, hi in pix.guard_runs:
+        out.append(f'<line {_ends(pix, orientation, 2 * anchor, lo, hi)} '
+                   f'stroke="#e0a030" stroke-width="1" opacity="0.6"/>')
+    for cross in pix.crosses:
+        cx, cy = _tx(pix, cross.point2[0]), _ty(pix, cross.point2[1])
+        r = _SCALE // 3
+        out.append(f'<line x1="{cx - r}" y1="{cy - r}" x2="{cx + r}" y2="{cy + r}" '
+                   f'stroke="#444444" stroke-width="1"/>')
+        out.append(f'<line x1="{cx - r}" y1="{cy + r}" x2="{cx + r}" y2="{cy - r}" '
+                   f'stroke="#444444" stroke-width="1"/>')
+    for ring in poly.rings():
+        pts = [f"{_tx(pix, 2 * x)},{_ty(pix, 2 * y)}" for x, y in ring]
+        out.append(f'<polygon points="{" ".join(pts)}" fill="none" '
+                   f'stroke="#000000" stroke-width="3"/>')
+    if solution is not None:
+        for cam in solution.cameras:
+            out.append(f'<line {_ends(pix, cam.orientation, 2 * cam.anchor, cam.lo, cam.hi)} '
+                       f'stroke="#cc2222" stroke-width="5" stroke-linecap="round"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+TWO_HOLES = [[(0, 0), (8, 0), (8, 6), (0, 6)],
+             [(2, 2), (2, 4), (3, 4), (3, 2)], [(5, 1), (5, 3), (6, 3), (6, 1)]]
+
+
+def test_svg_reads_the_bounding_box_once(monkeypatch):
+    calls = []
+    bbox = sc.OrthoPolygon.bbox
+    monkeypatch.setattr(sc.OrthoPolygon, "bbox", lambda self: calls.append(1) or bbox(self))
+    p = sc.gen_comb(10)
+    sol, _ = sc.solve_polygon(p, algo="greedy")
+    pix = sc.pixelate(p)
+    calls.clear()
+    render_svg(pix, sol)
+    assert len(calls) == 1
+
+
+def test_svg_bytes_match_the_per_coordinate_reference(corpus, monkeypatch):
+    """The same SVG as the renderer that read the bounding box per
+    coordinate, with no cover, a greedy cover and a path cover, on the
+    corpus, comb(400), path_lb(160) and a two-hole shape.  Each polygon's
+    bounding box is computed once and then served from a memo, so the
+    reference's many reads of it cost O(1) each and not O(n)."""
+    bbox, memo = sc.OrthoPolygon.bbox, {}
+
+    def memo_bbox(self):
+        if id(self) not in memo:
+            memo[id(self)] = (self, bbox(self))  # the polygon is kept, so its id stays its own
+        return memo[id(self)][1]
+
+    monkeypatch.setattr(sc.OrthoPolygon, "bbox", memo_bbox)
+    shapes = {**corpus, "comb400": sc.gen_comb(400), "spiral160": sc.gen_path_lb(160),
+              "two_holes": sc.validate_polygon(TWO_HOLES)}
+    paths = 0
+    for name, p in shapes.items():
+        pix = sc.pixelate(p)
+        covers = [None, sc.solve_polygon(p, algo="greedy")[0]]
+        try:
+            covers.append(sc.solve_polygon(p, algo="path")[0])
+            paths += 1
+        except sc.NotPathSegmentation:
+            pass
+        for sol in covers:
+            assert render_svg(pix, sol) == reference_render_svg(pix, sol), name
+    assert paths >= 10

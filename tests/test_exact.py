@@ -1,8 +1,10 @@
+import importlib
 import itertools
 
 import pytest
 
 import slidecam as sc
+from slidecam.exact import make_solution
 
 from conftest import LSHAPE, RECT, cross_sets, oriented_instance
 
@@ -125,3 +127,135 @@ def test_make_solution_lists_each_camera_once():
     # a run's record is built with id -1 and the hit set of the verify's walk
     by_run = sc.make_solution(pix, every, [spine.key(), copy, spine.key()], "path")
     assert by_run.size == 1 and by_run.cameras == (sc.GuardSegment(*spine.key(), hit_set=spine.hit_set),)
+
+
+def reference_make_solution(pix, xprime, guards, method):
+    """``make_solution`` as it was with two branches: all-id picks took
+    their records from ``pix.guard`` (hit sets from ``guard_masks``), in
+    ascending id order; otherwise runs got records with the hit sets of
+    the verify's walk and segments were listed as given, in key order."""
+    from slidecam.exact import Solution
+    ids = None
+    if all(isinstance(g, int) for g in guards):
+        ids = tuple(sorted(set(guards)))
+        cams = tuple(map(pix.guard, ids))
+        report = sc.verify_cover(pix, ids, xprime)
+    else:
+        unique = {}
+        for g in guards:
+            unique.setdefault(g if isinstance(g, tuple) else g.key(), g)
+        keys = sorted(unique)
+        report = sc.verify_cover(pix, keys, xprime)
+        cams = tuple(sc.GuardSegment(*key, hit_set=hit) if isinstance(unique[key], tuple) else unique[key]
+                     for key, hit in zip(keys, report.hit_sets))
+    if not report.covered:
+        raise AssertionError(f"solution does not cover crosses {report.uncovered}")
+    return Solution(cameras=cams, size=len(cams), method=method,
+                    certificate=report.certificate, guard_ids=ids)
+
+
+def _same_solution(got, want):
+    assert got.cameras == want.cameras  # ids and hit sets included
+    assert (got.size, got.method, got.guard_ids) == (want.size, want.method, want.guard_ids)
+    assert dict(got.certificate) == dict(want.certificate)
+
+
+def _make_solution_calls(monkeypatch):
+    """Record the arguments of every ``make_solution`` call a solve makes."""
+    calls = []
+    real = sc.exact.make_solution
+    for name in ("exact", "approx", "treewidth", "gallery"):
+        module = importlib.import_module(f"slidecam.{name}")
+        monkeypatch.setattr(module, "make_solution",
+                            lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _solves(corpus):
+    """(polygon, solve_polygon keywords) over the corpus and a two-hole
+    shape, with restricted instances, and the bench-size shapes, for every
+    algo that applies."""
+    two_holes = sc.validate_polygon([[(0, 0), (8, 0), (8, 6), (0, 6)],
+                                     [(2, 2), (2, 4), (3, 4), (3, 2)],
+                                     [(5, 1), (5, 3), (6, 3), (6, 1)]])
+    for p in (*corpus.values(), two_holes):
+        pix = sc.pixelate(p)
+        n_c, n_g = len(pix.h_supports), len(pix.guard_masks)
+        for algo in ("exact", "greedy", "bg", "dp", "path"):
+            yield p, {"algo": algo}
+        for mode in ("mhsc", "mvsc"):
+            for algo in ("exact", "greedy", "bg", "dp"):
+                yield p, {"algo": algo, "mode": mode}
+        for algo in ("exact", "greedy", "bg", "dp"):
+            yield p, {"algo": algo, "mode": "custom", "xprime": range(0, n_c, 2)}
+            yield p, {"algo": algo, "mode": "custom", "xprime": [], "guard_ids": range(n_g)}
+            yield p, {"algo": algo, "mode": "custom", "guard_orientations": "V"}
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    grid = sc.validate_polygon([[(0, 0), (32, 0), (32, 32), (0, 32)],
+                                *([(x + 10 * i + 2, y + 10 * j + 2) for x, y in square]
+                                  for i in range(3) for j in range(3))])
+    for p in (sc.gen_comb(400), sc.gen_path_lb(160), sc.gen_thin_tree(12, 3),
+              sc.gen_random_simple(40, 4), grid):
+        for algo in ("greedy", "bg", "path"):
+            yield p, {"algo": algo}
+
+
+def test_make_solution_matches_the_two_branch_reference(corpus, monkeypatch):
+    """On the picks of every algo, ids and runs alike, one path gives the
+    two-branch version's cameras (ids and hit sets included), size,
+    method, guard ids and certificate."""
+    calls = _make_solution_calls(monkeypatch)
+    methods = set()
+    for p, kwargs in _solves(corpus):
+        try:
+            sc.solve_polygon(p, **kwargs)
+        except (sc.Infeasible, sc.NotPathSegmentation):
+            continue
+    assert len(calls) > 100
+    # canonical records, which keep their ids, and runs, as a caller may pass them
+    for pix in {id(pix): pix for pix, *_ in calls if len(pix.guard_runs) < 100}.values():
+        calls += [(pix, None, pix.guards, "custom"), (pix, None, pix.guard_runs, "custom")]
+    for pix, xprime, guards, method in calls:
+        _same_solution(make_solution(pix, xprime, guards, method),
+                       reference_make_solution(pix, xprime, guards, method))
+        methods.add(method)
+    assert methods == {"exact", "greedy", "bg", "dp", "path", "custom"}
+
+
+def test_make_solution_refuses_as_the_two_branch_reference():
+    """The same ``ValueError`` for one bad id and for several (the smallest
+    is named), and the same ``AssertionError`` for picks that cover too
+    little, as ids or as runs."""
+    pix = sc.pixelate(sc.gen_comb(3))
+    every = pix._all_crosses
+    n = len(pix.guard_masks)
+    cases = [[n], [2, -1], [n + 5, 1, -4, n], [99, n, 3]]
+    cases += [[], [0], [pix.guard_runs[0]], [4, 5, 6], [g.key() for g in pix.guards[:2]]]
+    for guards in cases:
+        outcomes = []
+        for build in (make_solution, reference_make_solution):
+            with pytest.raises((ValueError, AssertionError)) as err:
+                build(pix, every, guards, "custom")
+            outcomes.append((err.type, str(err.value)))
+        assert outcomes[0] == outcomes[1], guards
+
+
+@pytest.mark.parametrize("algo", ["greedy", "exact"])
+def test_solve_decides_feasibility_once(monkeypatch, algo):
+    """A greedy or exact solve ORs the universe's hit masks once: the
+    instance keeps its infeasible crosses, and ``solve_polygon`` and the
+    solver both read them."""
+    passes = []
+    hit_mask = sc.HittingInstance.hit_mask
+
+    def counted(self, guards):
+        if guards is self.universe:
+            passes.append(1)
+        return hit_mask(self, guards)
+
+    monkeypatch.setattr(sc.HittingInstance, "hit_mask", counted)
+    for p in (sc.gen_comb(3), sc.gen_path_lb(2), sc.validate_polygon(LSHAPE)):
+        for mode in ("msc", "mhsc"):
+            passes.clear()
+            sc.solve_polygon(p, mode=mode, algo=algo)
+            assert len(passes) == 1, (p, mode)

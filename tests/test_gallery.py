@@ -376,6 +376,21 @@ def test_check_bounds_holed_skips_msc():
     assert rep.mhsc is not None and rep.ok
 
 
+def test_check_bounds_row_and_instances(monkeypatch):
+    """A report's row lists its fields in order, then ``ok``, and both
+    optima are solved on the instances of ``instance_for_mode``."""
+    modes = []
+    real = sc.solve.instance_for_mode
+    monkeypatch.setattr(sc.solve, "instance_for_mode",
+                        lambda pix, mode: modes.append(mode) or real(pix, mode))
+    rep = sc.check_bounds(sc.gen_path_lb(2))
+    assert modes == ["mhsc", "msc"]
+    assert rep.to_dict() == {"n": 10, "msc": 2, "mhsc": 2, "msc_bound": 2,
+                             "mhsc_bound": 2, "msc_checked": True, "ok": True}
+    assert list(rep.to_dict()) == ["n", "msc", "mhsc", "msc_bound", "mhsc_bound",
+                                   "msc_checked", "ok"]
+
+
 def test_path_solve_keeps_at_most_one_pixelation():
     sc.solve_polygon(sc.gen_comb(60), algo="path")
     # the <= 8-vertex pieces' pixelations are throwaway; none of them is kept
